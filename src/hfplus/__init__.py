@@ -25,7 +25,7 @@ from .errors import (CFKError, FlipMissingError, GradingError,
                      InvalidComplexError, NotStabilizedError, ParseError,
                      TorsionInTowerError)
 from .homology import (ChainMap, GradedComplex, GradedGroup, InducedMap,
-                       TowerDecomposition, graded_homology, induced_map,
+                       TowerDecomposition, graded_homology,
                        smith_normal_form, tower_decompose)
 from .surgery import (HFResult, MappingCone, SpincResult, SurgeryDescriptor,
                       build_mapping_cone, conjugation_constant, hf_plus,
@@ -39,7 +39,7 @@ __all__ = [
     "serialize_text", "grading_solve", "are_isomorphic", "flip_chain_sign",
     # homological algebra
     "smith_normal_form", "graded_homology", "GradedComplex", "GradedGroup",
-    "ChainMap", "InducedMap", "induced_map", "tower_decompose",
+    "ChainMap", "InducedMap", "tower_decompose",
     "TowerDecomposition",
     # large-surgery pieces
     "realize", "map_v", "map_h", "hfk_hat", "genus", "alexander_polynomial",

@@ -17,6 +17,9 @@ horizontal one projects to C{j >= s}, slides down by U^s, and applies
 the flip.  When the flip only commutes with the differential up to a
 global sign, the horizontal map absorbs (-1)^m per generator, which
 restores the chain-map identity without disturbing the involution.
+v_columns and h_columns define both maps once, for map_v/map_h and
+the surgery cone alike; default_depth and stabilized are the one start
+depth and doubling loop for truncated computations.
 """
 
 from __future__ import annotations
@@ -27,13 +30,41 @@ from math import ceil
 
 from .cfk import Region, flip_chain_sign
 from .errors import (FlipMissingError, GradingError, InvalidComplexError,
-                     NotStabilizedError)
+                     NotStabilizedError, TorsionInTowerError)
 from .homology import ChainMap, GradedComplex, graded_homology
 
 
 def default_depth(complex_, slope=0):
     """The standard truncation depth heuristic: generous and cheap."""
     return int(ceil(4 * (complex_.grading_spread + slope + 4)))
+
+
+_MAX_DOUBLINGS = 4
+
+
+def stabilized(compute, complex_, slope=0, depth=None):
+    """compute(depth) at the first depth where the result stabilizes.
+
+    With depth=None the depth starts at default_depth(complex_, slope)
+    and doubles, up to _MAX_DOUBLINGS times, whenever compute raises
+    NotStabilizedError or TorsionInTowerError; the last such error is
+    raised again, naming every depth tried.  An explicit depth is used
+    as given and its failure propagates unchanged.
+    """
+    if depth is not None:
+        return compute(depth)
+    n = default_depth(complex_, slope)
+    tried = []
+    while True:
+        try:
+            return compute(n)
+        except (NotStabilizedError, TorsionInTowerError) as exc:
+            tried.append(n)
+            if len(tried) > _MAX_DOUBLINGS:
+                raise type(exc)(
+                    f"{exc} (tried depths "
+                    f"{', '.join(map(str, tried))})") from exc
+        n *= 2
 
 
 def _k_range(g, region, depth):
@@ -123,19 +154,17 @@ def region_homology(complex_, region, depth):
     return realized, h
 
 
-def map_v(complex_, s, depth):
-    """The projection A_s -> B as a checked ChainMap (degree shift 0)."""
-    src = realize(complex_, Region.max_ij(s), depth)
-    tgt = realize(complex_, Region.min_i(), depth)
+def v_columns(src, tgt):
+    """Columns of v: A_s -> B, the projection, between realizations."""
     cols = []
-    for name, k in src.ids:
-        tid = tgt.id_of.get((name, k))
+    for key in src.ids:
+        tid = tgt.id_of.get(key)
         cols.append({} if tid is None else {tid: 1})
-    return ChainMap(src.realization, tgt.realization, cols, shift=0)
+    return cols
 
 
-def map_h(complex_, s, depth):
-    """Project to {j >= s}, slide by U^s, flip: A_s -> B, shift -2s."""
+def signed_flip(complex_):
+    """The flip with the sign h applies: name -> (sign, image name)."""
     if complex_.flip is None:
         raise FlipMissingError(
             "horizontal maps need flip data on the complex")
@@ -143,19 +172,39 @@ def map_h(complex_, s, depth):
     if eps is None:
         raise InvalidComplexError(["flip is not a chain map up to "
                                    "global sign"])
-    src = realize(complex_, Region.max_ij(s), depth)
-    tgt = realize(complex_, Region.min_i(), depth)
+    signed = {}
+    for g in complex_.generators:
+        sgn, flipped = complex_.flip[g.name]
+        signed[g.name] = (-sgn if eps < 0 and g.m % 2 else sgn, flipped)
+    return signed
+
+
+def h_columns(complex_, flip, s, src, tgt):
+    """Columns of h: A_s -> B between realizations; flip from signed_flip."""
     cols = []
     for name, k in src.ids:
-        g = complex_.by_name[name]
-        if g.j + k - s < 0:
+        if complex_.by_name[name].j + k - s < 0:
             cols.append({})
             continue
-        sgn, flipped = complex_.flip[name]
-        if eps < 0 and g.m % 2:
-            sgn = -sgn
+        sgn, flipped = flip[name]
         tid = tgt.id_of.get((flipped, k - s))
         cols.append({} if tid is None else {tid: sgn})
+    return cols
+
+
+def map_v(complex_, s, depth):
+    """The projection A_s -> B as a checked ChainMap (degree shift 0)."""
+    src = realize(complex_, Region.max_ij(s), depth)
+    tgt = realize(complex_, Region.min_i(), depth)
+    return ChainMap(src.realization, tgt.realization, v_columns(src, tgt),
+                    shift=0)
+
+
+def map_h(complex_, s, depth):
+    """Project to {j >= s}, slide by U^s, flip: A_s -> B, shift -2s."""
+    src = realize(complex_, Region.max_ij(s), depth)
+    tgt = realize(complex_, Region.min_i(), depth)
+    cols = h_columns(complex_, signed_flip(complex_), s, src, tgt)
     return ChainMap(src.realization, tgt.realization, cols, shift=-2 * s)
 
 

@@ -28,7 +28,8 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-from .errors import GradingError, InvalidComplexError, ParseError
+from .errors import (GradingError, InvalidComplexError, NotStabilizedError,
+                     ParseError, TorsionInTowerError)
 
 BUILTIN_NAMES = ("unknot", "trefoil_right", "trefoil_left", "figure_eight",
                  "torus_2_5")
@@ -126,13 +127,6 @@ class KnotComplex:
     def grading_spread(self):
         ms = [g.m for g in self.generators if g.m is not None]
         return (max(ms) - min(ms)) if ms else 0
-
-    @property
-    def diagonal_spread(self):
-        """max |j - i| over generators; bounds the width of everything."""
-        if not self.generators:
-            return 0
-        return max(abs(g.j - g.i) for g in self.generators)
 
     def with_gradings(self, m_by_name):
         gens = [Generator(g.name, g.i, g.j, m_by_name[g.name])
@@ -592,7 +586,6 @@ def _tower_bottom_offset(complex_, component, rel):
     degree of the tower bottom; the final gradings subtract it.
     """
     from . import acomplex
-    from .errors import NotStabilizedError, TorsionInTowerError
     from .homology import graded_homology, tower_decompose
 
     sub = KnotComplex(
@@ -600,19 +593,17 @@ def _tower_bottom_offset(complex_, component, rel):
          for g in complex_.generators if g.name in rel],
         {k: v for k, v in complex_.differential.items() if k in rel},
         None)
-    depth = 8 + 4 * max(1, sub.diagonal_spread + sub.grading_spread // 2)
-    last = None
-    for _ in range(4):
+
+    def bottom(depth):
         realized = acomplex.realize(sub, Region.min_i(), depth)
         h = graded_homology(realized.realization, ceiling=realized.ceiling)
-        try:
-            tower = tower_decompose(h, depth)
-        except (NotStabilizedError, TorsionInTowerError) as exc:
-            last = exc
-            depth *= 2
-            continue
-        return -tower.d_bottom
-    raise GradingError(f"could not normalize the tower grading: {last}")
+        return tower_decompose(h, depth).d_bottom
+
+    try:
+        return -acomplex.stabilized(bottom, sub)
+    except (NotStabilizedError, TorsionInTowerError) as exc:
+        raise GradingError(
+            f"could not normalize the tower grading: {exc}") from exc
 
 
 def grading_solve(complex_, seeds=None):

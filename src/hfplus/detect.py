@@ -24,7 +24,7 @@ from fractions import Fraction
 from .acomplex import alexander_polynomial, kernel_rank_v
 from .cfk import builtin
 from .errors import CFKError
-from .surgery import hf_plus
+from .surgery import hf_plus, lens_d_oracle
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,9 @@ def diagnostic_sum(complex_, p, q, depth=None):
     if p <= 0 or q <= 0:
         raise ValueError("diagnostic_sum requires p, q > 0")
     mine = hf_plus(complex_, p, q, depth=depth)
-    base = hf_plus(builtin("unknot"), p, q, depth=depth)
-    deficit = (sum(mine.d_values()) - sum(base.d_values())) / 2
+    # calibration pins the unknot's d-invariants to the lens-space oracle
+    base = sum(lens_d_oracle(p, q, i) for i in range(p))
+    deficit = (sum(mine.d_values()) - base) / 2
     score = mine.total_reduced_rank - deficit
     if score.denominator != 1:
         raise CFKError(

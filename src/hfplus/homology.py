@@ -431,9 +431,6 @@ class GradedComplex:
             if ud != du:
                 raise ValueError("U does not commute with the boundary")
 
-    def degree_support(self):
-        return sorted(self.by_degree)
-
 
 class _DegreeHomology:
     """Homology of a graded complex in a single degree, with enough of
@@ -685,10 +682,6 @@ class ChainMap:
                 cols.append(ht.coords_global(d + self.shift, img))
             matrices[d] = cols
         return InducedMap(hs, ht, self.shift, matrices)
-
-
-def induced_map(chain_map, source_h=None, target_h=None):
-    return chain_map.induced(source_h, target_h)
 
 
 class InducedMap:

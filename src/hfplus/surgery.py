@@ -33,10 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .acomplex import default_depth, genus, realize
-from .cfk import Region, builtin, flip_chain_sign, mirror
-from .errors import (CFKError, FlipMissingError, GradingError,
-                     NotStabilizedError, TorsionInTowerError)
+from .acomplex import (genus, h_columns, realize, signed_flip, stabilized,
+                       v_columns)
+from .cfk import Region, builtin, mirror
+from .errors import CFKError, FlipMissingError, GradingError
 from .homology import GradedComplex, graded_homology, tower_decompose
 
 
@@ -99,6 +99,10 @@ def _cone_offsets(descriptor, gauge=0):
 class MappingCone:
     """The assembled truncated cone as one graded U-complex.
 
+    The cone is a list of blocks (label, realization, grading offset,
+    sign of its differential): ("A", s) for each A-summand and ("B", s)
+    for each B-summand, with the B differentials negated.  The v and h
+    columns from acomplex then join each A_s to B_s and B_{s+1}.
     Basis labels are ("A"|"B", s, generator name, translate); the
     construction re-checks that the total differential squares to
     zero, commutes with U, and drops the (offset) grading by exactly
@@ -106,11 +110,9 @@ class MappingCone:
     """
 
     def __init__(self, source, descriptor, gauge=0):
-        if source.flip is None:
-            raise FlipMissingError("surgery requires flip data")
         if not source.graded:
             raise GradingError("surgery requires solved gradings")
-        eps = flip_chain_sign(source)
+        flip = signed_flip(source)
         self.source = source
         self.descriptor = descriptor
         d = descriptor
@@ -118,61 +120,39 @@ class MappingCone:
                   for s in d.a_positions()}
         b_real = realize(source, Region.min_i(), d.depth)
         off_a, off_b = _cone_offsets(d, gauge)
-        self.a_offsets = off_a
-        self.b_offsets = off_b
+        blocks = [(("A", s), a_real[s], off_a[s], 1) for s in d.a_positions()]
+        blocks += [(("B", s), b_real, off_b[s], -1) for s in d.b_positions()]
 
         ids = []
         degrees = []
-        base = {}
-        for s in d.a_positions():
-            base[("A", s)] = len(ids)
-            for name, k in a_real[s].ids:
-                degrees.append(source.by_name[name].m + 2 * k + off_a[s])
-                ids.append(("A", s, name, k))
-        for s in d.b_positions():
-            base[("B", s)] = len(ids)
-            for name, k in b_real.ids:
-                degrees.append(source.by_name[name].m + 2 * k + off_b[s])
-                ids.append(("B", s, name, k))
-
         boundary = []
         u_cols = []
-        for s in d.a_positions():
-            real = a_real[s]
-            a0 = base[("A", s)]
-            t_s = d.t(s)
-            has_h = ("B", s + 1) in base
-            for local, (name, k) in enumerate(real.ids):
-                col = {a0 + tgt: c
-                       for tgt, c in real.realization.boundary[local].items()}
-                if ("B", s) in base:
-                    tid = b_real.id_of.get((name, k))
-                    if tid is not None:
-                        col[base[("B", s)] + tid] = 1
-                if has_h:
-                    g = source.by_name[name]
-                    if g.j + k - t_s >= 0:
-                        sgn, flipped = source.flip[name]
-                        if eps < 0 and g.m % 2:
-                            sgn = -sgn
-                        tid = b_real.id_of.get((flipped, k - t_s))
-                        if tid is not None:
-                            col[base[("B", s + 1)] + tid] = sgn
-                boundary.append(col)
-                uid = real.id_of.get((name, k - 1))
-                u_cols.append({} if uid is None else {a0 + uid: 1})
-        for s in d.b_positions():
-            b0 = base[("B", s)]
-            for local, (name, k) in enumerate(b_real.ids):
-                boundary.append(
-                    {b0 + tgt: -c
-                     for tgt, c in b_real.realization.boundary[local].items()})
-                uid = b_real.id_of.get((name, k - 1))
-                u_cols.append({} if uid is None else {b0 + uid: 1})
+        base = {}
+        for label, real, offset, sign in blocks:
+            b0 = base[label] = len(ids)
+            rc = real.realization
+            ids.extend(label + key for key in real.ids)
+            degrees.extend(deg + offset for deg in rc.degrees)
+            boundary.extend({b0 + i: sign * c for i, c in col.items()}
+                            for col in rc.boundary)
+            u_cols.extend({b0 + i: c for i, c in col.items()}
+                          for col in rc.u_action)
 
-        floors = [a_real[s].dropped_floor + off_a[s] for s in d.a_positions()]
-        floors += [b_real.dropped_floor + off_b[s] for s in d.b_positions()]
-        self.ceiling = min(floors) - 2
+        def join(s, b_label, cols):
+            a0, b0 = base[("A", s)], base[b_label]
+            for j, col in enumerate(cols):
+                for i, c in col.items():
+                    boundary[a0 + j][b0 + i] = c
+
+        for s in d.a_positions():
+            if ("B", s) in base:
+                join(s, ("B", s), v_columns(a_real[s], b_real))
+            if ("B", s + 1) in base:
+                join(s, ("B", s + 1),
+                     h_columns(source, flip, d.t(s), a_real[s], b_real))
+
+        self.ceiling = min(real.dropped_floor + offset
+                           for _, real, offset, _ in blocks) - 2
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
 
@@ -229,9 +209,6 @@ def _cone_data(complex_, descriptor, gauge=0):
     return _cone_cache[key]
 
 
-_calibration_cache = {}
-
-
 def _calibration_shift(descriptor):
     """Absolute-grading shift for every cone of this shape.
 
@@ -240,16 +217,13 @@ def _calibration_shift(descriptor):
     and the difference is the shift.  Valid for arbitrary inputs at
     the same shape because the B-summand offsets are knot-independent.
     """
-    if descriptor not in _calibration_cache:
-        bottom, reduced = _cone_data(builtin("unknot"), descriptor)
-        if any(rank or torsion for _, (rank, torsion) in reduced):
-            raise CFKError(
-                "calibration cone has reduced homology; truncation "
-                "bookkeeping is broken")
-        _calibration_cache[descriptor] = (
-            lens_d_oracle(descriptor.p, descriptor.q, descriptor.spin_c)
+    bottom, reduced = _cone_data(builtin("unknot"), descriptor)
+    if any(rank or torsion for _, (rank, torsion) in reduced):
+        raise CFKError(
+            "calibration cone has reduced homology; truncation "
+            "bookkeeping is broken")
+    return (lens_d_oracle(descriptor.p, descriptor.q, descriptor.spin_c)
             - bottom)
-    return _calibration_cache[descriptor]
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +276,6 @@ class HFResult:
     def d_values(self):
         return [r.d for r in self.spin_c]
 
-    def profile_multiset(self):
-        return tuple(sorted(r.profile() for r in self.spin_c))
-
     def comparable(self):
         """Everything except provenance (sigma/depth) and timing."""
         return (self.p, self.q, self.orientation,
@@ -328,9 +299,6 @@ def conjugation_constant(result):
     return None
 
 
-_MAX_DOUBLINGS = 4
-
-
 def _spin_c_result(complex_, p, q, i, sigma, depth, gauge):
     descriptor = SurgeryDescriptor(p, q, i, sigma, depth)
     bottom, reduced = _cone_data(complex_, descriptor, gauge)
@@ -350,12 +318,13 @@ _hf_cache = {}
 def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     """HF+ of p/q surgery, one SpincResult per residue class.
 
-    With depth=None the truncation depth starts at the standard
-    heuristic and doubles (up to 4 times) whenever the tower fails to
-    stabilize; an explicit depth is used as given and failures
-    propagate.  sigma_bump widens every truncation window, and gauge
-    shifts all relative offsets by a constant -- both exist so that
-    invariance of the output under them can be demonstrated.
+    With depth=None each Spin^c structure runs under
+    acomplex.stabilized: the depth starts at default_depth and doubles
+    whenever the tower fails to stabilize; an explicit depth is used
+    as given and failures propagate.  sigma_bump widens every
+    truncation window, and gauge shifts all relative offsets by a
+    constant -- both exist so that invariance of the output under them
+    can be demonstrated.
 
     Negative p is computed on the mirror complex and the result
     carries orientation="reversed" with only d negated; the reduced
@@ -388,20 +357,9 @@ def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     per_index = []
     for i in range(p):
         sigma = truncation_sigma(complex_, p, q, i) + sigma_bump
-        if depth is not None:
-            per_index.append(
-                _spin_c_result(complex_, p, q, i, sigma, depth, gauge))
-            continue
-        n = default_depth(complex_, Fraction(p, q))
-        for attempt in range(_MAX_DOUBLINGS + 1):
-            try:
-                per_index.append(
-                    _spin_c_result(complex_, p, q, i, sigma, n, gauge))
-                break
-            except (NotStabilizedError, TorsionInTowerError):
-                if attempt == _MAX_DOUBLINGS:
-                    raise
-                n *= 2
+        per_index.append(stabilized(
+            lambda n: _spin_c_result(complex_, p, q, i, sigma, n, gauge),
+            complex_, Fraction(p, q), depth))
     result = HFResult(p=p, q=q, orientation="standard",
                       spin_c=tuple(per_index),
                       source_name=complex_.name or "complex")

@@ -3,14 +3,28 @@
 Two independent oracles live here (a rational row-reduction rank and a
 homology free-rank computed from those ranks alone), plus a generator
 of random valid bifiltered complexes assembled from pieces whose
-differential squares to zero by construction.  The acceptance registry
-at the bottom is filled by test_acceptance.py and printed by the
-conftest terminal-summary hook.
+differential squares to zero by construction, and the environment for
+child interpreters.  The acceptance registry at the bottom is filled
+by test_acceptance.py and printed by the conftest terminal-summary
+hook.
 """
 
+import os
 from fractions import Fraction
 
+import hfplus
 from hfplus.cfk import Generator, KnotComplex, grading_solve
+
+
+def child_env():
+    """Environment for a child interpreter that imports this same hfplus."""
+    package_root = os.path.dirname(os.path.dirname(
+        os.path.abspath(hfplus.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (package_root + os.pathsep + inherited
+                         if inherited else package_root)
+    return env
 
 
 def rational_rank(columns, nrows):

@@ -3,9 +3,10 @@ import pytest
 from hfplus.acomplex import (alexander_polynomial, default_depth, genus,
                              hfk_hat, induced_h, induced_v, kernel_rank_v,
                              map_h, map_v, realize, region_homology,
-                             LaurentPolynomial)
+                             stabilized, LaurentPolynomial)
 from hfplus.cfk import BUILTIN_NAMES, KnotComplex, Region, builtin
-from hfplus.errors import InvalidComplexError
+from hfplus.errors import (GradingError, InvalidComplexError,
+                           NotStabilizedError, TorsionInTowerError)
 
 GENUS_ONE = ("trefoil_right", "trefoil_left", "figure_eight")
 
@@ -170,3 +171,52 @@ def test_hfk_rank_only_fallback_without_gradings():
     assert h.total_free_rank() == 1
     h0 = hfk_hat(k, 0)
     assert h0.total_free_rank() == 1
+
+
+def _failing(times, error=NotStabilizedError):
+    """A compute(depth) that fails `times` times, recording each depth."""
+    tried = []
+
+    def compute(depth):
+        tried.append(depth)
+        if len(tried) <= times:
+            raise error(f"not stable at depth {depth}")
+        return depth
+    return compute, tried
+
+
+def test_stabilized_doubles_from_the_default_depth():
+    k = builtin("trefoil_right")
+    start = default_depth(k, 3)
+    for times in range(5):
+        compute, tried = _failing(times, TorsionInTowerError)
+        assert stabilized(compute, k, 3) == start * 2 ** times
+        assert tried == [start * 2 ** e for e in range(times + 1)]
+
+
+def test_stabilized_gives_up_after_four_doublings():
+    k = builtin("figure_eight")
+    start = default_depth(k)
+    compute, tried = _failing(5)
+    depths = [start * 2 ** e for e in range(5)]
+    with pytest.raises(NotStabilizedError) as info:
+        stabilized(compute, k)
+    assert tried == depths
+    assert f"tried depths {', '.join(map(str, depths))}" in str(info.value)
+
+
+def test_stabilized_never_retries_an_explicit_depth():
+    k = builtin("figure_eight")
+    compute, tried = _failing(1)
+    with pytest.raises(NotStabilizedError, match="^not stable at depth 7$"):
+        stabilized(compute, k, depth=7)
+    assert tried == [7]
+    compute, tried = _failing(0)
+    assert stabilized(compute, k, depth=7) == 7
+
+
+def test_stabilized_lets_other_errors_through():
+    compute, tried = _failing(1, GradingError)
+    with pytest.raises(GradingError):
+        stabilized(compute, builtin("unknot"))
+    assert len(tried) == 1

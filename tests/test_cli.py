@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -11,7 +10,7 @@ if sys.version_info >= (3, 11):
 else:  # pytest itself requires tomli before Python 3.11
     import tomli as tomllib
 
-import hfplus
+from helpers import child_env
 from hfplus.cfk import builtin, serialize_text
 from hfplus.cli import main, parse_document, result_document, strip_provenance
 from hfplus.surgery import hf_plus
@@ -202,17 +201,6 @@ main = getattr(importlib.import_module(module), attr)
 sys.argv = sys.argv[2:]
 sys.exit(main())
 """
-
-
-def child_env():
-    """Environment for a child interpreter that imports this same hfplus."""
-    package_root = os.path.dirname(os.path.dirname(
-        os.path.abspath(hfplus.__file__)))
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (package_root + os.pathsep + inherited
-                         if inherited else package_root)
-    return env
 
 
 def test_console_script_entry_point():

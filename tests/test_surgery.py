@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hfplus.cfk import builtin, mirror
+from hfplus.acomplex import map_h, map_v, realize
+from hfplus.cfk import (KnotComplex, Region, builtin, flip_chain_sign,
+                        mirror, validate)
 from hfplus.surgery import (SurgeryDescriptor, build_mapping_cone,
                             conjugation_constant, hf_plus, lens_d_oracle,
                             truncation_sigma)
@@ -24,6 +26,52 @@ def test_mapping_cone_shape():
     assert cone.n_a_summands == 3  # s in {-1, 0, 1}
     assert cone.n_b_summands == 2  # s in {0, 1}
     assert cone.complex.n > 0
+
+
+def test_cone_joins_are_the_v_and_h_maps():
+    k = builtin("figure_eight")
+    desc = SurgeryDescriptor(7, 3, 2, sigma=2, depth=12)
+    cone = build_mapping_cone(k, desc)
+    index = {label: n for n, label in enumerate(cone.ids)}
+    b_real = realize(k, Region.min_i(), desc.depth)
+    joins = 0
+    for s in desc.a_positions():
+        a_real = realize(k, Region.max_ij(desc.t(s)), desc.depth)
+        for b_pos, chain_map in ((s, map_v(k, desc.t(s), desc.depth)),
+                                 (s + 1, map_h(k, desc.t(s), desc.depth))):
+            if b_pos not in desc.b_positions():
+                continue
+            block = []
+            for key in a_real.ids:
+                col = cone.complex.boundary[index[("A", s) + key]]
+                block.append({b_real.id_of[cone.ids[r][2:]]: c
+                              for r, c in col.items()
+                              if cone.ids[r][:2] == ("B", b_pos)})
+            assert block == chain_map.columns, (s, b_pos)
+            joins += 1
+    assert joins == 2 * 2 * desc.sigma
+
+
+def _anticommuting_flip(k):
+    """k with its flip changed to x -> ((-1)^m_x s, y)."""
+    flip = {x: (-s if k.by_name[x].m % 2 else s, y)
+            for x, (s, y) in k.flip.items()}
+    return KnotComplex(k.generators, k.differential, flip, name=k.name)
+
+
+def test_flip_sign_rule_for_anticommuting_flips():
+    for name in ("trefoil_right", "figure_eight", "torus_2_5"):
+        k = builtin(name)
+        odd = _anticommuting_flip(k)
+        assert validate(odd) == [], name
+        assert flip_chain_sign(k) == 1 and flip_chain_sign(odd) == -1, name
+        for p, q in [(1, 1), (2, 1), (7, 3), (-3, 2)]:
+            assert (hf_plus(odd, p, q).comparable()
+                    == hf_plus(k, p, q).comparable()), (name, p, q)
+        depth = 12
+        for s in range(-2, 3):
+            assert (map_h(odd, s, depth).columns
+                    == map_h(k, s, depth).columns), (name, s)
 
 
 def test_lens_oracle_frozen_values():

@@ -20,15 +20,17 @@ restores the chain-map identity without disturbing the involution.
 v_columns and h_columns define both maps once, for map_v/map_h and
 the surgery cone alike; default_depth and stabilized are the one start
 depth and doubling loop for truncated computations.
+
+Realizations and homology groups are built anew on every call and
+never cached; results (genus, kernel_rank_v) go through cfk's memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil
 
-from .cfk import Region, flip_chain_sign
+from .cfk import Region, flip_chain_sign, memoized
 from .errors import (FlipMissingError, GradingError, InvalidComplexError,
                      NotStabilizedError, TorsionInTowerError)
 from .homology import ChainMap, GradedComplex, graded_homology
@@ -77,9 +79,6 @@ def _k_range(g, region, depth):
         s, bound = region.params
         lo = bound - max(g.i, g.j - s)
         return lo, lo + depth
-    if region.kind == "box":
-        (ilo, ihi), (jlo, jhi) = region.params
-        return max(ilo - g.i, jlo - g.j), min(ihi - g.i, jhi - g.j)
     ci, cj = region.params
     k = ci - g.i
     if g.j + k == cj:
@@ -140,15 +139,13 @@ class RealizedRegion:
                 f"{len(self.ids)} elements)")
 
 
-@lru_cache(maxsize=512)
 def realize(complex_, region, depth):
-    """Cached realization; knot complexes hash by content."""
+    """A new RealizedRegion of the region at this depth (not cached)."""
     return RealizedRegion(complex_, region, depth)
 
 
-@lru_cache(maxsize=256)
 def region_homology(complex_, region, depth):
-    """(RealizedRegion, GradedGroup) for a region, cached together."""
+    """(RealizedRegion, GradedGroup) for a region, both built anew."""
     realized = realize(complex_, region, depth)
     h = graded_homology(realized.realization, ceiling=realized.ceiling)
     return realized, h
@@ -255,6 +252,7 @@ def _alexander_support(complex_):
     return sorted({g.j - g.i for g in complex_.generators})
 
 
+@memoized
 def genus(complex_):
     """Top filtration level with nonzero hat homology (0 for the unknot)."""
     best = None
@@ -329,6 +327,7 @@ def alexander_polynomial(complex_):
     return LaurentPolynomial.from_dict(coeffs)
 
 
+@memoized
 def kernel_rank_v(complex_, s, depth=None):
     """Free rank of ker(v on homology), checked at two depths."""
     if depth is None:

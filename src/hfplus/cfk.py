@@ -25,8 +25,11 @@ bottom sits in grading 0.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property, wraps
 
 from .errors import (GradingError, InvalidComplexError, NotStabilizedError,
                      ParseError, TorsionInTowerError)
@@ -91,6 +94,7 @@ class KnotComplex:
 
     # -- identity ---------------------------------------------------------
 
+    @cached_property
     def _content(self):
         gens = tuple(sorted((g.name, g.i, g.j, g.m) for g in self.generators))
         diff = tuple(sorted(
@@ -100,17 +104,21 @@ class KnotComplex:
                 else tuple(sorted((k, s, t) for k, (s, t) in self.flip.items())))
         return gens, diff, flip
 
+    @cached_property
+    def _digest(self):
+        return hashlib.sha256(repr(self._content).encode()).hexdigest()
+
     def __eq__(self, other):
         if not isinstance(other, KnotComplex):
             return NotImplemented
-        return self._content() == other._content()
+        return self._content == other._content
 
     def __hash__(self):
-        return hash(self._content())
+        return hash(self._digest)
 
     def content_key(self):
         """Stable hex digest of the mathematical content (name ignored)."""
-        return hashlib.sha256(repr(self._content()).encode()).hexdigest()
+        return self._digest
 
     def __repr__(self):
         label = self.name or "?"
@@ -139,6 +147,35 @@ class KnotComplex:
                 yield g, t
 
 
+_MEMO_SIZE = 2 ** 14
+_memo = OrderedDict()
+
+
+def memoized(fn):
+    """Keep fn's results in the one bounded memo, keyed by content.
+
+    Arguments are bound with defaults applied, so positional, keyword
+    and default spellings of a call share an entry; a KnotComplex is
+    keyed by content_key().  A call that raises stores nothing.
+    """
+    signature = inspect.signature(fn)
+
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (fn,) + tuple(a.content_key() if isinstance(a, KnotComplex)
+                            else a for a in bound.arguments.values())
+        if key not in _memo:
+            _memo[key] = fn(*args, **kwargs)
+            if len(_memo) > _MEMO_SIZE:
+                _memo.popitem(last=False)
+        _memo.move_to_end(key)
+        return _memo[key]
+
+    return wrapper
+
+
 # ---------------------------------------------------------------------------
 # regions
 
@@ -148,8 +185,8 @@ class Region:
     """A set of filtration levels used to cut a complex down.
 
     min_i / max_ij regions are upward closed (quotient complexes, with
-    a depth bound applied at realization time); box / single regions
-    pick out finitely many levels directly.  value(i, j) measures how
+    a depth bound applied at realization time); a single region picks
+    out one level directly.  value(i, j) measures how
     deep a level sits inside the region, or None when outside.
     """
 
@@ -165,10 +202,6 @@ class Region:
         return Region("max_ij", (s, bound))
 
     @staticmethod
-    def box(i_range, j_range):
-        return Region("box", (tuple(i_range), tuple(j_range)))
-
-    @staticmethod
     def single(i, j):
         return Region("single", (i, j))
 
@@ -182,9 +215,6 @@ class Region:
         elif self.kind == "max_ij":
             s, bound = self.params
             v = max(i, j - s) - bound
-        elif self.kind == "box":
-            (ilo, ihi), (jlo, jhi) = self.params
-            return 0 if (ilo <= i <= ihi and jlo <= j <= jhi) else None
         else:
             ci, cj = self.params
             return 0 if (i == ci and j == cj) else None
@@ -196,9 +226,6 @@ class Region:
         if self.kind == "max_ij":
             s, bound = self.params
             return f"{{max(i, j - {s}) >= {bound}}}"
-        if self.kind == "box":
-            (ilo, ihi), (jlo, jhi) = self.params
-            return f"{{i in [{ilo},{ihi}], j in [{jlo},{jhi}]}}"
         return f"{{(i,j) = ({self.params[0]},{self.params[1]})}}"
 
 
@@ -392,22 +419,18 @@ _BUILTIN_DATA = {
     },
 }
 
-_builtin_cache = {}
-
-
+@memoized
 def builtin(name):
     """One of the bundled knot complexes, validated and graded."""
     if name not in _BUILTIN_DATA:
         raise KeyError(
             f"unknown builtin {name!r}; choices: {', '.join(BUILTIN_NAMES)}")
-    if name not in _builtin_cache:
-        data = _BUILTIN_DATA[name]
-        raw = KnotComplex(data["gens"], data["d"], data["flip"], name=name)
-        require_valid(raw)
-        solved = grading_solve(raw, seeds=data.get("seeds"))
-        require_valid(solved)
-        _builtin_cache[name] = solved
-    return _builtin_cache[name]
+    data = _BUILTIN_DATA[name]
+    raw = KnotComplex(data["gens"], data["d"], data["flip"], name=name)
+    require_valid(raw)
+    solved = grading_solve(raw, seeds=data.get("seeds"))
+    require_valid(solved)
+    return solved
 
 
 def mirror(complex_):
@@ -586,7 +609,7 @@ def _tower_bottom_offset(complex_, component, rel):
     degree of the tower bottom; the final gradings subtract it.
     """
     from . import acomplex
-    from .homology import graded_homology, tower_decompose
+    from .homology import tower_decompose
 
     sub = KnotComplex(
         [Generator(g.name, g.i, g.j, rel[g.name])
@@ -595,8 +618,7 @@ def _tower_bottom_offset(complex_, component, rel):
         None)
 
     def bottom(depth):
-        realized = acomplex.realize(sub, Region.min_i(), depth)
-        h = graded_homology(realized.realization, ceiling=realized.ceiling)
+        _, h = acomplex.region_homology(sub, Region.min_i(), depth)
         return tower_decompose(h, depth).d_bottom
 
     try:

@@ -142,7 +142,7 @@ def classify_surgery(complex_, p, q, depth=None):
     """
     diag = diagnostic_sum(complex_, p, q, depth=depth)
     if diag.score < 2 * q:
-        if q * kernel_rank_v(complex_, 0) != diag.score:
+        if q * kernel_rank_v(complex_, 0, depth) != diag.score:
             return "inconsistent"
     mine = hf_plus(complex_, p, q, depth=depth)
     matches = [name for name in _CLASSIFY_TARGETS

@@ -693,9 +693,6 @@ class InducedMap:
         self.shift = shift
         self.matrices = matrices
 
-    def matrix(self, d):
-        return self.matrices.get(d, [])
-
     def _degrees(self, max_degree):
         degs = self.source_h.support()
         if max_degree is not None:
@@ -795,13 +792,11 @@ class TowerDecomposition:
     """A homology group split into one U-tower plus a finite remainder.
 
     d_bottom is the degree of the bottom of the tower; reduced maps
-    each degree to (free_rank, torsion) of the complement.  stabilized
-    records that the decomposition survived the drop-two re-check.
+    each degree to (free_rank, torsion) of the complement.
     """
 
     d_bottom: object
     reduced: tuple
-    stabilized: bool
 
     def reduced_dict(self):
         return {d: v for d, v in self.reduced}
@@ -915,5 +910,4 @@ def tower_decompose(h, depth, ceiling=None):
     if d2 != d_bottom or red2 != trimmed:
         raise NotStabilizedError(
             "decomposition changed after dropping the top two degrees")
-    return TowerDecomposition(d_bottom=d_bottom, reduced=reduced,
-                              stabilized=True)
+    return TowerDecomposition(d_bottom=d_bottom, reduced=reduced)

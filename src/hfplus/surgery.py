@@ -30,12 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .acomplex import (genus, h_columns, realize, signed_flip, stabilized,
                        v_columns)
-from .cfk import Region, builtin, mirror
+from .cfk import Region, builtin, memoized, mirror
 from .errors import CFKError, FlipMissingError, GradingError
 from .homology import GradedComplex, graded_homology, tower_decompose
 
@@ -116,11 +115,12 @@ class MappingCone:
         self.source = source
         self.descriptor = descriptor
         d = descriptor
-        a_real = {s: realize(source, Region.max_ij(d.t(s)), d.depth)
-                  for s in d.a_positions()}
+        a_real = {t: realize(source, Region.max_ij(t), d.depth)
+                  for t in set(map(d.t, d.a_positions()))}
         b_real = realize(source, Region.min_i(), d.depth)
         off_a, off_b = _cone_offsets(d, gauge)
-        blocks = [(("A", s), a_real[s], off_a[s], 1) for s in d.a_positions()]
+        blocks = [(("A", s), a_real[d.t(s)], off_a[s], 1)
+                  for s in d.a_positions()]
         blocks += [(("B", s), b_real, off_b[s], -1) for s in d.b_positions()]
 
         ids = []
@@ -146,10 +146,10 @@ class MappingCone:
 
         for s in d.a_positions():
             if ("B", s) in base:
-                join(s, ("B", s), v_columns(a_real[s], b_real))
+                join(s, ("B", s), v_columns(a_real[d.t(s)], b_real))
             if ("B", s + 1) in base:
                 join(s, ("B", s + 1),
-                     h_columns(source, flip, d.t(s), a_real[s], b_real))
+                     h_columns(source, flip, d.t(s), a_real[d.t(s)], b_real))
 
         self.ceiling = min(real.dropped_floor + offset
                            for _, real, offset, _ in blocks) - 2
@@ -173,7 +173,6 @@ def build_mapping_cone(complex_, descriptor, gauge=0):
 # absolute gradings
 
 
-@lru_cache(maxsize=None)
 def lens_d_oracle(p, q, i):
     """Correction term of p/q surgery on the unknot at residue i.
 
@@ -195,18 +194,13 @@ def lens_d_oracle(p, q, i):
     return Fraction(num, 4 * p * q) - lens_d_oracle(q, p % q, i % q)
 
 
-_cone_cache = {}
-
-
+@memoized
 def _cone_data(complex_, descriptor, gauge=0):
     """(relative tower bottom, relative reduced summary) for one cone."""
-    key = (complex_.content_key(), descriptor, gauge)
-    if key not in _cone_cache:
-        cone = build_mapping_cone(complex_, descriptor, gauge)
-        h = graded_homology(cone.complex, ceiling=cone.ceiling)
-        tower = tower_decompose(h, descriptor.depth)
-        _cone_cache[key] = (tower.d_bottom, tower.reduced)
-    return _cone_cache[key]
+    cone = build_mapping_cone(complex_, descriptor, gauge)
+    h = graded_homology(cone.complex, ceiling=cone.ceiling)
+    tower = tower_decompose(h, descriptor.depth)
+    return tower.d_bottom, tower.reduced
 
 
 def _calibration_shift(descriptor):
@@ -312,9 +306,7 @@ def _spin_c_result(complex_, p, q, i, sigma, depth, gauge):
                        sigma=sigma, depth=depth)
 
 
-_hf_cache = {}
-
-
+@memoized
 def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     """HF+ of p/q surgery, one SpincResult per residue class.
 
@@ -336,20 +328,15 @@ def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
         raise ValueError("slope must be nonzero")
     if gcd(abs(p), q) != 1:
         raise ValueError("slope must be in lowest terms")
-    key = (complex_.content_key(), p, q, depth, sigma_bump, gauge)
-    if key in _hf_cache:
-        return _hf_cache[key]
     if p < 0:
         inner = hf_plus(mirror(complex_), -p, q, depth, sigma_bump, gauge)
         flipped = tuple(
             SpincResult(index=r.index, d=-r.d, hf_red=r.hf_red,
                         parity=r.parity, sigma=r.sigma, depth=r.depth)
             for r in inner.spin_c)
-        result = HFResult(p=p, q=q, orientation="reversed",
-                          spin_c=flipped,
-                          source_name=complex_.name or "complex")
-        _hf_cache[key] = result
-        return result
+        return HFResult(p=p, q=q, orientation="reversed",
+                        spin_c=flipped,
+                        source_name=complex_.name or "complex")
     if not complex_.graded:
         raise GradingError("surgery requires solved gradings")
     if complex_.flip is None:
@@ -360,8 +347,6 @@ def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
         per_index.append(stabilized(
             lambda n: _spin_c_result(complex_, p, q, i, sigma, n, gauge),
             complex_, Fraction(p, q), depth))
-    result = HFResult(p=p, q=q, orientation="standard",
-                      spin_c=tuple(per_index),
-                      source_name=complex_.name or "complex")
-    _hf_cache[key] = result
-    return result
+    return HFResult(p=p, q=q, orientation="standard",
+                    spin_c=tuple(per_index),
+                    source_name=complex_.name or "complex")

@@ -1,13 +1,19 @@
+import ast
 import random
+from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
 from helpers import random_complex
+from hfplus import cfk
 from hfplus.cfk import (BUILTIN_NAMES, KnotComplex, Region, UTerm,
                         are_isomorphic, builtin, flip_chain_sign,
-                        grading_solve, mirror, parse_text, serialize_text,
-                        validate)
-from hfplus.errors import GradingError, InvalidComplexError, ParseError
+                        grading_solve, memoized, mirror, parse_text,
+                        serialize_text, validate)
+from hfplus.errors import (GradingError, InvalidComplexError,
+                           NotStabilizedError, ParseError)
+from hfplus.surgery import hf_plus
 
 
 def test_builtin_names_and_validity():
@@ -226,10 +232,6 @@ def test_region_values():
     assert hook.value(2, 5) == 4  # max(i, j - s)
     assert hook.value(-1, 0) is None
 
-    box = Region.box((0, 1), (0, 1))
-    assert box.value(0, 0) == 0
-    assert box.value(2, 0) is None
-
     dot = Region.single(0, 2)
     assert dot.value(0, 2) == 0
     assert dot.value(0, 1) is None
@@ -240,3 +242,102 @@ def test_unknot_content_key_is_stable_under_renaming():
     b = KnotComplex([("a", 0, 0, 0)], name="second")
     assert a.content_key() == b.content_key()
     assert a == b
+
+
+def test_memo_shares_one_entry_across_argument_spellings():
+    k = builtin("trefoil_right")
+    first = hf_plus(k, 3, 2)
+    assert hf_plus(k, 3, 2, depth=None) is first
+    assert hf_plus(k, q=2, p=3, gauge=0) is first
+    assert hf_plus(complex_=k, p=3, q=2, depth=None, sigma_bump=0,
+                   gauge=0) is first
+
+
+def test_memo_keys_complexes_by_content():
+    k = builtin("figure_eight")
+    twin = KnotComplex(k.generators, k.differential, k.flip, name="twin")
+    assert twin is not k and twin == k
+    calls = []
+
+    @memoized
+    def size(complex_):
+        calls.append(complex_.name)
+        return len(complex_.generators)
+
+    assert size(k) == size(twin) == 5
+    assert calls == ["figure_eight"]
+    assert hf_plus(twin, 2, 1) is hf_plus(k, 2, 1)
+
+
+def test_memo_stores_no_exception():
+    attempts = []
+
+    @memoized
+    def flaky(n):
+        attempts.append(n)
+        if len(attempts) == 1:
+            raise NotStabilizedError("not yet")
+        return 2 * n
+
+    with pytest.raises(NotStabilizedError):
+        flaky(3)
+    assert flaky(3) == 6
+    assert flaky(3) == 6
+    assert attempts == [3, 3]
+
+
+def test_memo_evicts_the_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    bound = cfk._MEMO_SIZE
+    calls = []
+
+    @memoized
+    def square(n):
+        calls.append(n)
+        return n * n
+
+    for n in range(bound):
+        square(n)
+    square(0)  # 0 is now the most recently used, 1 the least
+    square(bound)  # the (bound + 1)-th distinct key
+    assert len(cfk._memo) == bound
+    assert square(0) == 0 and calls.count(0) == 1
+    assert square(1) == 1 and calls.count(1) == 2
+    assert len(cfk._memo) == bound
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else node.id
+
+
+def _builds_dict(node):
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "OrderedDict", "defaultdict"))
+
+
+def test_the_package_has_one_cache():
+    """cfk._memo is the only cache; per-object ones (_u_cache) are fine."""
+    found = []
+    for path in sorted(Path(cfk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for dec in getattr(node, "decorator_list", ()):
+                if _decorator_name(dec) in ("lru_cache", "cache"):
+                    found.append(f"{path.name}:{dec.lineno} decorator")
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            for target in targets:
+                name = getattr(target, "id", "")
+                if ((path.name, name) != ("cfk.py", "_memo")
+                        and ("cache" in name.lower() or "memo" in name.lower())
+                        and _builds_dict(value)):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

@@ -120,7 +120,6 @@ def test_tower_decompose_bare_tower():
     h = graded_homology(_tower_complex(8))
     t = tower_decompose(h, depth=8)
     assert t.d_bottom == 0
-    assert t.stabilized
     assert t.total_reduced_rank == 0
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hfplus import surgery
 from hfplus.acomplex import map_h, map_v, realize
 from hfplus.cfk import (KnotComplex, Region, builtin, flip_chain_sign,
                         mirror, validate)
@@ -26,6 +27,25 @@ def test_mapping_cone_shape():
     assert cone.n_a_summands == 3  # s in {-1, 0, 1}
     assert cone.n_b_summands == 2  # s in {0, 1}
     assert cone.complex.n > 0
+
+
+def test_cone_realizes_each_distinct_region_once(monkeypatch):
+    k = builtin("trefoil_right")
+    desc = SurgeryDescriptor(1, 5, 0, sigma=truncation_sigma(k, 1, 5, 0),
+                             depth=12)
+    assert desc.sigma == 4
+    assert {desc.t(s) for s in desc.a_positions()} == {-1, 0}
+    regions = []
+
+    def counting(complex_, region, depth):
+        regions.append(region)
+        return realize(complex_, region, depth)
+
+    monkeypatch.setattr(surgery, "realize", counting)
+    build_mapping_cone(k, desc)
+    assert len(regions) == 3
+    assert set(regions) == {Region.max_ij(-1), Region.max_ij(0),
+                            Region.min_i()}
 
 
 def test_cone_joins_are_the_v_and_h_maps():

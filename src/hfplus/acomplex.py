@@ -144,11 +144,14 @@ def realize(complex_, region, depth):
     return RealizedRegion(complex_, region, depth)
 
 
+def _homology(realized):
+    return graded_homology(realized.realization, ceiling=realized.ceiling)
+
+
 def region_homology(complex_, region, depth):
     """(RealizedRegion, GradedGroup) for a region, both built anew."""
     realized = realize(complex_, region, depth)
-    h = graded_homology(realized.realization, ceiling=realized.ceiling)
-    return realized, h
+    return realized, _homology(realized)
 
 
 def v_columns(src, tgt):
@@ -189,39 +192,46 @@ def h_columns(complex_, flip, s, src, tgt):
     return cols
 
 
-def map_v(complex_, s, depth):
-    """The projection A_s -> B as a checked ChainMap (degree shift 0)."""
-    src = realize(complex_, Region.max_ij(s), depth)
-    tgt = realize(complex_, Region.min_i(), depth)
+def _a_and_b(complex_, s, depth):
+    """Realizations of A_s and B at one depth: the ends of v and h."""
+    return (realize(complex_, Region.max_ij(s), depth),
+            realize(complex_, Region.min_i(), depth))
+
+
+def _v_map(src, tgt):
     return ChainMap(src.realization, tgt.realization, v_columns(src, tgt),
                     shift=0)
 
 
-def map_h(complex_, s, depth):
-    """Project to {j >= s}, slide by U^s, flip: A_s -> B, shift -2s."""
-    src = realize(complex_, Region.max_ij(s), depth)
-    tgt = realize(complex_, Region.min_i(), depth)
+def _h_map(complex_, s, src, tgt):
     cols = h_columns(complex_, signed_flip(complex_), s, src, tgt)
     return ChainMap(src.realization, tgt.realization, cols, shift=-2 * s)
 
 
+def map_v(complex_, s, depth):
+    """The projection A_s -> B as a checked ChainMap (degree shift 0)."""
+    return _v_map(*_a_and_b(complex_, s, depth))
+
+
+def map_h(complex_, s, depth):
+    """Project to {j >= s}, slide by U^s, flip: A_s -> B, shift -2s."""
+    return _h_map(complex_, s, *_a_and_b(complex_, s, depth))
+
+
 def induced_v(complex_, s, depth):
     """(InducedMap of v, trusted source-degree ceiling)."""
-    _, h_a = region_homology(complex_, Region.max_ij(s), depth)
-    _, h_b = region_homology(complex_, Region.min_i(), depth)
-    vmap = map_v(complex_, s, depth)
-    ceiling = min(h_a.ceiling, h_b.ceiling)
-    return vmap.induced(h_a, h_b), ceiling
+    src, tgt = _a_and_b(complex_, s, depth)
+    ceiling = min(src.ceiling, tgt.ceiling)
+    return _v_map(src, tgt).induced(_homology(src), _homology(tgt)), ceiling
 
 
 def induced_h(complex_, s, depth):
     """(InducedMap of h, trusted source-degree ceiling)."""
-    _, h_a = region_homology(complex_, Region.max_ij(s), depth)
-    _, h_b = region_homology(complex_, Region.min_i(), depth)
-    hmap = map_h(complex_, s, depth)
+    src, tgt = _a_and_b(complex_, s, depth)
     # the map shifts degree by -2s, so target trust pulls back by +2s
-    ceiling = min(h_a.ceiling, h_b.ceiling + 2 * s)
-    return hmap.induced(h_a, h_b), ceiling
+    ceiling = min(src.ceiling, tgt.ceiling + 2 * s)
+    hmap = _h_map(complex_, s, src, tgt)
+    return hmap.induced(_homology(src), _homology(tgt)), ceiling
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,19 @@ with D diagonal and d_1 | d_2 | ... .  Only the transforms actually
 needed are tracked; kernel computations want R and R^{-1}, the
 quotient structure wants L and L^{-1}.
 
+GradedComplex.cancel_units shrinks a complex before any of this: it
+cancels basis pairs joined by a +-1 boundary entry (reduction by
+elementary collapses, Kaczynski-Mrozek-Slusarek 1998) and carries U
+to the residue as pi U iota (the perturbation lemma), in place.  Every
+pivot is a unit, so the reduction is exact over Z and keeps torsion.
+The surgery cone is the one complex it runs on: its homology needs
+nothing beyond U, while induced chain maps read cycles in the
+original basis.
+
 Setting SELF_CHECK = True (the test suite does this) re-multiplies
-L * M * R on every call and compares against D exactly, and checks
-|det| = 1 on small transforms.
+L * M * R on every call and compares against D exactly, checks
+|det| = 1 on small transforms, and compares the homology and the rank
+of U on it before and after each cancel_units.
 """
 
 from __future__ import annotations
@@ -396,17 +406,20 @@ class GradedComplex:
 
     def __init__(self, degrees, boundary, u_action=None, labels=None,
                  check=True):
-        self.n = len(degrees)
         self.degrees = list(degrees)
         self.boundary = boundary
         self.u_action = u_action
         self.labels = labels
+        self._index()
+        if check:
+            self._check()
+
+    def _index(self):
+        self.n = len(self.degrees)
         by_degree = {}
         for idx, d in enumerate(self.degrees):
             by_degree.setdefault(d, []).append(idx)
         self.by_degree = by_degree
-        if check:
-            self._check()
 
     def _check(self):
         deg = self.degrees
@@ -430,6 +443,120 @@ class GradedComplex:
             du = _compose(self.boundary, self.u_action)
             if ud != du:
                 raise ValueError("U does not commute with the boundary")
+
+    def cancel_units(self):
+        """Shrink to a homotopy-equivalent residue by cancelling unit pairs.
+
+        Each live x, in index order, with a +-1 entry c at some y of
+        d(x) (the y with the fewest other boundaries through it) is
+        cancelled against y.  Every a with y in d(a) takes
+        d(a) += k d(x) and U(a) += k U(x), k = -c d(a)_y; every U column
+        with a y entry takes U(w) -= c U(w)_y d(x); then x leaves every
+        column and x, y are deleted.  That is d' = pi d iota and
+        U' = pi U iota for the projection pi onto the quotient by the
+        contractible span of x and d(x) and its chain inverse iota, so
+        homology, torsion and the U-action on homology are unchanged.
+        Passes repeat until no +-1 entry is left in the boundary.
+
+        The complex is rewritten in place (the same object, its lists
+        edited) and re-checked; under SELF_CHECK the homology and the
+        rank of U on it are compared before and after.
+        """
+        before = _homology_profile(self) if SELF_CHECK else None
+        boundary, u_action = self.boundary, self.u_action
+        rows = _row_index(boundary, self.n)
+        u_rows = None if u_action is None else _row_index(u_action, self.n)
+        live = [True] * self.n
+        cancelled = True
+        while cancelled:
+            cancelled = False
+            for x in range(self.n):
+                if not live[x]:
+                    continue
+                y = None
+                for i, v in boundary[x].items():
+                    if ((v == 1 or v == -1)
+                            and (y is None or len(rows[i]) < len(rows[y]))):
+                        y = i
+                if y is not None:
+                    _cancel_pair(boundary, rows, u_action, u_rows, x, y)
+                    live[x] = live[y] = False
+                    cancelled = True
+        keep = [i for i in range(self.n) if live[i]]
+        new = {old: pos for pos, old in enumerate(keep)}
+
+        def renumbered(cols):
+            cols[:] = [{new[i]: v for i, v in cols[j].items()} for j in keep]
+
+        renumbered(boundary)
+        if u_action is not None:
+            renumbered(u_action)
+        self.degrees[:] = [self.degrees[j] for j in keep]
+        if self.labels is not None:
+            self.labels[:] = [self.labels[j] for j in keep]
+        self._index()
+        self._check()
+        if before is not None and _homology_profile(self) != before:
+            raise AssertionError("unit cancellation changed the homology")
+
+
+def _row_index(columns, n):
+    """rows[i] = the set of columns with an entry at i."""
+    rows = [set() for _ in range(n)]
+    for j, col in enumerate(columns):
+        for i in col:
+            rows[i].add(j)
+    return rows
+
+
+def _indexed_axpy(columns, rows, a, src, k):
+    # columns[a] += k * src (k != 0), keeping rows in step
+    col = columns[a]
+    for i, v in src.items():
+        nv = col.get(i, 0) + k * v
+        if nv:
+            if i not in col:
+                rows[i].add(a)
+            col[i] = nv
+        else:
+            del col[i]
+            rows[i].discard(a)
+
+
+def _cancel_pair(boundary, rows, u_action, u_rows, x, y):
+    """One cancellation step of GradedComplex.cancel_units."""
+    dx = boundary[x]
+    c = dx[y]
+    for a in list(rows[y]):
+        if a != x:
+            k = -c * boundary[a][y]
+            _indexed_axpy(boundary, rows, a, dx, k)
+            if u_action is not None:
+                _indexed_axpy(u_action, u_rows, a, u_action[x], k)
+    if u_action is not None:
+        for w in list(u_rows[y]):
+            _indexed_axpy(u_action, u_rows, w, dx, -c * u_action[w][y])
+        for w in u_rows[x]:
+            del u_action[w][x]
+    for a in rows[x]:
+        del boundary[a][x]
+    for z in (x, y):
+        for i in boundary[z]:
+            rows[i].discard(z)
+        boundary[z] = rows[z] = None
+        if u_action is not None:
+            for i in u_action[z]:
+                u_rows[i].discard(z)
+            u_action[z] = u_rows[z] = None
+
+
+def _homology_profile(complex_):
+    """Per-degree (free rank, torsion), and the rank of U on homology."""
+    h = graded_homology(complex_)
+    if complex_.u_action is None:
+        return h.summary(), None
+    u_map = InducedMap(h, h, -2, {d: h.u_matrix(d) for d in h.support()})
+    return h.summary(), [u_map.kernel_rank(d) for d in h.support()]
 
 
 class _DegreeHomology:

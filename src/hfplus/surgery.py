@@ -6,7 +6,10 @@ for each s in [-sigma, sigma] and one B-summand for s in (-sigma,
 sigma]; the connecting differential sends a_s to v(a_s) in B_s plus
 h(a_s) in B_{s+1}.  Outside the window the omitted maps are
 isomorphisms on homology, which is what truncation_sigma guarantees,
-so the finite cone computes the surgery.
+so the finite cone computes the surgery.  The assembled cone is
+checked whole, then shrunk in place by cancelling its +-1 pairs
+(GradedComplex.cancel_units, which carries U along); the Smith normal
+form and the tower split run on that residue only.
 
 Grading bookkeeping happens in two separate steps, both exact:
 
@@ -198,6 +201,7 @@ def lens_d_oracle(p, q, i):
 def _cone_data(complex_, descriptor, gauge=0):
     """(relative tower bottom, relative reduced summary) for one cone."""
     cone = build_mapping_cone(complex_, descriptor, gauge)
+    cone.complex.cancel_units()
     h = graded_homology(cone.complex, ceiling=cone.ceiling)
     tower = tower_decompose(h, descriptor.depth)
     return tower.d_bottom, tower.reduced

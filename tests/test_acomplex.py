@@ -1,5 +1,8 @@
+from collections import OrderedDict
+
 import pytest
 
+from hfplus import acomplex, cfk
 from hfplus.acomplex import (alexander_polynomial, default_depth, genus,
                              hfk_hat, induced_h, induced_v, kernel_rank_v,
                              map_h, map_v, realize, region_homology,
@@ -220,3 +223,22 @@ def test_stabilized_lets_other_errors_through():
     with pytest.raises(GradingError):
         stabilized(compute, builtin("unknot"))
     assert len(tried) == 1
+
+
+def test_kernel_rank_v_realizes_each_region_once_per_depth(monkeypatch):
+    k = builtin("trefoil_right")
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    built = []
+    init = acomplex.RealizedRegion.__init__
+
+    def counting(self, source, region, depth):
+        built.append((region, depth))
+        init(self, source, region, depth)
+
+    monkeypatch.setattr(acomplex.RealizedRegion, "__init__", counting)
+    assert kernel_rank_v(k, 0) == 1
+    depth = default_depth(k)
+    assert len(built) == 4
+    assert set(built) == {(region, n)
+                          for region in (Region.max_ij(0), Region.min_i())
+                          for n in (depth, 2 * depth)}

@@ -5,6 +5,7 @@ import pytest
 from helpers import homology_free_ranks, random_complex, rational_rank
 from hfplus.cfk import Region
 from hfplus.acomplex import realize
+from hfplus.errors import NotStabilizedError, TorsionInTowerError
 from hfplus.homology import (ChainMap, GradedComplex, integer_rank,
                              graded_homology, smith_normal_form,
                              tower_decompose)
@@ -152,3 +153,62 @@ def test_random_realizations_match_rational_oracle():
         oracle = homology_free_ranks(gc)
         for d in set(gc.degrees):
             assert h.free_rank(d) == oracle.get(d, 0), (k.name, region, d)
+
+
+def _outcome(compute):
+    """compute()'s value, or the type of the error it raised."""
+    try:
+        return compute()
+    except (NotStabilizedError, TorsionInTowerError) as exc:
+        return type(exc)
+
+
+def _assert_no_unit_entries(gc):
+    assert all(abs(v) != 1 for col in gc.boundary for v in col.values())
+
+
+def test_cancel_units_keeps_torsion_and_drops_split_pairs():
+    torsion = GradedComplex([1, 0], [{1: 2}, {}])
+    torsion.cancel_units()
+    assert torsion.n == 2 and graded_homology(torsion).torsion(0) == (2,)
+    split = GradedComplex([1, 0, 0], [{1: 1, 2: 2}, {}, {}],
+                          labels=["x", "y", "z"])
+    split.cancel_units()
+    assert split.n == 1 and split.labels == ["z"] and split.degrees == [0]
+    assert split.by_degree == {0: [0]}
+    assert graded_homology(split).summary() == {0: (1, ())}
+
+
+def test_cancel_units_transports_u_along_a_cancelled_pair():
+    # d(x) = y and d(a) = b, with U(x) = a, U(y) = b and U(t) = y for a
+    # lone class t: pi sends y to y - d(x) = 0, so after both pairs
+    # cancel only t is left, and U(t) = 0 on the residue.
+    gc = GradedComplex([3, 2, 1, 0, 4],
+                       [{1: 1}, {}, {3: 1}, {}, {}],
+                       u_action=[{2: 1}, {3: 1}, {}, {}, {1: 1}])
+    gc.cancel_units()
+    assert gc.n == 1 and gc.degrees == [4]
+    assert gc.u_action == [{}] and gc.boundary == [{}]
+
+
+def test_cancel_units_agrees_with_the_unreduced_complex():
+    rng = random.Random(20261018)
+    regions = [Region.min_i(), Region.max_ij(0), Region.max_ij(1)]
+    torsion_seen = False
+    for _ in range(60):
+        k = random_complex(rng)
+        region = rng.choice(regions)
+        depth = rng.randrange(2, 6)
+        full = graded_homology(realize(k, region, depth).realization)
+        gc = realize(k, region, depth).realization
+        boundary, u_action = gc.boundary, gc.u_action
+        gc.cancel_units()
+        assert gc.boundary is boundary and gc.u_action is u_action
+        assert len(gc.degrees) == gc.n == len(boundary) == len(u_action)
+        _assert_no_unit_entries(gc)
+        reduced = graded_homology(gc)
+        assert reduced.summary() == full.summary(), (k.name, region)
+        torsion_seen |= any(t for _, t in full.summary().values())
+        assert (_outcome(lambda: tower_decompose(reduced, depth))
+                == _outcome(lambda: tower_decompose(full, depth))), k.name
+    assert torsion_seen

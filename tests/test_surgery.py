@@ -6,6 +6,7 @@ from hfplus import surgery
 from hfplus.acomplex import map_h, map_v, realize
 from hfplus.cfk import (KnotComplex, Region, builtin, flip_chain_sign,
                         mirror, validate)
+from hfplus.homology import graded_homology, tower_decompose
 from hfplus.surgery import (SurgeryDescriptor, build_mapping_cone,
                             conjugation_constant, hf_plus, lens_d_oracle,
                             truncation_sigma)
@@ -234,3 +235,47 @@ def test_descriptor_validation():
         SurgeryDescriptor(3, 1, 3, 1, 8)  # spin_c out of range
     with pytest.raises(ValueError):
         SurgeryDescriptor(3, 1, 0, 0, 8)  # sigma must be >= 1
+
+
+def test_cancel_units_agrees_with_the_unreduced_cone():
+    for name in ("unknot", "trefoil_right", "trefoil_left", "figure_eight",
+                 "torus_2_5"):
+        k = builtin(name)
+        for p, q in [(1, 1), (2, 1), (5, 2), (7, 3)]:
+            for r in hf_plus(k, p, q).spin_c:
+                desc = SurgeryDescriptor(p, q, r.index, r.sigma, r.depth)
+                cone = build_mapping_cone(k, desc)
+                gc = cone.complex
+                h = graded_homology(gc, ceiling=cone.ceiling)
+                full = h.summary(), tower_decompose(h, r.depth)
+                n = gc.n
+                gc.cancel_units()
+                assert cone.complex is gc and gc.n < n
+                assert cone.ids == gc.labels and len(gc.labels) == gc.n
+                assert all(abs(v) != 1
+                           for col in gc.boundary for v in col.values())
+                h = graded_homology(gc, ceiling=cone.ceiling)
+                assert (h.summary(), tower_decompose(h, r.depth)) == full, (
+                    name, p, q, r.index)
+
+
+def test_cone_homology_reads_the_cancelled_cone_itself(monkeypatch):
+    # the benchmark links a cone to its homology by the cone's object
+    built, read = [], []
+
+    def build(*args):
+        cone = build_mapping_cone(*args)
+        built.append((cone.complex, cone.complex.n))
+        return cone
+
+    def homology(complex_, ceiling=None):
+        read.append((complex_, complex_.n))
+        return graded_homology(complex_, ceiling=ceiling)
+
+    monkeypatch.setattr(surgery, "build_mapping_cone", build)
+    monkeypatch.setattr(surgery, "graded_homology", homology)
+    desc = SurgeryDescriptor(2, 1, 0, sigma=2, depth=12)
+    surgery._cone_data(builtin("figure_eight"), desc, gauge=3)
+    ((cone_complex, n_built),) = built
+    ((read_complex, n_read),) = read
+    assert read_complex is cone_complex and n_read < n_built

@@ -18,15 +18,17 @@ Grading bookkeeping happens in two separate steps, both exact:
   These are pinned by off_A(-sigma) = 0 and depend only on (p, q, i,
   sigma), never on the knot.
 
-* an absolute shift, found by running the unknot through the very
-  same cone shape and matching its tower bottom to the lens-space
-  d-invariant recursion.  Because the B-offsets do not depend on the
-  knot, the same shift is valid for every input at that shape.
+* an absolute shift per (p, q, i, sigma), in closed form: the
+  unknot's cone at that shape would have its tower bottom at
+  min_s off_A(s) + 2 min(0, t(s)), which must sit at the lens-space
+  d-invariant.  Because the B-offsets do not depend on the knot, the
+  same shift is valid for every input at that shape.
 
 Degrees stay integers throughout the computation; the (possibly
 fractional) calibration shift is applied only when results are
 assembled.  Negative slopes are computed on the dual complex and
-reported with orientation "reversed", transporting only d -> -d.
+reported with orientation "reversed": d and the HF_red degrees are
+transported by orientation-reversal duality.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from math import gcd
 
 from .acomplex import (genus, h_columns, realize, signed_flip, stabilized,
                        v_columns)
-from .cfk import Region, builtin, memoized, mirror
-from .errors import CFKError, FlipMissingError, GradingError
+from .cfk import Region, memoized, mirror, require_valid
+from .errors import FlipMissingError, GradingError
 from .homology import GradedComplex, graded_homology, tower_decompose
 
 
@@ -182,8 +184,8 @@ def lens_d_oracle(p, q, i):
     The classical recursion: d(1, 0, 0) = 0 and
     d(p, q, i) = ((2i+1-p-q)^2 - pq) / 4pq - d(q, p mod q, i mod q).
     Exact rationals; arguments must be coprime with 0 <= i < p.  The
-    surgery pipeline cross-checks this against its own unknot cones
-    (the relative tower bottoms must match the oracle's differences).
+    surgery pipeline pins every cone's absolute grading to it; the
+    tests check it against the unknot's own cones.
     """
     if p < 1 or q < 0 or (q == 0 and p != 1):
         raise ValueError("lens_d_oracle needs p >= 1, q >= 1")
@@ -197,7 +199,6 @@ def lens_d_oracle(p, q, i):
     return Fraction(num, 4 * p * q) - lens_d_oracle(q, p % q, i % q)
 
 
-@memoized
 def _cone_data(complex_, descriptor, gauge=0):
     """(relative tower bottom, relative reduced summary) for one cone."""
     cone = build_mapping_cone(complex_, descriptor, gauge)
@@ -210,16 +211,16 @@ def _cone_data(complex_, descriptor, gauge=0):
 def _calibration_shift(descriptor):
     """Absolute-grading shift for every cone of this shape.
 
-    Runs the unknot through the identical (p, q, i, sigma, depth)
-    cone; the lens-space oracle says where its tower bottom belongs,
-    and the difference is the shift.  Valid for arbitrary inputs at
-    the same shape because the B-summand offsets are knot-independent.
+    The unknot's cone has no reduced part and its tower bottom belongs
+    at lens_d_oracle(p, q, i).  Its translates (a, k) sit at (k, k) in
+    grading 2k; A_t = C{max(i, j - t) >= 0} keeps k >= min(0, t), so
+    H(A_t) is one tower with bottom b(t) = 2 min(0, t), and the cone's
+    is min_s off_A(s) + b(t(s)), never depending on the depth: Ni-Wu
+    (arXiv:1009.4720, Prop. 1.6) in cone coordinates with V = 0.
     """
-    bottom, reduced = _cone_data(builtin("unknot"), descriptor)
-    if any(rank or torsion for _, (rank, torsion) in reduced):
-        raise CFKError(
-            "calibration cone has reduced homology; truncation "
-            "bookkeeping is broken")
+    off_a, _ = _cone_offsets(descriptor)
+    bottom = min(off_a[s] + 2 * min(0, descriptor.t(s))
+                 for s in descriptor.a_positions())
     return (lens_d_oracle(descriptor.p, descriptor.q, descriptor.spin_c)
             - bottom)
 
@@ -310,6 +311,30 @@ def _spin_c_result(complex_, p, q, i, sigma, depth, gauge):
                        sigma=sigma, depth=depth)
 
 
+def _reverse_orientation(r):
+    """The SpincResult of -Y, given that of Y.
+
+    d(-Y) = -d(Y).  For HF_red, HF+_k(-Y) = HF_-^{-k-2}(Y), the
+    cohomology of CF-(Y) (arXiv:math/0110170, Prop. 2.5), and the
+    connecting map delta gives HF+_red,m(Y) = HF-_red,m-1(Y).  By
+    universal coefficients H^j has the free part of H_j and the
+    torsion of H_{j-1}.  So the free part of a record in degree m lands
+    in H^{m-1}, hence in degree -m - 1 of -Y, and its torsion lands in
+    H^m, hence in degree -m - 2.  Records meeting in one degree merge.
+    Every free degree moves by an odd amount relative to d, so parity
+    swaps.
+    """
+    merged = {}
+    for m, rank, torsion in r.hf_red:
+        for deg, rk, tor in ((-m - 1, rank, ()), (-m - 2, 0, torsion)):
+            if rk or tor:
+                old_rk, old_tor = merged.get(deg, (0, ()))
+                merged[deg] = (old_rk + rk, tuple(sorted(old_tor + tor)))
+    red = tuple((deg, rk, tor) for deg, (rk, tor) in sorted(merged.items()))
+    return SpincResult(index=r.index, d=-r.d, hf_red=red,
+                       parity=r.parity[::-1], sigma=r.sigma, depth=r.depth)
+
+
 @memoized
 def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     """HF+ of p/q surgery, one SpincResult per residue class.
@@ -322,9 +347,12 @@ def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     constant -- both exist so that invariance of the output under them
     can be demonstrated.
 
-    Negative p is computed on the mirror complex and the result
-    carries orientation="reversed" with only d negated; the reduced
-    group gradings are those of the mirror computation.
+    Negative p is computed on the mirror complex, since
+    S^3_{-p/q}(K) = -S^3_{p/q}(mirror K).  The result carries
+    orientation="reversed", with d negated, each reduced record
+    (m, rank, torsion) of the mirror computation moved to rank in
+    degree -m - 1 and torsion in degree -m - 2, and parity swapped
+    (derivation in _reverse_orientation).
     """
     if q <= 0:
         raise ValueError("q must be a positive integer")
@@ -334,17 +362,15 @@ def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
         raise ValueError("slope must be in lowest terms")
     if p < 0:
         inner = hf_plus(mirror(complex_), -p, q, depth, sigma_bump, gauge)
-        flipped = tuple(
-            SpincResult(index=r.index, d=-r.d, hf_red=r.hf_red,
-                        parity=r.parity, sigma=r.sigma, depth=r.depth)
-            for r in inner.spin_c)
         return HFResult(p=p, q=q, orientation="reversed",
-                        spin_c=flipped,
+                        spin_c=tuple(map(_reverse_orientation,
+                                         inner.spin_c)),
                         source_name=complex_.name or "complex")
     if not complex_.graded:
         raise GradingError("surgery requires solved gradings")
     if complex_.flip is None:
         raise FlipMissingError("surgery requires flip data")
+    require_valid(complex_)
     per_index = []
     for i in range(p):
         sigma = truncation_sigma(complex_, p, q, i) + sigma_bump

@@ -1,15 +1,20 @@
+from collections import OrderedDict
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from hfplus import surgery
+from helpers import twisty
+from hfplus import cfk, surgery
 from hfplus.acomplex import map_h, map_v, realize
-from hfplus.cfk import (KnotComplex, Region, builtin, flip_chain_sign,
-                        mirror, validate)
+from hfplus.cfk import (Generator, KnotComplex, Region, builtin,
+                        flip_chain_sign, mirror, validate)
+from hfplus.detect import casson_surgery
+from hfplus.errors import InvalidComplexError
 from hfplus.homology import graded_homology, tower_decompose
-from hfplus.surgery import (SurgeryDescriptor, build_mapping_cone,
-                            conjugation_constant, hf_plus, lens_d_oracle,
-                            truncation_sigma)
+from hfplus.surgery import (SpincResult, SurgeryDescriptor,
+                            build_mapping_cone, conjugation_constant,
+                            hf_plus, lens_d_oracle, truncation_sigma)
 
 F = Fraction
 
@@ -169,6 +174,92 @@ def test_right_trefoil_five_surgery_negates_the_lens_space():
     mine = sorted(res.d_values())
     lens = sorted(-lens_d_oracle(5, 1, i) for i in range(5))
     assert mine == lens
+
+
+@pytest.mark.no_self_check
+def test_calibration_shift_matches_the_unknot_cone():
+    # the unknot cone is the oracle the closed form replaced
+    unknot = builtin("unknot")
+    shapes = 0
+    for p in range(1, 8):
+        for q in range(1, 6):
+            if gcd(p, q) != 1:
+                continue
+            for i in range(p):
+                for sigma in (1, 2, 4):
+                    for depth in (8, 24):
+                        desc = SurgeryDescriptor(p, q, i, sigma, depth)
+                        bottom, reduced = surgery._cone_data(unknot, desc)
+                        assert reduced == (), desc
+                        assert (lens_d_oracle(p, q, i) - bottom
+                                == surgery._calibration_shift(desc)), desc
+                        shapes += 1
+    assert shapes == 612
+
+
+def test_hf_plus_builds_no_calibration_cone(monkeypatch):
+    built = []
+
+    def build(complex_, descriptor, gauge=0):
+        built.append(len(complex_.generators))
+        return build_mapping_cone(complex_, descriptor, gauge)
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "build_mapping_cone", build)
+    for name, p, q in [("trefoil_right", 7, 3), ("figure_eight", 5, 2)]:
+        built.clear()
+        hf_plus(builtin(name), p, q)
+        assert len(built) >= p and 1 not in built, (name, built)
+
+
+def test_casson_identity_on_plus_minus_one_over_n():
+    # chi(HF_red) - d/2 = lambda for integer homology spheres
+    # (arXiv:math/0110170, Thm 1.3), chi read from the absolute degree
+    knots = [builtin(name) for name in ("trefoil_right", "trefoil_left",
+                                        "figure_eight", "torus_2_5")]
+    knots += [twisty(2), twisty(3)]
+    for k in knots:
+        for sign in (1, -1):
+            for n in (1, 2):
+                (r,) = hf_plus(k, sign, n).spin_c
+                chi = sum(rank if deg % 2 == 0 else -rank
+                          for deg, rank, _ in r.hf_red)
+                assert chi - r.d / 2 == casson_surgery(k, sign * n), (
+                    k.name, sign, n)
+
+
+def test_reverse_orientation_transports_free_part_and_torsion():
+    r = SpincResult(index=0, d=F(1, 2),
+                    hf_red=((F(-3, 2), 1, (2,)), (F(-1, 2), 2, (3,))),
+                    parity=(1, 2), sigma=1, depth=8)
+    out = surgery._reverse_orientation(r)
+    # free 1 -> 1/2, torsion 2 -> -1/2, free 2 -> -1/2, torsion 3 -> -3/2
+    assert out.hf_red == ((F(-3, 2), 0, (3,)), (F(-1, 2), 2, (2,)),
+                          (F(1, 2), 1, ()))
+    assert out.d == F(-1, 2) and out.parity == (2, 1)
+    assert (out.index, out.sigma, out.depth) == (0, 1, 8)
+
+
+def test_hf_plus_rejects_invalid_complexes():
+    square = [Generator("a", 1, 1, 2), Generator("b", 0, 1, 1),
+              Generator("c", 1, 0, 1), Generator("d", 0, 0, 0),
+              Generator("e", 0, 0, 0)]
+    flip = {"a": (1, "a"), "b": (1, "c"), "c": (1, "b"), "d": (1, "d"),
+            "e": (1, "e")}
+    not_a_complex = KnotComplex(
+        square, {"a": ((1, 0, "b"), (1, 0, "c")), "b": ((1, 0, "d"),),
+                 "c": ((1, 0, "d"),)}, flip)
+    upward = KnotComplex([Generator("a", 0, 0, 0), Generator("b", 1, 1, -1)],
+                         {"a": ((1, 0, "b"),)},
+                         {"a": (1, "a"), "b": (1, "b")})
+    # negative slopes validate the mirror, whose arrows run backwards
+    for k, violation in [(not_a_complex, "d-squared nonzero at "),
+                         (upward, "filtration violated at ")]:
+        for p in (1, -1):
+            with pytest.raises(InvalidComplexError) as info:
+                hf_plus(k, p, 1)
+            (found,) = info.value.violations
+            assert found.startswith(violation), (found, p)
 
 
 def test_negative_slope_reports_reversed_orientation():

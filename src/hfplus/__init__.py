@@ -12,9 +12,8 @@ knots from a single surgery.
 
 __version__ = "0.1.0"
 
-from .acomplex import (LaurentPolynomial, alexander_polynomial,
-                       default_depth, genus, hfk_hat, kernel_rank_v,
-                       map_h, map_v, realize)
+from .acomplex import (LaurentPolynomial, alexander_polynomial, genus,
+                       hfk_hat, kernel_rank_v, map_h, map_v, realize)
 from .cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region, UTerm,
                   are_isomorphic, builtin, flip_chain_sign, grading_solve,
                   mirror, parse_text, require_valid, serialize_text,
@@ -43,7 +42,7 @@ __all__ = [
     "TowerDecomposition",
     # large-surgery pieces
     "realize", "map_v", "map_h", "hfk_hat", "genus", "alexander_polynomial",
-    "kernel_rank_v", "default_depth", "LaurentPolynomial",
+    "kernel_rank_v", "LaurentPolynomial",
     # surgery
     "hf_plus", "HFResult", "SpincResult", "SurgeryDescriptor",
     "MappingCone", "build_mapping_cone", "truncation_sigma",

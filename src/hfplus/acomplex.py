@@ -18,8 +18,9 @@ the flip.  When the flip only commutes with the differential up to a
 global sign, the horizontal map absorbs (-1)^m per generator, which
 restores the chain-map identity without disturbing the involution.
 v_columns and h_columns define both maps once, for map_v/map_h and
-the surgery cone alike; default_depth and stabilized are the one start
-depth and doubling loop for truncated computations.
+the surgery cone alike; truncation_depth is the one depth rule for
+truncated computations, sized in closed form from the generators'
+gradings and the blocks' offsets, with no retry.
 
 Realizations and homology groups are built anew on every call and
 never cached; results (genus, kernel_rank_v) go through cfk's memo.
@@ -32,41 +33,8 @@ from math import ceil
 
 from .cfk import Region, flip_chain_sign, memoized
 from .errors import (FlipMissingError, GradingError, InvalidComplexError,
-                     NotStabilizedError, TorsionInTowerError)
-from .homology import ChainMap, GradedComplex, graded_homology
-
-
-def default_depth(complex_, slope=0):
-    """The standard truncation depth heuristic: generous and cheap."""
-    return int(ceil(4 * (complex_.grading_spread + slope + 4)))
-
-
-_MAX_DOUBLINGS = 4
-
-
-def stabilized(compute, complex_, slope=0, depth=None):
-    """compute(depth) at the first depth where the result stabilizes.
-
-    With depth=None the depth starts at default_depth(complex_, slope)
-    and doubles, up to _MAX_DOUBLINGS times, whenever compute raises
-    NotStabilizedError or TorsionInTowerError; the last such error is
-    raised again, naming every depth tried.  An explicit depth is used
-    as given and its failure propagates unchanged.
-    """
-    if depth is not None:
-        return compute(depth)
-    n = default_depth(complex_, slope)
-    tried = []
-    while True:
-        try:
-            return compute(n)
-        except (NotStabilizedError, TorsionInTowerError) as exc:
-            tried.append(n)
-            if len(tried) > _MAX_DOUBLINGS:
-                raise type(exc)(
-                    f"{exc} (tried depths "
-                    f"{', '.join(map(str, tried))})") from exc
-        n *= 2
+                     NotStabilizedError)
+from .homology import TOWER_LEVELS, ChainMap, GradedComplex, graded_homology
 
 
 def _k_range(g, region, depth):
@@ -84,6 +52,33 @@ def _k_range(g, region, depth):
     if g.j + k == cj:
         return k, k
     return 0, -1
+
+
+def truncation_depth(complex_, blocks):
+    """Least depth at which the blocks are exact on a shared band.
+
+    blocks are (region, grading offset) pairs of upward-closed regions
+    realized together, as the blocks of a surgery cone are.  With
+    lo_x = _k_range(x, region, 0)[0], a block at depth D holds every
+    translate of CFK^oo in the degrees from offset + max_x(m_x + 2 lo_x)
+    to offset + min_x(m_x + 2 lo_x) + 2D.  The shared band runs from
+    l = max over blocks of (offset + max_x(m_x + 2 lo_x)) + 1 up to
+    C = min over blocks of (offset + min_x(m_x + 2 lo_x)) + 2D, the
+    trust ceiling the realizations and the cone already report.
+    Assuming H(CFK^oo) = Z[U, U^-1], as for any knot in S^3 (validate
+    does not check it), each block has the homology of CFK^oo there
+    and v and h are isomorphisms, so a surgery cone is a zigzag of
+    copies of Z[U, U^-1] joined by isomorphisms: its homology in the
+    band is exactly the tower, and HF_red and the tower bottom lie
+    below l.  D is the least depth >= 1 with C - l >= 2 TOWER_LEVELS - 1,
+    so the band holds, whatever their parity, the TOWER_LEVELS levels
+    that tower_decompose reads.
+    """
+    firsts = [[offset + g.m + 2 * _k_range(g, region, 0)[0]
+               for g in complex_.generators] for region, offset in blocks]
+    band_floor = max(map(max, firsts)) + 1
+    lowest = min(map(min, firsts))
+    return max(1, ceil((band_floor + 2 * TOWER_LEVELS - 1 - lowest) / 2))
 
 
 class RealizedRegion:
@@ -341,7 +336,8 @@ def alexander_polynomial(complex_):
 def kernel_rank_v(complex_, s, depth=None):
     """Free rank of ker(v on homology), checked at two depths."""
     if depth is None:
-        depth = default_depth(complex_)
+        depth = truncation_depth(
+            complex_, [(Region.max_ij(s), 0), (Region.min_i(), 0)])
 
     def at_depth(n):
         ind, ceiling = induced_v(complex_, s, n)

@@ -131,11 +131,6 @@ class KnotComplex:
     def graded(self):
         return all(g.m is not None for g in self.generators)
 
-    @property
-    def grading_spread(self):
-        ms = [g.m for g in self.generators if g.m is not None]
-        return (max(ms) - min(ms)) if ms else 0
-
     def with_gradings(self, m_by_name):
         gens = [Generator(g.name, g.i, g.j, m_by_name[g.name])
                 for g in self.generators]
@@ -605,8 +600,9 @@ def _tower_bottom_offset(complex_, component, rel):
     """Grading constant for the tower component.
 
     Realizes the i >= 0 quotient of the component alone (with the
-    relative gradings as provisional Maslov gradings) and reads off the
-    degree of the tower bottom; the final gradings subtract it.
+    relative gradings as provisional Maslov gradings), at the depth
+    acomplex.truncation_depth gives for it, and reads off the degree of
+    the tower bottom; the final gradings subtract it.
     """
     from . import acomplex
     from .homology import tower_decompose
@@ -616,13 +612,11 @@ def _tower_bottom_offset(complex_, component, rel):
          for g in complex_.generators if g.name in rel],
         {k: v for k, v in complex_.differential.items() if k in rel},
         None)
-
-    def bottom(depth):
-        _, h = acomplex.region_homology(sub, Region.min_i(), depth)
-        return tower_decompose(h, depth).d_bottom
-
+    region = Region.min_i()
+    depth = acomplex.truncation_depth(sub, [(region, 0)])
     try:
-        return -acomplex.stabilized(bottom, sub)
+        _, h = acomplex.region_homology(sub, region, depth)
+        return -tower_decompose(h).d_bottom
     except (NotStabilizedError, TorsionInTowerError) as exc:
         raise GradingError(
             f"could not normalize the tower grading: {exc}") from exc

@@ -8,8 +8,7 @@ complex file.
 
 Exit codes: 0 on success, 1 when a computation fails (stabilization,
 inconsistent input detected mid-run), 2 for usage errors, unreadable
-slopes, or files that do not parse/validate.  HFPLUS_DEPTH overrides
-the default truncation depth when --depth is not given.
+slopes, or files that do not parse/validate.
 """
 
 from __future__ import annotations
@@ -67,18 +66,6 @@ def _parse_slope(text):
     if p == 0:
         raise ValueError("slope must be nonzero")
     return p, q
-
-
-def _depth_from(args):
-    if getattr(args, "depth", None) is not None:
-        return args.depth
-    env = os.environ.get("HFPLUS_DEPTH")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"HFPLUS_DEPTH must be an integer, got {env!r}")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +192,11 @@ def _format_red(hf_red):
 def _cmd_surgery(args):
     k, input_desc = _load(args.knot)
     p, q = _parse_slope(args.slope)
-    depth = _depth_from(args)
     t0 = time.monotonic()
-    result = hf_plus(k, p, q, depth=depth)
+    result = hf_plus(k, p, q, depth=args.depth)
     diag = None
     if p > 0:
-        diag = diagnostic_sum(k, p, q, depth=depth)
+        diag = diagnostic_sum(k, p, q, depth=args.depth)
     timing_ms = int((time.monotonic() - t0) * 1000)
     records = result.spin_c
     if args.spin != "all":
@@ -243,7 +229,7 @@ def _cmd_diagnose(args):
     p, q = _parse_slope(args.slope)
     if p < 0:
         raise ValueError("diagnose needs a positive slope")
-    diag = diagnostic_sum(k, p, q, depth=_depth_from(args))
+    diag = diagnostic_sum(k, p, q, depth=args.depth)
     print(f"diagnose {k.name or args.knot} {p}/{q}")
     print(f"  total reduced rank: {diag.total_reduced_rank}")
     print(f"  d-deficit:          {diag.d_deficit}")
@@ -263,7 +249,7 @@ def _cmd_classify(args):
     p, q = _parse_slope(args.slope)
     if p < 0:
         raise ValueError("classify needs a positive slope")
-    verdict = classify_surgery(k, p, q, depth=_depth_from(args))
+    verdict = classify_surgery(k, p, q, depth=args.depth)
     print(f"classification: {verdict}")
     return 0
 
@@ -272,9 +258,8 @@ def _cmd_compare(args):
     ka, _ = _load(args.a)
     kb, _ = _load(args.b)
     p, q = _parse_slope(args.slope)
-    depth = _depth_from(args)
-    verdict = compare(hf_plus(ka, p, q, depth=depth),
-                      hf_plus(kb, p, q, depth=depth))
+    verdict = compare(hf_plus(ka, p, q, depth=args.depth),
+                      hf_plus(kb, p, q, depth=args.depth))
     print(str(verdict))
     return 0
 

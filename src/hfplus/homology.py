@@ -37,11 +37,14 @@ of U on it before and after each cancel_units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 from .errors import NotStabilizedError, TorsionInTowerError
 
 SELF_CHECK = False
+
+# Top occupied degrees tower_decompose requires to be bare tower levels;
+# acomplex.truncation_depth sizes truncations to hold them exactly.
+TOWER_LEVELS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -1015,23 +1018,22 @@ def _decompose_once(h, degrees, n_levels):
     return d_bottom, tuple(reduced)
 
 
-def tower_decompose(h, depth, ceiling=None):
+def tower_decompose(h, ceiling=None):
     """Split a U-equipped homology group into tower + reduced part.
 
-    `depth` is the truncation depth used to build the complex; the top
-    ceil(depth/2) occupied degrees must look like an honest truncated
-    tower.  The decomposition is recomputed with the top two occupied
-    degrees dropped and must agree (this is the stabilization check).
-    Degrees above `ceiling` are ignored entirely; producers of
+    The top TOWER_LEVELS occupied degrees must look like an honest
+    truncated tower: bare Z's, spaced by two and linked by
+    U-isomorphisms.  The decomposition is recomputed with the top two
+    occupied degrees dropped and must agree (this is the stabilization
+    check).  Degrees above `ceiling` are ignored entirely; producers of
     truncated complexes pass the degree below which homology is
     guaranteed faithful.
     """
     if ceiling is None:
         ceiling = h.ceiling
     degrees = sorted(h.support(ceiling), reverse=True)
-    n_levels = max(2, ceil(depth / 2))
-    d_bottom, reduced = _decompose_once(h, degrees, n_levels)
-    d2, red2 = _decompose_once(h, degrees[2:], max(2, n_levels - 2))
+    d_bottom, reduced = _decompose_once(h, degrees, TOWER_LEVELS)
+    d2, red2 = _decompose_once(h, degrees[2:], TOWER_LEVELS - 2)
     limit = degrees[2]
     trimmed = tuple((d, v) for d, v in reduced if d <= limit)
     if d2 != d_bottom or red2 != trimmed:

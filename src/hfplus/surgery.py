@@ -6,7 +6,8 @@ for each s in [-sigma, sigma] and one B-summand for s in (-sigma,
 sigma]; the connecting differential sends a_s to v(a_s) in B_s plus
 h(a_s) in B_{s+1}.  Outside the window the omitted maps are
 isomorphisms on homology, which is what truncation_sigma guarantees,
-so the finite cone computes the surgery.  The assembled cone is
+so the finite cone computes the surgery; acomplex.truncation_depth
+sizes its depth, so no cone is built twice.  The assembled cone is
 checked whole, then shrunk in place by cancelling its +-1 pairs
 (GradedComplex.cancel_units, which carries U along); the Smith normal
 form and the tower split run on that residue only.
@@ -37,10 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .acomplex import (genus, h_columns, realize, signed_flip, stabilized,
-                       v_columns)
+from .acomplex import (genus, h_columns, realize, signed_flip,
+                       truncation_depth, v_columns)
 from .cfk import Region, memoized, mirror, require_valid
-from .errors import FlipMissingError, GradingError
+from .errors import (FlipMissingError, GradingError, NotStabilizedError,
+                     TorsionInTowerError)
 from .homology import GradedComplex, graded_homology, tower_decompose
 
 
@@ -100,17 +102,29 @@ def _cone_offsets(descriptor, gauge=0):
     return off_a, off_b
 
 
+def _cone_blocks(descriptor, gauge=0):
+    """(label, region, grading offset, sign) of each summand of the cone."""
+    d = descriptor
+    off_a, off_b = _cone_offsets(d, gauge)
+    blocks = [(("A", s), Region.max_ij(d.t(s)), off_a[s], 1)
+              for s in d.a_positions()]
+    blocks += [(("B", s), Region.min_i(), off_b[s], -1)
+               for s in d.b_positions()]
+    return blocks
+
+
 class MappingCone:
     """The assembled truncated cone as one graded U-complex.
 
-    The cone is a list of blocks (label, realization, grading offset,
-    sign of its differential): ("A", s) for each A-summand and ("B", s)
-    for each B-summand, with the B differentials negated.  The v and h
-    columns from acomplex then join each A_s to B_s and B_{s+1}.
-    Basis labels are ("A"|"B", s, generator name, translate); the
-    construction re-checks that the total differential squares to
-    zero, commutes with U, and drops the (offset) grading by exactly
-    one on every component, including the v/h pieces.
+    The cone is a list of blocks (label, region, grading offset, sign
+    of its differential), each distinct region realized once: ("A", s)
+    for each A-summand and ("B", s) for each B-summand, with the B
+    differentials negated.  The v and h columns from acomplex then join
+    each A_s to B_s and B_{s+1}.  Basis labels are ("A"|"B", s,
+    generator name, translate); the construction re-checks that the
+    total differential squares to zero, commutes with U, and drops the
+    (offset) grading by exactly one on every component, including the
+    v/h pieces.
     """
 
     def __init__(self, source, descriptor, gauge=0):
@@ -120,23 +134,20 @@ class MappingCone:
         self.source = source
         self.descriptor = descriptor
         d = descriptor
-        a_real = {t: realize(source, Region.max_ij(t), d.depth)
-                  for t in set(map(d.t, d.a_positions()))}
-        b_real = realize(source, Region.min_i(), d.depth)
-        off_a, off_b = _cone_offsets(d, gauge)
-        blocks = [(("A", s), a_real[d.t(s)], off_a[s], 1)
-                  for s in d.a_positions()]
-        blocks += [(("B", s), b_real, off_b[s], -1) for s in d.b_positions()]
+        blocks = _cone_blocks(d, gauge)
+        real = {region: realize(source, region, d.depth)
+                for region in dict.fromkeys(r for _, r, _, _ in blocks)}
+        b_real = real[Region.min_i()]
 
         ids = []
         degrees = []
         boundary = []
         u_cols = []
         base = {}
-        for label, real, offset, sign in blocks:
+        for label, region, offset, sign in blocks:
             b0 = base[label] = len(ids)
-            rc = real.realization
-            ids.extend(label + key for key in real.ids)
+            rc = real[region].realization
+            ids.extend(label + key for key in real[region].ids)
             degrees.extend(deg + offset for deg in rc.degrees)
             boundary.extend({b0 + i: sign * c for i, c in col.items()}
                             for col in rc.boundary)
@@ -150,14 +161,15 @@ class MappingCone:
                     boundary[a0 + j][b0 + i] = c
 
         for s in d.a_positions():
+            a_real = real[Region.max_ij(d.t(s))]
             if ("B", s) in base:
-                join(s, ("B", s), v_columns(a_real[d.t(s)], b_real))
+                join(s, ("B", s), v_columns(a_real, b_real))
             if ("B", s + 1) in base:
                 join(s, ("B", s + 1),
-                     h_columns(source, flip, d.t(s), a_real[d.t(s)], b_real))
+                     h_columns(source, flip, d.t(s), a_real, b_real))
 
-        self.ceiling = min(real.dropped_floor + offset
-                           for _, real, offset, _ in blocks) - 2
+        self.ceiling = min(real[region].dropped_floor + offset
+                           for _, region, offset, _ in blocks) - 2
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
 
@@ -204,7 +216,7 @@ def _cone_data(complex_, descriptor, gauge=0):
     cone = build_mapping_cone(complex_, descriptor, gauge)
     cone.complex.cancel_units()
     h = graded_homology(cone.complex, ceiling=cone.ceiling)
-    tower = tower_decompose(h, descriptor.depth)
+    tower = tower_decompose(h)
     return tower.d_bottom, tower.reduced
 
 
@@ -299,8 +311,17 @@ def conjugation_constant(result):
 
 
 def _spin_c_result(complex_, p, q, i, sigma, depth, gauge):
+    if depth is None:
+        # the blocks do not depend on the depth, nor the depth on a gauge
+        blocks = _cone_blocks(SurgeryDescriptor(p, q, i, sigma, 1))
+        depth = truncation_depth(complex_,
+                                 [(r, off) for _, r, off, _ in blocks])
     descriptor = SurgeryDescriptor(p, q, i, sigma, depth)
-    bottom, reduced = _cone_data(complex_, descriptor, gauge)
+    try:
+        bottom, reduced = _cone_data(complex_, descriptor, gauge)
+    except (NotStabilizedError, TorsionInTowerError) as exc:
+        raise type(exc)(f"{p}/{q} surgery, Spin^c {i}, sigma {sigma}, "
+                        f"depth {depth}: {exc}") from exc
     shift = _calibration_shift(descriptor)
     d = bottom + shift
     red = tuple((deg + shift, rank, torsion)
@@ -339,13 +360,13 @@ def _reverse_orientation(r):
 def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     """HF+ of p/q surgery, one SpincResult per residue class.
 
-    With depth=None each Spin^c structure runs under
-    acomplex.stabilized: the depth starts at default_depth and doubles
-    whenever the tower fails to stabilize; an explicit depth is used
-    as given and failures propagate.  sigma_bump widens every
-    truncation window, and gauge shifts all relative offsets by a
-    constant -- both exist so that invariance of the output under them
-    can be demonstrated.
+    With depth=None each Spin^c structure builds one cone, at the
+    depth acomplex.truncation_depth gives for its blocks; an explicit
+    depth is used as given.  A failed tower check raises its error
+    type again, naming the slope, Spin^c index, sigma and depth.
+    sigma_bump widens every truncation window, and gauge shifts all
+    relative offsets by a constant -- both exist so that invariance of
+    the output under them can be demonstrated.
 
     Negative p is computed on the mirror complex, since
     S^3_{-p/q}(K) = -S^3_{p/q}(mirror K).  The result carries
@@ -374,9 +395,8 @@ def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     per_index = []
     for i in range(p):
         sigma = truncation_sigma(complex_, p, q, i) + sigma_bump
-        per_index.append(stabilized(
-            lambda n: _spin_c_result(complex_, p, q, i, sigma, n, gauge),
-            complex_, Fraction(p, q), depth))
+        per_index.append(
+            _spin_c_result(complex_, p, q, i, sigma, depth, gauge))
     return HFResult(p=p, q=q, orientation="standard",
                     spin_c=tuple(per_index),
                     source_name=complex_.name or "complex")

@@ -3,8 +3,9 @@
 Two independent oracles live here (a rational row-reduction rank and a
 homology free-rank computed from those ranks alone), plus a generator
 of random valid bifiltered complexes assembled from pieces whose
-differential squares to zero by construction, and the environment for
-child interpreters.  The acceptance registry at the bottom is filled
+differential squares to zero by construction, the staircase complexes
+of the torus knots T(2, 2g+1), and the environment for child
+interpreters.  The acceptance registry at the bottom is filled
 by test_acceptance.py and printed by the conftest terminal-summary
 hook.
 """
@@ -159,6 +160,24 @@ def twisty(n):
         flip.update({a: (1, a), b: (1, c), c: (1, b), d: (-1, d)})
         seeds[d] = 0
     return grading_solve(KnotComplex(gens, diff, flip), seeds=seeds)
+
+
+def staircase(g):
+    """The staircase complex of the torus knot T(2, 2g+1), gradings solved.
+
+    Generator x_n sits at i = ceil(n/2) - g, j = -floor(n/2); the odd
+    ones are the corners, d x_{2k+1} = x_{2k} + x_{2k+2}, and the flip
+    exchanges x_n with x_{2g-n}.  g = 1 and g = 2 give the bundled
+    trefoil_right and torus_2_5.
+    """
+    top = 2 * g
+    gens = [Generator(f"x{n}", (n + 1) // 2 - g, -(n // 2))
+            for n in range(top + 1)]
+    diff = {f"x{n}": ((1, 0, f"x{n - 1}"), (1, 0, f"x{n + 1}"))
+            for n in range(1, top, 2)}
+    flip = {f"x{n}": (1, f"x{top - n}") for n in range(top + 1)}
+    return grading_solve(KnotComplex(gens, diff, flip,
+                                     name=f"T(2,{top + 1})"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from math import gcd
 import pytest
 
 from helpers import (homology_free_ranks, random_complex, record, twisty)
-from hfplus.acomplex import default_depth, genus, hfk_hat, induced_v, realize
+from hfplus.acomplex import (genus, hfk_hat, induced_v, realize,
+                             truncation_depth)
 from hfplus.cfk import BUILTIN_NAMES, Region, builtin
 from hfplus.detect import (casson_surgery, classify_surgery, compare,
                            diagnostic_sum)
@@ -139,7 +140,9 @@ def test_criterion_8_v_below_genus():
         g = genus(k)
         if g == 0:
             continue
-        ind, ceiling = induced_v(k, g - 1, default_depth(k))
+        depth = truncation_depth(
+            k, [(Region.max_ij(g - 1), 0), (Region.min_i(), 0)])
+        ind, ceiling = induced_v(k, g - 1, depth)
         if not ind.is_surjective(max_degree=ceiling):
             failures.append(f"{name}: v below genus not surjective")
         top = hfk_hat(k, g)

@@ -3,15 +3,20 @@ from collections import OrderedDict
 import pytest
 
 from hfplus import acomplex, cfk
-from hfplus.acomplex import (alexander_polynomial, default_depth, genus,
-                             hfk_hat, induced_h, induced_v, kernel_rank_v,
-                             map_h, map_v, realize, region_homology,
-                             stabilized, LaurentPolynomial)
+from hfplus.acomplex import (alexander_polynomial, genus, hfk_hat,
+                             induced_h, induced_v, kernel_rank_v, map_h,
+                             map_v, realize, region_homology,
+                             truncation_depth, LaurentPolynomial)
 from hfplus.cfk import BUILTIN_NAMES, KnotComplex, Region, builtin
-from hfplus.errors import (GradingError, InvalidComplexError,
-                           NotStabilizedError, TorsionInTowerError)
+from hfplus.errors import InvalidComplexError
 
 GENUS_ONE = ("trefoil_right", "trefoil_left", "figure_eight")
+
+
+def _depth(k, s, shift=0):
+    """truncation_depth of A_s and B, with B's degrees moved by shift."""
+    return truncation_depth(
+        k, [(Region.max_ij(s), 0), (Region.min_i(), shift)])
 
 
 def test_realize_unknot_quarter_plane():
@@ -115,9 +120,8 @@ def test_v_is_isomorphism_at_and_above_genus():
     for name in BUILTIN_NAMES:
         k = builtin(name)
         g = genus(k)
-        depth = default_depth(k)
         for s in (g, g + 1, g + 2):
-            ind, ceiling = induced_v(k, s, depth)
+            ind, ceiling = induced_v(k, s, _depth(k, s))
             assert ind.is_isomorphism(max_degree=ceiling), (name, s)
 
 
@@ -125,9 +129,9 @@ def test_h_is_isomorphism_at_and_below_minus_genus():
     for name in BUILTIN_NAMES:
         k = builtin(name)
         g = genus(k)
-        depth = default_depth(k)
         for s in (-g, -g - 1):
-            ind, ceiling = induced_h(k, s, depth)
+            # h lowers degree by 2s, so B sits 2s up in A_s's degrees
+            ind, ceiling = induced_h(k, s, _depth(k, s, 2 * s))
             assert ind.is_isomorphism(max_degree=ceiling), (name, s)
 
 
@@ -137,8 +141,7 @@ def test_v_just_below_genus_is_surjective_with_kernel_one():
         g = genus(k)
         if g == 0:
             continue
-        depth = default_depth(k)
-        ind, ceiling = induced_v(k, g - 1, depth)
+        ind, ceiling = induced_v(k, g - 1, _depth(k, g - 1))
         assert ind.is_surjective(max_degree=ceiling), name
         top = hfk_hat(k, g)
         top_rank = sum(top.free_rank(d) for d in top.support())
@@ -147,7 +150,7 @@ def test_v_just_below_genus_is_surjective_with_kernel_one():
 
 def test_maps_are_chain_maps_with_expected_shifts():
     k = builtin("figure_eight")
-    depth = default_depth(k)
+    depth = _depth(k, 1)
     assert map_v(k, 1, depth).shift == 0
     assert map_h(k, 1, depth).shift == -2
     assert map_h(k, -2, depth).shift == 4
@@ -157,8 +160,9 @@ def test_conjugation_symmetry_of_hook_regions():
     # the flip identifies the s and -s regions after a 2s degree shift
     for name in BUILTIN_NAMES:
         k = builtin(name)
-        depth = default_depth(k)
         for s in range(1, genus(k) + 2):
+            depth = truncation_depth(
+                k, [(Region.max_ij(s), 0), (Region.max_ij(-s), 2 * s)])
             _, hs = region_homology(k, Region.max_ij(s), depth)
             _, hn = region_homology(k, Region.max_ij(-s), depth)
             ceiling = min(hs.ceiling, hn.ceiling + 2 * s)
@@ -176,55 +180,6 @@ def test_hfk_rank_only_fallback_without_gradings():
     assert h0.total_free_rank() == 1
 
 
-def _failing(times, error=NotStabilizedError):
-    """A compute(depth) that fails `times` times, recording each depth."""
-    tried = []
-
-    def compute(depth):
-        tried.append(depth)
-        if len(tried) <= times:
-            raise error(f"not stable at depth {depth}")
-        return depth
-    return compute, tried
-
-
-def test_stabilized_doubles_from_the_default_depth():
-    k = builtin("trefoil_right")
-    start = default_depth(k, 3)
-    for times in range(5):
-        compute, tried = _failing(times, TorsionInTowerError)
-        assert stabilized(compute, k, 3) == start * 2 ** times
-        assert tried == [start * 2 ** e for e in range(times + 1)]
-
-
-def test_stabilized_gives_up_after_four_doublings():
-    k = builtin("figure_eight")
-    start = default_depth(k)
-    compute, tried = _failing(5)
-    depths = [start * 2 ** e for e in range(5)]
-    with pytest.raises(NotStabilizedError) as info:
-        stabilized(compute, k)
-    assert tried == depths
-    assert f"tried depths {', '.join(map(str, depths))}" in str(info.value)
-
-
-def test_stabilized_never_retries_an_explicit_depth():
-    k = builtin("figure_eight")
-    compute, tried = _failing(1)
-    with pytest.raises(NotStabilizedError, match="^not stable at depth 7$"):
-        stabilized(compute, k, depth=7)
-    assert tried == [7]
-    compute, tried = _failing(0)
-    assert stabilized(compute, k, depth=7) == 7
-
-
-def test_stabilized_lets_other_errors_through():
-    compute, tried = _failing(1, GradingError)
-    with pytest.raises(GradingError):
-        stabilized(compute, builtin("unknot"))
-    assert len(tried) == 1
-
-
 def test_kernel_rank_v_realizes_each_region_once_per_depth(monkeypatch):
     k = builtin("trefoil_right")
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
@@ -237,7 +192,7 @@ def test_kernel_rank_v_realizes_each_region_once_per_depth(monkeypatch):
 
     monkeypatch.setattr(acomplex.RealizedRegion, "__init__", counting)
     assert kernel_rank_v(k, 0) == 1
-    depth = default_depth(k)
+    depth = _depth(k, 0)
     assert len(built) == 4
     assert set(built) == {(region, n)
                           for region in (Region.max_ij(0), Region.min_i())

@@ -117,18 +117,6 @@ def test_json_identical_across_depths(capsys):
     assert a == b
 
 
-def test_depth_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv("HFPLUS_DEPTH", "40")
-    _, out1, _ = run(capsys, "surgery", "trefoil_right", "3/2", "--json")
-    monkeypatch.delenv("HFPLUS_DEPTH")
-    _, out2, _ = run(capsys, "surgery", "trefoil_right", "3/2", "--json")
-    assert (strip_provenance(json.loads(out1))
-            == strip_provenance(json.loads(out2)))
-    monkeypatch.setenv("HFPLUS_DEPTH", "not-a-number")
-    code, _, err = run(capsys, "surgery", "trefoil_right", "3/2")
-    assert code == 2
-
-
 def test_diagnose_output(capsys):
     code, out, _ = run(capsys, "diagnose", "trefoil_left", "3/2")
     assert code == 0

@@ -119,14 +119,14 @@ def _tower_complex(levels, extra_degrees=()):
 
 def test_tower_decompose_bare_tower():
     h = graded_homology(_tower_complex(8))
-    t = tower_decompose(h, depth=8)
+    t = tower_decompose(h)
     assert t.d_bottom == 0
     assert t.total_reduced_rank == 0
 
 
 def test_tower_decompose_reports_reduced_classes():
     h = graded_homology(_tower_complex(8, extra_degrees=[3, 3, 0]))
-    t = tower_decompose(h, depth=8)
+    t = tower_decompose(h)
     assert t.d_bottom == 0
     assert t.reduced_dict() == {3: (2, ()), 0: (1, ())}
     assert t.total_reduced_rank == 3
@@ -137,7 +137,7 @@ def test_tower_decompose_shifted_bottom():
     u = [{}, {0: 1}, {1: 1}, {2: 1}]
     h = graded_homology(GradedComplex(degrees, [{} for _ in degrees],
                                       u_action=u))
-    t = tower_decompose(h, depth=4)
+    t = tower_decompose(h)
     assert t.d_bottom == 4
 
 
@@ -209,6 +209,6 @@ def test_cancel_units_agrees_with_the_unreduced_complex():
         reduced = graded_homology(gc)
         assert reduced.summary() == full.summary(), (k.name, region)
         torsion_seen |= any(t for _, t in full.summary().values())
-        assert (_outcome(lambda: tower_decompose(reduced, depth))
-                == _outcome(lambda: tower_decompose(full, depth))), k.name
+        assert (_outcome(lambda: tower_decompose(reduced))
+                == _outcome(lambda: tower_decompose(full))), k.name
     assert torsion_seen

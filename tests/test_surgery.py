@@ -1,22 +1,49 @@
 from collections import OrderedDict
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from helpers import twisty
+from helpers import staircase, twisty
 from hfplus import cfk, surgery
-from hfplus.acomplex import map_h, map_v, realize
-from hfplus.cfk import (Generator, KnotComplex, Region, builtin,
-                        flip_chain_sign, mirror, validate)
+from hfplus.acomplex import map_h, map_v, realize, truncation_depth
+from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
+                        builtin, flip_chain_sign, mirror, validate)
 from hfplus.detect import casson_surgery
-from hfplus.errors import InvalidComplexError
+from hfplus.errors import InvalidComplexError, NotStabilizedError
 from hfplus.homology import graded_homology, tower_decompose
 from hfplus.surgery import (SpincResult, SurgeryDescriptor,
                             build_mapping_cone, conjugation_constant,
                             hf_plus, lens_d_oracle, truncation_sigma)
 
 F = Fraction
+
+GRID = [(p, q) for p in range(1, 11) for q in range(1, 6) if gcd(p, q) == 1]
+
+
+def _sized_depth(k, descriptor):
+    """truncation_depth of the cone's (region, offset) blocks."""
+    return truncation_depth(k, [(region, offset) for _, region, offset, _
+                                in surgery._cone_blocks(descriptor)])
+
+
+def _band_floor(k, descriptor):
+    """The band's lower end, from the regions' own definitions.
+
+    The first translate of x in {i >= 0} is k = -i_x, and in
+    {max(i, j - t) >= 0} it is k = -max(i_x, j_x - t).
+    """
+    top = None
+    for _, region, offset, _ in surgery._cone_blocks(descriptor):
+        for g in k.generators:
+            if region == Region.min_i():
+                first = -g.i
+            else:
+                first = -max(g.i, g.j - region.params[0])
+            degree = offset + g.m + 2 * first
+            top = degree if top is None else max(top, degree)
+    return top + 1
 
 
 def test_truncation_sigma_examples():
@@ -212,6 +239,54 @@ def test_hf_plus_builds_no_calibration_cone(monkeypatch):
         assert len(built) >= p and 1 not in built, (name, built)
 
 
+@pytest.mark.no_self_check
+def test_hf_plus_builds_one_cone_per_spin_c_structure(monkeypatch):
+    built = []
+
+    def build(complex_, descriptor, gauge=0):
+        built.append(descriptor)
+        return build_mapping_cone(complex_, descriptor, gauge)
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "build_mapping_cone", build)
+    for g, p, q in [(6, 1, 1), (7, 1, 1), (8, 1, 1), (8, 7, 3)]:
+        k = staircase(g)
+        built.clear()
+        hf_plus(k, p, q)
+        assert [d.spin_c for d in built] == list(range(p)), (g, p, q)
+        for d in built:
+            assert d.depth == _sized_depth(k, d), (g, p, q, d)
+
+
+@pytest.mark.no_self_check
+def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
+    cases = [(builtin(name), p, q) for name in BUILTIN_NAMES
+             for p, q in GRID]
+    cases += [(staircase(g), p, q) for g in range(1, 7)
+              for p, q in [(1, 1), (7, 3)]]
+    for k, p, q in cases:
+        result = hf_plus(k, p, q)
+        deeper = []
+        for r in result.spin_c:
+            desc = SurgeryDescriptor(p, q, r.index, r.sigma, r.depth)
+            assert r.depth == _sized_depth(k, desc), (k.name, desc)
+            # the band floor moved to absolute degrees, as r.d and hf_red are
+            floor = _band_floor(k, desc) + surgery._calibration_shift(desc)
+            assert r.d < floor, (k.name, desc)
+            assert all(deg < floor for deg, _, _ in r.hf_red), (k.name, desc)
+            deeper.append(surgery._spin_c_result(
+                k, p, q, r.index, r.sigma, 2 * r.depth, 0))
+        assert (replace(result, spin_c=tuple(deeper)).comparable()
+                == result.comparable()), (k.name, p, q)
+
+
+def test_too_small_depth_names_the_cone_in_its_error():
+    pattern = r"^1/1 surgery, Spin\^c 0, sigma 1, depth 3: "
+    with pytest.raises(NotStabilizedError, match=pattern) as info:
+        hf_plus(builtin("torus_2_5"), 1, 1, depth=3)
+    assert type(info.value.__cause__) is NotStabilizedError
+
+
 def test_casson_identity_on_plus_minus_one_over_n():
     # chi(HF_red) - d/2 = lambda for integer homology spheres
     # (arXiv:math/0110170, Thm 1.3), chi read from the absolute degree
@@ -338,7 +413,7 @@ def test_cancel_units_agrees_with_the_unreduced_cone():
                 cone = build_mapping_cone(k, desc)
                 gc = cone.complex
                 h = graded_homology(gc, ceiling=cone.ceiling)
-                full = h.summary(), tower_decompose(h, r.depth)
+                full = h.summary(), tower_decompose(h)
                 n = gc.n
                 gc.cancel_units()
                 assert cone.complex is gc and gc.n < n
@@ -346,7 +421,7 @@ def test_cancel_units_agrees_with_the_unreduced_cone():
                 assert all(abs(v) != 1
                            for col in gc.boundary for v in col.values())
                 h = graded_homology(gc, ceiling=cone.ceiling)
-                assert (h.summary(), tower_decompose(h, r.depth)) == full, (
+                assert (h.summary(), tower_decompose(h)) == full, (
                     name, p, q, r.index)
 
 

@@ -5,8 +5,9 @@ Run as: python3 demos/tour_surgery.py
 """
 
 from hfplus import (SurgeryDescriptor, build_mapping_cone, builtin,
-                    conjugation_constant, hf_plus, lens_d_oracle,
-                    truncation_sigma)
+                    conjugation_constant, graded_homology, hf_plus,
+                    lens_d_oracle, tower_decompose, truncation_sigma)
+from hfplus.homology import TOWER_LEVELS
 
 
 def show_result(result, title):
@@ -19,17 +20,27 @@ def show_result(result, title):
     print(f"    total reduced rank {result.total_reduced_rank}")
 
 
+def cone_answer(complex_, descriptor):
+    """(basis size, tower decomposition) of one cone, in cone degrees."""
+    cone = build_mapping_cone(complex_, descriptor)
+    h = graded_homology(cone.complex, ceiling=cone.ceiling)
+    return cone.complex.n, tower_decompose(h)
+
+
 def main():
     eight = builtin("figure_eight")
 
     print("Anatomy of one mapping cone: 7/3 surgery on the figure-eight")
     print("=" * 64)
     sigma = truncation_sigma(eight, 7, 3, 2)
-    desc = SurgeryDescriptor(p=7, q=3, spin_c=2, sigma=sigma, depth=24)
+    desc = SurgeryDescriptor(p=7, q=3, spin_c=2, sigma=sigma,
+                             depth=TOWER_LEVELS)
     cone = build_mapping_cone(eight, desc)
     print(f"truncation width sigma = {sigma}")
     print(f"A-summands: {cone.n_a_summands}, B-summands: "
           f"{cone.n_b_summands}, basis size {cone.complex.n}")
+    print(f"every block cut at cone degree {cone.ceiling + 1}, so homology "
+          f"is exact up to degree {cone.ceiling}")
 
     print("\nThe lens-space oracle pins absolute gradings")
     print("=" * 64)
@@ -53,10 +64,12 @@ def main():
     print("\nRobustness: the output is a topological invariant")
     print("=" * 64)
     base = hf_plus(eight, 7, 3)
-    deeper = hf_plus(eight, 7, 3, depth=2 * base.spin_c[0].depth)
+    n_base, tower = cone_answer(eight, desc)
+    n_deep, deeper = cone_answer(eight, SurgeryDescriptor(
+        p=7, q=3, spin_c=2, sigma=sigma, depth=2 * TOWER_LEVELS))
     wider = hf_plus(eight, 7, 3, sigma_bump=1)
-    print(f"    doubled truncation depth: identical = "
-          f"{base.comparable() == deeper.comparable()}")
+    print(f"    doubled truncation depth ({n_base} -> {n_deep} elements): "
+          f"identical = {tower == deeper}")
     print(f"    widened cone window:      identical = "
           f"{base.comparable() == wider.comparable()}")
     shifted = hf_plus(eight, 7, 3, gauge=2)

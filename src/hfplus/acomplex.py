@@ -3,13 +3,12 @@
 A knot complex stores one generator per U-orbit; to compute anything
 we unfold finitely many translates.  The translate (x, k) sits at
 filtration (i_x + k, j_x + k) and grading m_x + 2k, and U acts by
-k -> k - 1.  Realizing a region keeps the translates whose filtration
-lies in the region, with upward-closed regions additionally cut off at
-a depth N: translates more than N levels inside are discarded.  Since
-the differential never increases the region depth, the kept part is an
-honest subcomplex of the (quotient) region complex, and its homology
-is faithful strictly below the degree floor of what was discarded --
-realizations record that trust ceiling.
+k -> k - 1.  Realizing an upward-closed (quotient) region keeps the
+translates whose filtration lies in the region and whose degree is at
+most a cut `top`.  Since the differential and U both lower the degree,
+the kept part is the subcomplex of the region complex spanned by its
+elements of degree <= top, so its homology is exact in every degree
+below top -- realizations record that trust ceiling, top - 1.
 
 The two maps out of A_s = C{max(i, j-s) >= 0} both land in
 B = C{i >= 0}: the vertical map is the evident projection, and the
@@ -18,8 +17,8 @@ the flip.  When the flip only commutes with the differential up to a
 global sign, the horizontal map absorbs (-1)^m per generator, which
 restores the chain-map identity without disturbing the involution.
 v_columns and h_columns define both maps once, for map_v/map_h and
-the surgery cone alike; truncation_depth is the one depth rule for
-truncated computations, sized in closed form from the generators'
+the surgery cone alike; band_floor is the one rule for where truncated
+computations cut, worked out in closed form from the generators'
 gradings and the blocks' offsets, with no retry.
 
 Realizations and homology groups are built anew on every call and
@@ -29,7 +28,6 @@ never cached; results (genus, kernel_rank_v) go through cfk's memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 from .cfk import Region, flip_chain_sign, memoized
 from .errors import (FlipMissingError, GradingError, InvalidComplexError,
@@ -37,16 +35,14 @@ from .errors import (FlipMissingError, GradingError, InvalidComplexError,
 from .homology import TOWER_LEVELS, ChainMap, GradedComplex, graded_homology
 
 
-def _k_range(g, region, depth):
-    """Inclusive range of translates of generator g inside the region."""
+def _k_range(g, region, top):
+    """Inclusive range of translates of g in the region, degree <= top."""
     if region.kind == "min_i":
         (bound,) = region.params
-        lo = bound - g.i
-        return lo, lo + depth
+        return bound - g.i, (top - g.m) // 2
     if region.kind == "max_ij":
         s, bound = region.params
-        lo = bound - max(g.i, g.j - s)
-        return lo, lo + depth
+        return bound - max(g.i, g.j - s), (top - g.m) // 2
     ci, cj = region.params
     k = ci - g.i
     if g.j + k == cj:
@@ -54,66 +50,58 @@ def _k_range(g, region, depth):
     return 0, -1
 
 
-def truncation_depth(complex_, blocks):
-    """Least depth at which the blocks are exact on a shared band.
+def band_floor(complex_, blocks):
+    """Least degree l from which truncated blocks have the tower alone.
 
     blocks are (region, grading offset) pairs of upward-closed regions
-    realized together, as the blocks of a surgery cone are.  With
-    lo_x = _k_range(x, region, 0)[0], a block at depth D holds every
-    translate of CFK^oo in the degrees from offset + max_x(m_x + 2 lo_x)
-    to offset + min_x(m_x + 2 lo_x) + 2D.  The shared band runs from
-    l = max over blocks of (offset + max_x(m_x + 2 lo_x)) + 1 up to
-    C = min over blocks of (offset + min_x(m_x + 2 lo_x)) + 2D, the
-    trust ceiling the realizations and the cone already report.
-    Assuming H(CFK^oo) = Z[U, U^-1], as for any knot in S^3 (validate
-    does not check it), each block has the homology of CFK^oo there
-    and v and h are isomorphisms, so a surgery cone is a zigzag of
-    copies of Z[U, U^-1] joined by isomorphisms: its homology in the
-    band is exactly the tower, and HF_red and the tower bottom lie
-    below l.  D is the least depth >= 1 with C - l >= 2 TOWER_LEVELS - 1,
-    so the band holds, whatever their parity, the TOWER_LEVELS levels
-    that tower_decompose reads.
+    realized together, as the blocks of a surgery cone are.  With lo_x
+    the first translate of x in the region, a block holds every
+    translate of CFK^oo in each degree from offset + max_x(m_x + 2 lo_x)
+    up, so from l = max over blocks of (offset + max_x(m_x + 2 lo_x)) + 1
+    up each block has the homology of CFK^oo.  Assuming H(CFK^oo) =
+    Z[U, U^-1], as for any knot in S^3 (validate does not check it), v
+    and h are isomorphisms there, so a surgery cone is a zigzag of
+    copies of Z[U, U^-1] joined by isomorphisms: its homology from l up
+    is exactly the tower, and HF_red and the tower bottom lie below l.
+
+    Cutting every block at degree l + 2 levels of the shared grading (a
+    block with offset o at top l + 2 levels - o) keeps a subcomplex
+    exact up to C = l + 2 levels - 1, and the band l..C holds exactly
+    `levels` tower levels, whatever their parity.
     """
-    firsts = [[offset + g.m + 2 * _k_range(g, region, 0)[0]
-               for g in complex_.generators] for region, offset in blocks]
-    band_floor = max(map(max, firsts)) + 1
-    lowest = min(map(min, firsts))
-    return max(1, ceil((band_floor + 2 * TOWER_LEVELS - 1 - lowest) / 2))
+    return max(offset + max(g.m + 2 * _k_range(g, region, 0)[0]
+                            for g in complex_.generators)
+               for region, offset in blocks) + 1
 
 
 class RealizedRegion:
     """A region of a knot complex, unfolded into a finite GradedComplex.
 
     ids[n] is the (generator name, translate) pair of basis element n;
-    id_of inverts it.  dropped_floor is the least grading among the
-    discarded deeper translates (None when nothing was discarded), and
-    ceiling = dropped_floor - 2 bounds the degrees in which homology
-    of the realization agrees with the untruncated region.
+    id_of inverts it.  A quotient region keeps its translates of degree
+    <= top, and ceiling = top - 1 bounds the degrees in which homology
+    of the realization agrees with the untruncated region; a single
+    region is finite, ignores top and has no ceiling.
     """
 
-    def __init__(self, source, region, depth):
+    def __init__(self, source, region, top):
         if not source.graded:
             raise GradingError("realization requires solved gradings")
         self.source = source
         self.region = region
-        self.depth = depth
         ids = []
         id_of = {}
         degrees = []
-        floor = None
         for g in source.generators:
-            lo, hi = _k_range(g, region, depth)
+            lo, hi = _k_range(g, region, top)
             for k in range(lo, hi + 1):
                 id_of[(g.name, k)] = len(ids)
                 ids.append((g.name, k))
                 degrees.append(g.m + 2 * k)
-            if region.classification == "quotient":
-                dropped = g.m + 2 * (hi + 1)
-                floor = dropped if floor is None else min(floor, dropped)
         self.ids = ids
         self.id_of = id_of
-        self.dropped_floor = floor
-        self.ceiling = None if floor is None else floor - 2
+        self.ceiling = (top - 1 if region.classification == "quotient"
+                        else None)
         boundary = []
         u_action = []
         for name, k in ids:
@@ -130,22 +118,22 @@ class RealizedRegion:
 
     def __repr__(self):
         return (f"RealizedRegion({self.source.name or '?'}, "
-                f"{self.region.describe()}, depth={self.depth}, "
+                f"{self.region.describe()}, ceiling={self.ceiling}, "
                 f"{len(self.ids)} elements)")
 
 
-def realize(complex_, region, depth):
-    """A new RealizedRegion of the region at this depth (not cached)."""
-    return RealizedRegion(complex_, region, depth)
+def realize(complex_, region, top):
+    """A new RealizedRegion of the region cut at degree top (not cached)."""
+    return RealizedRegion(complex_, region, top)
 
 
 def _homology(realized):
     return graded_homology(realized.realization, ceiling=realized.ceiling)
 
 
-def region_homology(complex_, region, depth):
+def region_homology(complex_, region, top):
     """(RealizedRegion, GradedGroup) for a region, both built anew."""
-    realized = realize(complex_, region, depth)
+    realized = realize(complex_, region, top)
     return realized, _homology(realized)
 
 
@@ -187,10 +175,10 @@ def h_columns(complex_, flip, s, src, tgt):
     return cols
 
 
-def _a_and_b(complex_, s, depth):
-    """Realizations of A_s and B at one depth: the ends of v and h."""
-    return (realize(complex_, Region.max_ij(s), depth),
-            realize(complex_, Region.min_i(), depth))
+def _a_and_b(complex_, s, top, b_top):
+    """Realizations of A_s cut at top and B cut at b_top."""
+    return (realize(complex_, Region.max_ij(s), top),
+            realize(complex_, Region.min_i(), b_top))
 
 
 def _v_map(src, tgt):
@@ -203,30 +191,32 @@ def _h_map(complex_, s, src, tgt):
     return ChainMap(src.realization, tgt.realization, cols, shift=-2 * s)
 
 
-def map_v(complex_, s, depth):
-    """The projection A_s -> B as a checked ChainMap (degree shift 0)."""
-    return _v_map(*_a_and_b(complex_, s, depth))
+def map_v(complex_, s, top):
+    """The projection A_s -> B, both cut at top, as a checked ChainMap."""
+    return _v_map(*_a_and_b(complex_, s, top, top))
 
 
-def map_h(complex_, s, depth):
-    """Project to {j >= s}, slide by U^s, flip: A_s -> B, shift -2s."""
-    return _h_map(complex_, s, *_a_and_b(complex_, s, depth))
+def map_h(complex_, s, top):
+    """Project to {j >= s}, slide by U^s, flip: A_s -> B, shift -2s.
+
+    A_s is cut at degree top and B at top - 2s, where h lands, so h is
+    a chain map between the two truncations.
+    """
+    return _h_map(complex_, s, *_a_and_b(complex_, s, top, top - 2 * s))
 
 
-def induced_v(complex_, s, depth):
-    """(InducedMap of v, trusted source-degree ceiling)."""
-    src, tgt = _a_and_b(complex_, s, depth)
-    ceiling = min(src.ceiling, tgt.ceiling)
-    return _v_map(src, tgt).induced(_homology(src), _homology(tgt)), ceiling
+def induced_v(complex_, s, top):
+    """(InducedMap of v, trusted source-degree ceiling top - 1)."""
+    src, tgt = _a_and_b(complex_, s, top, top)
+    return (_v_map(src, tgt).induced(_homology(src), _homology(tgt)),
+            src.ceiling)
 
 
-def induced_h(complex_, s, depth):
-    """(InducedMap of h, trusted source-degree ceiling)."""
-    src, tgt = _a_and_b(complex_, s, depth)
-    # the map shifts degree by -2s, so target trust pulls back by +2s
-    ceiling = min(src.ceiling, tgt.ceiling + 2 * s)
+def induced_h(complex_, s, top):
+    """(InducedMap of h, trusted source-degree ceiling top - 1)."""
+    src, tgt = _a_and_b(complex_, s, top, top - 2 * s)
     hmap = _h_map(complex_, s, src, tgt)
-    return hmap.induced(_homology(src), _homology(tgt)), ceiling
+    return hmap.induced(_homology(src), _homology(tgt)), src.ceiling
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +226,7 @@ def induced_h(complex_, s, depth):
 def hfk_hat(complex_, s):
     """Homology of the single filtration level (0, s)."""
     if complex_.graded:
-        realized = realize(complex_, Region.single(0, s), 0)
+        realized = realize(complex_, Region.single(0, s), None)
         return graded_homology(realized.realization)
     # rank-only queries work without gradings
     inside = [(g, -g.i) for g in complex_.generators if g.j - g.i == s]
@@ -333,20 +323,24 @@ def alexander_polynomial(complex_):
 
 
 @memoized
-def kernel_rank_v(complex_, s, depth=None):
-    """Free rank of ker(v on homology), checked at two depths."""
-    if depth is None:
-        depth = truncation_depth(
-            complex_, [(Region.max_ij(s), 0), (Region.min_i(), 0)])
+def kernel_rank_v(complex_, s):
+    """Free rank of ker(v_s on homology), checked at two cuts.
 
-    def at_depth(n):
-        ind, ceiling = induced_v(complex_, s, n)
+    A_s and B are cut at band_floor + 2 levels for TOWER_LEVELS and
+    2 TOWER_LEVELS levels; the kernel lies below the band, so both
+    cuts must agree.
+    """
+    floor = band_floor(complex_, [(Region.max_ij(s), 0),
+                                  (Region.min_i(), 0)])
+
+    def at_levels(levels):
+        ind, ceiling = induced_v(complex_, s, floor + 2 * levels)
         return ind.kernel_rank(max_degree=ceiling)
 
-    first = at_depth(depth)
-    again = at_depth(2 * depth)
+    first = at_levels(TOWER_LEVELS)
+    again = at_levels(2 * TOWER_LEVELS)
     if first != again:
         raise NotStabilizedError(
-            f"kernel rank of v_{s} changed between depth {depth} "
-            f"and {2 * depth}")
+            f"kernel rank of v_{s} changed between {TOWER_LEVELS} and "
+            f"{2 * TOWER_LEVELS} tower levels")
     return first

@@ -180,7 +180,7 @@ class Region:
     """A set of filtration levels used to cut a complex down.
 
     min_i / max_ij regions are upward closed (quotient complexes, with
-    a depth bound applied at realization time); a single region picks
+    a degree cut applied at realization time); a single region picks
     out one level directly.  value(i, j) measures how
     deep a level sits inside the region, or None when outside.
     """
@@ -600,12 +600,13 @@ def _tower_bottom_offset(complex_, component, rel):
     """Grading constant for the tower component.
 
     Realizes the i >= 0 quotient of the component alone (with the
-    relative gradings as provisional Maslov gradings), at the depth
-    acomplex.truncation_depth gives for it, and reads off the degree of
-    the tower bottom; the final gradings subtract it.
+    relative gradings as provisional Maslov gradings), cut at
+    acomplex.band_floor + 2 TOWER_LEVELS, so that the band above the
+    floor holds the tower levels tower_decompose reads, and reads off
+    the degree of the tower bottom; the final gradings subtract it.
     """
     from . import acomplex
-    from .homology import tower_decompose
+    from .homology import TOWER_LEVELS, tower_decompose
 
     sub = KnotComplex(
         [Generator(g.name, g.i, g.j, rel[g.name])
@@ -613,9 +614,9 @@ def _tower_bottom_offset(complex_, component, rel):
         {k: v for k, v in complex_.differential.items() if k in rel},
         None)
     region = Region.min_i()
-    depth = acomplex.truncation_depth(sub, [(region, 0)])
+    top = acomplex.band_floor(sub, [(region, 0)]) + 2 * TOWER_LEVELS
     try:
-        _, h = acomplex.region_homology(sub, region, depth)
+        _, h = acomplex.region_homology(sub, region, top)
         return -tower_decompose(h).d_bottom
     except (NotStabilizedError, TorsionInTowerError) as exc:
         raise GradingError(

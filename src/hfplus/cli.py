@@ -193,10 +193,10 @@ def _cmd_surgery(args):
     k, input_desc = _load(args.knot)
     p, q = _parse_slope(args.slope)
     t0 = time.monotonic()
-    result = hf_plus(k, p, q, depth=args.depth)
+    result = hf_plus(k, p, q)
     diag = None
     if p > 0:
-        diag = diagnostic_sum(k, p, q, depth=args.depth)
+        diag = diagnostic_sum(k, p, q)
     timing_ms = int((time.monotonic() - t0) * 1000)
     records = result.spin_c
     if args.spin != "all":
@@ -229,7 +229,7 @@ def _cmd_diagnose(args):
     p, q = _parse_slope(args.slope)
     if p < 0:
         raise ValueError("diagnose needs a positive slope")
-    diag = diagnostic_sum(k, p, q, depth=args.depth)
+    diag = diagnostic_sum(k, p, q)
     print(f"diagnose {k.name or args.knot} {p}/{q}")
     print(f"  total reduced rank: {diag.total_reduced_rank}")
     print(f"  d-deficit:          {diag.d_deficit}")
@@ -249,7 +249,7 @@ def _cmd_classify(args):
     p, q = _parse_slope(args.slope)
     if p < 0:
         raise ValueError("classify needs a positive slope")
-    verdict = classify_surgery(k, p, q, depth=args.depth)
+    verdict = classify_surgery(k, p, q)
     print(f"classification: {verdict}")
     return 0
 
@@ -258,8 +258,7 @@ def _cmd_compare(args):
     ka, _ = _load(args.a)
     kb, _ = _load(args.b)
     p, q = _parse_slope(args.slope)
-    verdict = compare(hf_plus(ka, p, q, depth=args.depth),
-                      hf_plus(kb, p, q, depth=args.depth))
+    verdict = compare(hf_plus(ka, p, q), hf_plus(kb, p, q))
     print(str(verdict))
     return 0
 
@@ -312,25 +311,21 @@ def build_parser():
     p_surg.add_argument("slope")
     p_surg.add_argument("--json", action="store_true")
     p_surg.add_argument("--spin", default="all")
-    p_surg.add_argument("--depth", type=int)
 
     p_diag = sub.add_parser("diagnose", help="rank/d-drift score")
     p_diag.add_argument("knot")
     p_diag.add_argument("slope")
-    p_diag.add_argument("--depth", type=int)
 
     p_cls = sub.add_parser("classify", help="detect the knot from one "
                                             "surgery")
     p_cls.add_argument("knot")
     p_cls.add_argument("slope")
-    p_cls.add_argument("--depth", type=int)
 
     p_cmp = sub.add_parser("compare", help="graded comparison of two "
                                            "surgeries")
     p_cmp.add_argument("a")
     p_cmp.add_argument("b")
     p_cmp.add_argument("slope")
-    p_cmp.add_argument("--depth", type=int)
 
     p_val = sub.add_parser("validate", help="check a complex file")
     p_val.add_argument("file")

@@ -43,7 +43,7 @@ class Diagnostic:
                 f"score {self.score}")
 
 
-def diagnostic_sum(complex_, p, q, depth=None):
+def diagnostic_sum(complex_, p, q):
     """Score = total reduced rank - sum_i (d_K(i) - d_O(i)) / 2.
 
     Both sums run over all Spin^c structures, so no identification of
@@ -53,7 +53,7 @@ def diagnostic_sum(complex_, p, q, depth=None):
     """
     if p <= 0 or q <= 0:
         raise ValueError("diagnostic_sum requires p, q > 0")
-    mine = hf_plus(complex_, p, q, depth=depth)
+    mine = hf_plus(complex_, p, q)
     # calibration pins the unknot's d-invariants to the lens-space oracle
     base = sum(lens_d_oracle(p, q, i) for i in range(p))
     deficit = (sum(mine.d_values()) - base) / 2
@@ -129,7 +129,7 @@ _CLASSIFY_TARGETS = ("unknot", "trefoil_right", "trefoil_left",
                      "figure_eight")
 
 
-def classify_surgery(complex_, p, q, depth=None):
+def classify_surgery(complex_, p, q):
     """Identify a knot from one positive rational surgery.
 
     Follows the detection pipeline: a score below 2q promises that
@@ -140,14 +140,14 @@ def classify_surgery(complex_, p, q, depth=None):
     graded profile against the bundled knots; 'unknown' means no
     match (e.g. higher-genus inputs).
     """
-    diag = diagnostic_sum(complex_, p, q, depth=depth)
+    diag = diagnostic_sum(complex_, p, q)
     if diag.score < 2 * q:
-        if q * kernel_rank_v(complex_, 0, depth) != diag.score:
+        if q * kernel_rank_v(complex_, 0) != diag.score:
             return "inconsistent"
-    mine = hf_plus(complex_, p, q, depth=depth)
+    mine = hf_plus(complex_, p, q)
     matches = [name for name in _CLASSIFY_TARGETS
-               if compare(mine, hf_plus(builtin(name), p, q,
-                                        depth=depth)).graded_isomorphic]
+               if compare(mine,
+                          hf_plus(builtin(name), p, q)).graded_isomorphic]
     if len(matches) == 1:
         return matches[0]
     if len(matches) > 1:

@@ -43,7 +43,7 @@ from .errors import NotStabilizedError, TorsionInTowerError
 SELF_CHECK = False
 
 # Top occupied degrees tower_decompose requires to be bare tower levels;
-# acomplex.truncation_depth sizes truncations to hold them exactly.
+# truncations cut at acomplex.band_floor + 2 TOWER_LEVELS hold them exactly.
 TOWER_LEVELS = 4
 
 

@@ -6,9 +6,11 @@ for each s in [-sigma, sigma] and one B-summand for s in (-sigma,
 sigma]; the connecting differential sends a_s to v(a_s) in B_s plus
 h(a_s) in B_{s+1}.  Outside the window the omitted maps are
 isomorphisms on homology, which is what truncation_sigma guarantees,
-so the finite cone computes the surgery; acomplex.truncation_depth
-sizes its depth, so no cone is built twice.  The assembled cone is
-checked whole, then shrunk in place by cancelling its +-1 pairs
+so the finite cone computes the surgery.  Every block is cut at
+one absolute cone degree, acomplex.band_floor plus two per tower
+level read, so the kept elements span a subcomplex whose homology is
+exact below the cut, and no cone is built twice.  The assembled cone
+is checked whole, then shrunk in place by cancelling its +-1 pairs
 (GradedComplex.cancel_units, which carries U along); the Smith normal
 form and the tower split run on that residue only.
 
@@ -38,17 +40,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .acomplex import (genus, h_columns, realize, signed_flip,
-                       truncation_depth, v_columns)
+from .acomplex import (band_floor, genus, h_columns, realize, signed_flip,
+                       v_columns)
 from .cfk import Region, memoized, mirror, require_valid
 from .errors import (FlipMissingError, GradingError, NotStabilizedError,
                      TorsionInTowerError)
-from .homology import GradedComplex, graded_homology, tower_decompose
+from .homology import (TOWER_LEVELS, GradedComplex, graded_homology,
+                       tower_decompose)
 
 
 @dataclass(frozen=True)
 class SurgeryDescriptor:
-    """Shape of one truncated cone: slope, residue, window, depth."""
+    """Shape of one truncated cone: slope, residue, window, depth.
+
+    depth is the number of tower levels held above the band floor.
+    """
 
     p: int
     q: int
@@ -117,14 +123,16 @@ class MappingCone:
     """The assembled truncated cone as one graded U-complex.
 
     The cone is a list of blocks (label, region, grading offset, sign
-    of its differential), each distinct region realized once: ("A", s)
-    for each A-summand and ("B", s) for each B-summand, with the B
-    differentials negated.  The v and h columns from acomplex then join
-    each A_s to B_s and B_{s+1}.  Basis labels are ("A"|"B", s,
-    generator name, translate); the construction re-checks that the
-    total differential squares to zero, commutes with U, and drops the
-    (offset) grading by exactly one on every component, including the
-    v/h pieces.
+    of its differential): ("A", s) for each A-summand and ("B", s) for
+    each B-summand, with the B differentials negated.  Each block is
+    realized once, cut at cone degree ceiling + 1 = l + 2 depth, with l
+    from acomplex.band_floor, so the cone is the subcomplex of its
+    elements of degree <= ceiling + 1.  The v and h columns from
+    acomplex then join each A_s to B_s and B_{s+1}, dropping no entry.
+    Basis labels are ("A"|"B", s, generator name, translate); the
+    construction re-checks that the total differential squares to zero,
+    commutes with U, and drops the (offset) grading by exactly one on
+    every component, including the v/h pieces.
     """
 
     def __init__(self, source, descriptor, gauge=0):
@@ -135,19 +143,20 @@ class MappingCone:
         self.descriptor = descriptor
         d = descriptor
         blocks = _cone_blocks(d, gauge)
-        real = {region: realize(source, region, d.depth)
-                for region in dict.fromkeys(r for _, r, _, _ in blocks)}
-        b_real = real[Region.min_i()]
+        top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
+               + 2 * d.depth)
+        real = {label: realize(source, region, top - offset)
+                for label, region, offset, _ in blocks}
 
         ids = []
         degrees = []
         boundary = []
         u_cols = []
         base = {}
-        for label, region, offset, sign in blocks:
+        for label, _, offset, sign in blocks:
             b0 = base[label] = len(ids)
-            rc = real[region].realization
-            ids.extend(label + key for key in real[region].ids)
+            rc = real[label].realization
+            ids.extend(label + key for key in real[label].ids)
             degrees.extend(deg + offset for deg in rc.degrees)
             boundary.extend({b0 + i: sign * c for i, c in col.items()}
                             for col in rc.boundary)
@@ -161,15 +170,14 @@ class MappingCone:
                     boundary[a0 + j][b0 + i] = c
 
         for s in d.a_positions():
-            a_real = real[Region.max_ij(d.t(s))]
+            a_real = real[("A", s)]
             if ("B", s) in base:
-                join(s, ("B", s), v_columns(a_real, b_real))
+                join(s, ("B", s), v_columns(a_real, real[("B", s)]))
             if ("B", s + 1) in base:
-                join(s, ("B", s + 1),
-                     h_columns(source, flip, d.t(s), a_real, b_real))
+                join(s, ("B", s + 1), h_columns(source, flip, d.t(s), a_real,
+                                                real[("B", s + 1)]))
 
-        self.ceiling = min(real[region].dropped_floor + offset
-                           for _, region, offset, _ in blocks) - 2
+        self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
 
@@ -311,11 +319,6 @@ def conjugation_constant(result):
 
 
 def _spin_c_result(complex_, p, q, i, sigma, depth, gauge):
-    if depth is None:
-        # the blocks do not depend on the depth, nor the depth on a gauge
-        blocks = _cone_blocks(SurgeryDescriptor(p, q, i, sigma, 1))
-        depth = truncation_depth(complex_,
-                                 [(r, off) for _, r, off, _ in blocks])
     descriptor = SurgeryDescriptor(p, q, i, sigma, depth)
     try:
         bottom, reduced = _cone_data(complex_, descriptor, gauge)
@@ -357,13 +360,13 @@ def _reverse_orientation(r):
 
 
 @memoized
-def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
+def hf_plus(complex_, p, q, sigma_bump=0, gauge=0):
     """HF+ of p/q surgery, one SpincResult per residue class.
 
-    With depth=None each Spin^c structure builds one cone, at the
-    depth acomplex.truncation_depth gives for its blocks; an explicit
-    depth is used as given.  A failed tower check raises its error
-    type again, naming the slope, Spin^c index, sigma and depth.
+    Each Spin^c structure builds one cone, holding TOWER_LEVELS tower
+    levels above its band floor (see MappingCone), which is what
+    tower_decompose reads.  A failed tower check raises its error type
+    again, naming the slope, Spin^c index, sigma and depth.
     sigma_bump widens every truncation window, and gauge shifts all
     relative offsets by a constant -- both exist so that invariance of
     the output under them can be demonstrated.
@@ -373,7 +376,8 @@ def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     orientation="reversed", with d negated, each reduced record
     (m, rank, torsion) of the mirror computation moved to rank in
     degree -m - 1 and torsion in degree -m - 2, and parity swapped
-    (derivation in _reverse_orientation).
+    (derivation in _reverse_orientation); a failed tower check names
+    the slope asked for and says the cone was built on the mirror.
     """
     if q <= 0:
         raise ValueError("q must be a positive integer")
@@ -382,7 +386,11 @@ def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     if gcd(abs(p), q) != 1:
         raise ValueError("slope must be in lowest terms")
     if p < 0:
-        inner = hf_plus(mirror(complex_), -p, q, depth, sigma_bump, gauge)
+        try:
+            inner = hf_plus(mirror(complex_), -p, q, sigma_bump, gauge)
+        except (NotStabilizedError, TorsionInTowerError) as exc:
+            raise type(exc)(f"{p}/{q} surgery, cone built on the mirror: "
+                            f"{exc}") from exc
         return HFResult(p=p, q=q, orientation="reversed",
                         spin_c=tuple(map(_reverse_orientation,
                                          inner.spin_c)),
@@ -395,8 +403,8 @@ def hf_plus(complex_, p, q, depth=None, sigma_bump=0, gauge=0):
     per_index = []
     for i in range(p):
         sigma = truncation_sigma(complex_, p, q, i) + sigma_bump
-        per_index.append(
-            _spin_c_result(complex_, p, q, i, sigma, depth, gauge))
+        per_index.append(_spin_c_result(complex_, p, q, i, sigma,
+                                        TOWER_LEVELS, gauge))
     return HFResult(p=p, q=q, orientation="standard",
                     spin_c=tuple(per_index),
                     source_name=complex_.name or "complex")

@@ -12,19 +12,20 @@ grid has a time budget.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from helpers import (homology_free_ranks, random_complex, record, twisty)
-from hfplus.acomplex import (genus, hfk_hat, induced_v, realize,
-                             truncation_depth)
+from hfplus.acomplex import band_floor, genus, hfk_hat, induced_v, realize
 from hfplus.cfk import BUILTIN_NAMES, Region, builtin
 from hfplus.detect import (casson_surgery, classify_surgery, compare,
                            diagnostic_sum)
-from hfplus.homology import graded_homology
-from hfplus.surgery import conjugation_constant, hf_plus, lens_d_oracle
+from hfplus.homology import TOWER_LEVELS, graded_homology
+from hfplus.surgery import (_spin_c_result, conjugation_constant, hf_plus,
+                            lens_d_oracle)
 
 pytestmark = pytest.mark.no_self_check
 
@@ -140,9 +141,9 @@ def test_criterion_8_v_below_genus():
         g = genus(k)
         if g == 0:
             continue
-        depth = truncation_depth(
+        floor = band_floor(
             k, [(Region.max_ij(g - 1), 0), (Region.min_i(), 0)])
-        ind, ceiling = induced_v(k, g - 1, depth)
+        ind, ceiling = induced_v(k, g - 1, floor + 2 * TOWER_LEVELS)
         if not ind.is_surjective(max_degree=ceiling):
             failures.append(f"{name}: v below genus not surjective")
         top = hfk_hat(k, g)
@@ -195,8 +196,9 @@ def test_criterion_11_robustness(grid):
     failures = []
     for (name, p, q), base in grid.items():
         k = builtin(name)
-        deeper = hf_plus(k, p, q,
-                         depth=2 * max(r.depth for r in base.spin_c))
+        deeper = replace(base, spin_c=tuple(
+            _spin_c_result(k, p, q, r.index, r.sigma, 2 * TOWER_LEVELS, 0)
+            for r in base.spin_c))
         if base.comparable() != deeper.comparable():
             failures.append(f"{name} {p}/{q}: depth doubling changed it")
         wider = hf_plus(k, p, q, sigma_bump=1)
@@ -206,7 +208,8 @@ def test_criterion_11_robustness(grid):
     for _ in range(50):
         k = random_complex(rng)
         region = rng.choice([Region.min_i(), Region.max_ij(0)])
-        realized = realize(k, region, rng.randrange(2, 5))
+        top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
+        realized = realize(k, region, top)
         h = graded_homology(realized.realization)
         oracle = homology_free_ranks(realized.realization)
         for d in set(realized.realization.degrees):

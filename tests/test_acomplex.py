@@ -5,22 +5,23 @@ import pytest
 from hfplus import acomplex, cfk
 from hfplus.acomplex import (alexander_polynomial, genus, hfk_hat,
                              induced_h, induced_v, kernel_rank_v, map_h,
-                             map_v, realize, region_homology,
-                             truncation_depth, LaurentPolynomial)
+                             map_v, realize, region_homology, band_floor,
+                             LaurentPolynomial)
 from hfplus.cfk import BUILTIN_NAMES, KnotComplex, Region, builtin
 from hfplus.errors import InvalidComplexError
+from hfplus.homology import TOWER_LEVELS, graded_homology
 
 GENUS_ONE = ("trefoil_right", "trefoil_left", "figure_eight")
 
 
-def _depth(k, s, shift=0):
-    """truncation_depth of A_s and B, with B's degrees moved by shift."""
-    return truncation_depth(
-        k, [(Region.max_ij(s), 0), (Region.min_i(), shift)])
+def _top(k, s, shift=0):
+    """The cut of A_s and B for TOWER_LEVELS levels, B moved by shift."""
+    return band_floor(k, [(Region.max_ij(s), 0),
+                          (Region.min_i(), shift)]) + 2 * TOWER_LEVELS
 
 
 def test_realize_unknot_quarter_plane():
-    realized = realize(builtin("unknot"), Region.min_i(), 6)
+    realized = realize(builtin("unknot"), Region.min_i(), 13)
     gc = realized.realization
     assert gc.n == 7
     assert sorted(gc.degrees) == [0, 2, 4, 6, 8, 10, 12]
@@ -28,7 +29,7 @@ def test_realize_unknot_quarter_plane():
     # U moves every tower element one step down and kills the bottom
     nonzero_u = [c for c in gc.u_action if c]
     assert len(nonzero_u) == 6
-    # first dropped element would land in degree 14, so 12 is trusted
+    # everything of degree <= 13 is kept, so degrees up to 12 are exact
     assert realized.ceiling == 12
 
 
@@ -38,10 +39,19 @@ def test_realize_single_level_of_figure_eight():
 
 
 def test_realize_respects_depth_bound():
-    shallow = realize(builtin("trefoil_right"), Region.min_i(), 3)
-    deep = realize(builtin("trefoil_right"), Region.min_i(), 9)
+    k = builtin("trefoil_right")
+    region = Region.min_i()
+    shallow = realize(k, region, 3)
+    deep = realize(k, region, 10)
     assert deep.realization.n > shallow.realization.n
-    assert deep.ceiling > shallow.ceiling
+    assert (shallow.ceiling, deep.ceiling) == (2, 9)
+    # the kept set is every translate of the region up to the cut
+    assert set(shallow.ids) == {key for key in deep.ids
+                                if deep.realization.degrees[
+                                    deep.id_of[key]] <= 3}
+    low = graded_homology(shallow.realization).summary(shallow.ceiling)
+    high = graded_homology(deep.realization).summary(shallow.ceiling)
+    assert low == high
 
 
 def _hat_table(name):
@@ -121,7 +131,7 @@ def test_v_is_isomorphism_at_and_above_genus():
         k = builtin(name)
         g = genus(k)
         for s in (g, g + 1, g + 2):
-            ind, ceiling = induced_v(k, s, _depth(k, s))
+            ind, ceiling = induced_v(k, s, _top(k, s))
             assert ind.is_isomorphism(max_degree=ceiling), (name, s)
 
 
@@ -131,7 +141,7 @@ def test_h_is_isomorphism_at_and_below_minus_genus():
         g = genus(k)
         for s in (-g, -g - 1):
             # h lowers degree by 2s, so B sits 2s up in A_s's degrees
-            ind, ceiling = induced_h(k, s, _depth(k, s, 2 * s))
+            ind, ceiling = induced_h(k, s, _top(k, s, 2 * s))
             assert ind.is_isomorphism(max_degree=ceiling), (name, s)
 
 
@@ -141,7 +151,7 @@ def test_v_just_below_genus_is_surjective_with_kernel_one():
         g = genus(k)
         if g == 0:
             continue
-        ind, ceiling = induced_v(k, g - 1, _depth(k, g - 1))
+        ind, ceiling = induced_v(k, g - 1, _top(k, g - 1))
         assert ind.is_surjective(max_degree=ceiling), name
         top = hfk_hat(k, g)
         top_rank = sum(top.free_rank(d) for d in top.support())
@@ -150,10 +160,10 @@ def test_v_just_below_genus_is_surjective_with_kernel_one():
 
 def test_maps_are_chain_maps_with_expected_shifts():
     k = builtin("figure_eight")
-    depth = _depth(k, 1)
-    assert map_v(k, 1, depth).shift == 0
-    assert map_h(k, 1, depth).shift == -2
-    assert map_h(k, -2, depth).shift == 4
+    top = _top(k, 1)
+    assert map_v(k, 1, top).shift == 0
+    assert map_h(k, 1, top).shift == -2
+    assert map_h(k, -2, top).shift == 4
 
 
 def test_conjugation_symmetry_of_hook_regions():
@@ -161,10 +171,11 @@ def test_conjugation_symmetry_of_hook_regions():
     for name in BUILTIN_NAMES:
         k = builtin(name)
         for s in range(1, genus(k) + 2):
-            depth = truncation_depth(
-                k, [(Region.max_ij(s), 0), (Region.max_ij(-s), 2 * s)])
-            _, hs = region_homology(k, Region.max_ij(s), depth)
-            _, hn = region_homology(k, Region.max_ij(-s), depth)
+            floor = band_floor(k, [(Region.max_ij(s), 0),
+                                   (Region.max_ij(-s), 2 * s)])
+            top = floor + 2 * TOWER_LEVELS
+            _, hs = region_homology(k, Region.max_ij(s), top)
+            _, hn = region_homology(k, Region.max_ij(-s), top - 2 * s)
             ceiling = min(hs.ceiling, hn.ceiling + 2 * s)
             left = {d: v for d, v in hs.summary(ceiling).items()}
             right = {d + 2 * s: v
@@ -186,14 +197,14 @@ def test_kernel_rank_v_realizes_each_region_once_per_depth(monkeypatch):
     built = []
     init = acomplex.RealizedRegion.__init__
 
-    def counting(self, source, region, depth):
-        built.append((region, depth))
-        init(self, source, region, depth)
+    def counting(self, source, region, top):
+        built.append((region, top))
+        init(self, source, region, top)
 
     monkeypatch.setattr(acomplex.RealizedRegion, "__init__", counting)
     assert kernel_rank_v(k, 0) == 1
-    depth = _depth(k, 0)
+    top = _top(k, 0)
     assert len(built) == 4
     assert set(built) == {(region, n)
                           for region in (Region.max_ij(0), Region.min_i())
-                          for n in (depth, 2 * depth)}
+                          for n in (top, top + 2 * TOWER_LEVELS)}

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +12,11 @@ else:  # pytest itself requires tomli before Python 3.11
     import tomli as tomllib
 
 from helpers import child_env
+from hfplus import surgery
 from hfplus.cfk import builtin, serialize_text
 from hfplus.cli import main, parse_document, result_document, strip_provenance
+from hfplus.detect import diagnostic_sum
+from hfplus.homology import TOWER_LEVELS
 from hfplus.surgery import hf_plus
 
 
@@ -108,13 +112,19 @@ def test_surgery_json_round_trip(capsys):
 
 
 def test_json_identical_across_depths(capsys):
-    _, out1, _ = run(capsys, "surgery", "trefoil_right", "3/2",
-                     "--json", "--depth", "40")
-    _, out2, _ = run(capsys, "surgery", "trefoil_right", "3/2",
-                     "--json", "--depth", "80")
-    a = strip_provenance(json.loads(out1))
-    b = strip_provenance(json.loads(out2))
-    assert a == b
+    _, out, _ = run(capsys, "surgery", "trefoil_right", "3/2", "--json")
+    doc = json.loads(out)
+    k = builtin("trefoil_right")
+    base = hf_plus(k, 3, 2)
+    deeper = replace(base, spin_c=tuple(
+        surgery._spin_c_result(k, 3, 2, r.index, r.sigma,
+                               2 * TOWER_LEVELS, 0)
+        for r in base.spin_c))
+    redone = result_document(deeper, doc["input"], 0,
+                             diagnostic_sum(k, 3, 2))
+    assert {rec["depth"] for rec in doc["spin_c"]} == {TOWER_LEVELS}
+    assert {rec["depth"] for rec in redone["spin_c"]} == {2 * TOWER_LEVELS}
+    assert strip_provenance(doc) == strip_provenance(redone)
 
 
 def test_diagnose_output(capsys):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from helpers import twisty
-from hfplus import detect
 from hfplus.cfk import builtin
 from hfplus.detect import (casson_surgery, classify_surgery, compare,
                            diagnostic_sum)
@@ -105,17 +104,3 @@ def test_casson_obstruction_for_twistier_complexes():
         for sign in (1, -1):
             assert abs(casson_surgery(k, sign)) == n
             assert abs(casson_surgery(k, sign)) != 1
-
-
-def test_classify_surgery_passes_its_depth_to_kernel_rank_v(monkeypatch):
-    depths = []
-    kernel_rank_v = detect.kernel_rank_v
-
-    def recorder(complex_, s, depth=None):
-        depths.append(depth)
-        return kernel_rank_v(complex_, s, depth)
-
-    monkeypatch.setattr(detect, "kernel_rank_v", recorder)
-    assert classify_surgery(builtin("trefoil_right"), 3, 2,
-                            depth=40) == "trefoil_right"
-    assert depths == [40]

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import homology_free_ranks, random_complex, rational_rank
 from hfplus.cfk import Region
-from hfplus.acomplex import realize
+from hfplus.acomplex import band_floor, realize
 from hfplus.errors import NotStabilizedError, TorsionInTowerError
 from hfplus.homology import (ChainMap, GradedComplex, integer_rank,
                              graded_homology, smith_normal_form,
@@ -147,8 +147,8 @@ def test_random_realizations_match_rational_oracle():
         k = random_complex(rng)
         region = rng.choice([Region.min_i(), Region.max_ij(0),
                              Region.max_ij(1)])
-        realized = realize(k, region, rng.randrange(2, 5))
-        gc = realized.realization
+        top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
+        gc = realize(k, region, top).realization
         h = graded_homology(gc)
         oracle = homology_free_ranks(gc)
         for d in set(gc.degrees):
@@ -198,9 +198,9 @@ def test_cancel_units_agrees_with_the_unreduced_complex():
     for _ in range(60):
         k = random_complex(rng)
         region = rng.choice(regions)
-        depth = rng.randrange(2, 6)
-        full = graded_homology(realize(k, region, depth).realization)
-        gc = realize(k, region, depth).realization
+        top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 6)
+        full = graded_homology(realize(k, region, top).realization)
+        gc = realize(k, region, top).realization
         boundary, u_action = gc.boundary, gc.u_action
         gc.cancel_units()
         assert gc.boundary is boundary and gc.u_action is u_action

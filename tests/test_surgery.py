@@ -7,12 +7,12 @@ import pytest
 
 from helpers import staircase, twisty
 from hfplus import cfk, surgery
-from hfplus.acomplex import map_h, map_v, realize, truncation_depth
+from hfplus.acomplex import band_floor, map_h, map_v, realize
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
                         builtin, flip_chain_sign, mirror, validate)
 from hfplus.detect import casson_surgery
 from hfplus.errors import InvalidComplexError, NotStabilizedError
-from hfplus.homology import graded_homology, tower_decompose
+from hfplus.homology import TOWER_LEVELS, graded_homology, tower_decompose
 from hfplus.surgery import (SpincResult, SurgeryDescriptor,
                             build_mapping_cone, conjugation_constant,
                             hf_plus, lens_d_oracle, truncation_sigma)
@@ -22,28 +22,22 @@ F = Fraction
 GRID = [(p, q) for p in range(1, 11) for q in range(1, 6) if gcd(p, q) == 1]
 
 
-def _sized_depth(k, descriptor):
-    """truncation_depth of the cone's (region, offset) blocks."""
-    return truncation_depth(k, [(region, offset) for _, region, offset, _
-                                in surgery._cone_blocks(descriptor)])
+def _first(g, region):
+    """The first translate of g in a cone block's region.
+
+    It is k = -i_x in {i >= 0}, and k = -max(i_x, j_x - t) in
+    {max(i, j - t) >= 0}.
+    """
+    if region == Region.min_i():
+        return -g.i
+    return -max(g.i, g.j - region.params[0])
 
 
 def _band_floor(k, descriptor):
-    """The band's lower end, from the regions' own definitions.
-
-    The first translate of x in {i >= 0} is k = -i_x, and in
-    {max(i, j - t) >= 0} it is k = -max(i_x, j_x - t).
-    """
-    top = None
-    for _, region, offset, _ in surgery._cone_blocks(descriptor):
-        for g in k.generators:
-            if region == Region.min_i():
-                first = -g.i
-            else:
-                first = -max(g.i, g.j - region.params[0])
-            degree = offset + g.m + 2 * first
-            top = degree if top is None else max(top, degree)
-    return top + 1
+    """The band's lower end, from the regions' own definitions."""
+    return max(offset + g.m + 2 * _first(g, region)
+               for _, region, offset, _ in surgery._cone_blocks(descriptor)
+               for g in k.generators) + 1
 
 
 def test_truncation_sigma_examples():
@@ -62,45 +56,58 @@ def test_mapping_cone_shape():
     assert cone.complex.n > 0
 
 
-def test_cone_realizes_each_distinct_region_once(monkeypatch):
-    k = builtin("trefoil_right")
-    desc = SurgeryDescriptor(1, 5, 0, sigma=truncation_sigma(k, 1, 5, 0),
-                             depth=12)
-    assert desc.sigma == 4
-    assert {desc.t(s) for s in desc.a_positions()} == {-1, 0}
-    regions = []
+def test_cone_realizes_each_block_once_at_its_own_top(monkeypatch):
+    cases = [(builtin("trefoil_right"), 1, 5, 0), (staircase(5), 7, 3, 2)]
+    for k, p, q, i in cases:
+        desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
+                                 TOWER_LEVELS)
+        blocks = surgery._cone_blocks(desc)
+        floor = _band_floor(k, desc)
+        calls = []
 
-    def counting(complex_, region, depth):
-        regions.append(region)
-        return realize(complex_, region, depth)
+        def counting(complex_, region, top):
+            calls.append((region, top))
+            return realize(complex_, region, top)
 
-    monkeypatch.setattr(surgery, "realize", counting)
-    build_mapping_cone(k, desc)
-    assert len(regions) == 3
-    assert set(regions) == {Region.max_ij(-1), Region.max_ij(0),
-                            Region.min_i()}
+        monkeypatch.setattr(surgery, "realize", counting)
+        cone = build_mapping_cone(k, desc)
+        assert calls == [(region, floor + 2 * desc.depth - offset)
+                         for _, region, offset, _ in blocks], (p, q)
+        assert cone.ceiling == floor + 2 * desc.depth - 1, (p, q)
+        # the kept set is every translate of degree <= C + 1, so the
+        # cone is the subcomplex those span
+        expected = {label + (g.name, n)
+                    for label, region, offset, _ in blocks
+                    for g in k.generators
+                    for n in range(_first(g, region),
+                                   (cone.ceiling + 1 - offset - g.m) // 2 + 1)}
+        assert len(cone.ids) == len(expected) and set(cone.ids) == expected
+        assert max(cone.complex.degrees) <= cone.ceiling + 1
 
 
 def test_cone_joins_are_the_v_and_h_maps():
     k = builtin("figure_eight")
     desc = SurgeryDescriptor(7, 3, 2, sigma=2, depth=12)
     cone = build_mapping_cone(k, desc)
+    off_a, _ = surgery._cone_offsets(desc)
     index = {label: n for n, label in enumerate(cone.ids)}
-    b_real = realize(k, Region.min_i(), desc.depth)
     joins = 0
     for s in desc.a_positions():
-        a_real = realize(k, Region.max_ij(desc.t(s)), desc.depth)
-        for b_pos, chain_map in ((s, map_v(k, desc.t(s), desc.depth)),
-                                 (s + 1, map_h(k, desc.t(s), desc.depth))):
+        # the cone cuts A_s at its top; map_v and map_h cut B to match
+        top = cone.ceiling + 1 - off_a[s]
+        for b_pos, chain_map in ((s, map_v(k, desc.t(s), top)),
+                                 (s + 1, map_h(k, desc.t(s), top))):
             if b_pos not in desc.b_positions():
                 continue
+            target = chain_map.target.labels
+            expected = [{target[r]: c for r, c in col.items()}
+                        for col in chain_map.columns]
             block = []
-            for key in a_real.ids:
+            for key in chain_map.source.labels:
                 col = cone.complex.boundary[index[("A", s) + key]]
-                block.append({b_real.id_of[cone.ids[r][2:]]: c
-                              for r, c in col.items()
+                block.append({cone.ids[r][2:]: c for r, c in col.items()
                               if cone.ids[r][:2] == ("B", b_pos)})
-            assert block == chain_map.columns, (s, b_pos)
+            assert block == expected, (s, b_pos)
             joins += 1
     assert joins == 2 * 2 * desc.sigma
 
@@ -121,10 +128,10 @@ def test_flip_sign_rule_for_anticommuting_flips():
         for p, q in [(1, 1), (2, 1), (7, 3), (-3, 2)]:
             assert (hf_plus(odd, p, q).comparable()
                     == hf_plus(k, p, q).comparable()), (name, p, q)
-        depth = 12
+        top = 12
         for s in range(-2, 3):
-            assert (map_h(odd, s, depth).columns
-                    == map_h(k, s, depth).columns), (name, s)
+            assert (map_h(odd, s, top).columns
+                    == map_h(k, s, top).columns), (name, s)
 
 
 def test_lens_oracle_frozen_values():
@@ -254,8 +261,7 @@ def test_hf_plus_builds_one_cone_per_spin_c_structure(monkeypatch):
         built.clear()
         hf_plus(k, p, q)
         assert [d.spin_c for d in built] == list(range(p)), (g, p, q)
-        for d in built:
-            assert d.depth == _sized_depth(k, d), (g, p, q, d)
+        assert all(d.depth == TOWER_LEVELS for d in built), (g, p, q)
 
 
 @pytest.mark.no_self_check
@@ -269,13 +275,16 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
         deeper = []
         for r in result.spin_c:
             desc = SurgeryDescriptor(p, q, r.index, r.sigma, r.depth)
-            assert r.depth == _sized_depth(k, desc), (k.name, desc)
+            assert r.depth == TOWER_LEVELS, (k.name, desc)
+            assert _band_floor(k, desc) == band_floor(
+                k, [(region, offset) for _, region, offset, _
+                    in surgery._cone_blocks(desc)]), (k.name, desc)
             # the band floor moved to absolute degrees, as r.d and hf_red are
             floor = _band_floor(k, desc) + surgery._calibration_shift(desc)
             assert r.d < floor, (k.name, desc)
             assert all(deg < floor for deg, _, _ in r.hf_red), (k.name, desc)
             deeper.append(surgery._spin_c_result(
-                k, p, q, r.index, r.sigma, 2 * r.depth, 0))
+                k, p, q, r.index, r.sigma, 2 * TOWER_LEVELS, 0))
         assert (replace(result, spin_c=tuple(deeper)).comparable()
                 == result.comparable()), (k.name, p, q)
 
@@ -283,7 +292,20 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
 def test_too_small_depth_names_the_cone_in_its_error():
     pattern = r"^1/1 surgery, Spin\^c 0, sigma 1, depth 3: "
     with pytest.raises(NotStabilizedError, match=pattern) as info:
-        hf_plus(builtin("torus_2_5"), 1, 1, depth=3)
+        surgery._spin_c_result(builtin("torus_2_5"), 1, 1, 0, 1, 3, 0)
+    assert type(info.value.__cause__) is NotStabilizedError
+
+
+def test_negative_slope_errors_name_the_slope_asked_for(monkeypatch):
+    def failing(h):
+        raise NotStabilizedError("tower check failed")
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "tower_decompose", failing)
+    pattern = (r"^-1/1 surgery, cone built on the mirror: 1/1 surgery, "
+               rf"Spin\^c 0, sigma 1, depth {TOWER_LEVELS}: tower check")
+    with pytest.raises(NotStabilizedError, match=pattern) as info:
+        hf_plus(builtin("torus_2_5"), -1, 1)
     assert type(info.value.__cause__) is NotStabilizedError
 
 
@@ -370,7 +392,10 @@ def test_depth_and_width_do_not_change_results():
     for name, p, q in samples:
         k = builtin(name)
         base = hf_plus(k, p, q)
-        deeper = hf_plus(k, p, q, depth=2 * base.spin_c[0].depth)
+        deeper = replace(base, spin_c=tuple(
+            surgery._spin_c_result(k, p, q, r.index, r.sigma,
+                                   2 * TOWER_LEVELS, 0)
+            for r in base.spin_c))
         wider = hf_plus(k, p, q, sigma_bump=1)
         assert base.comparable() == deeper.comparable(), name
         assert base.comparable() == wider.comparable(), name

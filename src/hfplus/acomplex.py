@@ -8,7 +8,9 @@ translates whose filtration lies in the region and whose degree is at
 most a cut `top`.  Since the differential and U both lower the degree,
 the kept part is the subcomplex of the region complex spanned by its
 elements of degree <= top, so its homology is exact in every degree
-below top -- realizations record that trust ceiling, top - 1.
+below top -- realizations record that trust ceiling, top - 1.  Their
+elements come in degree order, so a lower cut is a prefix: a surgery
+cone realizes each region once and takes every block as a prefix.
 
 The two maps out of A_s = C{max(i, j-s) >= 0} both land in
 B = C{i >= 0}: the vertical map is the evident projection, and the
@@ -28,6 +30,7 @@ never cached; results (genus, kernel_rank_v) go through cfk's memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cfk import Region, flip_chain_sign, memoized
 from .errors import (FlipMissingError, GradingError, InvalidComplexError,
@@ -36,18 +39,16 @@ from .homology import TOWER_LEVELS, ChainMap, GradedComplex, graded_homology
 
 
 def _k_range(g, region, top):
-    """Inclusive range of translates of g in the region, degree <= top."""
+    """The range of translates of g in the region, degree <= top."""
     if region.kind == "min_i":
         (bound,) = region.params
-        return bound - g.i, (top - g.m) // 2
+        return range(bound - g.i, (top - g.m) // 2 + 1)
     if region.kind == "max_ij":
         s, bound = region.params
-        return bound - max(g.i, g.j - s), (top - g.m) // 2
+        return range(bound - max(g.i, g.j - s), (top - g.m) // 2 + 1)
     ci, cj = region.params
     k = ci - g.i
-    if g.j + k == cj:
-        return k, k
-    return 0, -1
+    return range(k, k + 1) if g.j + k == cj else range(0)
 
 
 def band_floor(complex_, blocks):
@@ -69,19 +70,23 @@ def band_floor(complex_, blocks):
     exact up to C = l + 2 levels - 1, and the band l..C holds exactly
     `levels` tower levels, whatever their parity.
     """
-    return max(offset + max(g.m + 2 * _k_range(g, region, 0)[0]
+    return max(offset + max(g.m + 2 * _k_range(g, region, 0).start
                             for g in complex_.generators)
                for region, offset in blocks) + 1
 
 
 class RealizedRegion:
-    """A region of a knot complex, unfolded into a finite GradedComplex.
+    """A region of a knot complex, unfolded into a finite complex.
 
-    ids[n] is the (generator name, translate) pair of basis element n;
-    id_of inverts it.  A quotient region keeps its translates of degree
-    <= top, and ceiling = top - 1 bounds the degrees in which homology
-    of the realization agrees with the untruncated region; a single
-    region is finite, ignores top and has no ceiling.
+    Element n is ids[n] = (generator name, translate), of degree
+    degrees[n]; id_of inverts ids.  Elements come in degree order (ties
+    by name, then translate), and boundary and u_action, column-sparse
+    as in GradedComplex, lower it, so each degree cut is a prefix.  A
+    quotient region keeps its translates of degree <= top, and ceiling
+    = top - 1 bounds the degrees in which homology of the realization
+    agrees with the untruncated region; a single region is finite,
+    ignores top and has no ceiling.  The checked GradedComplex
+    realization is built on first use.
     """
 
     def __init__(self, source, region, top):
@@ -89,21 +94,16 @@ class RealizedRegion:
             raise GradingError("realization requires solved gradings")
         self.source = source
         self.region = region
-        ids = []
-        id_of = {}
-        degrees = []
-        for g in source.generators:
-            lo, hi = _k_range(g, region, top)
-            for k in range(lo, hi + 1):
-                id_of[(g.name, k)] = len(ids)
-                ids.append((g.name, k))
-                degrees.append(g.m + 2 * k)
-        self.ids = ids
-        self.id_of = id_of
+        elements = sorted((g.m + 2 * k, g.name, k)
+                          for g in source.generators
+                          for k in _k_range(g, region, top))
+        self.degrees = [deg for deg, _, _ in elements]
+        self.ids = ids = [(name, k) for _, name, k in elements]
+        self.id_of = id_of = {key: n for n, key in enumerate(ids)}
         self.ceiling = (top - 1 if region.classification == "quotient"
                         else None)
-        boundary = []
-        u_action = []
+        self.boundary = boundary = []
+        self.u_action = u_action = []
         for name, k in ids:
             col = {}
             for t in source.differential.get(name, ()):
@@ -113,8 +113,11 @@ class RealizedRegion:
             boundary.append(col)
             uid = id_of.get((name, k - 1))
             u_action.append({uid: 1} if uid is not None else {})
-        self.realization = GradedComplex(degrees, boundary, u_action,
-                                         labels=ids)
+
+    @cached_property
+    def realization(self):
+        return GradedComplex(self.degrees, self.boundary, self.u_action,
+                             labels=self.ids)
 
     def __repr__(self):
         return (f"RealizedRegion({self.source.name or '?'}, "
@@ -137,10 +140,10 @@ def region_homology(complex_, region, top):
     return realized, _homology(realized)
 
 
-def v_columns(src, tgt):
-    """Columns of v: A_s -> B, the projection, between realizations."""
+def v_columns(keys, tgt):
+    """Columns of v: A_s -> B, the projection, on keys of A_s."""
     cols = []
-    for key in src.ids:
+    for key in keys:
         tid = tgt.id_of.get(key)
         cols.append({} if tid is None else {tid: 1})
     return cols
@@ -162,10 +165,10 @@ def signed_flip(complex_):
     return signed
 
 
-def h_columns(complex_, flip, s, src, tgt):
-    """Columns of h: A_s -> B between realizations; flip from signed_flip."""
+def h_columns(complex_, flip, s, keys, tgt):
+    """Columns of h: A_s -> B on keys of A_s; flip from signed_flip."""
     cols = []
-    for name, k in src.ids:
+    for name, k in keys:
         if complex_.by_name[name].j + k - s < 0:
             cols.append({})
             continue
@@ -182,12 +185,12 @@ def _a_and_b(complex_, s, top, b_top):
 
 
 def _v_map(src, tgt):
-    return ChainMap(src.realization, tgt.realization, v_columns(src, tgt),
-                    shift=0)
+    return ChainMap(src.realization, tgt.realization,
+                    v_columns(src.ids, tgt), shift=0)
 
 
 def _h_map(complex_, s, src, tgt):
-    cols = h_columns(complex_, signed_flip(complex_), s, src, tgt)
+    cols = h_columns(complex_, signed_flip(complex_), s, src.ids, tgt)
     return ChainMap(src.realization, tgt.realization, cols, shift=-2 * s)
 
 

@@ -717,11 +717,17 @@ class GradedGroup:
 
 
 def graded_homology(complex_, ceiling=None):
-    """Homology of a GradedComplex, one Smith normal form per degree."""
+    """Homology of a GradedComplex, one Smith normal form per degree.
+
+    Degrees above ceiling are skipped; the ceiling's image is still
+    read from the boundary columns one degree up.
+    """
     data = {}
     by_degree = complex_.by_degree
     boundary = complex_.boundary
     for d, ids in by_degree.items():
+        if ceiling is not None and d > ceiling:
+            continue
         pos = {gid: i for i, gid in enumerate(ids)}
         below = by_degree.get(d - 1, ())
         pos_below = {gid: i for i, gid in enumerate(below)}
@@ -957,13 +963,21 @@ def _quotient_by_class(factors, vec):
     return free, torsion
 
 
-def _decompose_once(h, degrees, n_levels):
-    if len(degrees) < 2:
-        raise NotStabilizedError(
-            "homology support too small to isolate a tower")
-    run = min(n_levels, len(degrees))
-    # the top `run` degrees must be bare Z's linked by U-isomorphisms
-    for idx in range(run):
+def tower_decompose(h):
+    """Split a U-equipped homology group into tower + reduced part.
+
+    Only degrees up to h.ceiling are read (all when it is None), where
+    producers of truncated complexes trust their homology.  The top
+    TOWER_LEVELS occupied degrees must look like an honest truncated
+    tower: bare Z's, spaced by two and linked by U-isomorphisms (this
+    is the stabilization check).
+    """
+    degrees = sorted(h.support(h.ceiling), reverse=True)
+    if len(degrees) < TOWER_LEVELS:
+        raise NotStabilizedError(f"{len(degrees)} occupied degrees, "
+                                 f"fewer than {TOWER_LEVELS} tower levels")
+    # the top TOWER_LEVELS degrees must be bare Z's linked by U-isomorphisms
+    for idx in range(TOWER_LEVELS):
         d = degrees[idx]
         if h.torsion(d):
             raise TorsionInTowerError(
@@ -971,7 +985,7 @@ def _decompose_once(h, degrees, n_levels):
         if h.free_rank(d) != 1:
             raise NotStabilizedError(
                 f"rank {h.free_rank(d)} at degree {d} near the top")
-        if idx + 1 < run:
+        if idx + 1 < TOWER_LEVELS:
             if degrees[idx + 1] != d - 2:
                 raise NotStabilizedError(
                     f"tower degrees not spaced by two near {d}")
@@ -1015,28 +1029,4 @@ def _decompose_once(h, degrees, n_levels):
             free, torsion = h.free_rank(d), h.torsion(d)
         if free or torsion:
             reduced.append((d, (free, torsion)))
-    return d_bottom, tuple(reduced)
-
-
-def tower_decompose(h, ceiling=None):
-    """Split a U-equipped homology group into tower + reduced part.
-
-    The top TOWER_LEVELS occupied degrees must look like an honest
-    truncated tower: bare Z's, spaced by two and linked by
-    U-isomorphisms.  The decomposition is recomputed with the top two
-    occupied degrees dropped and must agree (this is the stabilization
-    check).  Degrees above `ceiling` are ignored entirely; producers of
-    truncated complexes pass the degree below which homology is
-    guaranteed faithful.
-    """
-    if ceiling is None:
-        ceiling = h.ceiling
-    degrees = sorted(h.support(ceiling), reverse=True)
-    d_bottom, reduced = _decompose_once(h, degrees, TOWER_LEVELS)
-    d2, red2 = _decompose_once(h, degrees[2:], TOWER_LEVELS - 2)
-    limit = degrees[2]
-    trimmed = tuple((d, v) for d, v in reduced if d <= limit)
-    if d2 != d_bottom or red2 != trimmed:
-        raise NotStabilizedError(
-            "decomposition changed after dropping the top two degrees")
-    return TowerDecomposition(d_bottom=d_bottom, reduced=reduced)
+    return TowerDecomposition(d_bottom=d_bottom, reduced=tuple(reduced))

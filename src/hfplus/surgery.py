@@ -6,11 +6,12 @@ for each s in [-sigma, sigma] and one B-summand for s in (-sigma,
 sigma]; the connecting differential sends a_s to v(a_s) in B_s plus
 h(a_s) in B_{s+1}.  Outside the window the omitted maps are
 isomorphisms on homology, which is what truncation_sigma guarantees,
-so the finite cone computes the surgery.  Every block is cut at
-one absolute cone degree, acomplex.band_floor plus two per tower
-level read, so the kept elements span a subcomplex whose homology is
-exact below the cut, and no cone is built twice.  The assembled cone
-is checked whole, then shrunk in place by cancelling its +-1 pairs
+so the finite cone computes the surgery.  Each region is realized
+once per cone and every block is a prefix of it, cut at one absolute
+cone degree, acomplex.band_floor plus two per tower level read, so
+the kept elements span a subcomplex whose homology is exact below
+the cut, and no cone is built twice.  The assembled cone is the one
+complex checked, then shrunk in place by cancelling its +-1 pairs
 (GradedComplex.cancel_units, which carries U along); the Smith normal
 form and the tower split run on that residue only.
 
@@ -36,6 +37,7 @@ transported by orientation-reversal duality.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -124,15 +126,16 @@ class MappingCone:
 
     The cone is a list of blocks (label, region, grading offset, sign
     of its differential): ("A", s) for each A-summand and ("B", s) for
-    each B-summand, with the B differentials negated.  Each block is
-    realized once, cut at cone degree ceiling + 1 = l + 2 depth, with l
-    from acomplex.band_floor, so the cone is the subcomplex of its
-    elements of degree <= ceiling + 1.  The v and h columns from
-    acomplex then join each A_s to B_s and B_{s+1}, dropping no entry.
-    Basis labels are ("A"|"B", s, generator name, translate); the
-    construction re-checks that the total differential squares to zero,
-    commutes with U, and drops the (offset) grading by exactly one on
-    every component, including the v/h pieces.
+    each B-summand, with the B differentials negated.  Each region is
+    realized once, and each block keeps the prefix of its realization
+    of cone degree <= ceiling + 1 = l + 2 depth, with l from
+    acomplex.band_floor.  The v and h columns from acomplex then join
+    each A_s to B_s and B_{s+1}, dropping no entry.  Basis labels are
+    ("A"|"B", s, generator name, translate).  The cone is the one
+    GradedComplex built: its check that the total differential squares
+    to zero, commutes with U, and drops the (offset) grading by exactly
+    one on every component covers each block too, whose differential
+    is +- the cone's on its diagonal block.
     """
 
     def __init__(self, source, descriptor, gauge=0):
@@ -145,37 +148,41 @@ class MappingCone:
         blocks = _cone_blocks(d, gauge)
         top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
                + 2 * d.depth)
-        real = {label: realize(source, region, top - offset)
-                for label, region, offset, _ in blocks}
+        real = {}
+        for _, region, offset, _ in sorted(blocks, key=lambda b: b[2]):
+            if region not in real:
+                real[region] = realize(source, region, top - offset)
 
         ids = []
         degrees = []
         boundary = []
         u_cols = []
         base = {}
-        for label, _, offset, sign in blocks:
-            b0 = base[label] = len(ids)
-            rc = real[label].realization
-            ids.extend(label + key for key in real[label].ids)
-            degrees.extend(deg + offset for deg in rc.degrees)
+        for label, region, offset, sign in blocks:
+            rr = real[region]
+            n = bisect_right(rr.degrees, top - offset)
+            b0 = len(ids)
+            base[label] = b0, rr.ids[:n]
+            ids.extend(label + key for key in rr.ids[:n])
+            degrees.extend(deg + offset for deg in rr.degrees[:n])
             boundary.extend({b0 + i: sign * c for i, c in col.items()}
-                            for col in rc.boundary)
+                            for col in rr.boundary[:n])
             u_cols.extend({b0 + i: c for i, c in col.items()}
-                          for col in rc.u_action)
+                          for col in rr.u_action[:n])
 
-        def join(s, b_label, cols):
-            a0, b0 = base[("A", s)], base[b_label]
-            for j, col in enumerate(cols):
-                for i, c in col.items():
-                    boundary[a0 + j][b0 + i] = c
-
-        for s in d.a_positions():
-            a_real = real[("A", s)]
-            if ("B", s) in base:
-                join(s, ("B", s), v_columns(a_real, real[("B", s)]))
-            if ("B", s + 1) in base:
-                join(s, ("B", s + 1), h_columns(source, flip, d.t(s), a_real,
-                                                real[("B", s + 1)]))
+        # v: A_s -> B_s and h: A_{s-1} -> B_s lower the cone degree by
+        # one, so every target lies in B_s's prefix of the B realization
+        b_real = real[Region.min_i()]
+        for s in d.b_positions():
+            b0 = base[("B", s)][0]
+            v0, v_keys = base[("A", s)]
+            h0, h_keys = base[("A", s - 1)]
+            for a0, cols in ((v0, v_columns(v_keys, b_real)),
+                             (h0, h_columns(source, flip, d.t(s - 1), h_keys,
+                                            b_real))):
+                for j, col in enumerate(cols):
+                    for i, c in col.items():
+                        boundary[a0 + j][b0 + i] = c
 
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)

@@ -4,10 +4,10 @@ Two independent oracles live here (a rational row-reduction rank and a
 homology free-rank computed from those ranks alone), plus a generator
 of random valid bifiltered complexes assembled from pieces whose
 differential squares to zero by construction, the staircase complexes
-of the torus knots T(2, 2g+1), and the environment for child
-interpreters.  The acceptance registry at the bottom is filled
-by test_acceptance.py and printed by the conftest terminal-summary
-hook.
+of the torus knots T(2, 2g+1), a complex whose surgeries have torsion,
+and the environment for child interpreters.  The acceptance registry
+at the bottom is filled by test_acceptance.py and printed by the
+conftest terminal-summary hook.
 """
 
 import os
@@ -178,6 +178,31 @@ def staircase(g):
     flip = {f"x{n}": (1, f"x{top - n}") for n in range(top + 1)}
     return grading_solve(KnotComplex(gens, diff, flip,
                                      name=f"T(2,{top + 1})"))
+
+
+def torsion_square():
+    """A complex whose surgeries carry Z/2 in HF_red.
+
+    A lone z at (0, 0), a square a(1,1), b(0,1), c(1,0), e(0,0) with
+    d a = 2b + c, d b = e, d c = -2e, its image with i and j swapped,
+    and the flip (all signs +) exchanging the two squares.
+    """
+    gens = [Generator("z", 0, 0, 0)]
+    diff = {}
+    flip = {"z": (1, "z")}
+    for tag, swap in (("", False), ("'", True)):
+        a, b, c, e = (x + tag for x in "abce")
+        for name, i, j, m in ((a, 1, 1, 2), (b, 0, 1, 1), (c, 1, 0, 1),
+                              (e, 0, 0, 0)):
+            gens.append(Generator(name, j, i, m) if swap
+                        else Generator(name, i, j, m))
+        diff[a] = ((2, 0, b), (1, 0, c))
+        diff[b] = ((1, 0, e),)
+        diff[c] = ((-2, 0, e),)
+    for x in "abce":
+        flip[x] = (1, x + "'")
+        flip[x + "'"] = (1, x)
+    return KnotComplex(gens, diff, flip, name="torsion_square")
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,15 @@ def test_tower_decompose_shifted_bottom():
     assert t.d_bottom == 4
 
 
+def test_tower_decompose_needs_tower_levels_occupied_degrees():
+    for levels in (2, 3):
+        with pytest.raises(NotStabilizedError):
+            tower_decompose(graded_homology(_tower_complex(levels)))
+    for levels in (4, 5):
+        h = graded_homology(_tower_complex(levels))
+        assert tower_decompose(h).d_bottom == 0, levels
+
+
 def test_random_realizations_match_rational_oracle():
     rng = random.Random(20260825)
     for _ in range(50):
@@ -148,11 +157,17 @@ def test_random_realizations_match_rational_oracle():
         region = rng.choice([Region.min_i(), Region.max_ij(0),
                              Region.max_ij(1)])
         top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
-        gc = realize(k, region, top).realization
+        realized = realize(k, region, top)
+        gc = realized.realization
         h = graded_homology(gc)
         oracle = homology_free_ranks(gc)
         for d in set(gc.degrees):
             assert h.free_rank(d) == oracle.get(d, 0), (k.name, region, d)
+        # a ceiling skips the degrees above it and changes none below
+        cut = graded_homology(gc, ceiling=realized.ceiling)
+        assert all(cut.degree_data(d) is None
+                   for d in set(gc.degrees) if d > realized.ceiling)
+        assert cut.summary() == h.summary(realized.ceiling), k.name
 
 
 def _outcome(compute):

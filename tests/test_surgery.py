@@ -5,14 +5,15 @@ from math import gcd
 
 import pytest
 
-from helpers import staircase, twisty
-from hfplus import cfk, surgery
+from helpers import staircase, torsion_square, twisty
+from hfplus import acomplex, cfk, surgery
 from hfplus.acomplex import band_floor, map_h, map_v, realize
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
                         builtin, flip_chain_sign, mirror, validate)
 from hfplus.detect import casson_surgery
 from hfplus.errors import InvalidComplexError, NotStabilizedError
-from hfplus.homology import TOWER_LEVELS, graded_homology, tower_decompose
+from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
+                             tower_decompose)
 from hfplus.surgery import (SpincResult, SurgeryDescriptor,
                             build_mapping_cone, conjugation_constant,
                             hf_plus, lens_d_oracle, truncation_sigma)
@@ -56,23 +57,36 @@ def test_mapping_cone_shape():
     assert cone.complex.n > 0
 
 
-def test_cone_realizes_each_block_once_at_its_own_top(monkeypatch):
-    cases = [(builtin("trefoil_right"), 1, 5, 0), (staircase(5), 7, 3, 2)]
+def test_cone_realizes_each_region_once(monkeypatch):
+    # 1/5 and 2/7 have q > p, so several positions s share one t
+    cases = [(builtin("trefoil_right"), 1, 5, 0), (staircase(5), 7, 3, 2),
+             (builtin("figure_eight"), 2, 7, 1)]
     for k, p, q, i in cases:
         desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
                                  TOWER_LEVELS)
         blocks = surgery._cone_blocks(desc)
         floor = _band_floor(k, desc)
         calls = []
+        checked = []
 
         def counting(complex_, region, top):
             calls.append((region, top))
             return realize(complex_, region, top)
 
+        def checking(*args, **kwargs):
+            checked.append(args)
+            return GradedComplex(*args, **kwargs)
+
         monkeypatch.setattr(surgery, "realize", counting)
+        monkeypatch.setattr(surgery, "GradedComplex", checking)
+        monkeypatch.setattr(acomplex, "GradedComplex", checking)
         cone = build_mapping_cone(k, desc)
-        assert calls == [(region, floor + 2 * desc.depth - offset)
-                         for _, region, offset, _ in blocks], (p, q)
+        regions = {region for _, region, _, _ in blocks}
+        assert len(calls) == len(regions) and dict(calls) == {
+            region: floor + 2 * desc.depth - min(
+                off for _, r, off, _ in blocks if r == region)
+            for region in regions}, (p, q)
+        assert len(checked) == 1, (p, q)
         assert cone.ceiling == floor + 2 * desc.depth - 1, (p, q)
         # the kept set is every translate of degree <= C + 1, so the
         # cone is the subcomplex those span
@@ -448,6 +462,31 @@ def test_cancel_units_agrees_with_the_unreduced_cone():
                 h = graded_homology(gc, ceiling=cone.ceiling)
                 assert (h.summary(), tower_decompose(h)) == full, (
                     name, p, q, r.index)
+
+
+def test_torsion_goes_through_the_cone():
+    k = torsion_square()
+    assert validate(k) == []
+    expected = {
+        (2, 1): [(F(1, 4), ((F(-3, 4), 2, ()),)),
+                 (F(-1, 4), ((F(-5, 4), 0, (2,)),))],
+        (-2, 1): [(F(-1, 4), ((F(-1, 4), 2, ()),)),
+                  (F(1, 4), ((F(-3, 4), 0, (2,)),))],
+    }
+    for (p, q), rows in expected.items():
+        assert [(r.d, r.hf_red) for r in hf_plus(k, p, q).spin_c] == rows
+    for p, q, degree in [(3, 1, F(-7, 6)), (3, 2, F(-3, 2))]:
+        assert any((degree, 0, (2,)) in r.hf_red
+                   for r in hf_plus(k, p, q).spin_c), (p, q)
+    # unit cancellation keeps the Z/2 of the cone for Spin^c 1 at 2/1
+    desc = SurgeryDescriptor(2, 1, 1, truncation_sigma(k, 2, 1, 1),
+                             TOWER_LEVELS)
+    cone = build_mapping_cone(k, desc)
+    before = graded_homology(cone.complex, ceiling=cone.ceiling).summary()
+    cone.complex.cancel_units()
+    after = graded_homology(cone.complex, ceiling=cone.ceiling).summary()
+    assert after == before
+    assert any(torsion == (2,) for _, torsion in before.values())
 
 
 def test_cone_homology_reads_the_cancelled_cone_itself(monkeypatch):

@@ -9,8 +9,9 @@ most a cut `top`.  Since the differential and U both lower the degree,
 the kept part is the subcomplex of the region complex spanned by its
 elements of degree <= top, so its homology is exact in every degree
 below top -- realizations record that trust ceiling, top - 1.  Their
-elements come in degree order, so a lower cut is a prefix: a surgery
-cone realizes each region once and takes every block as a prefix.
+elements come in degree order, so a lower cut is a prefix: an hf_plus
+call realizes each region once, and every cone block is a prefix of
+its unit-cancelled residue (surgery.reduce_regions).
 
 The two maps out of A_s = C{max(i, j-s) >= 0} both land in
 B = C{i >= 0}: the vertical map is the evident projection, and the

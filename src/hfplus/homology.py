@@ -19,19 +19,22 @@ with D diagonal and d_1 | d_2 | ... .  Only the transforms actually
 needed are tracked; kernel computations want R and R^{-1}, the
 quotient structure wants L and L^{-1}.
 
-GradedComplex.cancel_units shrinks a complex before any of this: it
-cancels basis pairs joined by a +-1 boundary entry (reduction by
-elementary collapses, Kaczynski-Mrozek-Slusarek 1998) and carries U
-to the residue as pi U iota (the perturbation lemma), in place.  Every
-pivot is a unit, so the reduction is exact over Z and keeps torsion.
-The surgery cone is the one complex it runs on: its homology needs
+cancel_unit_pairs shrinks a complex before any of this: it cancels
+basis pairs joined by a +-1 boundary entry (reduction by elementary
+collapses, Kaczynski-Mrozek-Slusarek 1998), degree by degree upward so
+that every degree prefix of the residue is exact, and carries U to the
+residue as pi U iota (the perturbation lemma), in place.  It can carry
+the maps into and out of the complex that join it to the rest of a
+mapping cone.  Every pivot is a unit, so the reduction is exact over Z
+and keeps torsion.  It runs on the regions of a surgery cone and, as
+GradedComplex.cancel_units, on the cone itself: their homology needs
 nothing beyond U, while induced chain maps read cycles in the
 original basis.
 
 Setting SELF_CHECK = True (the test suite does this) re-multiplies
 L * M * R on every call and compares against D exactly, checks
 |det| = 1 on small transforms, and compares the homology and the rank
-of U on it before and after each cancel_units.
+of U on it before and after each cancel_unit_pairs.
 """
 
 from __future__ import annotations
@@ -450,30 +453,84 @@ class GradedComplex:
     def cancel_units(self):
         """Shrink to a homotopy-equivalent residue by cancelling unit pairs.
 
-        Each live x, in index order, with a +-1 entry c at some y of
-        d(x) (the y with the fewest other boundaries through it) is
-        cancelled against y.  Every a with y in d(a) takes
-        d(a) += k d(x) and U(a) += k U(x), k = -c d(a)_y; every U column
-        with a y entry takes U(w) -= c U(w)_y d(x); then x leaves every
-        column and x, y are deleted.  That is d' = pi d iota and
-        U' = pi U iota for the projection pi onto the quotient by the
-        contractible span of x and d(x) and its chain inverse iota, so
-        homology, torsion and the U-action on homology are unchanged.
-        Passes repeat until no +-1 entry is left in the boundary.
-
-        The complex is rewritten in place (the same object, its lists
-        edited) and re-checked; under SELF_CHECK the homology and the
-        rank of U on it are compared before and after.
+        cancel_unit_pairs does the cancelling; the complex is then
+        rewritten in place (the same object, its lists edited) to the
+        residue and re-checked.
         """
-        before = _homology_profile(self) if SELF_CHECK else None
-        boundary, u_action = self.boundary, self.u_action
-        rows = _row_index(boundary, self.n)
-        u_rows = None if u_action is None else _row_index(u_action, self.n)
-        live = [True] * self.n
+        keep, _ = cancel_unit_pairs(self.degrees, self.boundary,
+                                    self.u_action)
+        new = {old: pos for pos, old in enumerate(keep)}
+
+        def renumbered(cols):
+            cols[:] = [{new[i]: v for i, v in cols[j].items()} for j in keep]
+
+        renumbered(self.boundary)
+        if self.u_action is not None:
+            renumbered(self.u_action)
+        self.degrees[:] = [self.degrees[j] for j in keep]
+        if self.labels is not None:
+            self.labels[:] = [self.labels[j] for j in keep]
+        self._index()
+        self._check()
+
+
+def cancel_unit_pairs(degrees, boundary, u_action, cuts=(), carried=None):
+    """Cancel the +-1 pairs of a complex degree by degree upward, in place.
+
+    Elements 0..n-1, n = len(degrees), form the complex, with columns
+    boundary and u_action (or None).  In each degree in increasing
+    order, each live x with a +-1 entry c at some y of d(x) (the y with
+    the fewest other boundaries through it) is cancelled against y,
+    until no such x is left: every column a with y in d(a) takes
+    d(a) += k d(x), k = -c d(a)_y, so that iota(a) = a + k iota(x), and
+    then x leaves every column and x, y are deleted.  That is
+    d' = pi d iota for the projection pi onto the quotient by the
+    contractible span of x and d(x), which sends x to 0 and y to
+    y - c d(x), and its chain inverse iota.  U' = pi U iota is then
+    worked out once for the columns that remain, so homology, torsion
+    and the U-action on homology are unchanged.
+
+    The complex may be one summand of a bigger complex, such as a
+    mapping cone, that the steps above then reduce as well.  Columns
+    past n belong to elements outside the complex whose d and U have
+    components in it: they take every step but are never cancelled.
+    carried = (f, g) holds, for every column j, the components f[j] of
+    d(j) and g[j] of U(j) outside the complex, provided nothing outside
+    maps back into it: they become f(iota j) and g(iota j) plus the
+    outside part of pi U iota j, pi sending y to y - c (d(x) + f(x)).
+
+    A pair cancelled in degrees e and e - 1 only rewrites columns of
+    degree >= e, so after degree c the columns of every element of
+    degree <= c are final: the elements of degree <= c that survive
+    degree c are the residue of the prefix cut at c.  These are the
+    final residue below c plus each y of degree c whose x sits at
+    c + 1; for every c in cuts those y are returned as ghosts, mapping
+    y to its columns (boundary, U, and f, g when carried) as they
+    stood, which reference the final residue only.
+
+    Returns (keep, ghosts): the surviving elements in index order, and
+    the ghosts.  The columns of the survivors and of the columns past n
+    are rewritten; boundary columns of cancelled elements are left as
+    None.  Under SELF_CHECK the homology and the rank of U on it are
+    compared before and after.
+    """
+    n = len(degrees)
+    before = (_own_profile(degrees, boundary, u_action, range(n))
+              if SELF_CHECK else None)
+    rows = _row_index(boundary, n)
+    by_degree = {}
+    for x, deg in enumerate(degrees):
+        by_degree.setdefault(deg, []).append(x)
+    live = [True] * n
+    absorbed = {}  # column -> [(k, x)]: iota(column) = column + k iota(x)
+    pairs = []  # (x, y, d(x) as it stood), in the order cancelled
+    stood = {}  # ghost -> its boundary column as it stood
+    for deg in sorted(by_degree):
+        batch = by_degree[deg]
         cancelled = True
         while cancelled:
             cancelled = False
-            for x in range(self.n):
+            for x in batch:
                 if not live[x]:
                     continue
                 y = None
@@ -481,26 +538,126 @@ class GradedComplex:
                     if ((v == 1 or v == -1)
                             and (y is None or len(rows[i]) < len(rows[y]))):
                         y = i
-                if y is not None:
-                    _cancel_pair(boundary, rows, u_action, u_rows, x, y)
-                    live[x] = live[y] = False
-                    cancelled = True
-        keep = [i for i in range(self.n) if live[i]]
-        new = {old: pos for pos, old in enumerate(keep)}
-
-        def renumbered(cols):
-            cols[:] = [{new[i]: v for i, v in cols[j].items()} for j in keep]
-
-        renumbered(boundary)
+                if y is None:
+                    continue
+                if deg - 1 in cuts:
+                    stood[y] = boundary[y]
+                pairs.append((x, y, boundary[x]))
+                _cancel_pair(boundary, rows, absorbed, x, y)
+                live[x] = live[y] = False
+                cancelled = True
+    keep = [x for x in range(n) if live[x]]
+    finish = _maps_through_pairs(live, pairs, absorbed, u_action, carried)
+    ghosts = {}
+    for y, col in stood.items():
+        ghosts[y] = (col,) + finish(y)
+    for j in keep + list(range(n, len(boundary))):
+        maps = finish(j)
         if u_action is not None:
-            renumbered(u_action)
-        self.degrees[:] = [self.degrees[j] for j in keep]
-        if self.labels is not None:
-            self.labels[:] = [self.labels[j] for j in keep]
-        self._index()
-        self._check()
-        if before is not None and _homology_profile(self) != before:
-            raise AssertionError("unit cancellation changed the homology")
+            u_action[j] = maps[0]
+        if carried is not None:
+            carried[0][j], carried[1][j] = maps[1:]
+    if (before is not None
+            and _own_profile(degrees, boundary, u_action, keep) != before):
+        raise AssertionError("unit cancellation changed the homology")
+    return keep, ghosts
+
+
+def _maps_through_pairs(live, pairs, absorbed, u_action, carried):
+    """finish(j): the columns of U (and f, g) that j ends with.
+
+    They are pi U iota j, and f iota j and g iota j plus the outside
+    part of pi U iota j.  iota of a cancelled x and pi of a cancelled y
+    are each worked out once, when first needed.
+    """
+    f, g = carried or (None, None)
+    pair_of = {y: (x, dx) for x, y, dx in pairs}
+    iota = {}  # cancelled x -> its (U, f, g) taken through iota
+    pi = {}  # cancelled y -> (pi(y) inside, its part outside)
+
+    def through(j):
+        """(U, f, g) of iota(j), from those of the x it absorbed."""
+        maps = [{} if u_action is None else u_action[j],
+                None if f is None else f[j], None if g is None else g[j]]
+        steps = absorbed.get(j, ())
+        if steps:
+            maps = [m if m is None else dict(m) for m in maps]
+        for k, x in steps:
+            for m, extra in zip(maps, _solve(iota, x, absorbed_by, through)):
+                if m is not None:
+                    _dict_axpy(m, extra, k)
+        return maps
+
+    def absorbed_by(x):
+        return [earlier for _, earlier in absorbed.get(x, ())]
+
+    def later(y):
+        return [z for z in pair_of[y][1] if z != y and z in pair_of]
+
+    def project(y):
+        """pi(y) = pi(y - c d(x)), d(x) as it stood, f(iota x) outside."""
+        x, dx = pair_of[y]
+        c = dx[y]
+        inside, outside = {}, {}
+        if f is not None:
+            _dict_axpy(outside, _solve(iota, x, absorbed_by, through)[1], -c)
+        for z, v in dx.items():
+            if z != y:
+                add_image(inside, outside, z, -c * v)
+        return inside, outside
+
+    def add_image(inside, outside, z, k):
+        # pi sends a survivor to itself and a cancelled x to 0
+        if live[z]:
+            inside[z] = inside.get(z, 0) + k
+            if not inside[z]:
+                del inside[z]
+        elif z in pair_of:
+            image = _solve(pi, z, later, project)
+            _dict_axpy(inside, image[0], k)
+            _dict_axpy(outside, image[1], k)
+
+    def finish(j):
+        u, fj, gj = through(j)
+        inside, outside = {}, {}
+        for z, v in u.items():
+            add_image(inside, outside, z, v)
+        if f is None:
+            return (inside,)
+        gj = dict(gj)
+        _dict_axpy(gj, outside, 1)
+        return inside, dict(fj), gj
+
+    return finish
+
+
+def _solve(memo, key, needs, compute):
+    """memo[key], after every key it needs, depth first without recursion."""
+    stack = [key]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        todo = [k for k in needs(top) if k not in memo]
+        if todo:
+            stack.extend(todo)
+        else:
+            memo[top] = compute(top)
+            stack.pop()
+    return memo[key]
+
+
+def _own_profile(degrees, boundary, u_action, elements):
+    """_homology_profile of the complex spanned by elements."""
+    new = {old: pos for pos, old in enumerate(elements)}
+
+    def own(cols):
+        return [{new[i]: v for i, v in cols[j].items()} for j in elements]
+
+    return _homology_profile(GradedComplex(
+        [degrees[j] for j in elements], own(boundary),
+        None if u_action is None else own(u_action), check=False))
 
 
 def _row_index(columns, n):
@@ -526,31 +683,21 @@ def _indexed_axpy(columns, rows, a, src, k):
             rows[i].discard(a)
 
 
-def _cancel_pair(boundary, rows, u_action, u_rows, x, y):
-    """One cancellation step of GradedComplex.cancel_units."""
+def _cancel_pair(boundary, rows, absorbed, x, y):
+    """One cancellation step of cancel_unit_pairs, on the boundary."""
     dx = boundary[x]
     c = dx[y]
     for a in list(rows[y]):
         if a != x:
             k = -c * boundary[a][y]
             _indexed_axpy(boundary, rows, a, dx, k)
-            if u_action is not None:
-                _indexed_axpy(u_action, u_rows, a, u_action[x], k)
-    if u_action is not None:
-        for w in list(u_rows[y]):
-            _indexed_axpy(u_action, u_rows, w, dx, -c * u_action[w][y])
-        for w in u_rows[x]:
-            del u_action[w][x]
+            absorbed.setdefault(a, []).append((k, x))
     for a in rows[x]:
         del boundary[a][x]
     for z in (x, y):
         for i in boundary[z]:
             rows[i].discard(z)
         boundary[z] = rows[z] = None
-        if u_action is not None:
-            for i in u_action[z]:
-                u_rows[i].discard(z)
-            u_action[z] = u_rows[z] = None
 
 
 def _homology_profile(complex_):

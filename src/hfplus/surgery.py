@@ -6,14 +6,19 @@ for each s in [-sigma, sigma] and one B-summand for s in (-sigma,
 sigma]; the connecting differential sends a_s to v(a_s) in B_s plus
 h(a_s) in B_{s+1}.  Outside the window the omitted maps are
 isomorphisms on homology, which is what truncation_sigma guarantees,
-so the finite cone computes the surgery.  Each region is realized
-once per cone and every block is a prefix of it, cut at one absolute
-cone degree, acomplex.band_floor plus two per tower level read, so
-the kept elements span a subcomplex whose homology is exact below
-the cut, and no cone is built twice.  The assembled cone is the one
-complex checked, then shrunk in place by cancelling its +-1 pairs
-(GradedComplex.cancel_units, which carries U along); the Smith normal
-form and the tower split run on that residue only.
+so the finite cone computes the surgery.  Every block is a prefix of
+its region, cut at one absolute cone degree, acomplex.band_floor plus
+two per tower level read, so the kept elements span a subcomplex whose
+homology is exact below the cut.  An hf_plus call realizes each
+distinct region once for all its Spin^c structures, at the largest
+cut any of its blocks needs, and reduces it once by unit cancellation
+in increasing degree (reduce_regions), carrying the joins v and h and
+the U terms between blocks along; a block is then a degree prefix of
+the residue, and the cone built from the residues is homotopy
+equivalent to the cone of whole prefixes.  Each cone is the one
+complex checked, then shrunk in place by cancelling its remaining +-1
+pairs (GradedComplex.cancel_units); the Smith normal form and the
+tower split run on that residue only.
 
 Grading bookkeeping happens in two separate steps, both exact:
 
@@ -47,8 +52,8 @@ from .acomplex import (band_floor, genus, h_columns, realize, signed_flip,
 from .cfk import Region, memoized, mirror, require_valid
 from .errors import (FlipMissingError, GradingError, NotStabilizedError,
                      TorsionInTowerError)
-from .homology import (TOWER_LEVELS, GradedComplex, graded_homology,
-                       tower_decompose)
+from .homology import (TOWER_LEVELS, GradedComplex, cancel_unit_pairs,
+                       graded_homology, tower_decompose)
 
 
 @dataclass(frozen=True)
@@ -121,69 +126,174 @@ def _cone_blocks(descriptor, gauge=0):
     return blocks
 
 
+def _cone_shape(source, descriptor, gauge):
+    """The cone's blocks and the cone degree l + 2 depth they are cut at."""
+    blocks = _cone_blocks(descriptor, gauge)
+    top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
+           + 2 * descriptor.depth)
+    return blocks, top
+
+
+class Residue:
+    """One region after unit cancellation, ready to be cut into blocks.
+
+    Elements 0..n-1 are the residue, in degree order; after them come
+    the ghosts, and ghosts[c] lists those a block cut at degree c keeps
+    (see cancel_unit_pairs).  ids, degrees, boundary and u_action cover
+    both, and every column entry is a residue element.  carried holds
+    each element's (f, g) components outside the region when some were
+    carried, and outside the reduced columns that elements outside the
+    region brought in (columns past the realization's own).  For A_t,
+    reduce_regions turns these into joins: each element's (v, h, U
+    into B_s, U into B_{s+1}) columns in B's residue; B has none.
+    """
+
+    def __init__(self, realized, cuts, carried=None):
+        n = len(realized.ids)
+        keep, ghosts = cancel_unit_pairs(realized.degrees, realized.boundary,
+                                         realized.u_action, cuts, carried)
+        new = {old: pos for pos, old in enumerate(keep)}
+
+        def renumbered(col):
+            return {new[i]: c for i, c in col.items()}
+
+        stood = [ghosts[y] for y in sorted(ghosts)]
+        order = keep + sorted(ghosts)
+        self.n = len(keep)
+        self.ids = [realized.ids[j] for j in order]
+        self.degrees = [realized.degrees[j] for j in order]
+        self.ghosts = {c: [] for c in cuts}
+        for pos, j in enumerate(order[self.n:], self.n):
+            self.ghosts[realized.degrees[j]].append(pos)
+        self.boundary = ([renumbered(realized.boundary[j]) for j in keep]
+                         + [renumbered(col[0]) for col in stood])
+        self.u_action = ([renumbered(realized.u_action[j]) for j in keep]
+                         + [renumbered(col[1]) for col in stood])
+        self.carried = None if carried is None else (
+            [(carried[0][j], carried[1][j]) for j in keep]
+            + [col[2:] for col in stood])
+        self.outside = [(renumbered(realized.boundary[j]),
+                         renumbered(realized.u_action[j]))
+                        for j in range(n, len(realized.boundary))]
+        self.joins = None
+
+    def block(self, cut):
+        """The elements a block cut at degree cut keeps, in order."""
+        return (list(range(bisect_right(self.degrees, cut, 0, self.n)))
+                + self.ghosts[cut])
+
+
+def reduce_regions(source, descriptors, gauge=0):
+    """Region -> Residue, for every block of the cones of descriptors.
+
+    Each region is realized once, cut at the largest degree any of its
+    blocks needs, checked once, and reduced by cancel_unit_pairs in
+    increasing degree, so a block is a degree prefix of the residue.
+    The cone is Cone(D: A -> B), so unit cancellation inside A is a
+    strong deformation retract that carries D along, and inside B one
+    that composes D with B's projection; because D only goes from A to
+    B the perturbation lemma stops after one term and the two commute.
+    So each A_t is reduced carrying its v and h columns (which also
+    builds the U terms from A into B that its cancellations create),
+    and B last, with every A element's joins as columns from outside.
+    B enters the cone with its differential negated, so a join f rides
+    in as -f, which makes it take the cone's own steps.
+    """
+    if not source.graded:
+        raise GradingError("surgery requires solved gradings")
+    flip = signed_flip(source)
+    cuts = {}
+    for descriptor in descriptors:
+        blocks, top = _cone_shape(source, descriptor, gauge)
+        for _, region, offset, _ in blocks:
+            cuts.setdefault(region, set()).add(top - offset)
+    b_region = Region.min_i()
+    b_cuts = cuts.pop(b_region)
+    b_real = realize(source, b_region, max(b_cuts))
+    b_real.realization  # checked before the joins come in
+    nb = len(b_real.ids)
+    residues = {}
+    for region, region_cuts in cuts.items():
+        real = realize(source, region, max(region_cuts))
+        real.realization  # the region's one check
+        # v lands in B_s as B's elements, h in B_{s+1} shifted by nb
+        h = h_columns(source, flip, region.params[0], real.ids, b_real)
+        joins = [v | {nb + i: c for i, c in hcol.items()}
+                 for v, hcol in zip(v_columns(real.ids, b_real), h)]
+        residues[region] = Residue(real, region_cuts,
+                                   (joins, [{} for _ in joins]))
+    for res in residues.values():
+        for f, g in res.carried:
+            for lo in (0, nb):
+                b_real.boundary.append({i - lo: -c for i, c in f.items()
+                                        if lo <= i < lo + nb})
+                b_real.u_action.append({i - lo: c for i, c in g.items()
+                                        if lo <= i < lo + nb})
+    b_res = Residue(b_real, b_cuts)
+    outside = iter(b_res.outside)
+    for res in residues.values():
+        res.joins = []
+        for _ in res.carried:
+            (v, uv), (h, uh) = next(outside), next(outside)
+            res.joins.append(({i: -c for i, c in v.items()},
+                              {i: -c for i, c in h.items()}, uv, uh))
+        res.carried = None
+    residues[b_region] = b_res
+    return residues
+
+
 class MappingCone:
     """The assembled truncated cone as one graded U-complex.
 
     The cone is a list of blocks (label, region, grading offset, sign
     of its differential): ("A", s) for each A-summand and ("B", s) for
-    each B-summand, with the B differentials negated.  Each region is
-    realized once, and each block keeps the prefix of its realization
-    of cone degree <= ceiling + 1 = l + 2 depth, with l from
-    acomplex.band_floor.  The v and h columns from acomplex then join
-    each A_s to B_s and B_{s+1}, dropping no entry.  Basis labels are
-    ("A"|"B", s, generator name, translate).  The cone is the one
-    GradedComplex built: its check that the total differential squares
-    to zero, commutes with U, and drops the (offset) grading by exactly
-    one on every component covers each block too, whose differential
-    is +- the cone's on its diagonal block.
+    each B-summand, with the B differentials negated.  Every block is
+    cut at cone degree ceiling + 1 = l + 2 depth, with l from
+    acomplex.band_floor, and is that degree prefix of its region's
+    Residue (reduce_regions), homotopy equivalent to the prefix of the
+    region's realization.  The joins of each A_s go to B_s and B_{s+1}.
+    Basis labels are ("A"|"B", s, generator name, translate).  The cone
+    is the one GradedComplex built: its check that the total
+    differential squares to zero, commutes with U, and drops the
+    (offset) grading by exactly one on every component covers each
+    block too.  Without residues, the regions of this one cone are
+    reduced first.
     """
 
-    def __init__(self, source, descriptor, gauge=0):
-        if not source.graded:
-            raise GradingError("surgery requires solved gradings")
-        flip = signed_flip(source)
+    def __init__(self, source, descriptor, gauge=0, residues=None):
+        if residues is None:
+            residues = reduce_regions(source, [descriptor], gauge)
         self.source = source
         self.descriptor = descriptor
-        d = descriptor
-        blocks = _cone_blocks(d, gauge)
-        top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
-               + 2 * d.depth)
-        real = {}
-        for _, region, offset, _ in sorted(blocks, key=lambda b: b[2]):
-            if region not in real:
-                real[region] = realize(source, region, top - offset)
-
+        blocks, top = _cone_shape(source, descriptor, gauge)
         ids = []
         degrees = []
+        layout = {}
+        for label, region, offset, _ in blocks:
+            res = residues[region]
+            members = res.block(top - offset)
+            layout[label] = len(ids), members
+            ids.extend(label + res.ids[j] for j in members)
+            degrees.extend(res.degrees[j] + offset for j in members)
         boundary = []
         u_cols = []
-        base = {}
-        for label, region, offset, sign in blocks:
-            rr = real[region]
-            n = bisect_right(rr.degrees, top - offset)
-            b0 = len(ids)
-            base[label] = b0, rr.ids[:n]
-            ids.extend(label + key for key in rr.ids[:n])
-            degrees.extend(deg + offset for deg in rr.degrees[:n])
-            boundary.extend({b0 + i: sign * c for i, c in col.items()}
-                            for col in rr.boundary[:n])
-            u_cols.extend({b0 + i: c for i, c in col.items()}
-                          for col in rr.u_action[:n])
-
-        # v: A_s -> B_s and h: A_{s-1} -> B_s lower the cone degree by
-        # one, so every target lies in B_s's prefix of the B realization
-        b_real = real[Region.min_i()]
-        for s in d.b_positions():
-            b0 = base[("B", s)][0]
-            v0, v_keys = base[("A", s)]
-            h0, h_keys = base[("A", s - 1)]
-            for a0, cols in ((v0, v_columns(v_keys, b_real)),
-                             (h0, h_columns(source, flip, d.t(s - 1), h_keys,
-                                            b_real))):
-                for j, col in enumerate(cols):
-                    for i, c in col.items():
-                        boundary[a0 + j][b0 + i] = c
-
+        for label, region, _, sign in blocks:
+            res = residues[region]
+            b0, members = layout[label]
+            v0 = layout.get(("B", label[1]), (None,))[0]
+            h0 = layout.get(("B", label[1] + 1), (None,))[0]
+            for j in members:
+                col = {b0 + i: sign * c for i, c in res.boundary[j].items()}
+                ucol = {b0 + i: c for i, c in res.u_action[j].items()}
+                if res.joins is not None:
+                    v, h, uv, uh = res.joins[j]
+                    for base, join, into in ((v0, v, col), (h0, h, col),
+                                             (v0, uv, ucol), (h0, uh, ucol)):
+                        if base is not None:
+                            into.update((base + i, c)
+                                        for i, c in join.items())
+                boundary.append(col)
+                u_cols.append(ucol)
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
@@ -197,8 +307,8 @@ class MappingCone:
         return 2 * self.descriptor.sigma
 
 
-def build_mapping_cone(complex_, descriptor, gauge=0):
-    return MappingCone(complex_, descriptor, gauge)
+def build_mapping_cone(complex_, descriptor, gauge=0, residues=None):
+    return MappingCone(complex_, descriptor, gauge, residues)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +336,9 @@ def lens_d_oracle(p, q, i):
     return Fraction(num, 4 * p * q) - lens_d_oracle(q, p % q, i % q)
 
 
-def _cone_data(complex_, descriptor, gauge=0):
+def _cone_data(complex_, descriptor, gauge=0, residues=None):
     """(relative tower bottom, relative reduced summary) for one cone."""
-    cone = build_mapping_cone(complex_, descriptor, gauge)
+    cone = build_mapping_cone(complex_, descriptor, gauge, residues)
     cone.complex.cancel_units()
     h = graded_homology(cone.complex, ceiling=cone.ceiling)
     tower = tower_decompose(h)
@@ -325,10 +435,10 @@ def conjugation_constant(result):
     return None
 
 
-def _spin_c_result(complex_, p, q, i, sigma, depth, gauge):
+def _spin_c_result(complex_, p, q, i, sigma, depth, gauge, residues=None):
     descriptor = SurgeryDescriptor(p, q, i, sigma, depth)
     try:
-        bottom, reduced = _cone_data(complex_, descriptor, gauge)
+        bottom, reduced = _cone_data(complex_, descriptor, gauge, residues)
     except (NotStabilizedError, TorsionInTowerError) as exc:
         raise type(exc)(f"{p}/{q} surgery, Spin^c {i}, sigma {sigma}, "
                         f"depth {depth}: {exc}") from exc
@@ -370,10 +480,12 @@ def _reverse_orientation(r):
 def hf_plus(complex_, p, q, sigma_bump=0, gauge=0):
     """HF+ of p/q surgery, one SpincResult per residue class.
 
-    Each Spin^c structure builds one cone, holding TOWER_LEVELS tower
-    levels above its band floor (see MappingCone), which is what
-    tower_decompose reads.  A failed tower check raises its error type
-    again, naming the slope, Spin^c index, sigma and depth.
+    The regions of every Spin^c structure's cone are reduced together
+    (reduce_regions), then each Spin^c structure builds one cone from
+    them, holding TOWER_LEVELS tower levels above its band floor (see
+    MappingCone), which is what tower_decompose reads.  A failed tower
+    check raises its error type again, naming the slope, Spin^c index,
+    sigma and depth.
     sigma_bump widens every truncation window, and gauge shifts all
     relative offsets by a constant -- both exist so that invariance of
     the output under them can be demonstrated.
@@ -407,11 +519,15 @@ def hf_plus(complex_, p, q, sigma_bump=0, gauge=0):
     if complex_.flip is None:
         raise FlipMissingError("surgery requires flip data")
     require_valid(complex_)
-    per_index = []
-    for i in range(p):
-        sigma = truncation_sigma(complex_, p, q, i) + sigma_bump
-        per_index.append(_spin_c_result(complex_, p, q, i, sigma,
-                                        TOWER_LEVELS, gauge))
+    descriptors = [
+        SurgeryDescriptor(p, q, i,
+                          truncation_sigma(complex_, p, q, i) + sigma_bump,
+                          TOWER_LEVELS)
+        for i in range(p)]
+    residues = reduce_regions(complex_, descriptors, gauge)
+    per_index = [_spin_c_result(complex_, p, q, d.spin_c, d.sigma, d.depth,
+                                gauge, residues)
+                 for d in descriptors]
     return HFResult(p=p, q=q, orientation="standard",
                     spin_c=tuple(per_index),
                     source_name=complex_.name or "complex")

@@ -3,18 +3,25 @@
 Two independent oracles live here (a rational row-reduction rank and a
 homology free-rank computed from those ranks alone), plus a generator
 of random valid bifiltered complexes assembled from pieces whose
-differential squares to zero by construction, the staircase complexes
-of the torus knots T(2, 2g+1), a complex whose surgeries have torsion,
-and the environment for child interpreters.  The acceptance registry
-at the bottom is filled by test_acceptance.py and printed by the
-conftest terminal-summary hook.
+differential squares to zero by construction (with a flip, for
+surgery, in random_knot), the staircase complex of any L-space knot
+from its Alexander polynomial, a complex whose surgeries have torsion,
+the unreduced surgery cone that the reduced one is compared with, and
+the environment for child interpreters.  The acceptance registry at
+the bottom is filled by test_acceptance.py and printed by the conftest
+terminal-summary hook.
 """
 
 import os
+from bisect import bisect_right
 from fractions import Fraction
 
 import hfplus
-from hfplus.cfk import Generator, KnotComplex, grading_solve
+from hfplus import surgery
+from hfplus.acomplex import (band_floor, h_columns, realize, signed_flip,
+                             v_columns)
+from hfplus.cfk import Generator, KnotComplex, Region, grading_solve
+from hfplus.homology import GradedComplex
 
 
 def child_env():
@@ -87,9 +94,9 @@ def homology_free_ranks(gc):
 # random complexes
 
 
-def _segment(rng, tag, gens, diff):
+def _segment(rng, tag, gens, diff, units=False):
     n = rng.randrange(0, 3)
-    c = rng.choice([1, -1, 2, -2, 3])
+    c = rng.choice([1, -1] if units else [1, -1, 2, -2, 3])
     iy = rng.randrange(-2, 3)
     jy = rng.randrange(-2, 3)
     ix = iy - n + rng.randrange(0, 3)
@@ -101,15 +108,16 @@ def _segment(rng, tag, gens, diff):
     diff[x] = ((c, n, y),)
 
 
-def _square(rng, tag, gens, diff):
+def _square(rng, tag, gens, diff, units=False):
     # d(a) = c1 U^n1 b + c2 U^n2 c,  d(b) = c3 U^n3 e,  d(c) = c4 U^n4 e
-    # with n1 + n3 = n2 + n4 and c1 c3 + c2 c4 = 0, so d(d(a)) = 0.
+    # with n1 + n3 = n2 + n4 and c1 c3 + c2 c4 = 0, so d(d(a)) = 0; with
+    # c2 = +-1 and c3 = +-1 it is acyclic over Z[U, U^-1]
     n1 = rng.randrange(0, 3)
     n3 = rng.randrange(0, 3)
     n2 = rng.randrange(0, n1 + n3 + 1)
     n4 = n1 + n3 - n2
     c1 = rng.choice([1, -1, 2, -2])
-    c3 = rng.choice([1, -1, 2])
+    c3 = rng.choice([1, -1] if units else [1, -1, 2])
     c2 = rng.choice([1, -1])
     c4 = -c1 * c3 * c2
     ie = rng.randrange(-2, 3)
@@ -144,6 +152,33 @@ def random_complex(rng, max_pieces=3):
     return KnotComplex(gens, diff, name=f"random_{rng.randrange(10 ** 6)}")
 
 
+def random_knot(rng, max_pieces=2):
+    """A random graded complex with a flip, valid input for surgery.
+
+    A dot at (0, 0) in grading 0 carries the tower; every other piece is
+    a segment or square acyclic over Z[U, U^-1] (a square may still
+    have torsion in a region) and comes with its image under i <-> j,
+    which the flip exchanges with it.
+    """
+    gens = [Generator("z", 0, 0, 0)]
+    diff = {}
+    flip = {"z": (1, "z")}
+    for p in range(rng.randrange(1, max_pieces + 1)):
+        piece, piece_diff = [], {}
+        rng.choice([_segment, _square])(rng, f"p{p}_", piece, piece_diff,
+                                        units=True)
+        for g in piece:
+            image = g.name + "'"
+            gens += [g, Generator(image, g.j, g.i, g.m)]
+            flip[g.name] = (1, image)
+            flip[image] = (1, g.name)
+        for x, terms in piece_diff.items():
+            diff[x] = terms
+            diff[x + "'"] = tuple((c, n, y + "'") for c, n, y in terms)
+    return KnotComplex(gens, diff, flip,
+                       name=f"random_knot_{rng.randrange(10 ** 6)}")
+
+
 def twisty(n):
     """n stacked squares plus a lone dot; a twist-knot-like complex."""
     gens = [Generator("e", 0, 0)]
@@ -162,22 +197,41 @@ def twisty(n):
     return grading_solve(KnotComplex(gens, diff, flip), seeds=seeds)
 
 
-def staircase(g):
-    """The staircase complex of the torus knot T(2, 2g+1), gradings solved.
+def l_space_staircase(alexander, name=None):
+    """The staircase complex of an L-space knot, gradings solved.
 
-    Generator x_n sits at i = ceil(n/2) - g, j = -floor(n/2); the odd
-    ones are the corners, d x_{2k+1} = x_{2k} + x_{2k+2}, and the flip
-    exchanges x_n with x_{2g-n}.  g = 1 and g = 2 give the bundled
-    trefoil_right and torus_2_5.
+    alexander maps exponent -> coefficient.  Its exponents
+    n_0 > n_1 > ... > n_{2m} give generators x_0 .. x_{2m} with x_n at
+    Alexander grading j - i = n_n: x_0 sits at (-n_0, 0), each step from
+    x_{2k} to x_{2k+1} moves i up by n_{2k} - n_{2k+1}, and each step
+    from x_{2k+1} to x_{2k+2} moves j down by n_{2k+1} - n_{2k+2}.  The
+    odd ones are the corners, d x_{2k+1} = x_{2k} + x_{2k+2}, and the
+    flip exchanges x_n with x_{2m-n}.
     """
-    top = 2 * g
-    gens = [Generator(f"x{n}", (n + 1) // 2 - g, -(n // 2))
-            for n in range(top + 1)]
+    exps = sorted((e for e, c in alexander.items() if c), reverse=True)
+    top = len(exps) - 1
+    if top % 2:
+        raise ValueError("an L-space knot has an odd number of terms")
+    i, j = -exps[0], 0
+    gens = [Generator("x0", i, j)]
+    for n in range(top):
+        step = exps[n] - exps[n + 1]
+        i, j = (i + step, j) if n % 2 == 0 else (i, j - step)
+        gens.append(Generator(f"x{n + 1}", i, j))
     diff = {f"x{n}": ((1, 0, f"x{n - 1}"), (1, 0, f"x{n + 1}"))
             for n in range(1, top, 2)}
     flip = {f"x{n}": (1, f"x{top - n}") for n in range(top + 1)}
-    return grading_solve(KnotComplex(gens, diff, flip,
-                                     name=f"T(2,{top + 1})"))
+    return grading_solve(KnotComplex(gens, diff, flip, name=name))
+
+
+def staircase(g):
+    """The staircase complex of the torus knot T(2, 2g+1), gradings solved.
+
+    Every step has length 1; g = 1 and g = 2 give the bundled
+    trefoil_right and torus_2_5.
+    """
+    return l_space_staircase({k: (-1) ** (g - k) for k in range(-g, g + 1)},
+                             name=f"T(2,{2 * g + 1})")
 
 
 def torsion_square():
@@ -203,6 +257,58 @@ def torsion_square():
         flip[x] = (1, x + "'")
         flip[x + "'"] = (1, x)
     return KnotComplex(gens, diff, flip, name="torsion_square")
+
+
+# ---------------------------------------------------------------------------
+# the unreduced surgery cone
+
+
+class ReferenceCone:
+    """The surgery cone of a descriptor with nothing cancelled.
+
+    Each region is realized once, every block is the prefix of its
+    realization cut at the cone's top degree, and v_columns and
+    h_columns join each A_s to B_s and B_{s+1}.  Same blocks, cut and
+    labels as surgery.MappingCone, which builds the cone from the
+    regions' unit-cancelled residues instead.
+    """
+
+    def __init__(self, source, descriptor, gauge=0):
+        flip = signed_flip(source)
+        blocks = surgery._cone_blocks(descriptor, gauge)
+        top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
+               + 2 * descriptor.depth)
+        real = {}
+        for _, region, offset, _ in sorted(blocks, key=lambda b: b[2]):
+            if region not in real:
+                real[region] = realize(source, region, top - offset)
+        ids, degrees, boundary, u_cols, base = [], [], [], [], {}
+        for label, region, offset, sign in blocks:
+            rr = real[region]
+            n = bisect_right(rr.degrees, top - offset)
+            b0 = len(ids)
+            base[label] = b0, rr.ids[:n]
+            ids.extend(label + key for key in rr.ids[:n])
+            degrees.extend(deg + offset for deg in rr.degrees[:n])
+            boundary.extend({b0 + i: sign * c for i, c in col.items()}
+                            for col in rr.boundary[:n])
+            u_cols.extend({b0 + i: c for i, c in col.items()}
+                          for col in rr.u_action[:n])
+        b_real = real[Region.min_i()]
+        for s in descriptor.b_positions():
+            b0 = base[("B", s)][0]
+            v0, v_keys = base[("A", s)]
+            h0, h_keys = base[("A", s - 1)]
+            t = descriptor.t(s - 1)
+            for a0, cols in ((v0, v_columns(v_keys, b_real)),
+                             (h0, h_columns(source, flip, t, h_keys,
+                                            b_real))):
+                for j, col in enumerate(cols):
+                    for i, c in col.items():
+                        boundary[a0 + j][b0 + i] = c
+        self.ceiling = top - 1
+        self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
+        self.ids = ids
 
 
 # ---------------------------------------------------------------------------

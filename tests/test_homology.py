@@ -3,12 +3,13 @@ import random
 import pytest
 
 from helpers import homology_free_ranks, random_complex, rational_rank
+from hfplus import homology
 from hfplus.cfk import Region
 from hfplus.acomplex import band_floor, realize
 from hfplus.errors import NotStabilizedError, TorsionInTowerError
-from hfplus.homology import (ChainMap, GradedComplex, integer_rank,
-                             graded_homology, smith_normal_form,
-                             tower_decompose)
+from hfplus.homology import (ChainMap, GradedComplex, cancel_unit_pairs,
+                             integer_rank, graded_homology,
+                             smith_normal_form, tower_decompose)
 
 
 def _matmul(a, b):
@@ -227,3 +228,68 @@ def test_cancel_units_agrees_with_the_unreduced_complex():
         assert (_outcome(lambda: tower_decompose(reduced))
                 == _outcome(lambda: tower_decompose(full))), k.name
     assert torsion_seen
+
+
+def test_cancel_unit_pairs_leaves_every_prefix_exact():
+    # a cut at c keeps the residue of degree <= c and the ghosts of c;
+    # that must be homotopy equivalent to the realization cut at c
+    rng = random.Random(20261019)
+    regions = [Region.min_i(), Region.max_ij(0), Region.max_ij(-1)]
+    ghosts_seen = 0
+    for _ in range(40):
+        k = random_complex(rng)
+        region = rng.choice(regions)
+        top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
+        cuts = set(range(top - 5, top + 1))
+        rr = realize(k, region, top)
+        keep, ghosts = cancel_unit_pairs(rr.degrees, rr.boundary,
+                                         rr.u_action, cuts)
+        ghosts_seen += len(ghosts)
+        for c in cuts:
+            block = ([j for j in keep if rr.degrees[j] <= c]
+                     + [y for y in sorted(ghosts) if rr.degrees[y] == c])
+            new = {old: pos for pos, old in enumerate(block)}
+            columns = [ghosts[j] if j in ghosts
+                       else (rr.boundary[j], rr.u_action[j]) for j in block]
+            residue = GradedComplex(
+                [rr.degrees[j] for j in block],
+                [{new[i]: v for i, v in col.items()} for col, _ in columns],
+                [{new[i]: v for i, v in col.items()} for _, col in columns])
+            prefix = realize(k, region, c).realization
+            assert (homology._homology_profile(residue)
+                    == homology._homology_profile(prefix)), (k.name, c)
+    assert ghosts_seen
+
+
+def test_cancel_unit_pairs_carries_maps_into_and_out_of_the_complex():
+    # the complex is x (3) -> y (2), w (4) with U(w) = y, z (2) and
+    # U(x) = v (1); x's component outside is f(x) = 5 e.  An outside
+    # element o has d(o) = 3 y + z and U(o) = y.  Cancelling x against
+    # y takes U(w) -= U(w)_y d(x), so g(w) = -5 e; and d(o) += -3 d(x)
+    # with U(o) += -3 U(x), then U(o) -= d(x): d(o) = z, U(o) = -3 v.
+    degrees = [3, 2, 4, 2, 1]
+    boundary = [{1: 1}, {}, {}, {}, {}, {1: 3, 3: 1}]
+    u_action = [{4: 1}, {}, {1: 1}, {}, {}, {1: 1}]
+    f = [{0: 5}, {}, {}, {}, {}, {}]
+    g = [{}, {}, {}, {}, {}, {}]
+    keep, ghosts = cancel_unit_pairs(degrees, boundary, u_action,
+                                     carried=(f, g))
+    assert keep == [2, 3, 4] and ghosts == {}
+    assert u_action[2] == {} and g[2] == {0: -5} and f[2] == {}
+    assert boundary[5] == {3: 1} and u_action[5] == {4: -3}
+
+
+def test_cancel_unit_pairs_self_check_catches_a_wrong_step(monkeypatch):
+    step = homology._cancel_pair
+
+    def doubling(boundary, *args):
+        step(boundary, *args)
+        col = next(col for col in boundary if col)
+        for i in col:
+            col[i] *= 2
+
+    monkeypatch.setattr(homology, "_cancel_pair", doubling)
+    k = random_complex(random.Random(5))
+    rr = realize(k, Region.min_i(), band_floor(k, [(Region.min_i(), 0)]) + 8)
+    with pytest.raises(AssertionError, match="changed the homology"):
+        cancel_unit_pairs(rr.degrees, rr.boundary, rr.u_action)

@@ -1,3 +1,4 @@
+import random
 from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
@@ -5,8 +6,9 @@ from math import gcd
 
 import pytest
 
-from helpers import staircase, torsion_square, twisty
-from hfplus import acomplex, cfk, surgery
+from helpers import (ReferenceCone, random_knot, staircase, torsion_square,
+                     twisty)
+from hfplus import acomplex, cfk, homology, surgery
 from hfplus.acomplex import band_floor, map_h, map_v, realize
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
                         builtin, flip_chain_sign, mirror, validate)
@@ -57,17 +59,22 @@ def test_mapping_cone_shape():
     assert cone.complex.n > 0
 
 
-def test_cone_realizes_each_region_once(monkeypatch):
+def test_hf_plus_realizes_each_region_once(monkeypatch):
     # 1/5 and 2/7 have q > p, so several positions s share one t
-    cases = [(builtin("trefoil_right"), 1, 5, 0), (staircase(5), 7, 3, 2),
-             (builtin("figure_eight"), 2, 7, 1)]
-    for k, p, q, i in cases:
-        desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
-                                 TOWER_LEVELS)
-        blocks = surgery._cone_blocks(desc)
-        floor = _band_floor(k, desc)
+    cases = [(staircase(5), 7, 3), (builtin("figure_eight"), 2, 7),
+             (builtin("trefoil_right"), 1, 5)]
+    for k, p, q in cases:
+        tops = {}
+        for i in range(p):
+            desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
+                                     TOWER_LEVELS)
+            top = _band_floor(k, desc) + 2 * desc.depth
+            for _, region, offset, _ in surgery._cone_blocks(desc):
+                tops[region] = max(tops.get(region, top - offset),
+                                   top - offset)
         calls = []
         checked = []
+        cones = []
 
         def counting(complex_, region, top):
             calls.append((region, top))
@@ -77,32 +84,41 @@ def test_cone_realizes_each_region_once(monkeypatch):
             checked.append(args)
             return GradedComplex(*args, **kwargs)
 
-        monkeypatch.setattr(surgery, "realize", counting)
-        monkeypatch.setattr(surgery, "GradedComplex", checking)
-        monkeypatch.setattr(acomplex, "GradedComplex", checking)
-        cone = build_mapping_cone(k, desc)
-        regions = {region for _, region, _, _ in blocks}
-        assert len(calls) == len(regions) and dict(calls) == {
-            region: floor + 2 * desc.depth - min(
-                off for _, r, off, _ in blocks if r == region)
-            for region in regions}, (p, q)
-        assert len(checked) == 1, (p, q)
-        assert cone.ceiling == floor + 2 * desc.depth - 1, (p, q)
-        # the kept set is every translate of degree <= C + 1, so the
-        # cone is the subcomplex those span
-        expected = {label + (g.name, n)
-                    for label, region, offset, _ in blocks
-                    for g in k.generators
-                    for n in range(_first(g, region),
-                                   (cone.ceiling + 1 - offset - g.m) // 2 + 1)}
-        assert len(cone.ids) == len(expected) and set(cone.ids) == expected
-        assert max(cone.complex.degrees) <= cone.ceiling + 1
+        def building(*args):
+            cones.append(build_mapping_cone(*args))
+            return cones[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(cfk, "_memo", OrderedDict())
+            acomplex.genus(k)  # its hat homology checks complexes too
+            m.setattr(surgery, "realize", counting)
+            m.setattr(surgery, "GradedComplex", checking)
+            m.setattr(acomplex, "GradedComplex", checking)
+            m.setattr(surgery, "build_mapping_cone", building)
+            hf_plus(k, p, q)
+        # one realization per distinct region, at the largest top any
+        # Spin^c structure's blocks need; each checked once, and each
+        # of the p cones checked once when it is built
+        assert len(calls) == len(tops) and dict(calls) == tops, (p, q)
+        assert len(checked) == len(tops) + p, (p, q)
+        # every cone is built from residues: its labels are translates
+        # of degree <= C + 1 in its blocks' regions
+        for cone in cones:
+            blocks = {label: (region, offset) for label, region, offset, _
+                      in surgery._cone_blocks(cone.descriptor)}
+            for label, degree in zip(cone.ids, cone.complex.degrees):
+                region, offset = blocks[label[:2]]
+                g = k.by_name[label[2]]
+                assert label[3] >= _first(g, region), (p, q, label)
+                assert degree == g.m + 2 * label[3] + offset
+                assert degree <= cone.ceiling + 1
 
 
 def test_cone_joins_are_the_v_and_h_maps():
+    # the unreduced cone that the reduced one is tested against
     k = builtin("figure_eight")
     desc = SurgeryDescriptor(7, 3, 2, sigma=2, depth=12)
-    cone = build_mapping_cone(k, desc)
+    cone = ReferenceCone(k, desc)
     off_a, _ = surgery._cone_offsets(desc)
     index = {label: n for n, label in enumerate(cone.ids)}
     joins = 0
@@ -248,9 +264,9 @@ def test_calibration_shift_matches_the_unknot_cone():
 def test_hf_plus_builds_no_calibration_cone(monkeypatch):
     built = []
 
-    def build(complex_, descriptor, gauge=0):
+    def build(complex_, descriptor, *rest):
         built.append(len(complex_.generators))
-        return build_mapping_cone(complex_, descriptor, gauge)
+        return build_mapping_cone(complex_, descriptor, *rest)
 
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     monkeypatch.setattr(surgery, "build_mapping_cone", build)
@@ -264,9 +280,9 @@ def test_hf_plus_builds_no_calibration_cone(monkeypatch):
 def test_hf_plus_builds_one_cone_per_spin_c_structure(monkeypatch):
     built = []
 
-    def build(complex_, descriptor, gauge=0):
+    def build(complex_, descriptor, *rest):
         built.append(descriptor)
-        return build_mapping_cone(complex_, descriptor, gauge)
+        return build_mapping_cone(complex_, descriptor, *rest)
 
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     monkeypatch.setattr(surgery, "build_mapping_cone", build)
@@ -442,26 +458,52 @@ def test_descriptor_validation():
         SurgeryDescriptor(3, 1, 0, 0, 8)  # sigma must be >= 1
 
 
+def _cone_invariants(cone):
+    """Homology summary, tower split and U-ranks of a cone, cancelled."""
+    gc = cone.complex
+    gc.cancel_units()
+    assert cone.ids == gc.labels and len(gc.labels) == gc.n
+    assert all(abs(v) != 1 for col in gc.boundary for v in col.values())
+    h = graded_homology(gc, ceiling=cone.ceiling)
+    return h.summary(), tower_decompose(h), homology._homology_profile(gc)
+
+
+REDUCED_CONE_CASES = (
+    [(builtin(name), p, q) for name in BUILTIN_NAMES
+     for p, q in [(1, 1), (2, 1), (5, 2), (7, 3)]]
+    + [(twisty(2), p, q) for p, q in [(1, 1), (2, 1), (5, 2), (7, 3)]]
+    + [(staircase(g), p, q) for g in (3, 4, 5) for p, q in [(7, 3), (2, 7)]]
+    + [(torsion_square(), p, q) for p, q in [(2, 1), (3, 2)]]
+    # random pieces give U terms between blocks below the cut
+    + [(random_knot(random.Random(seed), 4), p, q) for seed in range(4)
+       for p, q in [(2, 1), (1, 5)]])
+
+
+@pytest.mark.no_self_check
 def test_cancel_units_agrees_with_the_unreduced_cone():
-    for name in ("unknot", "trefoil_right", "trefoil_left", "figure_eight",
-                 "torus_2_5"):
-        k = builtin(name)
-        for p, q in [(1, 1), (2, 1), (5, 2), (7, 3)]:
-            for r in hf_plus(k, p, q).spin_c:
-                desc = SurgeryDescriptor(p, q, r.index, r.sigma, r.depth)
-                cone = build_mapping_cone(k, desc)
-                gc = cone.complex
-                h = graded_homology(gc, ceiling=cone.ceiling)
-                full = h.summary(), tower_decompose(h)
-                n = gc.n
-                gc.cancel_units()
-                assert cone.complex is gc and gc.n < n
-                assert cone.ids == gc.labels and len(gc.labels) == gc.n
-                assert all(abs(v) != 1
-                           for col in gc.boundary for v in col.values())
-                h = graded_homology(gc, ceiling=cone.ceiling)
-                assert (h.summary(), tower_decompose(h)) == full, (
-                    name, p, q, r.index)
+    # the cone built from reduced regions against the cone of whole
+    # prefixes, cancelled as one complex, in every Spin^c structure of
+    # each case; where the unreduced cone is small its homology is also
+    # read directly
+    for k, p, q in REDUCED_CONE_CASES:
+        for i in range(p):
+            desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
+                                     TOWER_LEVELS)
+            reference = ReferenceCone(k, desc)
+            cone = build_mapping_cone(k, desc)
+            assert cone.ceiling == reference.ceiling
+            assert set(cone.ids) <= set(reference.ids), (k.name, p, q, i)
+            assert cone.complex.n <= reference.complex.n, (k.name, p, q, i)
+            if reference.complex.n <= 2000:
+                h = graded_homology(reference.complex,
+                                    ceiling=reference.ceiling)
+                unreduced = h.summary(), tower_decompose(h)
+            else:
+                unreduced = None
+            invariants = _cone_invariants(cone)
+            assert invariants == _cone_invariants(reference), (
+                k.name, p, q, i)
+            assert unreduced in (None, invariants[:2]), (k.name, p, q, i)
 
 
 def test_torsion_goes_through_the_cone():

@@ -4,10 +4,17 @@
 Run as: python3 demos/tour_surgery.py
 """
 
+import sys
+from pathlib import Path
+
 from hfplus import (SurgeryDescriptor, build_mapping_cone, builtin,
                     conjugation_constant, graded_homology, hf_plus,
                     lens_d_oracle, tower_decompose, truncation_sigma)
 from hfplus.homology import TOWER_LEVELS
+
+# the unreduced full-window cone lives with the tests, as their reference
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import reference_spin_c  # noqa: E402
 
 
 def show_result(result, title):
@@ -37,8 +44,9 @@ def main():
                              depth=TOWER_LEVELS)
     cone = build_mapping_cone(eight, desc)
     print(f"truncation width sigma = {sigma}")
-    print(f"A-summands: {cone.n_a_summands}, B-summands: "
-          f"{cone.n_b_summands}, basis size {cone.complex.n}")
+    print(f"A-summands built: {cone.n_a_summands} of {2 * sigma + 1}, "
+          f"B-summands built: {cone.n_b_summands} of {2 * sigma} "
+          f"(the end pairs cancel), basis size {cone.complex.n}")
     print(f"every block cut at cone degree {cone.ceiling + 1}, so homology "
           f"is exact up to degree {cone.ceiling}")
 
@@ -67,11 +75,13 @@ def main():
     n_base, tower = cone_answer(eight, desc)
     n_deep, deeper = cone_answer(eight, SurgeryDescriptor(
         p=7, q=3, spin_c=2, sigma=sigma, depth=2 * TOWER_LEVELS))
-    wider = hf_plus(eight, 7, 3, sigma_bump=1)
+    full = all(reference_spin_c(eight, 7, 3, r.index, width)
+               == (r.d, r.hf_red)
+               for r in base.spin_c for width in (r.sigma, r.sigma + 1))
     print(f"    doubled truncation depth ({n_base} -> {n_deep} elements): "
           f"identical = {tower == deeper}")
-    print(f"    widened cone window:      identical = "
-          f"{base.comparable() == wider.comparable()}")
+    print(f"    unreduced cone of the whole window, sigma and sigma + 1: "
+          f"identical = {full}")
     shifted = hf_plus(eight, 7, 3, gauge=2)
     deltas = sorted({str(r.d - b.d)
                      for r, b in zip(shifted.spin_c, base.spin_c)})

@@ -19,10 +19,10 @@ horizontal one projects to C{j >= s}, slides down by U^s, and applies
 the flip.  When the flip only commutes with the differential up to a
 global sign, the horizontal map absorbs (-1)^m per generator, which
 restores the chain-map identity without disturbing the involution.
-v_columns and h_columns define both maps once, for map_v/map_h and
-the surgery cone alike; band_floor is the one rule for where truncated
-computations cut, worked out in closed form from the generators'
-gradings and the blocks' offsets, with no retry.
+v_column and h_column define both maps once, a column at a time, for
+map_v/map_h and the surgery cone alike; band_floor is the one rule for
+where truncated computations cut, worked out in closed form from the
+generators' gradings and the blocks' offsets, with no retry.
 
 Realizations and homology groups are built anew on every call and
 never cached; results (genus, kernel_rank_v) go through cfk's memo.
@@ -141,13 +141,15 @@ def region_homology(complex_, region, top):
     return realized, _homology(realized)
 
 
+def v_column(key, tgt):
+    """Column of v: A_s -> B, the projection, at one key of A_s."""
+    tid = tgt.id_of.get(key)
+    return {} if tid is None else {tid: 1}
+
+
 def v_columns(keys, tgt):
-    """Columns of v: A_s -> B, the projection, on keys of A_s."""
-    cols = []
-    for key in keys:
-        tid = tgt.id_of.get(key)
-        cols.append({} if tid is None else {tid: 1})
-    return cols
+    """Columns of v on keys of A_s."""
+    return [v_column(key, tgt) for key in keys]
 
 
 def signed_flip(complex_):
@@ -166,17 +168,19 @@ def signed_flip(complex_):
     return signed
 
 
+def h_column(complex_, flip, s, key, tgt):
+    """Column of h: A_s -> B at one key of A_s; flip from signed_flip."""
+    name, k = key
+    if complex_.by_name[name].j + k - s < 0:
+        return {}
+    sgn, flipped = flip[name]
+    tid = tgt.id_of.get((flipped, k - s))
+    return {} if tid is None else {tid: sgn}
+
+
 def h_columns(complex_, flip, s, keys, tgt):
-    """Columns of h: A_s -> B on keys of A_s; flip from signed_flip."""
-    cols = []
-    for name, k in keys:
-        if complex_.by_name[name].j + k - s < 0:
-            cols.append({})
-            continue
-        sgn, flipped = flip[name]
-        tid = tgt.id_of.get((flipped, k - s))
-        cols.append({} if tid is None else {tid: sgn})
-    return cols
+    """Columns of h on keys of A_s."""
+    return [h_column(complex_, flip, s, key, tgt) for key in keys]
 
 
 def _a_and_b(complex_, s, top, b_top):

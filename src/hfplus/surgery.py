@@ -1,37 +1,55 @@
 """HF+ of rational surgery from a truncated mapping cone.
 
-For a slope p/q > 0 and a residue i mod p, the cone X+ has one
-A-summand (the realization of A_{t(s)} with t(s) = floor((i+ps)/q))
-for each s in [-sigma, sigma] and one B-summand for s in (-sigma,
-sigma]; the connecting differential sends a_s to v(a_s) in B_s plus
-h(a_s) in B_{s+1}.  Outside the window the omitted maps are
-isomorphisms on homology, which is what truncation_sigma guarantees,
-so the finite cone computes the surgery.  Every block is a prefix of
-its region, cut at one absolute cone degree, acomplex.band_floor plus
-two per tower level read, so the kept elements span a subcomplex whose
-homology is exact below the cut.  An hf_plus call realizes each
-distinct region once for all its Spin^c structures, at the largest
-cut any of its blocks needs, and reduces it once by unit cancellation
-in increasing degree (reduce_regions), carrying the joins v and h and
-the U terms between blocks along; a block is then a degree prefix of
-the residue, and the cone built from the residues is homotopy
-equivalent to the cone of whole prefixes.  Each cone is the one
-complex checked, then shrunk in place by cancelling its remaining +-1
-pairs (GradedComplex.cancel_units); the Smith normal form and the
-tower split run on that residue only.
+For a slope p/q > 0 and a residue i mod p, the cone X+ of
+Ozsvath-Szabo (arXiv:math/0504404) has one A-summand (the realization
+of A_{t(s)} with t(s) = floor((i+ps)/q)) for each s in [-sigma, sigma]
+and one B-summand for s in (-sigma, sigma]; the connecting
+differential sends a_s to v(a_s) in B_s plus h(a_s) in B_{s+1}.
+Outside the window the omitted maps are isomorphisms on homology,
+which is what truncation_sigma guarantees, so the finite cone computes
+the surgery.
+
+The window's end blocks cancel as well, and are never built
+(_cone_blocks).  With g the genus, v: A_t -> B is a quasi-isomorphism
+once t >= g, and h is one once t <= -g.  When every generator has
+|j - i| <= g both are chain isomorphisms: A_t is B itself for t >= g,
+and for t <= -g it is C{j >= t}, which h maps onto B by U^t and the
+flip.  While more than one A block is left, the top A_s with
+t(s) >= g joins only B_s inside the window, so A_s + B_s is an acyclic
+subcomplex, and the quotient by it is the cone without that pair; the
+same holds for the bottom A_s with t(s) <= -g and B_{s+1}.  Dropping
+such pairs from both ends is exact over Z and commutes with U, and the
+cone that is left is then cut in degree as below; the offsets stay
+pinned at -sigma.  For a large slope one A block is left and the cone
+is H(A_t) (compare Ni-Wu, arXiv:1009.4720).
+
+Every kept block is a prefix of its region, cut at one absolute cone
+degree, acomplex.band_floor over the kept blocks plus two per tower
+level read, so the kept elements span a subcomplex whose homology is
+exact below the cut.  An hf_plus call realizes each distinct region
+once for all its Spin^c structures, at the largest cut any of its
+blocks needs, and reduces it once by unit cancellation in increasing
+degree (reduce_regions), carrying the joins v and h and the U terms
+between blocks along; a block is then a degree prefix of the residue,
+and the cone built from the residues is homotopy equivalent to the
+cone of whole prefixes.  Each cone is the one complex checked, then
+shrunk in place by cancelling its remaining +-1 pairs
+(GradedComplex.cancel_units); the Smith normal form and the tower
+split run on that residue only.
 
 Grading bookkeeping happens in two separate steps, both exact:
 
 * relative offsets, one integer per summand, chosen so every
   component of the cone differential drops the total grading by 1.
-  These are pinned by off_A(-sigma) = 0 and depend only on (p, q, i,
-  sigma), never on the knot.
+  These are pinned by off_A(-sigma) = 0, whether or not A_{-sigma} is
+  built, and depend only on (p, q, i, sigma), never on the knot.
 
 * an absolute shift per (p, q, i, sigma), in closed form: the
   unknot's cone at that shape would have its tower bottom at
-  min_s off_A(s) + 2 min(0, t(s)), which must sit at the lens-space
-  d-invariant.  Because the B-offsets do not depend on the knot, the
-  same shift is valid for every input at that shape.
+  min_s off_A(s) + 2 min(0, t(s)) over the whole window, which must
+  sit at the lens-space d-invariant.  Because the B-offsets do not
+  depend on the knot, the same shift is valid for every input at that
+  shape.
 
 Degrees stay integers throughout the computation; the (possibly
 fractional) calibration shift is applied only when results are
@@ -43,12 +61,13 @@ transported by orientation-reversal duality.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .acomplex import (band_floor, genus, h_columns, realize, signed_flip,
-                       v_columns)
+from .acomplex import (band_floor, genus, h_column, realize, signed_flip,
+                       v_column)
 from .cfk import Region, memoized, mirror, require_valid
 from .errors import (FlipMissingError, GradingError, NotStabilizedError,
                      TorsionInTowerError)
@@ -96,6 +115,9 @@ def truncation_sigma(complex_, p, q, i):
     Beyond the window every omitted vertical map has index >= genus
     and every omitted horizontal map has index <= -genus; both floor
     expressions are monotone in s, so checking s = sigma + 1 suffices.
+    The cone built is often narrower (_cone_blocks cancels its end
+    pairs); sigma still pins the offsets, at -sigma, and is reported
+    as provenance.
     """
     if p <= 0 or q <= 0:
         raise ValueError("truncation_sigma requires p, q > 0")
@@ -115,20 +137,30 @@ def _cone_offsets(descriptor, gauge=0):
     return off_a, off_b
 
 
-def _cone_blocks(descriptor, gauge=0):
-    """(label, region, grading offset, sign) of each summand of the cone."""
+def _cone_blocks(descriptor, g, gauge=0):
+    """(label, region, grading offset, sign) of each summand built.
+
+    The window's end pairs cancel for a knot of genus g: while more
+    than one A block is left, (A_s, B_s) goes while the top A_s has
+    t(s) >= g, then (A_s, B_{s+1}) while the bottom one has t(s) <= -g.
+    """
     d = descriptor
+    lo, hi = -d.sigma, d.sigma
+    while lo < hi and d.t(hi) >= g:
+        hi -= 1
+    while lo < hi and d.t(lo) <= -g:
+        lo += 1
     off_a, off_b = _cone_offsets(d, gauge)
     blocks = [(("A", s), Region.max_ij(d.t(s)), off_a[s], 1)
-              for s in d.a_positions()]
+              for s in range(lo, hi + 1)]
     blocks += [(("B", s), Region.min_i(), off_b[s], -1)
-               for s in d.b_positions()]
+               for s in range(lo + 1, hi + 1)]
     return blocks
 
 
-def _cone_shape(source, descriptor, gauge):
-    """The cone's blocks and the cone degree l + 2 depth they are cut at."""
-    blocks = _cone_blocks(descriptor, gauge)
+def _cone_shape(source, descriptor, g, gauge):
+    """The kept blocks and the cone degree l + 2 depth they are cut at."""
+    blocks = _cone_blocks(descriptor, g, gauge)
     top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
            + 2 * descriptor.depth)
     return blocks, top
@@ -183,12 +215,46 @@ class Residue:
                 + self.ghosts[cut])
 
 
-def reduce_regions(source, descriptors, gauge=0):
-    """Region -> Residue, for every block of the cones of descriptors.
+class _OnFirstRead(dict):
+    """Columns by element, each made by make(j) when first read."""
 
-    Each region is realized once, cut at the largest degree any of its
-    blocks needs, checked once, and reduced by cancel_unit_pairs in
-    increasing degree, so a block is a degree prefix of the residue.
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, j):
+        col = self[j] = self.make(j)
+        return col
+
+
+def _joins(source, flip, region, real, b_real):
+    """v + h of each element of A_t as one column into B_s and B_{s+1}.
+
+    v lands in B_s as B's elements and h in B_{s+1}, shifted by B's
+    size; a column is made only when cancel_unit_pairs reads it (a
+    residue element, a ghost, or a cancelled x it projects through).
+    """
+    t, nb = region.params[0], len(b_real.ids)
+
+    def join(j):
+        key = real.ids[j]
+        col = v_column(key, b_real)
+        col.update((nb + i, c) for i, c
+                   in h_column(source, flip, t, key, b_real).items())
+        return col
+
+    return _OnFirstRead(join)
+
+
+def reduce_regions(source, descriptors, gauge=0):
+    """(shapes, residues) of the cones of descriptors.
+
+    shapes maps each descriptor to its kept blocks and their cut
+    (_cone_shape), and residues each region of those blocks to its
+    Residue.  Each region is realized once, cut at the largest degree
+    any of its blocks needs, checked once, and reduced by
+    cancel_unit_pairs in increasing degree, so a block is a degree
+    prefix of the residue.
     The cone is Cone(D: A -> B), so unit cancellation inside A is a
     strong deformation retract that carries D along, and inside B one
     that composes D with B's projection; because D only goes from A to
@@ -197,31 +263,34 @@ def reduce_regions(source, descriptors, gauge=0):
     builds the U terms from A into B that its cancellations create),
     and B last, with every A element's joins as columns from outside.
     B enters the cone with its differential negated, so a join f rides
-    in as -f, which makes it take the cone's own steps.
+    in as -f, which makes it take the cone's own steps.  When no cone
+    keeps a B block, B is not realized and nothing is joined.
     """
     if not source.graded:
         raise GradingError("surgery requires solved gradings")
-    flip = signed_flip(source)
+    knot_genus = genus(source)
+    shapes = {d: _cone_shape(source, d, knot_genus, gauge)
+              for d in descriptors}
     cuts = {}
-    for descriptor in descriptors:
-        blocks, top = _cone_shape(source, descriptor, gauge)
+    for blocks, top in shapes.values():
         for _, region, offset, _ in blocks:
             cuts.setdefault(region, set()).add(top - offset)
     b_region = Region.min_i()
-    b_cuts = cuts.pop(b_region)
-    b_real = realize(source, b_region, max(b_cuts))
-    b_real.realization  # checked before the joins come in
-    nb = len(b_real.ids)
+    b_cuts = cuts.pop(b_region, None)
+    if b_cuts is not None:
+        flip = signed_flip(source)
+        b_real = realize(source, b_region, max(b_cuts))
+        b_real.realization  # checked before the joins come in
+        nb = len(b_real.ids)
     residues = {}
     for region, region_cuts in cuts.items():
         real = realize(source, region, max(region_cuts))
         real.realization  # the region's one check
-        # v lands in B_s as B's elements, h in B_{s+1} shifted by nb
-        h = h_columns(source, flip, region.params[0], real.ids, b_real)
-        joins = [v | {nb + i: c for i, c in hcol.items()}
-                 for v, hcol in zip(v_columns(real.ids, b_real), h)]
-        residues[region] = Residue(real, region_cuts,
-                                   (joins, [{} for _ in joins]))
+        carried = None if b_cuts is None else (
+            _joins(source, flip, region, real, b_real), defaultdict(dict))
+        residues[region] = Residue(real, region_cuts, carried)
+    if b_cuts is None:
+        return shapes, residues
     for res in residues.values():
         for f, g in res.carried:
             for lo in (0, nb):
@@ -239,7 +308,7 @@ def reduce_regions(source, descriptors, gauge=0):
                               {i: -c for i, c in h.items()}, uv, uh))
         res.carried = None
     residues[b_region] = b_res
-    return residues
+    return shapes, residues
 
 
 class MappingCone:
@@ -247,25 +316,28 @@ class MappingCone:
 
     The cone is a list of blocks (label, region, grading offset, sign
     of its differential): ("A", s) for each A-summand and ("B", s) for
-    each B-summand, with the B differentials negated.  Every block is
-    cut at cone degree ceiling + 1 = l + 2 depth, with l from
-    acomplex.band_floor, and is that degree prefix of its region's
+    each B-summand that _cone_blocks keeps, with the B differentials
+    negated; n_a_summands and n_b_summands count them (trefoil_right
+    at 1/1 is one A block and no B).  Every block is cut at cone degree
+    ceiling + 1 = l + 2 depth, with l from acomplex.band_floor over the
+    kept blocks, and is that degree prefix of its region's
     Residue (reduce_regions), homotopy equivalent to the prefix of the
     region's realization.  The joins of each A_s go to B_s and B_{s+1}.
     Basis labels are ("A"|"B", s, generator name, translate).  The cone
     is the one GradedComplex built: its check that the total
     differential squares to zero, commutes with U, and drops the
     (offset) grading by exactly one on every component covers each
-    block too.  Without residues, the regions of this one cone are
-    reduced first.
+    block too.  regions is what reduce_regions returned for a list of
+    descriptors that holds this one; without it, the regions of this
+    one cone are reduced first.
     """
 
-    def __init__(self, source, descriptor, gauge=0, residues=None):
-        if residues is None:
-            residues = reduce_regions(source, [descriptor], gauge)
+    def __init__(self, source, descriptor, gauge=0, regions=None):
+        shapes, residues = (regions if regions is not None
+                            else reduce_regions(source, [descriptor], gauge))
         self.source = source
         self.descriptor = descriptor
-        blocks, top = _cone_shape(source, descriptor, gauge)
+        blocks, top = shapes[descriptor]
         ids = []
         degrees = []
         layout = {}
@@ -297,18 +369,12 @@ class MappingCone:
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
-
-    @property
-    def n_a_summands(self):
-        return 2 * self.descriptor.sigma + 1
-
-    @property
-    def n_b_summands(self):
-        return 2 * self.descriptor.sigma
+        self.n_a_summands = sum(label[0] == "A" for label, *_ in blocks)
+        self.n_b_summands = len(blocks) - self.n_a_summands
 
 
-def build_mapping_cone(complex_, descriptor, gauge=0, residues=None):
-    return MappingCone(complex_, descriptor, gauge, residues)
+def build_mapping_cone(complex_, descriptor, gauge=0, regions=None):
+    return MappingCone(complex_, descriptor, gauge, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +402,9 @@ def lens_d_oracle(p, q, i):
     return Fraction(num, 4 * p * q) - lens_d_oracle(q, p % q, i % q)
 
 
-def _cone_data(complex_, descriptor, gauge=0, residues=None):
+def _cone_data(complex_, descriptor, gauge=0, regions=None):
     """(relative tower bottom, relative reduced summary) for one cone."""
-    cone = build_mapping_cone(complex_, descriptor, gauge, residues)
+    cone = build_mapping_cone(complex_, descriptor, gauge, regions)
     cone.complex.cancel_units()
     h = graded_homology(cone.complex, ceiling=cone.ceiling)
     tower = tower_decompose(h)
@@ -435,10 +501,10 @@ def conjugation_constant(result):
     return None
 
 
-def _spin_c_result(complex_, p, q, i, sigma, depth, gauge, residues=None):
+def _spin_c_result(complex_, p, q, i, sigma, depth, gauge, regions=None):
     descriptor = SurgeryDescriptor(p, q, i, sigma, depth)
     try:
-        bottom, reduced = _cone_data(complex_, descriptor, gauge, residues)
+        bottom, reduced = _cone_data(complex_, descriptor, gauge, regions)
     except (NotStabilizedError, TorsionInTowerError) as exc:
         raise type(exc)(f"{p}/{q} surgery, Spin^c {i}, sigma {sigma}, "
                         f"depth {depth}: {exc}") from exc
@@ -477,18 +543,21 @@ def _reverse_orientation(r):
 
 
 @memoized
-def hf_plus(complex_, p, q, sigma_bump=0, gauge=0):
+def hf_plus(complex_, p, q, gauge=0):
     """HF+ of p/q surgery, one SpincResult per residue class.
 
-    The regions of every Spin^c structure's cone are reduced together
+    Each Spin^c structure's window is truncation_sigma wide; the
+    regions of the blocks its cone keeps (_cone_blocks cancels the end
+    pairs) are reduced together for every Spin^c structure
     (reduce_regions), then each Spin^c structure builds one cone from
     them, holding TOWER_LEVELS tower levels above its band floor (see
-    MappingCone), which is what tower_decompose reads.  A failed tower
-    check raises its error type again, naming the slope, Spin^c index,
-    sigma and depth.
-    sigma_bump widens every truncation window, and gauge shifts all
-    relative offsets by a constant -- both exist so that invariance of
-    the output under them can be demonstrated.
+    MappingCone), which is what tower_decompose reads.  Each result
+    records sigma and depth as provenance: sigma is the window the
+    offsets are pinned in, not the number of blocks built.  A failed
+    tower check raises its error type again, naming the slope, Spin^c
+    index, sigma and depth.  gauge shifts all relative offsets by a
+    constant, so that invariance of the output under it can be
+    demonstrated.
 
     Negative p is computed on the mirror complex, since
     S^3_{-p/q}(K) = -S^3_{p/q}(mirror K).  The result carries
@@ -506,7 +575,7 @@ def hf_plus(complex_, p, q, sigma_bump=0, gauge=0):
         raise ValueError("slope must be in lowest terms")
     if p < 0:
         try:
-            inner = hf_plus(mirror(complex_), -p, q, sigma_bump, gauge)
+            inner = hf_plus(mirror(complex_), -p, q, gauge)
         except (NotStabilizedError, TorsionInTowerError) as exc:
             raise type(exc)(f"{p}/{q} surgery, cone built on the mirror: "
                             f"{exc}") from exc
@@ -520,13 +589,12 @@ def hf_plus(complex_, p, q, sigma_bump=0, gauge=0):
         raise FlipMissingError("surgery requires flip data")
     require_valid(complex_)
     descriptors = [
-        SurgeryDescriptor(p, q, i,
-                          truncation_sigma(complex_, p, q, i) + sigma_bump,
+        SurgeryDescriptor(p, q, i, truncation_sigma(complex_, p, q, i),
                           TOWER_LEVELS)
         for i in range(p)]
-    residues = reduce_regions(complex_, descriptors, gauge)
+    regions = reduce_regions(complex_, descriptors, gauge)
     per_index = [_spin_c_result(complex_, p, q, d.spin_c, d.sigma, d.depth,
-                                gauge, residues)
+                                gauge, regions)
                  for d in descriptors]
     return HFResult(p=p, q=q, orientation="standard",
                     spin_c=tuple(per_index),

@@ -6,8 +6,9 @@ of random valid bifiltered complexes assembled from pieces whose
 differential squares to zero by construction (with a flip, for
 surgery, in random_knot), the staircase complex of any L-space knot
 from its Alexander polynomial, a complex whose surgeries have torsion,
-the unreduced surgery cone that the reduced one is compared with, and
-the environment for child interpreters.  The acceptance registry at
+the unreduced full-window surgery cone that the reduced one is
+compared with (and the d and HF_red read from it), and the environment
+for child interpreters.  The acceptance registry at
 the bottom is filled by test_acceptance.py and printed by the conftest
 terminal-summary hook.
 """
@@ -21,7 +22,8 @@ from hfplus import surgery
 from hfplus.acomplex import (band_floor, h_columns, realize, signed_flip,
                              v_columns)
 from hfplus.cfk import Generator, KnotComplex, Region, grading_solve
-from hfplus.homology import GradedComplex
+from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
+                             tower_decompose)
 
 
 def child_env():
@@ -266,16 +268,22 @@ def torsion_square():
 class ReferenceCone:
     """The surgery cone of a descriptor with nothing cancelled.
 
-    Each region is realized once, every block is the prefix of its
-    realization cut at the cone's top degree, and v_columns and
-    h_columns join each A_s to B_s and B_{s+1}.  Same blocks, cut and
-    labels as surgery.MappingCone, which builds the cone from the
-    regions' unit-cancelled residues instead.
+    Every block of the window [-sigma, sigma] is built: the end pairs
+    that surgery.MappingCone drops are kept, and the cut comes from
+    the band floor of all of them.  Each region is realized once,
+    every block is the prefix of its realization cut at the cone's top
+    degree, and v_columns and h_columns join each A_s to B_s and
+    B_{s+1}.  Same offsets and labels as surgery.MappingCone, which
+    builds the kept blocks from the regions' unit-cancelled residues.
     """
 
     def __init__(self, source, descriptor, gauge=0):
         flip = signed_flip(source)
-        blocks = surgery._cone_blocks(descriptor, gauge)
+        off_a, off_b = surgery._cone_offsets(descriptor, gauge)
+        blocks = [(("A", s), Region.max_ij(descriptor.t(s)), off_a[s], 1)
+                  for s in descriptor.a_positions()]
+        blocks += [(("B", s), Region.min_i(), off_b[s], -1)
+                   for s in descriptor.b_positions()]
         top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
                + 2 * descriptor.depth)
         real = {}
@@ -311,6 +319,24 @@ class ReferenceCone:
         self.ids = ids
 
 
+def reference_spin_c(source, p, q, i, sigma):
+    """(d, hf_red) of one Spin^c structure from the full-window cone.
+
+    The ReferenceCone at window sigma, cancelled as one complex, read
+    up to its ceiling and calibrated like hf_plus, so it compares with
+    a SpincResult's d and hf_red at p/q > 0.
+    """
+    descriptor = surgery.SurgeryDescriptor(p, q, i, sigma, TOWER_LEVELS)
+    cone = ReferenceCone(source, descriptor)
+    cone.complex.cancel_units()
+    tower = tower_decompose(graded_homology(cone.complex,
+                                            ceiling=cone.ceiling))
+    shift = surgery._calibration_shift(descriptor)
+    return (tower.d_bottom + shift,
+            tuple((deg + shift, rank, torsion)
+                  for deg, (rank, torsion) in tower.reduced))
+
+
 # ---------------------------------------------------------------------------
 # acceptance registry
 
@@ -325,7 +351,8 @@ ACCEPTANCE_LABELS = {
     8: "v just below the genus: surjective, kernel = top hat rank",
     9: "conjugation involution; unknot matches the lens oracle",
     10: "casson surgery values and the non-(+-1) obstruction",
-    11: "bit-identical at doubled depth / widened cone; rank oracle",
+    11: "bit-identical at doubled depth / full cone at sigma, sigma + 1; "
+        "rank oracle",
 }
 
 ACCEPTANCE_RESULTS = {}

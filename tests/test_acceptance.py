@@ -18,7 +18,8 @@ from math import gcd
 
 import pytest
 
-from helpers import (homology_free_ranks, random_complex, record, twisty)
+from helpers import (homology_free_ranks, random_complex, record,
+                     reference_spin_c, twisty)
 from hfplus.acomplex import band_floor, genus, hfk_hat, induced_v, realize
 from hfplus.cfk import BUILTIN_NAMES, Region, builtin
 from hfplus.detect import (casson_surgery, classify_surgery, compare,
@@ -201,9 +202,13 @@ def test_criterion_11_robustness(grid):
             for r in base.spin_c))
         if base.comparable() != deeper.comparable():
             failures.append(f"{name} {p}/{q}: depth doubling changed it")
-        wider = hf_plus(k, p, q, sigma_bump=1)
-        if base.comparable() != wider.comparable():
-            failures.append(f"{name} {p}/{q}: wider cone changed it")
+        # the unreduced cone of the whole window, and of a wider one
+        for r in base.spin_c:
+            for sigma in (r.sigma, r.sigma + 1):
+                if reference_spin_c(k, p, q, r.index, sigma) != (r.d,
+                                                                 r.hf_red):
+                    failures.append(f"{name} {p}/{q} Spin^c {r.index}: "
+                                    f"full cone at sigma {sigma} differs")
     rng = random.Random(11)
     for _ in range(50):
         k = random_complex(rng)

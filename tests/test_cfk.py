@@ -249,7 +249,7 @@ def test_memo_shares_one_entry_across_argument_spellings():
     first = hf_plus(k, 3, 2)
     assert hf_plus(k, 3, 2, 0) is first
     assert hf_plus(k, q=2, p=3, gauge=0) is first
-    assert hf_plus(complex_=k, p=3, q=2, sigma_bump=0, gauge=0) is first
+    assert hf_plus(complex_=k, p=3, q=2, gauge=0) is first
 
 
 def test_memo_keys_complexes_by_content():

@@ -6,10 +6,11 @@ from math import gcd
 
 import pytest
 
-from helpers import (ReferenceCone, random_knot, staircase, torsion_square,
-                     twisty)
+from helpers import (ReferenceCone, random_knot, reference_spin_c, staircase,
+                     torsion_square, twisty)
 from hfplus import acomplex, cfk, homology, surgery
-from hfplus.acomplex import band_floor, map_h, map_v, realize
+from hfplus.acomplex import (band_floor, genus, h_columns, map_h, map_v,
+                             realize, signed_flip, v_columns)
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
                         builtin, flip_chain_sign, mirror, validate)
 from hfplus.detect import casson_surgery
@@ -36,10 +37,14 @@ def _first(g, region):
     return -max(g.i, g.j - region.params[0])
 
 
+def _kept_blocks(k, descriptor):
+    return surgery._cone_blocks(descriptor, genus(k))
+
+
 def _band_floor(k, descriptor):
-    """The band's lower end, from the regions' own definitions."""
+    """The kept blocks' band's lower end, from the regions' definitions."""
     return max(offset + g.m + 2 * _first(g, region)
-               for _, region, offset, _ in surgery._cone_blocks(descriptor)
+               for _, region, offset, _ in _kept_blocks(k, descriptor)
                for g in k.generators) + 1
 
 
@@ -52,24 +57,91 @@ def test_truncation_sigma_examples():
 
 
 def test_mapping_cone_shape():
+    # the window is s in [-1, 1]; t(s) = s, genus 1, so (A_1, B_1) and
+    # (A_-1, B_0) cancel and one A block is built
+    trefoil = builtin("trefoil_right")
     desc = SurgeryDescriptor(1, 1, 0, sigma=1, depth=8)
-    cone = build_mapping_cone(builtin("trefoil_right"), desc)
-    assert cone.n_a_summands == 3  # s in {-1, 0, 1}
-    assert cone.n_b_summands == 2  # s in {0, 1}
+    cone = build_mapping_cone(trefoil, desc)
+    assert cone.n_a_summands == 1 and cone.n_b_summands == 0
+    assert {label[:2] for label in cone.ids} == {("A", 0)}
     assert cone.complex.n > 0
+    # at 1/5, t(s) = floor(s / 5): the four A blocks with t = -1 go, each
+    # with the B above it, and A_0..A_4 joined by B_1..B_4 stay
+    desc = SurgeryDescriptor(1, 5, 0, sigma=4, depth=8)
+    cone = build_mapping_cone(trefoil, desc)
+    assert cone.n_a_summands == 5 and cone.n_b_summands == 4
+    assert ({label[:2] for label in cone.ids}
+            == {("A", s) for s in range(5)}
+            | {("B", s) for s in range(1, 5)})
+
+
+TRIM_KNOTS = ([builtin(name) for name in BUILTIN_NAMES]
+              + [staircase(g) for g in range(2, 7)]
+              + [twisty(2), torsion_square()])
+
+
+def test_end_blocks_cancel_by_chain_isomorphisms():
+    # what _cone_blocks relies on, at the chain level: for t >= g, A_t is
+    # B element for element and v is the identity; for t <= -g, h is a
+    # +-1 bijection onto B cut where h lands
+    for k in TRIM_KNOTS:
+        g = genus(k)
+        flip = signed_flip(k)
+        top = band_floor(k, [(Region.min_i(), 0)]) + 2 * TOWER_LEVELS
+        b = realize(k, Region.min_i(), top)
+        for t in (g, g + 1, g + 3):
+            a = realize(k, Region.max_ij(t), top)
+            assert ((a.ids, a.degrees, a.boundary, a.u_action)
+                    == (b.ids, b.degrees, b.boundary, b.u_action)), (
+                        k.name, t)
+            assert v_columns(a.ids, b) == [{n: 1} for n in range(len(b.ids))]
+        for t in (-g, -g - 1, -g - 3):
+            a = realize(k, Region.max_ij(t), top)
+            target = realize(k, Region.min_i(), top - 2 * t)
+            cols = h_columns(k, flip, t, a.ids, target)
+            assert all(len(col) == 1 and abs(c) == 1
+                       for col in cols for c in col.values()), (k.name, t)
+            assert (sorted(n for col in cols for n in col)
+                    == list(range(len(target.ids)))), (k.name, t)
+            assert all(target.degrees[n] == a.degrees[j] - 2 * t
+                       for j, col in enumerate(cols) for n in col)
+
+
+def test_calibration_minimum_lies_in_the_kept_window():
+    # _calibration_shift minimizes f(s) = off_A(s) + 2 min(0, t(s)) over
+    # the whole window; the kept blocks must reach the same minimum
+    for name in BUILTIN_NAMES:
+        k = builtin(name)
+        g = genus(k)
+        for p, q in GRID:
+            for i in range(p):
+                sigma = truncation_sigma(k, p, q, i)
+                for desc in (SurgeryDescriptor(p, q, i, sigma, TOWER_LEVELS),
+                             SurgeryDescriptor(p, q, i, sigma + 1,
+                                               TOWER_LEVELS)):
+                    off_a, _ = surgery._cone_offsets(desc)
+                    f = {s: off_a[s] + 2 * min(0, desc.t(s))
+                         for s in desc.a_positions()}
+                    kept = [label[1] for label, _, _, _
+                            in surgery._cone_blocks(desc, g)
+                            if label[0] == "A"]
+                    assert (min(f[s] for s in kept)
+                            == min(f.values())), (name, desc)
 
 
 def test_hf_plus_realizes_each_region_once(monkeypatch):
-    # 1/5 and 2/7 have q > p, so several positions s share one t
+    # 1/5 and 2/7 have q > p, so several positions s share one t; at
+    # 5/1 every cone of the trefoil is one A block, and B is not realized
     cases = [(staircase(5), 7, 3), (builtin("figure_eight"), 2, 7),
-             (builtin("trefoil_right"), 1, 5)]
+             (builtin("trefoil_right"), 1, 5),
+             (builtin("trefoil_right"), 5, 1)]
     for k, p, q in cases:
         tops = {}
         for i in range(p):
             desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
                                      TOWER_LEVELS)
             top = _band_floor(k, desc) + 2 * desc.depth
-            for _, region, offset, _ in surgery._cone_blocks(desc):
+            for _, region, offset, _ in _kept_blocks(k, desc):
                 tops[region] = max(tops.get(region, top - offset),
                                    top - offset)
         calls = []
@@ -96,16 +168,17 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
             m.setattr(acomplex, "GradedComplex", checking)
             m.setattr(surgery, "build_mapping_cone", building)
             hf_plus(k, p, q)
-        # one realization per distinct region, at the largest top any
-        # Spin^c structure's blocks need; each checked once, and each
-        # of the p cones checked once when it is built
+        # one realization per distinct region of the kept blocks, at the
+        # largest top any Spin^c structure's blocks need; each checked
+        # once, and each of the p cones checked once when it is built
         assert len(calls) == len(tops) and dict(calls) == tops, (p, q)
+        assert (Region.min_i() in tops) == ((p, q) != (5, 1)), (p, q)
         assert len(checked) == len(tops) + p, (p, q)
         # every cone is built from residues: its labels are translates
         # of degree <= C + 1 in its blocks' regions
         for cone in cones:
             blocks = {label: (region, offset) for label, region, offset, _
-                      in surgery._cone_blocks(cone.descriptor)}
+                      in _kept_blocks(k, cone.descriptor)}
             for label, degree in zip(cone.ids, cone.complex.degrees):
                 region, offset = blocks[label[:2]]
                 g = k.by_name[label[2]]
@@ -308,7 +381,7 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
             assert r.depth == TOWER_LEVELS, (k.name, desc)
             assert _band_floor(k, desc) == band_floor(
                 k, [(region, offset) for _, region, offset, _
-                    in surgery._cone_blocks(desc)]), (k.name, desc)
+                    in _kept_blocks(k, desc)]), (k.name, desc)
             # the band floor moved to absolute degrees, as r.d and hf_red are
             floor = _band_floor(k, desc) + surgery._calibration_shift(desc)
             assert r.d < floor, (k.name, desc)
@@ -417,8 +490,11 @@ def test_slope_validation():
 
 
 def test_depth_and_width_do_not_change_results():
+    # the trimmed cone against the unreduced cone of the whole window
+    # at sigma and at sigma + 1, each read up to its own ceiling
     samples = [("trefoil_right", 3, 2), ("figure_eight", 7, 3),
-               ("trefoil_left", 5, 4), ("torus_2_5", 4, 3)]
+               ("trefoil_left", 5, 4), ("torus_2_5", 4, 3),
+               ("torus_2_5", 1, 3)]
     for name, p, q in samples:
         k = builtin(name)
         base = hf_plus(k, p, q)
@@ -426,9 +502,11 @@ def test_depth_and_width_do_not_change_results():
             surgery._spin_c_result(k, p, q, r.index, r.sigma,
                                    2 * TOWER_LEVELS, 0)
             for r in base.spin_c))
-        wider = hf_plus(k, p, q, sigma_bump=1)
         assert base.comparable() == deeper.comparable(), name
-        assert base.comparable() == wider.comparable(), name
+        for r in base.spin_c:
+            for sigma in (r.sigma, r.sigma + 1):
+                assert (reference_spin_c(k, p, q, r.index, sigma)
+                        == (r.d, r.hf_red)), (name, p, q, r.index, sigma)
 
 
 def test_gauge_shifts_every_d_by_the_constant():
@@ -458,14 +536,22 @@ def test_descriptor_validation():
         SurgeryDescriptor(3, 1, 0, 0, 8)  # sigma must be >= 1
 
 
-def _cone_invariants(cone):
-    """Homology summary, tower split and U-ranks of a cone, cancelled."""
+def _cone_invariants(cone, ceiling):
+    """Homology summary and U-ranks up to ceiling, and tower split.
+
+    The cone is cancelled first; the tower split reads up to the
+    cone's own ceiling.
+    """
     gc = cone.complex
     gc.cancel_units()
     assert cone.ids == gc.labels and len(gc.labels) == gc.n
     assert all(abs(v) != 1 for col in gc.boundary for v in col.values())
     h = graded_homology(gc, ceiling=cone.ceiling)
-    return h.summary(), tower_decompose(h), homology._homology_profile(gc)
+    summary, u_ranks = homology._homology_profile(gc)
+    support = sorted(summary)
+    return ({d: v for d, v in summary.items() if d <= ceiling},
+            tower_decompose(h),
+            [r for d, r in zip(support, u_ranks) if d <= ceiling])
 
 
 REDUCED_CONE_CASES = (
@@ -481,9 +567,10 @@ REDUCED_CONE_CASES = (
 
 @pytest.mark.no_self_check
 def test_cancel_units_agrees_with_the_unreduced_cone():
-    # the cone built from reduced regions against the cone of whole
-    # prefixes, cancelled as one complex, in every Spin^c structure of
-    # each case; where the unreduced cone is small its homology is also
+    # the cone built from the reduced regions of the kept blocks against
+    # the cone of whole prefixes of the whole window, cancelled as one
+    # complex, in every Spin^c structure of each case, on the degrees
+    # both trust; where the unreduced cone is small its homology is also
     # read directly
     for k, p, q in REDUCED_CONE_CASES:
         for i in range(p):
@@ -491,17 +578,18 @@ def test_cancel_units_agrees_with_the_unreduced_cone():
                                      TOWER_LEVELS)
             reference = ReferenceCone(k, desc)
             cone = build_mapping_cone(k, desc)
-            assert cone.ceiling == reference.ceiling
+            ceiling = cone.ceiling
+            assert ceiling <= reference.ceiling, (k.name, p, q, i)
             assert set(cone.ids) <= set(reference.ids), (k.name, p, q, i)
             assert cone.complex.n <= reference.complex.n, (k.name, p, q, i)
             if reference.complex.n <= 2000:
                 h = graded_homology(reference.complex,
                                     ceiling=reference.ceiling)
-                unreduced = h.summary(), tower_decompose(h)
+                unreduced = h.summary(ceiling), tower_decompose(h)
             else:
                 unreduced = None
-            invariants = _cone_invariants(cone)
-            assert invariants == _cone_invariants(reference), (
+            invariants = _cone_invariants(cone, ceiling)
+            assert invariants == _cone_invariants(reference, ceiling), (
                 k.name, p, q, i)
             assert unreduced in (None, invariants[:2]), (k.name, p, q, i)
 
@@ -546,8 +634,11 @@ def test_cone_homology_reads_the_cancelled_cone_itself(monkeypatch):
 
     monkeypatch.setattr(surgery, "build_mapping_cone", build)
     monkeypatch.setattr(surgery, "graded_homology", homology)
-    desc = SurgeryDescriptor(2, 1, 0, sigma=2, depth=12)
-    surgery._cone_data(builtin("figure_eight"), desc, gauge=3)
+    # a cone that keeps B blocks, so joining leaves pairs to cancel
+    k = staircase(5)
+    desc = SurgeryDescriptor(7, 3, 0, sigma=2, depth=12)
+    assert len(_kept_blocks(k, desc)) == 7
+    surgery._cone_data(k, desc, gauge=3)
     ((cone_complex, n_built),) = built
     ((read_complex, n_read),) = read
     assert read_complex is cone_complex and n_read < n_built

@@ -44,8 +44,8 @@ def main():
                              depth=TOWER_LEVELS)
     cone = build_mapping_cone(eight, desc)
     print(f"truncation width sigma = {sigma}")
-    print(f"A-summands built: {cone.n_a_summands} of {2 * sigma + 1}, "
-          f"B-summands built: {cone.n_b_summands} of {2 * sigma} "
+    print(f"A-summands kept: {cone.n_a_summands} of {2 * sigma + 1}, "
+          f"B-summands kept: {cone.n_b_summands} of {2 * sigma} "
           f"(the end pairs cancel), basis size {cone.complex.n}")
     print(f"every block cut at cone degree {cone.ceiling + 1}, so homology "
           f"is exact up to degree {cone.ceiling}")

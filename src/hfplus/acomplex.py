@@ -10,8 +10,10 @@ the kept part is the subcomplex of the region complex spanned by its
 elements of degree <= top, so its homology is exact in every degree
 below top -- realizations record that trust ceiling, top - 1.  Their
 elements come in degree order, so a lower cut is a prefix: an hf_plus
-call realizes each region once, and every cone block is a prefix of
-its unit-cancelled residue (surgery.reduce_regions).
+call realizes only the bottom A block of each cone, once per region,
+and cuts it as a prefix of its unit-cancelled residue
+(surgery.reduce_regions).  The cone's other blocks are enumerated
+key by key (surgery.MappingCone), so hf_plus never realizes B.
 
 The two maps out of A_s = C{max(i, j-s) >= 0} both land in
 B = C{i >= 0}: the vertical map is the evident projection, and the
@@ -19,10 +21,12 @@ horizontal one projects to C{j >= s}, slides down by U^s, and applies
 the flip.  When the flip only commutes with the differential up to a
 global sign, the horizontal map absorbs (-1)^m per generator, which
 restores the chain-map identity without disturbing the involution.
-v_column and h_column define both maps once, a column at a time, for
-map_v/map_h and the surgery cone alike; band_floor is the one rule for
-where truncated computations cut, worked out in closed form from the
-generators' gradings and the blocks' offsets, with no retry.
+So A_s is B plus the finite strip C{i < 0 <= j - s}, a subcomplex,
+and v is the quotient map by it.  v_column and h_key define both maps
+once, a key at a time (h_column puts h_key in a target's elements),
+for map_v/map_h and the surgery cone alike.  band_floor is the one
+rule for where truncated computations cut, worked out in closed form
+from the generators' gradings and the blocks' offsets, with no retry.
 
 Realizations and homology groups are built anew on every call and
 never cached; results (genus, kernel_rank_v) go through cfk's memo.
@@ -168,14 +172,23 @@ def signed_flip(complex_):
     return signed
 
 
-def h_column(complex_, flip, s, key, tgt):
-    """Column of h: A_s -> B at one key of A_s; flip from signed_flip."""
+def h_key(complex_, flip, s, key):
+    """(sign, key of B) that h: A_s -> B sends a key of A_s to, or None.
+
+    flip is from signed_flip.  h sends a key to at most one key.
+    """
     name, k = key
     if complex_.by_name[name].j + k - s < 0:
-        return {}
+        return None
     sgn, flipped = flip[name]
-    tid = tgt.id_of.get((flipped, k - s))
-    return {} if tid is None else {tid: sgn}
+    return sgn, (flipped, k - s)
+
+
+def h_column(complex_, flip, s, key, tgt):
+    """Column of h: A_s -> B at one key of A_s, in tgt's elements."""
+    image = h_key(complex_, flip, s, key)
+    tid = None if image is None else tgt.id_of.get(image[1])
+    return {} if tid is None else {tid: image[0]}
 
 
 def h_columns(complex_, flip, s, keys, tgt):

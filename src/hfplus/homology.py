@@ -455,10 +455,13 @@ class GradedComplex:
 
         cancel_unit_pairs does the cancelling; the complex is then
         rewritten in place (the same object, its lists edited) to the
-        residue and re-checked.
+        residue and re-checked.  When nothing was cancelled every list
+        is unchanged, so the check made at construction still holds.
         """
         keep, _ = cancel_unit_pairs(self.degrees, self.boundary,
                                     self.u_action)
+        if len(keep) == self.n:
+            return
         new = {old: pos for pos, old in enumerate(keep)}
 
         def renumbered(cols):

@@ -23,16 +23,34 @@ cone that is left is then cut in degree as below; the offsets stay
 pinned at -sigma.  For a large slope one A block is left and the cone
 is H(A_t) (compare Ni-Wu, arXiv:1009.4720).
 
-Every kept block is a prefix of its region, cut at one absolute cone
-degree, acomplex.band_floor over the kept blocks plus two per tower
-level read, so the kept elements span a subcomplex whose homology is
-exact below the cut.  An hf_plus call realizes each distinct region
-once for all its Spin^c structures, at the largest cut any of its
-blocks needs, and reduces it once by unit cancellation in increasing
-degree (reduce_regions), carrying the joins v and h and the U terms
-between blocks along; a block is then a degree prefix of the residue,
-and the cone built from the residues is homotopy equivalent to the
-cone of whole prefixes.  Each cone is the one complex checked, then
+Every kept block is cut at one absolute cone degree top,
+acomplex.band_floor over the kept blocks plus two per tower level
+read, so the kept elements span a subcomplex whose homology is exact
+below the cut.  Of these only three pieces are built (MappingCone):
+
+* the bottom block A_lo, a degree prefix of its region.  An hf_plus
+  call realizes each distinct bottom region once for all its Spin^c
+  structures, at the largest cut any cone needs, and reduces it once
+  by unit cancellation in increasing degree (reduce_regions), carrying
+  its h column and the U terms into B_{lo+1} along as keys of B;
+* for every other A_s, t = t(s), the strip S_t = C{i < 0 <= j - t}:
+  v: A_s -> B is the quotient map, the identity on the copy of B
+  inside A_s, and its kernel is this finite subcomplex;
+* for every kept B_s, the slice T_s of cone degree top.  B_s sits one
+  degree lower than A_s in the cone, so v does not reach it.
+
+Every other element of B_s is v(p), with coefficient 1, for the same
+key p in A_s's copy of B, and all these pairs are cancelled at once
+(algebraic Morse theory, Skoldberg; Joellenbeck-Welker).  An arrow
+out of a matched p goes to S_t, which is kept, to the copy of B in
+A_s, a matched source that contributes nothing, or through h to
+B_{s+1}; so every zigzag k -> b <- p -> b' <- p' ... moves s up by one
+at each step, the matching is acyclic, and each zigzag is one chain,
+since h sends a key to at most one key.  The reduced differential is
+D on the kept elements plus the sum over chains, with weight -1 for
+every step back up a matched pair and h's sign for every h step;
+U' = pi U iota adds, along each chain, U(p) where it falls into S_t.
+B is never realized.  Each cone is the one complex checked, then
 shrunk in place by cancelling its remaining +-1 pairs
 (GradedComplex.cancel_units); the Smith normal form and the tower
 split run on that residue only.
@@ -61,13 +79,11 @@ transported by orientation-reversal duality.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .acomplex import (band_floor, genus, h_column, realize, signed_flip,
-                       v_column)
+from .acomplex import band_floor, genus, h_key, realize, signed_flip
 from .cfk import Region, memoized, mirror, require_valid
 from .errors import (FlipMissingError, GradingError, NotStabilizedError,
                      TorsionInTowerError)
@@ -172,16 +188,12 @@ class Residue:
     Elements 0..n-1 are the residue, in degree order; after them come
     the ghosts, and ghosts[c] lists those a block cut at degree c keeps
     (see cancel_unit_pairs).  ids, degrees, boundary and u_action cover
-    both, and every column entry is a residue element.  carried holds
-    each element's (f, g) components outside the region when some were
-    carried, and outside the reduced columns that elements outside the
-    region brought in (columns past the realization's own).  For A_t,
-    reduce_regions turns these into joins: each element's (v, h, U
-    into B_s, U into B_{s+1}) columns in B's residue; B has none.
+    both, and every column entry is a residue element.  carried is None,
+    or holds each element's (h, U) columns into B, keyed by B's keys
+    (x, k), as cancellation left them (reduce_regions).
     """
 
     def __init__(self, realized, cuts, carried=None):
-        n = len(realized.ids)
         keep, ghosts = cancel_unit_pairs(realized.degrees, realized.boundary,
                                          realized.u_action, cuts, carried)
         new = {old: pos for pos, old in enumerate(keep)}
@@ -204,10 +216,6 @@ class Residue:
         self.carried = None if carried is None else (
             [(carried[0][j], carried[1][j]) for j in keep]
             + [col[2:] for col in stood])
-        self.outside = [(renumbered(realized.boundary[j]),
-                         renumbered(realized.u_action[j]))
-                        for j in range(n, len(realized.boundary))]
-        self.joins = None
 
     def block(self, cut):
         """The elements a block cut at degree cut keeps, in order."""
@@ -215,121 +223,73 @@ class Residue:
                 + self.ghosts[cut])
 
 
-class _OnFirstRead(dict):
-    """Columns by element, each made by make(j) when first read."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, j):
-        col = self[j] = self.make(j)
-        return col
-
-
-def _joins(source, flip, region, real, b_real):
-    """v + h of each element of A_t as one column into B_s and B_{s+1}.
-
-    v lands in B_s as B's elements and h in B_{s+1}, shifted by B's
-    size; a column is made only when cancel_unit_pairs reads it (a
-    residue element, a ghost, or a cancelled x it projects through).
-    """
-    t, nb = region.params[0], len(b_real.ids)
-
-    def join(j):
-        key = real.ids[j]
-        col = v_column(key, b_real)
-        col.update((nb + i, c) for i, c
-                   in h_column(source, flip, t, key, b_real).items())
-        return col
-
-    return _OnFirstRead(join)
-
-
 def reduce_regions(source, descriptors, gauge=0):
     """(shapes, residues) of the cones of descriptors.
 
     shapes maps each descriptor to its kept blocks and their cut
-    (_cone_shape), and residues each region of those blocks to its
-    Residue.  Each region is realized once, cut at the largest degree
-    any of its blocks needs, checked once, and reduced by
-    cancel_unit_pairs in increasing degree, so a block is a degree
-    prefix of the residue.
-    The cone is Cone(D: A -> B), so unit cancellation inside A is a
-    strong deformation retract that carries D along, and inside B one
-    that composes D with B's projection; because D only goes from A to
-    B the perturbation lemma stops after one term and the two commute.
-    So each A_t is reduced carrying its v and h columns (which also
-    builds the U terms from A into B that its cancellations create),
-    and B last, with every A element's joins as columns from outside.
-    B enters the cone with its differential negated, so a join f rides
-    in as -f, which makes it take the cone's own steps.  When no cone
-    keeps a B block, B is not realized and nothing is joined.
+    (_cone_shape), and residues the region of each cone's bottom block
+    A_lo to its Residue; no other block is realized.  Each such region
+    is realized once, cut at the largest degree any of its blocks
+    needs, checked once, and reduced by cancel_unit_pairs in increasing
+    degree, so a block is a degree prefix of the residue.  When the
+    region is the bottom of a cone with more than one A block, its h
+    column rides along as keys of B, and so do the U terms into B that
+    the cancellation creates: nothing maps into A_lo, so this is a
+    strong deformation retract of the whole cone.
     """
     if not source.graded:
         raise GradingError("surgery requires solved gradings")
     knot_genus = genus(source)
     shapes = {d: _cone_shape(source, d, knot_genus, gauge)
               for d in descriptors}
-    cuts = {}
+    cuts, joined = {}, set()
     for blocks, top in shapes.values():
-        for _, region, offset, _ in blocks:
-            cuts.setdefault(region, set()).add(top - offset)
-    b_region = Region.min_i()
-    b_cuts = cuts.pop(b_region, None)
-    if b_cuts is not None:
-        flip = signed_flip(source)
-        b_real = realize(source, b_region, max(b_cuts))
-        b_real.realization  # checked before the joins come in
-        nb = len(b_real.ids)
+        _, region, offset, _ = blocks[0]
+        cuts.setdefault(region, set()).add(top - offset)
+        if len(blocks) > 1:
+            joined.add(region)
+    flip = signed_flip(source) if joined else None
     residues = {}
     for region, region_cuts in cuts.items():
         real = realize(source, region, max(region_cuts))
         real.realization  # the region's one check
-        carried = None if b_cuts is None else (
-            _joins(source, flip, region, real, b_real), defaultdict(dict))
+        carried = None
+        if region in joined:
+            images = [h_key(source, flip, region.params[0], key)
+                      for key in real.ids]
+            carried = ([{} if im is None else {im[1]: im[0]} for im in images],
+                       [{} for _ in images])
         residues[region] = Residue(real, region_cuts, carried)
-    if b_cuts is None:
-        return shapes, residues
-    for res in residues.values():
-        for f, g in res.carried:
-            for lo in (0, nb):
-                b_real.boundary.append({i - lo: -c for i, c in f.items()
-                                        if lo <= i < lo + nb})
-                b_real.u_action.append({i - lo: c for i, c in g.items()
-                                        if lo <= i < lo + nb})
-    b_res = Residue(b_real, b_cuts)
-    outside = iter(b_res.outside)
-    for res in residues.values():
-        res.joins = []
-        for _ in res.carried:
-            (v, uv), (h, uh) = next(outside), next(outside)
-            res.joins.append(({i: -c for i, c in v.items()},
-                              {i: -c for i, c in h.items()}, uv, uh))
-        res.carried = None
-    residues[b_region] = b_res
     return shapes, residues
 
 
-class MappingCone:
-    """The assembled truncated cone as one graded U-complex.
+def _add(col, n, c):
+    c += col.get(n, 0)
+    if c:
+        col[n] = c
+    else:
+        del col[n]
 
-    The cone is a list of blocks (label, region, grading offset, sign
-    of its differential): ("A", s) for each A-summand and ("B", s) for
-    each B-summand that _cone_blocks keeps, with the B differentials
-    negated; n_a_summands and n_b_summands count them (trefoil_right
-    at 1/1 is one A block and no B).  Every block is cut at cone degree
-    ceiling + 1 = l + 2 depth, with l from acomplex.band_floor over the
-    kept blocks, and is that degree prefix of its region's
-    Residue (reduce_regions), homotopy equivalent to the prefix of the
-    region's realization.  The joins of each A_s go to B_s and B_{s+1}.
-    Basis labels are ("A"|"B", s, generator name, translate).  The cone
-    is the one GradedComplex built: its check that the total
-    differential squares to zero, commutes with U, and drops the
-    (offset) grading by exactly one on every component covers each
-    block too.  regions is what reduce_regions returned for a list of
-    descriptors that holds this one; without it, the regions of this
-    one cone are reduced first.
+
+class MappingCone:
+    """The assembled truncated cone, reduced, as one graded U-complex.
+
+    The kept blocks (label, region, grading offset, sign of its
+    differential) are ("A", s) for lo <= s <= hi and ("B", s) for
+    lo < s <= hi (_cone_blocks), all cut at cone degree ceiling + 1 =
+    top = l + 2 depth, with l from acomplex.band_floor over them;
+    n_a_summands and n_b_summands count them.  The bottom block A_lo is
+    the degree prefix of its region's Residue (reduce_regions).  Of
+    every other A_s only the strip S_t = C{i < 0 <= j - t}, t = t(s),
+    is built, and of every B_s only the slice T_s of cone degree top:
+    the rest of B_s is v of the copy of B inside A_s, and is cancelled
+    against it (see the module docstring).  Labels are ("A"|"B", s,
+    generator name, translate).  The cone is the one GradedComplex
+    built: its check that the total differential squares to zero,
+    commutes with U, and drops the (offset) grading by exactly one on
+    every component covers each block too.  regions is what
+    reduce_regions returned for a list of descriptors that holds this
+    one; without it, this one cone's bottom region is reduced first.
     """
 
     def __init__(self, source, descriptor, gauge=0, regions=None):
@@ -338,39 +298,91 @@ class MappingCone:
         self.source = source
         self.descriptor = descriptor
         blocks, top = shapes[descriptor]
-        ids = []
-        degrees = []
-        layout = {}
-        for label, region, offset, _ in blocks:
-            res = residues[region]
-            members = res.block(top - offset)
-            layout[label] = len(ids), members
-            ids.extend(label + res.ids[j] for j in members)
-            degrees.extend(res.degrees[j] + offset for j in members)
-        boundary = []
-        u_cols = []
-        for label, region, _, sign in blocks:
-            res = residues[region]
-            b0, members = layout[label]
-            v0 = layout.get(("B", label[1]), (None,))[0]
-            h0 = layout.get(("B", label[1] + 1), (None,))[0]
-            for j in members:
-                col = {b0 + i: sign * c for i, c in res.boundary[j].items()}
-                ucol = {b0 + i: c for i, c in res.u_action[j].items()}
-                if res.joins is not None:
-                    v, h, uv, uh = res.joins[j]
-                    for base, join, into in ((v0, v, col), (h0, h, col),
-                                             (v0, uv, ucol), (h0, uh, ucol)):
-                        if base is not None:
-                            into.update((base + i, c)
-                                        for i, c in join.items())
-                boundary.append(col)
-                u_cols.append(ucol)
+        (label, region, offset, _), rest = blocks[0], blocks[1:]
+        res = residues[region]
+        members = res.block(top - offset)
+        ids = [label + res.ids[j] for j in members]
+        degrees = [res.degrees[j] + offset for j in members]
+        boundary = [dict(res.boundary[j]) for j in members]
+        u_cols = [dict(res.u_action[j]) for j in members]
+        if rest:
+            self._join(rest, top, [res.carried[j] for j in members],
+                       ids, degrees, boundary, u_cols)
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
         self.n_a_summands = sum(label[0] == "A" for label, *_ in blocks)
         self.n_b_summands = len(blocks) - self.n_a_summands
+
+    def _join(self, rest, top, carried, ids, degrees, boundary, u_cols):
+        """Append the strips and slices of rest, cancelling B against A.
+
+        walk(s, key, c, col, ucol) adds c times the Morse chains from
+        the key of A_s, in its strip or its copy of B: at each step it
+        adds d and U of the key in the strip, then follows h to B_{s+1}
+        and, with weight -1 (v has coefficient 1), back up to the same
+        key of A_{s+1}.  carried holds the bottom block's h and U
+        columns into B_{lo+1}.
+        """
+        source = self.source
+        flip = signed_flip(source)
+        diff = source.differential
+        strip, t_of = {}, {}
+        for label, region, offset, _ in rest:
+            if label[0] == "A":
+                s, t = label[1], region.params[0]
+                t_of[s] = t
+                for g in source.generators:
+                    for k in range(t - g.j,
+                                   min(-g.i, (top - offset - g.m) // 2 + 1)):
+                        strip[s, (g.name, k)] = len(ids)
+                        ids.append(label + (g.name, k))
+                        degrees.append(g.m + 2 * k + offset)
+        slices = [(label[1], (g.name, (top - offset - g.m) // 2))
+                  for label, _, offset, _ in rest if label[0] == "B"
+                  for g in source.generators
+                  if (top - offset - g.m) % 2 == 0
+                  and g.i + (top - offset - g.m) // 2 >= 0]
+        ids.extend(("B", s) + key for s, key in slices)
+        degrees.extend(top for _ in slices)
+        hi = rest[-1][0][1]
+
+        def walk(s, key, c, col, ucol=None):
+            while True:
+                name, k = key
+                for term in diff.get(name, ()):
+                    n = strip.get((s, (term.target, k - term.u_exponent)))
+                    if n is not None:
+                        _add(col, n, c * term.coefficient)
+                n = strip.get((s, (name, k - 1)))
+                if ucol is not None and n is not None:
+                    _add(ucol, n, c)
+                image = s < hi and h_key(source, flip, t_of[s], key)
+                if not image:
+                    return
+                c, key, s = -c * image[0], image[1], s + 1
+
+        first = rest[0][0][1]
+        for (h, u), col, ucol in zip(carried, boundary, u_cols):
+            for key, c in h.items():
+                walk(first, key, -c, col, ucol)
+            for key, c in u.items():
+                walk(first, key, -c, ucol)
+        for s, key in strip:
+            boundary.append({})
+            u_cols.append({})
+            walk(s, key, 1, boundary[-1], u_cols[-1])
+        by_name = source.by_name
+        for s, (name, k) in slices:
+            col, ucol = {}, {}
+            for term in diff.get(name, ()):
+                if by_name[term.target].i + k - term.u_exponent >= 0:
+                    walk(s, (term.target, k - term.u_exponent),
+                         term.coefficient, col, ucol)
+            if by_name[name].i + k > 0:
+                walk(s, (name, k - 1), -1, ucol)
+            boundary.append(col)
+            u_cols.append(ucol)
 
 
 def build_mapping_cone(complex_, descriptor, gauge=0, regions=None):
@@ -547,16 +559,16 @@ def hf_plus(complex_, p, q, gauge=0):
     """HF+ of p/q surgery, one SpincResult per residue class.
 
     Each Spin^c structure's window is truncation_sigma wide; the
-    regions of the blocks its cone keeps (_cone_blocks cancels the end
-    pairs) are reduced together for every Spin^c structure
+    bottom regions of the cones' kept blocks (_cone_blocks cancels the
+    end pairs) are reduced together for every Spin^c structure
     (reduce_regions), then each Spin^c structure builds one cone from
-    them, holding TOWER_LEVELS tower levels above its band floor (see
-    MappingCone), which is what tower_decompose reads.  Each result
-    records sigma and depth as provenance: sigma is the window the
-    offsets are pinned in, not the number of blocks built.  A failed
-    tower check raises its error type again, naming the slope, Spin^c
-    index, sigma and depth.  gauge shifts all relative offsets by a
-    constant, so that invariance of the output under it can be
+    them and the strips, holding TOWER_LEVELS tower levels above its
+    band floor (see MappingCone), which is what tower_decompose reads.
+    Each result records sigma and depth as provenance: sigma is the
+    window the offsets are pinned in, not the number of blocks built.
+    A failed tower check raises its error type again, naming the slope,
+    Spin^c index, sigma and depth.  gauge shifts all relative offsets
+    by a constant, so that invariance of the output under it can be
     demonstrated.
 
     Negative p is computed on the mirror complex, since

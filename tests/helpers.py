@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import hfplus
 from hfplus import surgery
-from hfplus.acomplex import (band_floor, h_columns, realize, signed_flip,
-                             v_columns)
+from hfplus.acomplex import (band_floor, genus, h_columns, realize,
+                             signed_flip, v_columns)
 from hfplus.cfk import Generator, KnotComplex, Region, grading_solve
 from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
                              tower_decompose)
@@ -270,20 +270,25 @@ class ReferenceCone:
 
     Every block of the window [-sigma, sigma] is built: the end pairs
     that surgery.MappingCone drops are kept, and the cut comes from
-    the band floor of all of them.  Each region is realized once,
-    every block is the prefix of its realization cut at the cone's top
-    degree, and v_columns and h_columns join each A_s to B_s and
-    B_{s+1}.  Same offsets and labels as surgery.MappingCone, which
-    builds the kept blocks from the regions' unit-cancelled residues.
+    the band floor of all of them.  With kept=True only the blocks
+    MappingCone keeps are built, cut where it cuts them.  Each region
+    is realized once, every block is the prefix of its realization cut
+    at the cone's top degree, and v_columns and h_columns join each
+    A_s to B_s and B_{s+1}.  Same offsets and labels as
+    surgery.MappingCone, which builds its bottom block from a
+    unit-cancelled residue and cancels every B_s against A_s.
     """
 
-    def __init__(self, source, descriptor, gauge=0):
+    def __init__(self, source, descriptor, gauge=0, kept=False):
         flip = signed_flip(source)
-        off_a, off_b = surgery._cone_offsets(descriptor, gauge)
-        blocks = [(("A", s), Region.max_ij(descriptor.t(s)), off_a[s], 1)
-                  for s in descriptor.a_positions()]
-        blocks += [(("B", s), Region.min_i(), off_b[s], -1)
-                   for s in descriptor.b_positions()]
+        if kept:
+            blocks = surgery._cone_blocks(descriptor, genus(source), gauge)
+        else:
+            off_a, off_b = surgery._cone_offsets(descriptor, gauge)
+            blocks = [(("A", s), Region.max_ij(descriptor.t(s)), off_a[s],
+                       1) for s in descriptor.a_positions()]
+            blocks += [(("B", s), Region.min_i(), off_b[s], -1)
+                       for s in descriptor.b_positions()]
         top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
                + 2 * descriptor.depth)
         real = {}
@@ -302,8 +307,8 @@ class ReferenceCone:
                             for col in rr.boundary[:n])
             u_cols.extend({b0 + i: c for i, c in col.items()}
                           for col in rr.u_action[:n])
-        b_real = real[Region.min_i()]
-        for s in descriptor.b_positions():
+        b_real = real.get(Region.min_i())
+        for s in (label[1] for label in base if label[0] == "B"):
             b0 = base[("B", s)][0]
             v0, v_keys = base[("A", s)]
             h0, h_keys = base[("A", s - 1)]

@@ -195,6 +195,43 @@ def test_cancel_units_keeps_torsion_and_drops_split_pairs():
     assert graded_homology(split).summary() == {0: (1, ())}
 
 
+def _counting_checks(monkeypatch):
+    checked = []
+    check = GradedComplex._check
+
+    def counting(self):
+        checked.append(self.n)
+        check(self)
+
+    monkeypatch.setattr(GradedComplex, "_check", counting)
+    return checked
+
+
+def test_cancel_units_with_nothing_to_cancel_changes_and_checks_nothing(
+        monkeypatch):
+    # d(x) = 2 y and U(x) = z: no unit, so the complex stays as built,
+    # and the check made at construction is not repeated
+    checked = _counting_checks(monkeypatch)
+    gc = GradedComplex([2, 1, 0], [{1: 2}, {}, {}],
+                       u_action=[{2: 1}, {}, {}], labels=["x", "y", "z"])
+
+    def state():
+        return (gc.n, gc.degrees, gc.boundary, gc.u_action, gc.labels,
+                gc.by_degree)
+
+    before = repr(state())
+    gc.cancel_units()
+    assert repr(state()) == before
+    assert checked == [3]
+
+
+def test_cancel_units_checks_the_complex_it_shrank(monkeypatch):
+    checked = _counting_checks(monkeypatch)
+    gc = GradedComplex([1, 0, 0], [{1: 1, 2: 2}, {}, {}])
+    gc.cancel_units()
+    assert checked == [3, 1]
+
+
 def test_cancel_units_transports_u_along_a_cancelled_pair():
     # d(x) = y and d(a) = b, with U(x) = a, U(y) = b and U(t) = y for a
     # lone class t: pi sends y to y - d(x) = 0, so after both pairs

@@ -129,21 +129,61 @@ def test_calibration_minimum_lies_in_the_kept_window():
                             == min(f.values())), (name, desc)
 
 
+def _strip(k, t, top=None):
+    """S_t = C{i < 0 <= j - t} from its definition, key -> degree."""
+    return {(g.name, n): g.m + 2 * n for g in k.generators
+            for n in range(t - g.j, -g.i)
+            if top is None or g.m + 2 * n <= top}
+
+
+def test_each_a_block_is_b_plus_its_strip():
+    # what MappingCone relies on, at the chain level: at any cut, A_t is
+    # B plus the strip S_t, element for element; S_t is a subcomplex, B
+    # the quotient, and v the identity on B's keys
+    for k in TRIM_KNOTS:
+        g = genus(k)
+        floor = band_floor(k, [(Region.min_i(), 0)])
+        for t in range(-g - 2, g + 3):
+            assert len(_strip(k, t)) == sum(max(0, x.j - x.i - t)
+                                            for x in k.generators), k.name
+            for top in (floor - 3, floor, floor + 2 * TOWER_LEVELS):
+                a = realize(k, Region.max_ij(t), top)
+                b = realize(k, Region.min_i(), top)
+                strip = _strip(k, t, top)
+                assert not strip.keys() & set(b.ids), (k.name, t)
+                assert (dict(zip(a.ids, a.degrees))
+                        == {**dict(zip(b.ids, b.degrees)), **strip}), (
+                            k.name, t, top)
+                assert v_columns(a.ids, b) == [
+                    {} if key in strip else {b.id_of[key]: 1}
+                    for key in a.ids]
+                for key, col, ucol in zip(a.ids, a.boundary, a.u_action):
+                    if key in strip:
+                        assert {a.ids[n] for n in (*col, *ucol)} <= set(strip)
+                        continue
+                    n = b.id_of[key]
+                    for into, own in ((col, b.boundary[n]),
+                                      (ucol, b.u_action[n])):
+                        assert ({a.ids[i]: c for i, c in into.items()
+                                 if a.ids[i] not in strip}
+                                == {b.ids[i]: c for i, c in own.items()})
+
+
 def test_hf_plus_realizes_each_region_once(monkeypatch):
-    # 1/5 and 2/7 have q > p, so several positions s share one t; at
-    # 5/1 every cone of the trefoil is one A block, and B is not realized
+    # 1/5 and 2/7 have q > p, so several Spin^c structures share a
+    # bottom region; at 5/1 every cone of the trefoil is one A block
     cases = [(staircase(5), 7, 3), (builtin("figure_eight"), 2, 7),
              (builtin("trefoil_right"), 1, 5),
              (builtin("trefoil_right"), 5, 1)]
+    joined = 0
     for k, p, q in cases:
         tops = {}
         for i in range(p):
             desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
                                      TOWER_LEVELS)
             top = _band_floor(k, desc) + 2 * desc.depth
-            for _, region, offset, _ in _kept_blocks(k, desc):
-                tops[region] = max(tops.get(region, top - offset),
-                                   top - offset)
+            _, region, offset, _ = _kept_blocks(k, desc)[0]
+            tops[region] = max(tops.get(region, top - offset), top - offset)
         calls = []
         checked = []
         cones = []
@@ -168,51 +208,136 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
             m.setattr(acomplex, "GradedComplex", checking)
             m.setattr(surgery, "build_mapping_cone", building)
             hf_plus(k, p, q)
-        # one realization per distinct region of the kept blocks, at the
-        # largest top any Spin^c structure's blocks need; each checked
+        # one realization per distinct bottom region, at the largest top
+        # any Spin^c structure's cone needs, and none of B; each checked
         # once, and each of the p cones checked once when it is built
         assert len(calls) == len(tops) and dict(calls) == tops, (p, q)
-        assert (Region.min_i() in tops) == ((p, q) != (5, 1)), (p, q)
+        assert Region.min_i() not in tops
         assert len(checked) == len(tops) + p, (p, q)
-        # every cone is built from residues: its labels are translates
-        # of degree <= C + 1 in its blocks' regions
+        # the bottom block is a prefix of its region, every other A_s
+        # the strip S_t(s) and every B_s the slice of cone degree C + 1
         for cone in cones:
-            blocks = {label: (region, offset) for label, region, offset, _
-                      in _kept_blocks(k, cone.descriptor)}
+            kept = _kept_blocks(k, cone.descriptor)
+            blocks = {label: (region, offset)
+                      for label, region, offset, _ in kept}
+            joined += len(kept) > 1
             for label, degree in zip(cone.ids, cone.complex.degrees):
                 region, offset = blocks[label[:2]]
                 g = k.by_name[label[2]]
-                assert label[3] >= _first(g, region), (p, q, label)
+                i, j = g.i + label[3], g.j + label[3]
                 assert degree == g.m + 2 * label[3] + offset
                 assert degree <= cone.ceiling + 1
+                if label[:2] == kept[0][0]:
+                    assert label[3] >= _first(g, region), (p, q, label)
+                elif label[0] == "A":
+                    assert i < 0 <= j - region.params[0], (p, q, label)
+                else:
+                    assert i >= 0 and degree == cone.ceiling + 1
+    assert joined >= 5
 
 
 def test_cone_joins_are_the_v_and_h_maps():
-    # the unreduced cone that the reduced one is tested against
-    k = builtin("figure_eight")
-    desc = SurgeryDescriptor(7, 3, 2, sigma=2, depth=12)
-    cone = ReferenceCone(k, desc)
-    off_a, _ = surgery._cone_offsets(desc)
-    index = {label: n for n, label in enumerate(cone.ids)}
-    joins = 0
-    for s in desc.a_positions():
-        # the cone cuts A_s at its top; map_v and map_h cut B to match
-        top = cone.ceiling + 1 - off_a[s]
-        for b_pos, chain_map in ((s, map_v(k, desc.t(s), top)),
-                                 (s + 1, map_h(k, desc.t(s), top))):
-            if b_pos not in desc.b_positions():
-                continue
-            target = chain_map.target.labels
-            expected = [{target[r]: c for r, c in col.items()}
-                        for col in chain_map.columns]
-            block = []
-            for key in chain_map.source.labels:
-                col = cone.complex.boundary[index[("A", s) + key]]
-                block.append({cone.ids[r][2:]: c for r, c in col.items()
-                              if cone.ids[r][:2] == ("B", b_pos)})
-            assert block == expected, (s, b_pos)
-            joins += 1
-    assert joins == 2 * 2 * desc.sigma
+    # the unreduced cones the reduced one is tested against: the whole
+    # window, and the kept blocks that the chain-level identity cancels
+    cases = [(builtin("figure_eight"),
+              SurgeryDescriptor(7, 3, 2, sigma=2, depth=12), False),
+             (builtin("trefoil_right"),
+              SurgeryDescriptor(1, 5, 0, sigma=4, depth=TOWER_LEVELS), True)]
+    for k, desc, kept in cases:
+        cone = ReferenceCone(k, desc, kept=kept)
+        off_a, _ = surgery._cone_offsets(desc)
+        index = {label: n for n, label in enumerate(cone.ids)}
+        a_positions = ([label[1] for label, *_ in _kept_blocks(k, desc)
+                        if label[0] == "A"] if kept
+                       else list(desc.a_positions()))
+        joins = 0
+        for s in a_positions:
+            # the cone cuts A_s at its top; map_v and map_h cut B to match
+            top = cone.ceiling + 1 - off_a[s]
+            for b_pos, chain_map in ((s, map_v(k, desc.t(s), top)),
+                                     (s + 1, map_h(k, desc.t(s), top))):
+                if b_pos not in a_positions[1:]:
+                    continue
+                target = chain_map.target.labels
+                expected = [{target[r]: c for r, c in col.items()}
+                            for col in chain_map.columns]
+                block = []
+                for key in chain_map.source.labels:
+                    col = cone.complex.boundary[index[("A", s) + key]]
+                    block.append({cone.ids[r][2:]: c for r, c in col.items()
+                                  if cone.ids[r][:2] == ("B", b_pos)})
+                assert block == expected, (s, b_pos)
+                joins += 1
+        assert joins == 2 * (len(a_positions) - 1) == 8, kept
+
+
+def _cancel_matched_pairs(cone, pairs):
+    """The cone's columns, by label, after cancelling exactly pairs."""
+    boundary = [dict(col) for col in cone.complex.boundary]
+    rows = homology._row_index(boundary, len(boundary))
+    for x, y in pairs:
+        assert boundary[x][y] == 1
+        homology._cancel_pair(boundary, rows, {}, x, y)
+    return {cone.ids[j]: {cone.ids[i]: c for i, c in col.items()}
+            for j, col in enumerate(boundary) if col is not None}
+
+
+CHAIN_CASES = ([builtin(name) for name in BUILTIN_NAMES]
+               + [twisty(2), torsion_square(), staircase(3)]
+               + [random_knot(random.Random(seed), 4)
+                  for seed in (0, 1, 2, 30, 31, 52, 60, 97)])
+
+
+@pytest.mark.no_self_check
+def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
+    # with the bottom block left unreduced, the cone's columns are those
+    # of the unreduced cone of the kept blocks after cancelling exactly
+    # the pairs (p, v(p)): every key p of the copy of B inside A_s,
+    # s > lo, below the top, against the same key of B_s; and U agrees
+    # on homology
+    monkeypatch.setattr(surgery, "cancel_unit_pairs",
+                        lambda degrees, *rest: (list(range(len(degrees))),
+                                                {}))
+    joined = 0
+    for k in CHAIN_CASES:
+        for p, q in [(1, 1), (2, 1), (5, 2), (7, 3), (1, 5), (2, 7)]:
+            for i in range(p):
+                desc = SurgeryDescriptor(p, q, i,
+                                         truncation_sigma(k, p, q, i),
+                                         TOWER_LEVELS)
+                if len(_kept_blocks(k, desc)) == 1:
+                    continue
+                joined += 1
+                cone = build_mapping_cone(k, desc)
+                kept = ReferenceCone(k, desc, kept=True)
+                assert cone.ceiling == kept.ceiling
+                index = {label: n for n, label in enumerate(kept.ids)}
+                pairs = [(index[("A",) + label[1:]], n)
+                         for n, label in enumerate(kept.ids)
+                         if label[0] == "B"
+                         and kept.complex.degrees[n] <= kept.ceiling]
+                columns = {label: {cone.ids[i]: c for i, c in col.items()}
+                           for label, col in zip(cone.ids,
+                                                 cone.complex.boundary)}
+                assert columns == _cancel_matched_pairs(kept, pairs), (
+                    k.name, p, q, i)
+                kept.complex.cancel_units()
+                assert (homology._homology_profile(cone.complex)
+                        == homology._homology_profile(kept.complex)), (
+                            k.name, p, q, i)
+    assert joined >= 50
+
+
+@pytest.mark.no_self_check
+def test_cone_agrees_with_the_reference_on_random_knots():
+    # the last seven have a generator with j - i > g, so A_t is not B at
+    # the chain level even for t >= g
+    for seed in (*range(4), 30, 31, 52, 60, 97, 106, 108):
+        k = random_knot(random.Random(seed), 4)
+        for p, q in [(1, 1), (2, 1), (5, 2), (1, 5)]:
+            for r in hf_plus(k, p, q).spin_c:
+                assert (reference_spin_c(k, p, q, r.index, r.sigma)
+                        == (r.d, r.hf_red)), (seed, p, q, r.index)
 
 
 def _anticommuting_flip(k):
@@ -349,22 +474,32 @@ def test_hf_plus_builds_no_calibration_cone(monkeypatch):
         assert len(built) >= p and 1 not in built, (name, built)
 
 
-@pytest.mark.no_self_check
 def test_hf_plus_builds_one_cone_per_spin_c_structure(monkeypatch):
-    built = []
+    built, realized = [], []
 
     def build(complex_, descriptor, *rest):
         built.append(descriptor)
         return build_mapping_cone(complex_, descriptor, *rest)
 
+    def counting(complex_, region, top):
+        realized.append(region)
+        return realize(complex_, region, top)
+
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     monkeypatch.setattr(surgery, "build_mapping_cone", build)
+    monkeypatch.setattr(surgery, "realize", counting)
     for g, p, q in [(6, 1, 1), (7, 1, 1), (8, 1, 1), (8, 7, 3)]:
         k = staircase(g)
         built.clear()
+        realized.clear()
         hf_plus(k, p, q)
         assert [d.spin_c for d in built] == list(range(p)), (g, p, q)
         assert all(d.depth == TOWER_LEVELS for d in built), (g, p, q)
+        # the large cones keep up to 2g - 1 A blocks, and realize only
+        # their bottom ones, each distinct region once
+        bottoms = {_kept_blocks(k, d)[0][1] for d in built}
+        assert len(realized) == len(set(realized)), (g, p, q)
+        assert set(realized) == bottoms, (g, p, q)
 
 
 @pytest.mark.no_self_check

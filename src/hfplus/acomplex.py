@@ -3,16 +3,16 @@
 A knot complex stores one generator per U-orbit; to compute anything
 we unfold finitely many translates.  The translate (x, k) sits at
 filtration (i_x + k, j_x + k) and grading m_x + 2k, and U acts by
-k -> k - 1.  Realizing an upward-closed (quotient) region keeps the
-translates whose filtration lies in the region and whose degree is at
-most a cut `top`.  Since the differential and U both lower the degree,
-the kept part is the subcomplex of the region complex spanned by its
-elements of degree <= top, so its homology is exact in every degree
-below top -- realizations record that trust ceiling, top - 1.  Their
-elements come in degree order, so a lower cut is a prefix: an hf_plus
-call realizes only the bottom A block of each cone, once per region,
-and cuts it as a prefix of its unit-cancelled residue
-(surgery.reduce_regions).  The cone's other blocks are enumerated
+k -> k - 1.  Every region is upward closed (a quotient complex), and
+realizing one keeps the translates whose filtration lies in the region
+and whose degree is at most a cut `top`.  Since the differential and U
+both lower the degree, the kept part is the subcomplex of the region
+complex spanned by its elements of degree <= top, so its homology is
+exact in every degree below top -- realizations record that trust
+ceiling, top - 1.  Their elements come in degree order, so a lower cut
+is a prefix: an hf_plus call realizes only the bottom A block of each
+cone, once per region, and cuts it as a prefix of its unit-cancelled
+residue (surgery.reduce_regions).  The cone's other blocks are enumerated
 key by key (surgery.MappingCone), so hf_plus never realizes B.
 
 The two maps out of A_s = C{max(i, j-s) >= 0} both land in
@@ -27,6 +27,8 @@ once, a key at a time (h_column puts h_key in a target's elements),
 for map_v/map_h and the surgery cone alike.  band_floor is the one
 rule for where truncated computations cut, worked out in closed form
 from the generators' gradings and the blocks' offsets, with no retry.
+hfk_hat needs no realization: a level of HFK-hat is a level of the
+finite {i = 0} column, built by cfk.column.
 
 Realizations and homology groups are built anew on every call and
 never cached; results (genus, kernel_rank_v) go through cfk's memo.
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cfk import Region, flip_chain_sign, memoized
+from .cfk import Region, column, flip_chain_sign, memoized
 from .errors import (FlipMissingError, GradingError, InvalidComplexError,
                      NotStabilizedError)
 from .homology import TOWER_LEVELS, ChainMap, GradedComplex, graded_homology
@@ -45,15 +47,7 @@ from .homology import TOWER_LEVELS, ChainMap, GradedComplex, graded_homology
 
 def _k_range(g, region, top):
     """The range of translates of g in the region, degree <= top."""
-    if region.kind == "min_i":
-        (bound,) = region.params
-        return range(bound - g.i, (top - g.m) // 2 + 1)
-    if region.kind == "max_ij":
-        s, bound = region.params
-        return range(bound - max(g.i, g.j - s), (top - g.m) // 2 + 1)
-    ci, cj = region.params
-    k = ci - g.i
-    return range(k, k + 1) if g.j + k == cj else range(0)
+    return range(-region.level(g.i, g.j), (top - g.m) // 2 + 1)
 
 
 def band_floor(complex_, blocks):
@@ -86,12 +80,12 @@ class RealizedRegion:
     Element n is ids[n] = (generator name, translate), of degree
     degrees[n]; id_of inverts ids.  Elements come in degree order (ties
     by name, then translate), and boundary and u_action, column-sparse
-    as in GradedComplex, lower it, so each degree cut is a prefix.  A
-    quotient region keeps its translates of degree <= top, and ceiling
-    = top - 1 bounds the degrees in which homology of the realization
-    agrees with the untruncated region; a single region is finite,
-    ignores top and has no ceiling.  The checked GradedComplex
-    realization is built on first use.
+    as in GradedComplex, lower it, so each degree cut is a prefix.  The
+    region is upward closed, so keeping its translates of degree <= top
+    keeps a subcomplex, and ceiling = top - 1 bounds the degrees in
+    which homology of the realization agrees with the untruncated
+    region.  The checked GradedComplex realization is built on first
+    use.
     """
 
     def __init__(self, source, region, top):
@@ -105,8 +99,7 @@ class RealizedRegion:
         self.degrees = [deg for deg, _, _ in elements]
         self.ids = ids = [(name, k) for _, name, k in elements]
         self.id_of = id_of = {key: n for n, key in enumerate(ids)}
-        self.ceiling = (top - 1 if region.classification == "quotient"
-                        else None)
+        self.ceiling = top - 1
         self.boundary = boundary = []
         self.u_action = u_action = []
         for name, k in ids:
@@ -245,23 +238,17 @@ def induced_h(complex_, s, top):
 
 
 def hfk_hat(complex_, s):
-    """Homology of the single filtration level (0, s)."""
-    if complex_.graded:
-        realized = realize(complex_, Region.single(0, s), None)
-        return graded_homology(realized.realization)
-    # rank-only queries work without gradings
-    inside = [(g, -g.i) for g in complex_.generators if g.j - g.i == s]
-    idx = {(g.name, k): n for n, (g, k) in enumerate(inside)}
-    boundary = []
-    for g, k in inside:
-        col = {}
-        for t in complex_.differential.get(g.name, ()):
-            tid = idx.get((t.target, k - t.u_exponent))
-            if tid is not None:
-                col[tid] = t.coefficient
-        boundary.append(col)
-    return graded_homology(
-        GradedComplex([0] * len(inside), boundary, check=False))
+    """Hat knot Floer homology at Alexander grading s.
+
+    The {i = 0} column (cfk.column) on the generators with j - i = s,
+    which is the level (0, s), in degrees m - 2i.  An ungraded complex
+    puts every element in degree 0, which is enough for ranks when the
+    level carries no arrow.
+    """
+    graded = complex_.graded
+    return graded_homology(column(complex_, {
+        g.name: g.m - 2 * g.i if graded else 0
+        for g in complex_.generators if g.j - g.i == s}, check=graded))
 
 
 def _alexander_support(complex_):

@@ -17,9 +17,11 @@ checks that a supplied flip is an involution, swaps (i,j), preserves
 the grading, and is a chain map up to one global sign.
 
 Gradings of the bundled examples are not hard-coded; grading_solve
-derives them from the arrow constraints and pins the free constant by
-the requirement that the (truncated) i >= 0 quotient be a tower whose
-bottom sits in grading 0.
+derives them from the arrow constraints and pins the free constant
+with the {i = 0} column (built by column()): its homology is
+HF-hat(S^3) = Z, and that Z sits at the bottom of the tower of
+C{i >= 0}, which goes in grading 0.  A component whose column homology
+is torsion only needs a seed.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import permutations
 
-from .errors import (GradingError, InvalidComplexError, NotStabilizedError,
-                     ParseError, TorsionInTowerError)
+from .errors import GradingError, InvalidComplexError, ParseError
+from .homology import GradedComplex, graded_homology
 
 BUILTIN_NAMES = ("unknot", "trefoil_right", "trefoil_left", "figure_eight",
                  "torus_2_5")
@@ -177,51 +180,36 @@ def memoized(fn):
 
 @dataclass(frozen=True)
 class Region:
-    """A set of filtration levels used to cut a complex down.
+    """An upward-closed set of filtration levels used to cut a complex.
 
-    min_i / max_ij regions are upward closed (quotient complexes, with
-    a degree cut applied at realization time); a single region picks
-    out one level directly.  value(i, j) measures how
-    deep a level sits inside the region, or None when outside.
+    Each region is a quotient complex, cut by degree at realization
+    time.  level(i, j) measures how deep a filtration level sits inside
+    the region, negative outside it; value(i, j) is that depth, or None
+    when outside.
     """
 
     kind: str
     params: tuple
 
     @staticmethod
-    def min_i(bound=0):
-        return Region("min_i", (bound,))
+    def min_i():
+        return Region("min_i", ())
 
     @staticmethod
-    def max_ij(s, bound=0):
-        return Region("max_ij", (s, bound))
+    def max_ij(s):
+        return Region("max_ij", (s,))
 
-    @staticmethod
-    def single(i, j):
-        return Region("single", (i, j))
-
-    @property
-    def classification(self):
-        return "quotient" if self.kind in ("min_i", "max_ij") else "subquotient"
+    def level(self, i, j):
+        return i if self.kind == "min_i" else max(i, j - self.params[0])
 
     def value(self, i, j):
-        if self.kind == "min_i":
-            v = i - self.params[0]
-        elif self.kind == "max_ij":
-            s, bound = self.params
-            v = max(i, j - s) - bound
-        else:
-            ci, cj = self.params
-            return 0 if (i == ci and j == cj) else None
+        v = self.level(i, j)
         return v if v >= 0 else None
 
     def describe(self):
         if self.kind == "min_i":
-            return f"{{i >= {self.params[0]}}}"
-        if self.kind == "max_ij":
-            s, bound = self.params
-            return f"{{max(i, j - {s}) >= {bound}}}"
-        return f"{{(i,j) = ({self.params[0]},{self.params[1]})}}"
+            return "{i >= 0}"
+        return f"{{max(i, j - {self.params[0]}) >= 0}}"
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +451,6 @@ def are_isomorphic(a, b):
     if set(ga) != set(gb) or any(len(ga[k]) != len(gb[k]) for k in ga):
         return False
 
-    from itertools import permutations
     keys = sorted(ga)
     total = 1
     for k in keys:
@@ -573,86 +560,67 @@ def _relative_gradings(complex_, component):
     return rel
 
 
-def _column_homology_is_nonzero(complex_, component, rel):
-    """Whether the {i = 0} column of this component has nonzero homology.
+def column(complex_, degrees, check=False):
+    """The {i = 0} column on the generators named in degrees.
 
-    Each generator x contributes the single translate at i = 0 (namely
-    k = -i_x); the induced differential keeps arrows with
-    i_target - n = i_source.  This finite complex computes the hat
-    invariant of the component, which is nonzero exactly for the
-    component carrying the tower.
+    Each generator x contributes its one translate at i = 0 (k = -i_x),
+    in degree degrees[x]; an arrow x -> c U^n y is kept when y is named
+    and i_y - n = i_x.  Over all generators, in degrees m - 2i, this is
+    the finite complex whose homology is HF-hat(S^3) and whose
+    associated graded is HFK-hat.
     """
-    from .homology import GradedComplex, graded_homology
-
-    inside = {name: idx for idx, name in enumerate(component)}
-    degrees = [rel[name] - 2 * complex_.by_name[name].i for name in component]
-    boundary = [{} for _ in component]
-    for g, t in complex_.arrows():
-        if g.name in inside and t.target in inside:
-            tgt = complex_.by_name[t.target]
-            if tgt.i - t.u_exponent == complex_.by_name[g.name].i:
-                boundary[inside[g.name]][inside[t.target]] = t.coefficient
-    h = graded_homology(GradedComplex(degrees, boundary, check=False))
-    return bool(h.support())
-
-
-def _tower_bottom_offset(complex_, component, rel):
-    """Grading constant for the tower component.
-
-    Realizes the i >= 0 quotient of the component alone (with the
-    relative gradings as provisional Maslov gradings), cut at
-    acomplex.band_floor + 2 TOWER_LEVELS, so that the band above the
-    floor holds the tower levels tower_decompose reads, and reads off
-    the degree of the tower bottom; the final gradings subtract it.
-    """
-    from . import acomplex
-    from .homology import TOWER_LEVELS, tower_decompose
-
-    sub = KnotComplex(
-        [Generator(g.name, g.i, g.j, rel[g.name])
-         for g in complex_.generators if g.name in rel],
-        {k: v for k, v in complex_.differential.items() if k in rel},
-        None)
-    region = Region.min_i()
-    top = acomplex.band_floor(sub, [(region, 0)]) + 2 * TOWER_LEVELS
-    try:
-        _, h = acomplex.region_homology(sub, region, top)
-        return -tower_decompose(h).d_bottom
-    except (NotStabilizedError, TorsionInTowerError) as exc:
-        raise GradingError(
-            f"could not normalize the tower grading: {exc}") from exc
+    index = {name: n for n, name in enumerate(degrees)}
+    boundary = []
+    for name in degrees:
+        i = complex_.by_name[name].i
+        boundary.append({
+            index[t.target]: t.coefficient
+            for t in complex_.differential[name]
+            if t.target in index
+            and complex_.by_name[t.target].i - t.u_exponent == i})
+    return GradedComplex(list(degrees.values()), boundary, check=check)
 
 
 def grading_solve(complex_, seeds=None):
     """Assign absolute Maslov gradings to an ungraded complex.
 
     Relative gradings on each connected component (arrows plus flip
-    edges) are forced by the constraints; the free constant of the
-    component whose {i = 0} column carries homology -- the tower
-    component -- is pinned by normalizing the tower bottom to grading
-    0.  Every other component must be pinned by a seed: either an
-    explicit entry in `seeds` or a grading already present on one of
-    its generators.
+    edges) are forced by the constraints.  The column homology of a
+    knot complex is HF-hat(S^3) = Z, and by the exact triangle
+    HF-hat -> HF+ -> HF+ (the last map U) that Z sits at the bottom of
+    the tower of C{i >= 0}.  So the tower component is the one whose
+    {i = 0} column homology has a free part; that part must be a single
+    Z, and the component is shifted to put it in grading 0.  Every
+    other component must be pinned by a seed: an explicit entry in
+    `seeds` or a grading already present on one of its generators.  A
+    component whose column homology is torsion only (an acyclic piece
+    over Z[U, U^-1]) has no grading fixed by the complex, so it needs
+    a seed too.
     """
     require_valid(complex_, ignore_grading=True)
     seeds = dict(seeds or {})
     for g in complex_.generators:
         if g.m is not None and g.name not in seeds:
             seeds[g.name] = g.m
-    comps = _components(complex_)
     solved = {}
-    tower_comps = []
-    for comp in comps:
+    towers = []
+    for comp in _components(complex_):
         rel = _relative_gradings(complex_, comp)
-        if _column_homology_is_nonzero(complex_, comp, rel):
-            tower_comps.append((comp, rel))
+        h = graded_homology(column(complex_, {
+            name: rel[name] - 2 * complex_.by_name[name].i
+            for name in comp}))
+        if h.total_free_rank():
+            towers.append((comp, rel, h))
             continue
         pins = {name: seeds[name] - rel[name] for name in comp
                 if name in seeds}
         if not pins:
+            reason = ("its {i = 0} column homology is torsion only, so it "
+                      "needs a seed" if h.support() else
+                      "no tower normalization")
             raise GradingError(
                 "ambiguous relative grading: component containing "
-                f"{comp[0]} has no seed and no tower normalization")
+                f"{comp[0]} has no seed and {reason}")
         offsets = set(pins.values())
         if len(offsets) > 1:
             raise GradingError(
@@ -660,20 +628,25 @@ def grading_solve(complex_, seeds=None):
         off = offsets.pop()
         for name in comp:
             solved[name] = rel[name] + off
-    if len(tower_comps) != 1:
-        if not tower_comps:
+    if len(towers) != 1:
+        if not towers:
             raise GradingError(
-                "no tower component: the {i = 0} column has no homology")
+                "no tower component: the {i = 0} column homology has no "
+                "free part")
         raise GradingError(
             "ambiguous relative grading: multiple components carry "
-            "column homology")
-    comp, rel = tower_comps[0]
-    off = _tower_bottom_offset(complex_, comp, rel)
+            "free column homology")
+    comp, rel, h = towers[0]
+    free = {d: h.free_rank(d) for d in h.support() if h.free_rank(d)}
+    if list(free.values()) != [1]:
+        raise GradingError(
+            "could not normalize the tower grading: the {i = 0} column "
+            f"of the component containing {comp[0]} has free ranks "
+            f"{free} by degree, not one Z")
+    (bottom,) = free
     for name in comp:
-        solved[name] = rel[name] + off
-    pins = {name: seeds[name] for name in comp if name in seeds}
-    for name, want in pins.items():
-        if solved[name] != want:
+        solved[name] = rel[name] - bottom
+        if name in seeds and solved[name] != seeds[name]:
             raise GradingError(
                 f"grading seed for {name} conflicts with the tower "
                 "normalization")

@@ -7,10 +7,12 @@ differential squares to zero by construction (with a flip, for
 surgery, in random_knot), the staircase complex of any L-space knot
 from its Alexander polynomial, a complex whose surgeries have torsion,
 the unreduced full-window surgery cone that the reduced one is
-compared with (and the d and HF_red read from it), and the environment
-for child interpreters.  The acceptance registry at
-the bottom is filled by test_acceptance.py and printed by the conftest
-terminal-summary hook.
+compared with (and the d and HF_red read from it), the tower bottom of
+C{i >= 0} read through a realization (how gradings were normalized
+before grading_solve read the {i = 0} column), and the environment for
+child interpreters.  The acceptance registry at the bottom is filled
+by test_acceptance.py and printed by the conftest terminal-summary
+hook.
 """
 
 import os
@@ -20,7 +22,7 @@ from fractions import Fraction
 import hfplus
 from hfplus import surgery
 from hfplus.acomplex import (band_floor, genus, h_columns, realize,
-                             signed_flip, v_columns)
+                             region_homology, signed_flip, v_columns)
 from hfplus.cfk import Generator, KnotComplex, Region, grading_solve
 from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
                              tower_decompose)
@@ -259,6 +261,25 @@ def torsion_square():
         flip[x] = (1, x + "'")
         flip[x + "'"] = (1, x)
     return KnotComplex(gens, diff, flip, name="torsion_square")
+
+
+def strip_gradings(k):
+    """k with every Maslov grading dropped."""
+    return KnotComplex([(g.name, g.i, g.j) for g in k.generators],
+                       k.differential, k.flip, name=k.name)
+
+
+def tower_bottom(k):
+    """Degree of the bottom of the tower of H(C{i >= 0}) of a graded k.
+
+    C{i >= 0} is realized at band_floor + 2 TOWER_LEVELS, so the band
+    above the floor holds the tower levels tower_decompose reads.  This
+    is how grading_solve pinned the tower before it read the {i = 0}
+    column; a solved complex must have its bottom at 0.
+    """
+    region = Region.min_i()
+    top = band_floor(k, [(region, 0)]) + 2 * TOWER_LEVELS
+    return tower_decompose(region_homology(k, region, top)[1]).d_bottom
 
 
 # ---------------------------------------------------------------------------

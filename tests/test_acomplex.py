@@ -33,9 +33,8 @@ def test_realize_unknot_quarter_plane():
     assert realized.ceiling == 12
 
 
-def test_realize_single_level_of_figure_eight():
-    realized = realize(builtin("figure_eight"), Region.single(0, 0), 0)
-    assert realized.realization.n == 3
+def test_hfk_hat_of_figure_eight_reads_three_elements_at_level_zero():
+    assert hfk_hat(builtin("figure_eight"), 0).complex.n == 3
 
 
 def test_realize_respects_depth_bound():

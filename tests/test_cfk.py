@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_complex
-from hfplus import cfk
+from helpers import (l_space_staircase, random_complex, staircase,
+                     strip_gradings, torsion_square, tower_bottom, twisty)
+from hfplus import acomplex, cfk
 from hfplus.cfk import (BUILTIN_NAMES, KnotComplex, Region, UTerm,
                         are_isomorphic, builtin, flip_chain_sign,
                         grading_solve, memoized, mirror, parse_text,
@@ -14,6 +15,7 @@ from hfplus.cfk import (BUILTIN_NAMES, KnotComplex, Region, UTerm,
 from hfplus.errors import (GradingError, InvalidComplexError,
                            NotStabilizedError, ParseError)
 from hfplus.surgery import hf_plus
+from towers import torus_alexander
 
 
 def test_builtin_names_and_validity():
@@ -128,14 +130,8 @@ def test_round_trip_random_complexes():
 def test_grading_solver_recovers_builtin_gradings():
     for name in BUILTIN_NAMES:
         k = builtin(name)
-        stripped = KnotComplex(
-            [(g.name, g.i, g.j) for g in k.generators],
-            {key: tuple((t.coefficient, t.u_exponent, t.target)
-                        for t in terms)
-             for key, terms in k.differential.items()},
-            flip=k.flip, name=k.name)
         seeds = {"d": 0} if name == "figure_eight" else None
-        solved = grading_solve(stripped, seeds=seeds)
+        solved = grading_solve(strip_gradings(k), seeds=seeds)
         assert _grading_table(solved) == _grading_table(k)
 
 
@@ -160,14 +156,89 @@ def test_grading_solver_rejects_competing_towers():
         grading_solve(k, seeds={"y": 3})
 
 
+def test_grading_solver_needs_a_seed_for_a_torsion_only_component():
+    # the two squares and the flip between them form one component whose
+    # {i = 0} column homology is Z/2 + Z/2: nothing pins its grading
+    k = torsion_square()
+    with pytest.raises(GradingError, match="ambiguous") as exc:
+        grading_solve(strip_gradings(k))
+    assert "containing a " in str(exc.value)
+    assert "column homology is torsion only" in str(exc.value)
+    solved = grading_solve(strip_gradings(k), seeds={"e": 0})
+    assert _grading_table(solved) == _grading_table(k)
+    assert hf_plus(solved, 2, 1).comparable() == hf_plus(k, 2, 1).comparable()
+
+
+def test_grading_solver_rejects_a_tower_column_that_is_not_one_z():
+    # two flip-swapped dots: one component whose column has Z in two
+    # degrees, so no shift puts a single Z at the tower bottom
+    k = KnotComplex([("x", 0, 1), ("y", 1, 0)], {},
+                    flip={"x": (1, "y"), "y": (1, "x")})
+    with pytest.raises(GradingError, match="could not normalize the tower"):
+        grading_solve(k)
+
+
+def _solved_and_reference():
+    """(solved, reference): each complex solved from its stripped form
+    with the seeds it was built with, and the complex itself."""
+    seeded = [(builtin(name), {"d": 0} if name == "figure_eight" else None)
+              for name in BUILTIN_NAMES]
+    seeded += [(staircase(g), None) for g in range(2, 21)]
+    seeded += [(l_space_staircase(torus_alexander(a, b),
+                                  name=f"T({a},{b})"), None)
+               for a, b in [(3, 4), (3, 5), (4, 5)]]
+    seeded += [(twisty(n), {f"d{k}": 0 for k in range(n)}) for n in (2, 3)]
+    seeded.append((torsion_square(), {"e": 0}))
+    return [(grading_solve(strip_gradings(k), seeds=seeds), k)
+            for k, seeds in seeded]
+
+
+def test_grading_solver_puts_the_tower_bottom_at_zero():
+    # the column's free Z sits where the realized C{i >= 0} has its tower
+    # bottom, so the normalization through a realization moves nothing
+    for solved, reference in _solved_and_reference():
+        assert tower_bottom(solved) == 0, reference.name
+        assert _grading_table(solved) == _grading_table(reference)
+
+
+def test_grading_solver_realizes_no_region(monkeypatch):
+    knots = [(builtin(name), {"d": 0} if name == "figure_eight" else None)
+             for name in BUILTIN_NAMES] + [(staircase(8), None)]
+    built = []
+    init = acomplex.RealizedRegion.__init__
+
+    def counting(self, source, region, top):
+        built.append((region, top))
+        init(self, source, region, top)
+
+    monkeypatch.setattr(acomplex.RealizedRegion, "__init__", counting)
+    for k, seeds in knots:
+        grading_solve(strip_gradings(k), seeds=seeds)
+    assert built == []
+
+
+def test_cfk_imports_at_module_level_and_nothing_downstream():
+    # the module order errors -> homology -> cfk -> acomplex -> surgery
+    # has no back edge, and cfk imports nothing inside a function
+    tree = ast.parse(Path(cfk.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [node.lineno for node in imports if node not in tree.body] == []
+    names = set()
+    for node in imports:
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rsplit(".", 1)[-1])
+            names.update(alias.name for alias in node.names)
+        else:
+            names.update(alias.name.rsplit(".", 1)[-1]
+                         for alias in node.names)
+    assert not names & {"acomplex", "surgery"}, names
+
+
 def test_grading_solver_seed_conflict():
-    k = builtin("trefoil_right")
-    stripped = KnotComplex([(g.name, g.i, g.j) for g in k.generators],
-                           {key: tuple((t.coefficient, t.u_exponent,
-                                        t.target) for t in terms)
-                            for key, terms in k.differential.items()})
     with pytest.raises(GradingError):
-        grading_solve(stripped, seeds={"b": 17})
+        grading_solve(strip_gradings(builtin("trefoil_right")),
+                      seeds={"b": 17})
 
 
 def test_parse_errors_carry_line_numbers():
@@ -231,10 +302,6 @@ def test_region_values():
     assert hook.value(0, 1) == 0
     assert hook.value(2, 5) == 4  # max(i, j - s)
     assert hook.value(-1, 0) is None
-
-    dot = Region.single(0, 2)
-    assert dot.value(0, 2) == 0
-    assert dot.value(0, 1) is None
 
 
 def test_unknot_content_key_is_stable_under_renaming():

@@ -13,7 +13,7 @@ knots from a single surgery.
 __version__ = "0.1.0"
 
 from .acomplex import (LaurentPolynomial, alexander_polynomial, genus,
-                       hfk_hat, kernel_rank_v, map_h, map_v, realize)
+                       hfk_hat, kernel_rank_v, realize)
 from .cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region, UTerm,
                   are_isomorphic, builtin, flip_chain_sign, grading_solve,
                   mirror, parse_text, require_valid, serialize_text,
@@ -23,9 +23,8 @@ from .detect import (CompareResult, Diagnostic, casson_surgery,
 from .errors import (CFKError, FlipMissingError, GradingError,
                      InvalidComplexError, NotStabilizedError, ParseError,
                      TorsionInTowerError)
-from .homology import (ChainMap, GradedComplex, GradedGroup, InducedMap,
-                       TowerDecomposition, graded_homology,
-                       smith_normal_form, tower_decompose)
+from .homology import (GradedComplex, GradedGroup, TowerDecomposition,
+                       graded_homology, smith_normal_form, tower_decompose)
 from .surgery import (HFResult, MappingCone, SpincResult, SurgeryDescriptor,
                       build_mapping_cone, conjugation_constant, hf_plus,
                       lens_d_oracle, truncation_sigma)
@@ -38,10 +37,9 @@ __all__ = [
     "serialize_text", "grading_solve", "are_isomorphic", "flip_chain_sign",
     # homological algebra
     "smith_normal_form", "graded_homology", "GradedComplex", "GradedGroup",
-    "ChainMap", "InducedMap", "tower_decompose",
-    "TowerDecomposition",
+    "tower_decompose", "TowerDecomposition",
     # large-surgery pieces
-    "realize", "map_v", "map_h", "hfk_hat", "genus", "alexander_polynomial",
+    "realize", "hfk_hat", "genus", "alexander_polynomial",
     "kernel_rank_v", "LaurentPolynomial",
     # surgery
     "hf_plus", "HFResult", "SpincResult", "SurgeryDescriptor",

@@ -16,22 +16,22 @@ residue (surgery.reduce_regions).  The cone's other blocks are enumerated
 key by key (surgery.MappingCone), so hf_plus never realizes B.
 
 The two maps out of A_s = C{max(i, j-s) >= 0} both land in
-B = C{i >= 0}: the vertical map is the evident projection, and the
-horizontal one projects to C{j >= s}, slides down by U^s, and applies
-the flip.  When the flip only commutes with the differential up to a
-global sign, the horizontal map absorbs (-1)^m per generator, which
-restores the chain-map identity without disturbing the involution.
-So A_s is B plus the finite strip C{i < 0 <= j - s}, a subcomplex,
-and v is the quotient map by it.  v_column and h_key define both maps
-once, a key at a time (h_column puts h_key in a target's elements),
-for map_v/map_h and the surgery cone alike.  band_floor is the one
-rule for where truncated computations cut, worked out in closed form
-from the generators' gradings and the blocks' offsets, with no retry.
-hfk_hat needs no realization: a level of HFK-hat is a level of the
-finite {i = 0} column, built by cfk.column.
+B = C{i >= 0}.  A_s is B plus the finite strip S_s = C{i < 0 <= j - s},
+a subcomplex, and the vertical map v is the quotient map by it, the
+identity on B's keys.  The horizontal map h projects to C{j >= s},
+slides down by U^s, and applies the flip; when the flip only commutes
+with the differential up to a global sign, h absorbs (-1)^m per
+generator, which restores the chain-map identity without disturbing
+the involution.  h_key defines h a key at a time, for the surgery
+cone.  band_floor is the one rule for where truncated computations
+cut, worked out in closed form from the generators' gradings and the
+blocks' offsets, with no retry.  Neither hfk_hat nor kernel_rank_v
+realizes a region: a level of HFK-hat is a level of the finite
+{i = 0} column, built by cfk.column, and the kernel of v on homology
+is the homology of the finite strip.
 
 Realizations and homology groups are built anew on every call and
-never cached; results (genus, kernel_rank_v) go through cfk's memo.
+never cached; genus and kernel_rank_v keep their results in cfk's memo.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cfk import Region, column, flip_chain_sign, memoized
-from .errors import (FlipMissingError, GradingError, InvalidComplexError,
-                     NotStabilizedError)
-from .homology import TOWER_LEVELS, ChainMap, GradedComplex, graded_homology
+from .cfk import column, flip_chain_sign, memoized
+from .errors import FlipMissingError, GradingError, InvalidComplexError
+from .homology import GradedComplex, graded_homology
 
 
 def _k_range(g, region, top):
@@ -74,6 +73,20 @@ def band_floor(complex_, blocks):
                for region, offset in blocks) + 1
 
 
+def _boundary(source, ids, id_of):
+    """Columns of the differential on the translates ids, id_of their
+    inverse, with every term that lands outside them dropped."""
+    boundary = []
+    for name, k in ids:
+        col = {}
+        for t in source.differential.get(name, ()):
+            tid = id_of.get((t.target, k - t.u_exponent))
+            if tid is not None:
+                col[tid] = t.coefficient
+        boundary.append(col)
+    return boundary
+
+
 class RealizedRegion:
     """A region of a knot complex, unfolded into a finite complex.
 
@@ -100,15 +113,9 @@ class RealizedRegion:
         self.ids = ids = [(name, k) for _, name, k in elements]
         self.id_of = id_of = {key: n for n, key in enumerate(ids)}
         self.ceiling = top - 1
-        self.boundary = boundary = []
+        self.boundary = _boundary(source, ids, id_of)
         self.u_action = u_action = []
         for name, k in ids:
-            col = {}
-            for t in source.differential.get(name, ()):
-                tid = id_of.get((t.target, k - t.u_exponent))
-                if tid is not None:
-                    col[tid] = t.coefficient
-            boundary.append(col)
             uid = id_of.get((name, k - 1))
             u_action.append({uid: 1} if uid is not None else {})
 
@@ -126,27 +133,6 @@ class RealizedRegion:
 def realize(complex_, region, top):
     """A new RealizedRegion of the region cut at degree top (not cached)."""
     return RealizedRegion(complex_, region, top)
-
-
-def _homology(realized):
-    return graded_homology(realized.realization, ceiling=realized.ceiling)
-
-
-def region_homology(complex_, region, top):
-    """(RealizedRegion, GradedGroup) for a region, both built anew."""
-    realized = realize(complex_, region, top)
-    return realized, _homology(realized)
-
-
-def v_column(key, tgt):
-    """Column of v: A_s -> B, the projection, at one key of A_s."""
-    tid = tgt.id_of.get(key)
-    return {} if tid is None else {tid: 1}
-
-
-def v_columns(keys, tgt):
-    """Columns of v on keys of A_s."""
-    return [v_column(key, tgt) for key in keys]
 
 
 def signed_flip(complex_):
@@ -177,62 +163,6 @@ def h_key(complex_, flip, s, key):
     return sgn, (flipped, k - s)
 
 
-def h_column(complex_, flip, s, key, tgt):
-    """Column of h: A_s -> B at one key of A_s, in tgt's elements."""
-    image = h_key(complex_, flip, s, key)
-    tid = None if image is None else tgt.id_of.get(image[1])
-    return {} if tid is None else {tid: image[0]}
-
-
-def h_columns(complex_, flip, s, keys, tgt):
-    """Columns of h on keys of A_s."""
-    return [h_column(complex_, flip, s, key, tgt) for key in keys]
-
-
-def _a_and_b(complex_, s, top, b_top):
-    """Realizations of A_s cut at top and B cut at b_top."""
-    return (realize(complex_, Region.max_ij(s), top),
-            realize(complex_, Region.min_i(), b_top))
-
-
-def _v_map(src, tgt):
-    return ChainMap(src.realization, tgt.realization,
-                    v_columns(src.ids, tgt), shift=0)
-
-
-def _h_map(complex_, s, src, tgt):
-    cols = h_columns(complex_, signed_flip(complex_), s, src.ids, tgt)
-    return ChainMap(src.realization, tgt.realization, cols, shift=-2 * s)
-
-
-def map_v(complex_, s, top):
-    """The projection A_s -> B, both cut at top, as a checked ChainMap."""
-    return _v_map(*_a_and_b(complex_, s, top, top))
-
-
-def map_h(complex_, s, top):
-    """Project to {j >= s}, slide by U^s, flip: A_s -> B, shift -2s.
-
-    A_s is cut at degree top and B at top - 2s, where h lands, so h is
-    a chain map between the two truncations.
-    """
-    return _h_map(complex_, s, *_a_and_b(complex_, s, top, top - 2 * s))
-
-
-def induced_v(complex_, s, top):
-    """(InducedMap of v, trusted source-degree ceiling top - 1)."""
-    src, tgt = _a_and_b(complex_, s, top, top)
-    return (_v_map(src, tgt).induced(_homology(src), _homology(tgt)),
-            src.ceiling)
-
-
-def induced_h(complex_, s, top):
-    """(InducedMap of h, trusted source-degree ceiling top - 1)."""
-    src, tgt = _a_and_b(complex_, s, top, top - 2 * s)
-    hmap = _h_map(complex_, s, src, tgt)
-    return hmap.induced(_homology(src), _homology(tgt)), src.ceiling
-
-
 # ---------------------------------------------------------------------------
 # knot-level invariants
 
@@ -243,12 +173,16 @@ def hfk_hat(complex_, s):
     The {i = 0} column (cfk.column) on the generators with j - i = s,
     which is the level (0, s), in degrees m - 2i.  An ungraded complex
     puts every element in degree 0, which is enough for ranks when the
-    level carries no arrow.
+    level carries no arrow; one that does raises GradingError.
     """
     graded = complex_.graded
-    return graded_homology(column(complex_, {
+    level = column(complex_, {
         g.name: g.m - 2 * g.i if graded else 0
-        for g in complex_.generators if g.j - g.i == s}, check=graded))
+        for g in complex_.generators if g.j - g.i == s}, check=graded)
+    if not graded and any(level.boundary):
+        raise GradingError(f"level {s} carries an arrow, so HFK-hat "
+                           "there requires solved gradings")
+    return graded_homology(level)
 
 
 def _alexander_support(complex_):
@@ -332,23 +266,30 @@ def alexander_polynomial(complex_):
 
 @memoized
 def kernel_rank_v(complex_, s):
-    """Free rank of ker(v_s on homology), checked at two cuts.
+    """Free rank of the kernel of v_s: H(A_s) -> H(B), read off a strip.
 
-    A_s and B are cut at band_floor + 2 levels for TOWER_LEVELS and
-    2 TOWER_LEVELS levels; the kernel lies below the band, so both
-    cuts must agree.
+    S_s = C{i < 0 <= j - s} is the finite subcomplex of A_s that v
+    quotients by, so 0 -> S_s -> A_s -> B -> 0 is exact.  When the
+    {i = 0} column (cfk.column, in degrees m - 2i) has homology a
+    single Z, as for any knot in S^3, H(B) is the tower and v_* is onto
+    it, so the connecting map vanishes and ker v_* is H(S_s).  Any
+    other column homology raises InvalidComplexError.  S_s holds
+    the translates (x, k) with s - j_x <= k < -i_x; a term of the
+    differential that leaves the strip leaves A_s, so dropping it keeps
+    the differential exact.
     """
-    floor = band_floor(complex_, [(Region.max_ij(s), 0),
-                                  (Region.min_i(), 0)])
-
-    def at_levels(levels):
-        ind, ceiling = induced_v(complex_, s, floor + 2 * levels)
-        return ind.kernel_rank(max_degree=ceiling)
-
-    first = at_levels(TOWER_LEVELS)
-    again = at_levels(2 * TOWER_LEVELS)
-    if first != again:
-        raise NotStabilizedError(
-            f"kernel rank of v_{s} changed between {TOWER_LEVELS} and "
-            f"{2 * TOWER_LEVELS} tower levels")
-    return first
+    if not complex_.graded:
+        raise GradingError("kernel_rank_v requires solved gradings")
+    hat = graded_homology(column(complex_, {
+        g.name: g.m - 2 * g.i for g in complex_.generators}, check=True))
+    if list(hat.summary().values()) != [(1, ())]:
+        raise InvalidComplexError([
+            "v is onto only when the {i = 0} column has homology Z; it "
+            f"has (free rank, torsion) {hat.summary()} by degree"])
+    ids = [(g.name, k) for g in complex_.generators
+           for k in range(s - g.j, -g.i)]
+    id_of = {key: n for n, key in enumerate(ids)}
+    strip = GradedComplex(
+        [complex_.by_name[name].m + 2 * k for name, k in ids],
+        _boundary(complex_, ids, id_of))
+    return graded_homology(strip).total_free_rank()

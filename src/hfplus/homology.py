@@ -5,8 +5,8 @@ are integers (or exact rationals after a global shift), boundary maps
 drop the grading by exactly 1, and the optional U-endomorphism drops
 it by 2.  Homology is computed degree by degree through an integer
 Smith normal form, which keeps every result exact: free ranks, torsion
-invariant factors, and chosen cycle representatives that let chain
-maps act on homology.
+invariant factors, and chosen cycle representatives that let U act
+on homology.
 
 The Smith normal form is a sparse gcd-pivot elimination.  Pivots are
 chosen with the smallest nonzero magnitude (entries of magnitude one
@@ -27,9 +27,8 @@ residue as pi U iota (the perturbation lemma), in place.  It can carry
 the maps into and out of the complex that join it to the rest of a
 mapping cone.  Every pivot is a unit, so the reduction is exact over Z
 and keeps torsion.  It runs on the regions of a surgery cone and, as
-GradedComplex.cancel_units, on the cone itself: their homology needs
-nothing beyond U, while induced chain maps read cycles in the
-original basis.
+GradedComplex.cancel_units, on the cone itself: what is read from
+their homology needs nothing beyond U.
 
 Setting SELF_CHECK = True (the test suite does this) re-multiplies
 L * M * R on every call and compares against D exactly, checks
@@ -704,12 +703,25 @@ def _cancel_pair(boundary, rows, absorbed, x, y):
 
 
 def _homology_profile(complex_):
-    """Per-degree (free rank, torsion), and the rank of U on homology."""
+    """Per-degree (free rank, torsion), and per degree the rank of the
+    kernel of U between the free parts of homology."""
     h = graded_homology(complex_)
     if complex_.u_action is None:
         return h.summary(), None
-    u_map = InducedMap(h, h, -2, {d: h.u_matrix(d) for d in h.support()})
-    return h.summary(), [u_map.kernel_rank(d) for d in h.support()]
+    kernels = []
+    for d in h.support():
+        cols = h.u_matrix(d)
+        below = _free_slots(h, d - 2)
+        free = [{r: cols[i][slot] for r, slot in enumerate(below)
+                 if cols[i][slot]} for i in _free_slots(h, d)]
+        kernels.append(len(free) - integer_rank(free))
+    return h.summary(), kernels
+
+
+def _free_slots(h, d):
+    """Slots of the homology of degree d that carry a free Z."""
+    dh = h.degree_data(d)
+    return [i for i, f in enumerate(dh.factors) if f == 0] if dh else []
 
 
 class _DegreeHomology:
@@ -914,159 +926,6 @@ def graded_homology(complex_, ceiling=None):
                                   work.q_rows, ywork.l_rows, ywork.linv_cols,
                                   ywork.diag, ywork.rank)
     return GradedGroup(complex_, data, ceiling=ceiling)
-
-
-# ---------------------------------------------------------------------------
-# chain maps and induced maps on homology
-
-
-class ChainMap:
-    """A degree-homogeneous chain map between graded complexes.
-
-    columns[j] is the (sparse) image of source basis element j.  The
-    map must shift every degree by the same amount and commute with
-    the boundaries on the nose.
-    """
-
-    def __init__(self, source, target, columns, shift=0, check=True):
-        self.source = source
-        self.target = target
-        self.columns = columns
-        self.shift = shift
-        if check:
-            self._check()
-
-    def _check(self):
-        sdeg, tdeg = self.source.degrees, self.target.degrees
-        for j, col in enumerate(self.columns):
-            for i in col:
-                if tdeg[i] != sdeg[j] + self.shift:
-                    raise ValueError(
-                        f"map entry {j}->{i} does not shift degree "
-                        f"by {self.shift}")
-        fd = _compose(self.columns, self.source.boundary)
-        df = _compose(self.target.boundary, self.columns)
-        if fd != df:
-            raise ValueError("not a chain map: boundary does not commute")
-
-    def apply(self, global_vec):
-        out = {}
-        for gid, coeff in global_vec.items():
-            _dict_axpy(out, self.columns[gid], coeff)
-        return out
-
-    def induced(self, source_h=None, target_h=None):
-        """Map induced on homology (computes homology if not given)."""
-        hs = source_h if source_h is not None else graded_homology(self.source)
-        ht = target_h if target_h is not None else graded_homology(self.target)
-        matrices = {}
-        for d in hs.support():
-            dh = hs.degree_data(d)
-            cols = []
-            for slot in range(len(dh.kept)):
-                img = self.apply(hs.rep_global(d, slot))
-                cols.append(ht.coords_global(d + self.shift, img))
-            matrices[d] = cols
-        return InducedMap(hs, ht, self.shift, matrices)
-
-
-class InducedMap:
-    """The action of a chain map on homology, degree by degree."""
-
-    def __init__(self, source_h, target_h, shift, matrices):
-        self.source_h = source_h
-        self.target_h = target_h
-        self.shift = shift
-        self.matrices = matrices
-
-    def _degrees(self, max_degree):
-        degs = self.source_h.support()
-        if max_degree is not None:
-            degs = [d for d in degs if d <= max_degree]
-        return degs
-
-    def kernel_rank(self, max_degree=None):
-        """Free rank of the kernel (rank over Q of the degreewise maps)."""
-        total = 0
-        for d in self._degrees(max_degree):
-            sdh = self.source_h.degree_data(d)
-            tdh = self.target_h.degree_data(d + self.shift)
-            src_free = [i for i, f in enumerate(sdh.factors) if f == 0]
-            if not src_free:
-                continue
-            tgt_free = ([i for i, f in enumerate(tdh.factors) if f == 0]
-                        if tdh else [])
-            cols = self.matrices.get(d, [])
-            reduced_cols = []
-            for i in src_free:
-                col = cols[i] if i < len(cols) else []
-                reduced_cols.append(
-                    {r: col[slot] for r, slot in enumerate(tgt_free)
-                     if slot < len(col) and col[slot]})
-            total += len(src_free) - integer_rank(reduced_cols)
-        return total
-
-    def is_surjective(self, max_degree=None):
-        """Surjectivity as a map of abelian groups, degreewise."""
-        targets = self.target_h.support(
-            None if max_degree is None else max_degree + self.shift)
-        for td in targets:
-            d = td - self.shift
-            tdh = self.target_h.degree_data(td)
-            nslots = len(tdh.kept)
-            if nslots == 0:
-                continue
-            if max_degree is not None and d > max_degree:
-                continue
-            # presentation of coker: torsion relations plus image columns
-            rel_cols = []
-            for i, f in enumerate(tdh.factors):
-                if f > 1:
-                    rel_cols.append({i: f})
-            for col in self.matrices.get(d, []):
-                entries = {i: v for i, v in enumerate(col) if v}
-                if entries:
-                    rel_cols.append(entries)
-            rows = [{} for _ in range(nslots)]
-            for j, col in enumerate(rel_cols):
-                for r, v in col.items():
-                    rows[r][j] = v
-            work = _SnfWork(rows, nslots, len(rel_cols))
-            work.run()
-            if work.rank < nslots or any(x != 1 for x in work.diag):
-                return False
-        return True
-
-    def is_isomorphism(self, max_degree=None):
-        """Isomorphism check (torsion-free groups only)."""
-        degs = self._degrees(max_degree)
-        for d in degs:
-            sdh = self.source_h.degree_data(d)
-            tdh = self.target_h.degree_data(d + self.shift)
-            if sdh.torsion or (tdh and tdh.torsion):
-                raise NotImplementedError("iso check with torsion present")
-            nsrc = len(sdh.kept)
-            ntgt = len(tdh.kept) if tdh else 0
-            if nsrc != ntgt:
-                return False
-            rows = [{} for _ in range(ntgt)]
-            for j, col in enumerate(self.matrices.get(d, [])):
-                for r, v in enumerate(col):
-                    if v:
-                        rows[r][j] = v
-            work = _SnfWork(rows, ntgt, nsrc)
-            work.run()
-            if work.rank < nsrc or any(x != 1 for x in work.diag):
-                return False
-        # also: nothing in the target in these degrees may be missed
-        tsupport = self.target_h.support(
-            None if max_degree is None else max_degree + self.shift)
-        ssupport = {d + self.shift for d in degs}
-        for td in tsupport:
-            if self.target_h.degree_data(td).kept and td not in ssupport:
-                if max_degree is None or td - self.shift <= max_degree:
-                    return False
-        return True
 
 
 # ---------------------------------------------------------------------------

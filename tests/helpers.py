@@ -6,7 +6,9 @@ of random valid bifiltered complexes assembled from pieces whose
 differential squares to zero by construction (with a flip, for
 surgery, in random_knot), the staircase complex of any L-space knot
 from its Alexander polynomial, a complex whose surgeries have torsion,
-the unreduced full-window surgery cone that the reduced one is
+the v and h maps as checked chain maps between realized regions and
+the maps they induce on homology (the oracle kernel_rank_v is compared
+with), the unreduced full-window surgery cone that the reduced one is
 compared with (and the d and HF_red read from it), the tower bottom of
 C{i >= 0} read through a realization (how gradings were normalized
 before grading_solve read the {i = 0} column), and the environment for
@@ -21,11 +23,10 @@ from fractions import Fraction
 
 import hfplus
 from hfplus import surgery
-from hfplus.acomplex import (band_floor, genus, h_columns, realize,
-                             region_homology, signed_flip, v_columns)
+from hfplus.acomplex import band_floor, genus, h_key, realize, signed_flip
 from hfplus.cfk import Generator, KnotComplex, Region, grading_solve
 from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
-                             tower_decompose)
+                             integer_rank, smith_normal_form, tower_decompose)
 
 
 def child_env():
@@ -280,6 +281,217 @@ def tower_bottom(k):
     region = Region.min_i()
     top = band_floor(k, [(region, 0)]) + 2 * TOWER_LEVELS
     return tower_decompose(region_homology(k, region, top)[1]).d_bottom
+
+
+# ---------------------------------------------------------------------------
+# the v and h maps on realized regions, and their action on homology
+
+
+def _compose(outer, inner):
+    """Column-sparse composition: (outer . inner) as columns."""
+    out = []
+    for col in inner:
+        acc = {}
+        for mid, c in col.items():
+            for row, v in outer[mid].items():
+                acc[row] = acc.get(row, 0) + c * v
+        out.append({row: v for row, v in acc.items() if v})
+    return out
+
+
+def _invariant_factors(columns, nrows):
+    """Nonzero Smith invariant factors of a column-sparse matrix."""
+    if not columns or not nrows:
+        return []
+    _, d, _ = smith_normal_form([[col.get(r, 0) for col in columns]
+                                 for r in range(nrows)])
+    return [d[i][i] for i in range(min(nrows, len(columns))) if d[i][i]]
+
+
+class ChainMap:
+    """A degree-homogeneous chain map between graded complexes.
+
+    columns[j] is the (sparse) image of source basis element j.  The
+    map must shift every degree by the same amount and commute with
+    the boundaries on the nose.
+    """
+
+    def __init__(self, source, target, columns, shift=0):
+        self.source = source
+        self.target = target
+        self.columns = columns
+        self.shift = shift
+        sdeg, tdeg = source.degrees, target.degrees
+        for j, col in enumerate(columns):
+            for i in col:
+                if tdeg[i] != sdeg[j] + shift:
+                    raise ValueError(
+                        f"map entry {j}->{i} does not shift degree "
+                        f"by {shift}")
+        if (_compose(columns, source.boundary)
+                != _compose(target.boundary, columns)):
+            raise ValueError("not a chain map: boundary does not commute")
+
+    def induced(self, hs, ht):
+        """Map induced on homology, between hs and ht."""
+        matrices = {}
+        for d in hs.support():
+            cols = []
+            for slot in range(len(hs.degree_data(d).kept)):
+                img = {}
+                for gid, coeff in hs.rep_global(d, slot).items():
+                    for i, v in self.columns[gid].items():
+                        img[i] = img.get(i, 0) + coeff * v
+                cols.append(ht.coords_global(
+                    d + self.shift, {i: v for i, v in img.items() if v}))
+            matrices[d] = cols
+        return InducedMap(hs, ht, self.shift, matrices)
+
+
+class InducedMap:
+    """The action of a chain map on homology, degree by degree."""
+
+    def __init__(self, source_h, target_h, shift, matrices):
+        self.source_h = source_h
+        self.target_h = target_h
+        self.shift = shift
+        self.matrices = matrices
+
+    def kernel_rank(self, max_degree=None):
+        """Free rank of the kernel (rank over Q of the degreewise maps)."""
+        total = 0
+        for d in self.source_h.support(max_degree):
+            sdh = self.source_h.degree_data(d)
+            tdh = self.target_h.degree_data(d + self.shift)
+            src_free = [i for i, f in enumerate(sdh.factors) if f == 0]
+            tgt_free = ([i for i, f in enumerate(tdh.factors) if f == 0]
+                        if tdh else [])
+            cols = self.matrices.get(d, [])
+            reduced = [{r: cols[i][slot] for r, slot in enumerate(tgt_free)
+                        if cols[i][slot]} for i in src_free]
+            total += len(src_free) - integer_rank(reduced)
+        return total
+
+    def is_surjective(self, max_degree=None):
+        """Surjectivity as a map of abelian groups, degreewise."""
+        targets = self.target_h.support(
+            None if max_degree is None else max_degree + self.shift)
+        for td in targets:
+            tdh = self.target_h.degree_data(td)
+            # presentation of coker: torsion relations plus image columns
+            rel_cols = [{i: f} for i, f in enumerate(tdh.factors) if f > 1]
+            rel_cols += [{i: v for i, v in enumerate(col) if v}
+                         for col in self.matrices.get(td - self.shift, [])
+                         if any(col)]
+            factors = _invariant_factors(rel_cols, len(tdh.kept))
+            if len(factors) < len(tdh.kept) or set(factors) - {1}:
+                return False
+        return True
+
+    def is_isomorphism(self, max_degree=None):
+        """Isomorphism check (torsion-free groups only)."""
+        degs = self.source_h.support(max_degree)
+        for d in degs:
+            sdh = self.source_h.degree_data(d)
+            tdh = self.target_h.degree_data(d + self.shift)
+            if sdh.torsion or (tdh and tdh.torsion):
+                raise NotImplementedError("iso check with torsion present")
+            nsrc = len(sdh.kept)
+            ntgt = len(tdh.kept) if tdh else 0
+            if nsrc != ntgt:
+                return False
+            cols = [{r: v for r, v in enumerate(col) if v}
+                    for col in self.matrices.get(d, [])]
+            factors = _invariant_factors(cols, ntgt)
+            if len(factors) < nsrc or set(factors) - {1}:
+                return False
+        # also: nothing in the target in these degrees may be missed
+        tsupport = self.target_h.support(
+            None if max_degree is None else max_degree + self.shift)
+        return set(tsupport) <= {d + self.shift for d in degs}
+
+
+def _homology(realized):
+    return graded_homology(realized.realization, ceiling=realized.ceiling)
+
+
+def region_homology(k, region, top):
+    """(RealizedRegion, GradedGroup) for a region, both built anew."""
+    realized = realize(k, region, top)
+    return realized, _homology(realized)
+
+
+def v_columns(keys, tgt):
+    """Columns of v: A_s -> B, the projection, on keys of A_s."""
+    return [{} if key not in tgt.id_of else {tgt.id_of[key]: 1}
+            for key in keys]
+
+
+def h_columns(k, flip, s, keys, tgt):
+    """Columns of h: A_s -> B on keys of A_s, in tgt's elements."""
+    cols = []
+    for key in keys:
+        image = h_key(k, flip, s, key)
+        tid = None if image is None else tgt.id_of.get(image[1])
+        cols.append({} if tid is None else {tid: image[0]})
+    return cols
+
+
+def _a_and_b(k, s, top, b_top):
+    """Realizations of A_s cut at top and B cut at b_top."""
+    return realize(k, Region.max_ij(s), top), realize(k, Region.min_i(), b_top)
+
+
+def _v_map(src, tgt):
+    return ChainMap(src.realization, tgt.realization,
+                    v_columns(src.ids, tgt), shift=0)
+
+
+def _h_map(k, s, src, tgt):
+    cols = h_columns(k, signed_flip(k), s, src.ids, tgt)
+    return ChainMap(src.realization, tgt.realization, cols, shift=-2 * s)
+
+
+def map_v(k, s, top):
+    """The projection A_s -> B, both cut at top, as a checked ChainMap."""
+    return _v_map(*_a_and_b(k, s, top, top))
+
+
+def map_h(k, s, top):
+    """Project to {j >= s}, slide by U^s, flip: A_s -> B, shift -2s.
+
+    A_s is cut at degree top and B at top - 2s, where h lands, so h is
+    a chain map between the two truncations.
+    """
+    return _h_map(k, s, *_a_and_b(k, s, top, top - 2 * s))
+
+
+def _induced(chain_map, src, tgt):
+    """(InducedMap, trusted source-degree ceiling) of a realized map."""
+    return chain_map.induced(_homology(src), _homology(tgt)), src.ceiling
+
+
+def induced_v(k, s, top):
+    """(InducedMap of v, trusted source-degree ceiling top - 1)."""
+    src, tgt = _a_and_b(k, s, top, top)
+    return _induced(_v_map(src, tgt), src, tgt)
+
+
+def induced_h(k, s, top):
+    """(InducedMap of h, trusted source-degree ceiling top - 1)."""
+    src, tgt = _a_and_b(k, s, top, top - 2 * s)
+    return _induced(_h_map(k, s, src, tgt), src, tgt)
+
+
+def oracle_kernel_rank_v(k, s):
+    """Free rank of the kernel of v_s on homology, through induced_v.
+
+    A_s and B are cut TOWER_LEVELS tower levels above their band
+    floor, and the kernel is read below the trust ceiling.
+    """
+    floor = band_floor(k, [(Region.max_ij(s), 0), (Region.min_i(), 0)])
+    ind, ceiling = induced_v(k, s, floor + 2 * TOWER_LEVELS)
+    return ind.kernel_rank(max_degree=ceiling)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from math import gcd
 
 import pytest
 
-from helpers import (homology_free_ranks, random_complex, record,
+from helpers import (homology_free_ranks, induced_v, random_complex, record,
                      reference_spin_c, twisty)
-from hfplus.acomplex import band_floor, genus, hfk_hat, induced_v, realize
+from hfplus.acomplex import band_floor, genus, hfk_hat, realize
 from hfplus.cfk import BUILTIN_NAMES, Region, builtin
 from hfplus.detect import (casson_surgery, classify_surgery, compare,
                            diagnostic_sum)

@@ -1,14 +1,17 @@
+import random
 from collections import OrderedDict
 
 import pytest
 
+from helpers import (induced_h, induced_v, map_h, map_v,
+                     oracle_kernel_rank_v, random_knot, region_homology,
+                     staircase, torsion_square, twisty)
 from hfplus import acomplex, cfk
 from hfplus.acomplex import (alexander_polynomial, genus, hfk_hat,
-                             induced_h, induced_v, kernel_rank_v, map_h,
-                             map_v, realize, region_homology, band_floor,
+                             kernel_rank_v, realize, band_floor,
                              LaurentPolynomial)
 from hfplus.cfk import BUILTIN_NAMES, KnotComplex, Region, builtin
-from hfplus.errors import InvalidComplexError
+from hfplus.errors import GradingError, InvalidComplexError
 from hfplus.homology import TOWER_LEVELS, graded_homology
 
 GENUS_ONE = ("trefoil_right", "trefoil_left", "figure_eight")
@@ -190,7 +193,13 @@ def test_hfk_rank_only_fallback_without_gradings():
     assert h0.total_free_rank() == 1
 
 
-def test_kernel_rank_v_realizes_each_region_once_per_depth(monkeypatch):
+def test_hfk_hat_of_an_ungraded_level_with_an_arrow_needs_gradings():
+    k = KnotComplex([("x", 0, 0), ("y", 0, 0)], {"x": [(1, 0, "y")]})
+    with pytest.raises(GradingError, match="arrow"):
+        hfk_hat(k, 0)
+
+
+def test_kernel_rank_v_realizes_no_region(monkeypatch):
     k = builtin("trefoil_right")
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     built = []
@@ -202,8 +211,49 @@ def test_kernel_rank_v_realizes_each_region_once_per_depth(monkeypatch):
 
     monkeypatch.setattr(acomplex.RealizedRegion, "__init__", counting)
     assert kernel_rank_v(k, 0) == 1
-    top = _top(k, 0)
-    assert len(built) == 4
-    assert set(built) == {(region, n)
-                          for region in (Region.max_ij(0), Region.min_i())
-                          for n in (top, top + 2 * TOWER_LEVELS)}
+    assert built == []
+
+
+# The seeds below 400 at which random_knot (odd seeds up to two pieces,
+# even seeds up to four) has {i = 0} column homology Z.
+Z_COLUMN_SEEDS = (15, 31, 89, 108, 149, 165, 178, 183, 197, 206, 207, 225,
+                  281, 293, 309, 325, 327, 385, 399)
+
+
+def _random_knot(seed):
+    return random_knot(random.Random(seed), 2 if seed % 2 else 4)
+
+
+def _strip_knots():
+    return ([builtin(name) for name in BUILTIN_NAMES]
+            + [staircase(g) for g in range(2, 6)] + [twisty(2), twisty(3)]
+            + [_random_knot(seed) for seed in Z_COLUMN_SEEDS])
+
+
+def test_kernel_rank_v_is_the_kernel_of_the_induced_map():
+    # the strip's homology against the kernel of v_* on H(A_s) -> H(B)
+    cases = 0
+    for k in _strip_knots():
+        g = genus(k)
+        for s in range(-g - 1, g + 2):
+            assert kernel_rank_v(k, s) == oracle_kernel_rank_v(k, s), (
+                k.name, s)
+            cases += 1
+    assert cases == 75 + 65
+
+
+def test_kernel_rank_v_below_the_genus_is_the_top_hat_rank():
+    for k in _strip_knots():
+        g = genus(k)
+        assert (kernel_rank_v(k, g - 1)
+                == hfk_hat(k, g).total_free_rank()), k.name
+
+
+def test_kernel_rank_v_needs_a_z_column():
+    for k in (torsion_square(), _random_knot(0)):
+        with pytest.raises(InvalidComplexError, match="column"):
+            kernel_rank_v(k, 0)
+    for seed in range(400):
+        if seed not in Z_COLUMN_SEEDS:
+            with pytest.raises(InvalidComplexError):
+                kernel_rank_v(_random_knot(seed), 0)

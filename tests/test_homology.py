@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from helpers import homology_free_ranks, random_complex, rational_rank
+from helpers import (ChainMap, homology_free_ranks, random_complex,
+                     rational_rank)
 from hfplus import homology
 from hfplus.cfk import Region
 from hfplus.acomplex import band_floor, realize
 from hfplus.errors import NotStabilizedError, TorsionInTowerError
-from hfplus.homology import (ChainMap, GradedComplex, cancel_unit_pairs,
+from hfplus.homology import (GradedComplex, cancel_unit_pairs,
                              integer_rank, graded_homology,
                              smith_normal_form, tower_decompose)
 

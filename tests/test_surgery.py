@@ -6,11 +6,11 @@ from math import gcd
 
 import pytest
 
-from helpers import (ReferenceCone, random_knot, reference_spin_c, staircase,
-                     torsion_square, twisty)
+from helpers import (ReferenceCone, h_columns, map_h, map_v, random_knot,
+                     reference_spin_c, staircase, torsion_square, twisty,
+                     v_columns)
 from hfplus import acomplex, cfk, homology, surgery
-from hfplus.acomplex import (band_floor, genus, h_columns, map_h, map_v,
-                             realize, signed_flip, v_columns)
+from hfplus.acomplex import band_floor, genus, realize, signed_flip
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
                         builtin, flip_chain_sign, mirror, validate)
 from hfplus.detect import casson_surgery

@@ -17,7 +17,15 @@ into the unimodular transforms that each caller asks for:
 
 with D diagonal and d_1 | d_2 | ... .  Only the transforms actually
 needed are tracked; kernel computations want R and R^{-1}, the
-quotient structure wants L and L^{-1}.
+quotient structure wants L and L^{-1}.  A matrix with no entry is its
+own Smith form, with identity transforms, and takes no elimination
+(_ZeroSnf).  So a degree with no boundary leaving it and none arriving
+from one degree up, as in every degree of a residue with zero
+differential, reads its kernel basis and homology off its own basis,
+and U on that homology is U's own columns.  For the same reason the
+quotient of a free group by a class with a +-1 entry, which spans a
+direct summand, is free of rank one less and takes no elimination
+(_quotient_by_class).
 
 cancel_unit_pairs shrinks a complex before any of this: it cancels
 basis pairs joined by a +-1 boundary entry (reduction by elementary
@@ -310,7 +318,34 @@ class _SnfWork:
         return self
 
 
+class _ZeroSnf:
+    """The Smith normal form of a zero matrix, built without elimination.
+
+    D is the zero matrix, so the rank is 0 and identity transforms (each
+    its own inverse, shared by a transform and its inverse) satisfy
+    L * M * R == D.
+    """
+
+    rank = 0
+    diag = ()
+
+    def __init__(self, nrows, ncols, track_l=False, track_linv=False,
+                 track_r=False, track_rinv=False):
+        rows = ([{i: 1} for i in range(nrows)]
+                if track_l or track_linv else None)
+        cols = ([{i: 1} for i in range(ncols)]
+                if track_r or track_rinv else None)
+        self.l_rows = rows if track_l else None
+        self.linv_cols = rows if track_linv else None
+        self.r_cols = cols if track_r else None
+        self.q_rows = cols if track_rinv else None
+
+
 def _snf(entries_rows, nrows, ncols, **track):
+    """Smith data of the matrix with these row dicts; a matrix with no
+    entry takes no elimination (_ZeroSnf)."""
+    if not any(entries_rows):
+        return _ZeroSnf(nrows, ncols, **track)
     if SELF_CHECK:
         # keep a pristine copy and force full tracking for verification
         original = [dict(row) for row in entries_rows]
@@ -882,7 +917,9 @@ def graded_homology(complex_, ceiling=None):
     """Homology of a GradedComplex, one Smith normal form per degree.
 
     Degrees above ceiling are skipped; the ceiling's image is still
-    read from the boundary columns one degree up.
+    read from the boundary columns one degree up.  An empty boundary
+    matrix, leaving a degree or arriving in it, takes no elimination
+    (_snf).
     """
     data = {}
     by_degree = complex_.by_degree
@@ -954,6 +991,8 @@ class TowerDecomposition:
 def _quotient_by_class(factors, vec):
     """(free_rank, torsion) of H/<v> where H = prod Z/factors (0 = Z)."""
     n = len(factors)
+    if not any(factors) and (1 in vec or -1 in vec):
+        return n - 1, ()  # a class with a unit entry spans a summand of Z^n
     cols = []
     for i, f in enumerate(factors):
         if f > 1:

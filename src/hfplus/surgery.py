@@ -50,10 +50,13 @@ since h sends a key to at most one key.  The reduced differential is
 D on the kept elements plus the sum over chains, with weight -1 for
 every step back up a matched pair and h's sign for every h step;
 U' = pi U iota adds, along each chain, U(p) where it falls into S_t.
-B is never realized.  Each cone is the one complex checked, then
-shrunk in place by cancelling its remaining +-1 pairs
-(GradedComplex.cancel_units); the Smith normal form and the tower
-split run on that residue only.
+A step adds something only at a key whose d or U meets the strip, so
+each chain stops at the first key from which h can no longer reach
+such a key in a later block (MappingCone._join): the steps it skips
+add nothing, and the cone is the same.  B is never realized.  Each
+cone is the one complex checked, then shrunk in place by cancelling
+its remaining +-1 pairs (GradedComplex.cancel_units); the Smith normal
+form and the tower split run on that residue only.
 
 Grading bookkeeping happens in two separate steps, both exact:
 
@@ -224,11 +227,13 @@ class Residue:
 
 
 def reduce_regions(source, descriptors, gauge=0):
-    """(shapes, residues) of the cones of descriptors.
+    """(shapes, residues, flip) of the cones of descriptors.
 
     shapes maps each descriptor to its kept blocks and their cut
     (_cone_shape), and residues the region of each cone's bottom block
-    A_lo to its Residue; no other block is realized.  Each such region
+    A_lo to its Residue; no other block is realized.  flip is
+    signed_flip(source), worked out once for every cone with more than
+    one A block, or None when there is none.  Each such region
     is realized once, cut at the largest degree any of its blocks
     needs, checked once, and reduced by cancel_unit_pairs in increasing
     degree, so a block is a degree prefix of the residue.  When the
@@ -260,7 +265,7 @@ def reduce_regions(source, descriptors, gauge=0):
             carried = ([{} if im is None else {im[1]: im[0]} for im in images],
                        [{} for _ in images])
         residues[region] = Residue(real, region_cuts, carried)
-    return shapes, residues
+    return shapes, residues, flip
 
 
 def _add(col, n, c):
@@ -290,11 +295,13 @@ class MappingCone:
     every component covers each block too.  regions is what
     reduce_regions returned for a list of descriptors that holds this
     one; without it, this one cone's bottom region is reduced first.
+    chain_steps counts the keys the Morse chains visited (_join).
     """
 
     def __init__(self, source, descriptor, gauge=0, regions=None):
-        shapes, residues = (regions if regions is not None
-                            else reduce_regions(source, [descriptor], gauge))
+        shapes, residues, flip = (
+            regions if regions is not None
+            else reduce_regions(source, [descriptor], gauge))
         self.source = source
         self.descriptor = descriptor
         blocks, top = shapes[descriptor]
@@ -305,84 +312,134 @@ class MappingCone:
         degrees = [res.degrees[j] + offset for j in members]
         boundary = [dict(res.boundary[j]) for j in members]
         u_cols = [dict(res.u_action[j]) for j in members]
+        self.chain_steps = 0
         if rest:
-            self._join(rest, top, [res.carried[j] for j in members],
-                       ids, degrees, boundary, u_cols)
+            self.chain_steps = self._join(
+                rest, top, [res.carried[j] for j in members], flip,
+                ids, degrees, boundary, u_cols)
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
         self.n_a_summands = sum(label[0] == "A" for label, *_ in blocks)
         self.n_b_summands = len(blocks) - self.n_a_summands
 
-    def _join(self, rest, top, carried, ids, degrees, boundary, u_cols):
+    def _join(self, rest, top, carried, flip, ids, degrees, boundary,
+              u_cols):
         """Append the strips and slices of rest, cancelling B against A.
 
-        walk(s, key, c, col, ucol) adds c times the Morse chains from
-        the key of A_s, in its strip or its copy of B: at each step it
-        adds d and U of the key in the strip, then follows h to B_{s+1}
-        and, with weight -1 (v has coefficient 1), back up to the same
-        key of A_{s+1}.  carried holds the bottom block's h and U
-        columns into B_{lo+1}.
+        walk(s, key, c, col, ucol) adds c times the Morse chain from the
+        key of A_s, in its strip or its copy of B: at each step it adds
+        d and U of the key in the strip, then follows h to B_{s+1} and,
+        with weight -1 (v has coefficient 1), back up to the same key
+        of A_{s+1}.  carried holds the bottom block's h and U columns
+        into B_{lo+1}, and flip is signed_flip of the source.  Returns
+        the number of steps the chains took.
+
+        A chain stops at the first key that is not live.  live[s] holds
+        the keys of A_s whose d or U meets the strip S_t(s) (read off
+        the strip through the transposed differential), and every key
+        that h_s sends into live[s + 1].  h_s lands in B, and on B
+        h_s^-1 (y, k) = (flip^-1 y, k + t(s)): validate requires the
+        flip to be an involution that swaps i and j.  A key outside
+        live[s] adds nothing at s and h_s moves it outside live[s + 1],
+        so no later step of its chain adds anything either, and the
+        cone is the same as with every chain walked to its end.  Keys
+        are ints, generator index + G * translate with G the number of
+        generators; arrows, into and hop encode d, its transpose and
+        h_key on them.
         """
         source = self.source
-        flip = signed_flip(source)
-        diff = source.differential
-        strip, t_of = {}, {}
+        gens = source.generators
+        G = len(gens)
+        index = {g.name: n for n, g in enumerate(gens)}
+        arrows = [[] for _ in gens]  # key offset to each target, coefficient
+        into = [[] for _ in gens]  # key offset from each source
+        for x, term in source.arrows():
+            n, y = index[x.name], index[term.target]
+            arrows[n].append((y - n - G * term.u_exponent, term.coefficient))
+            into[y].append(n - y + G * term.u_exponent)
+        # h_s sends a key of generator n to key + hop[n][1] - G t(s), with
+        # sign hop[n][0], when key >= hop[n][2] + G t(s), i.e. j + k >= t(s);
+        # h_s^-1 of a key of generator n in B is key + back[n] + G t(s)
+        hop, back = [], [0] * G
+        for n, g in enumerate(gens):
+            sgn, flipped = flip[g.name]
+            hop.append((sgn, index[flipped] - n, n - G * g.j))
+            back[index[flipped]] = n - index[flipped]
+        in_b = [n - G * g.i for n, g in enumerate(gens)]  # key in B: >= this
+        strips, shifts = {}, {}
         for label, region, offset, _ in rest:
             if label[0] == "A":
                 s, t = label[1], region.params[0]
-                t_of[s] = t
-                for g in source.generators:
+                shifts[s] = G * t
+                strip = strips[s] = {}
+                for n, g in enumerate(gens):
                     for k in range(t - g.j,
                                    min(-g.i, (top - offset - g.m) // 2 + 1)):
-                        strip[s, (g.name, k)] = len(ids)
+                        strip[n + G * k] = len(ids)
                         ids.append(label + (g.name, k))
                         degrees.append(g.m + 2 * k + offset)
-        slices = [(label[1], (g.name, (top - offset - g.m) // 2))
+        slices = [(label[1], n + G * ((top - offset - g.m) // 2))
                   for label, _, offset, _ in rest if label[0] == "B"
-                  for g in source.generators
+                  for n, g in enumerate(gens)
                   if (top - offset - g.m) % 2 == 0
                   and g.i + (top - offset - g.m) // 2 >= 0]
-        ids.extend(("B", s) + key for s, key in slices)
+        ids.extend(("B", s, gens[key % G].name, key // G)
+                   for s, key in slices)
         degrees.extend(top for _ in slices)
-        hi = rest[-1][0][1]
+        first, hi = rest[0][0][1], rest[-1][0][1]
+        live, after = {}, set()
+        for s in range(hi, first - 1, -1):
+            hit = {key + off for key in strips[s] for off in into[key % G]}
+            hit.update(key + G for key in strips[s])
+            shift = shifts[s]
+            hit.update(key + back[key % G] + shift for key in after
+                       if key >= in_b[key % G])
+            live[s] = after = hit
 
         def walk(s, key, c, col, ucol=None):
-            while True:
-                name, k = key
-                for term in diff.get(name, ()):
-                    n = strip.get((s, (term.target, k - term.u_exponent)))
-                    if n is not None:
-                        _add(col, n, c * term.coefficient)
-                n = strip.get((s, (name, k - 1)))
-                if ucol is not None and n is not None:
-                    _add(ucol, n, c)
-                image = s < hi and h_key(source, flip, t_of[s], key)
-                if not image:
-                    return
-                c, key, s = -c * image[0], image[1], s + 1
+            steps = 0
+            while key in live[s]:
+                steps += 1
+                n = key % G
+                strip = strips[s]
+                for off, coefficient in arrows[n]:
+                    m = strip.get(key + off)
+                    if m is not None:
+                        _add(col, m, c * coefficient)
+                if ucol is not None:
+                    m = strip.get(key - G)
+                    if m is not None:
+                        _add(ucol, m, c)
+                sgn, off, floor = hop[n]
+                shift = shifts[s]
+                if s == hi or key < floor + shift:
+                    break
+                c, key, s = -c * sgn, key + off - shift, s + 1
+            return steps
 
-        first = rest[0][0][1]
+        steps = 0
         for (h, u), col, ucol in zip(carried, boundary, u_cols):
-            for key, c in h.items():
-                walk(first, key, -c, col, ucol)
-            for key, c in u.items():
-                walk(first, key, -c, ucol)
-        for s, key in strip:
-            boundary.append({})
-            u_cols.append({})
-            walk(s, key, 1, boundary[-1], u_cols[-1])
-        by_name = source.by_name
-        for s, (name, k) in slices:
+            for (name, k), c in h.items():
+                steps += walk(first, index[name] + G * k, -c, col, ucol)
+            for (name, k), c in u.items():
+                steps += walk(first, index[name] + G * k, -c, ucol)
+        for s, strip in strips.items():
+            for key in strip:
+                boundary.append({})
+                u_cols.append({})
+                steps += walk(s, key, 1, boundary[-1], u_cols[-1])
+        for s, key in slices:
             col, ucol = {}, {}
-            for term in diff.get(name, ()):
-                if by_name[term.target].i + k - term.u_exponent >= 0:
-                    walk(s, (term.target, k - term.u_exponent),
-                         term.coefficient, col, ucol)
-            if by_name[name].i + k > 0:
-                walk(s, (name, k - 1), -1, ucol)
+            for off, coefficient in arrows[key % G]:
+                target = key + off
+                if target >= in_b[target % G]:
+                    steps += walk(s, target, coefficient, col, ucol)
+            if key - G >= in_b[key % G]:
+                steps += walk(s, key - G, -1, ucol)
             boundary.append(col)
             u_cols.append(ucol)
+        return steps
 
 
 def build_mapping_cone(complex_, descriptor, gauge=0, regions=None):

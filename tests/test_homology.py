@@ -331,3 +331,72 @@ def test_cancel_unit_pairs_self_check_catches_a_wrong_step(monkeypatch):
     rr = realize(k, Region.min_i(), band_floor(k, [(Region.min_i(), 0)]) + 8)
     with pytest.raises(AssertionError, match="changed the homology"):
         cancel_unit_pairs(rr.degrees, rr.boundary, rr.u_action)
+
+
+def _count_snf_works(monkeypatch):
+    """A list that grows by one for every _SnfWork built from now on."""
+    built = []
+    work = homology._SnfWork
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "_SnfWork", counting)
+    return built
+
+
+def test_zero_differential_reads_homology_off_the_basis(monkeypatch):
+    # every degree has no boundary in or out: one free Z per element,
+    # U on homology is U's own columns, and no elimination runs
+    degrees = [0, 0, 2, 2, 4]
+    u = [{}, {}, {0: 1, 1: -1}, {1: 3}, {2: 2, 3: 1}]
+    gc = GradedComplex(degrees, [{} for _ in degrees], u_action=u)
+    built = _count_snf_works(monkeypatch)
+    h = graded_homology(gc)
+    assert h.summary() == {0: (2, ()), 2: (2, ()), 4: (1, ())}
+    for d, ids in gc.by_degree.items():
+        below = gc.by_degree.get(d - 2, [])
+        assert h.u_matrix(d) == [[u[j].get(i, 0) for i in below]
+                                 for j in ids], d
+    assert built == []
+
+
+def test_a_degree_with_boundary_arriving_still_runs_the_snf(monkeypatch):
+    # degree 0 has no boundary of its own but receives 2y from degree 1,
+    # so its quotient by the image is read off an SNF: H_0 = Z/2
+    gc = GradedComplex([1, 0, 0], [{1: 2}, {}, {}])
+    built = _count_snf_works(monkeypatch)
+    h = graded_homology(gc)
+    assert h.summary() == {0: (1, (2,))}
+    # one for the boundary leaving degree 1, one for the image in degree 0
+    assert len(built) == 2
+
+
+def test_quotient_by_class_matches_the_snf(monkeypatch):
+    # H = prod Z/f (f = 0 for Z) modulo one class, against the invariant
+    # factors of its presentation matrix; only a free H and a class with
+    # a unit entry skip the elimination
+    rng = random.Random(17)
+    built = _count_snf_works(monkeypatch)
+    shortcut = 0
+    for trial in range(300):
+        n = rng.randrange(1, 5)
+        factors = [rng.choice((0, 0, 0, 2, 3, 4, 6)) if trial % 2 else 0
+                   for _ in range(n)]
+        vec = [rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)) for _ in range(n)]
+        relations = ([[f if r == c else 0 for r in range(n)]
+                      for c, f in enumerate(factors) if f]
+                     + [vec])
+        matrix = [[col[r] for col in relations] for r in range(n)]
+        _, d, _ = smith_normal_form(matrix)
+        diag = [d[i][i] for i in range(min(n, len(relations)))]
+        expect = (n - sum(1 for x in diag if x),
+                  tuple(sorted(x for x in diag if x > 1)))
+        before = len(built)
+        assert homology._quotient_by_class(factors, vec) == expect, (
+            factors, vec)
+        skipped = not any(factors) and (1 in vec or -1 in vec)
+        assert (len(built) == before) == skipped, (factors, vec)
+        shortcut += skipped
+    assert 50 < shortcut < 250

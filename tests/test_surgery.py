@@ -236,6 +236,36 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
     assert joined >= 5
 
 
+# Chain steps the cones of staircase(5) at 7/3 take when every Morse
+# chain is walked to its end, with no stop at the first key that can no
+# longer reach a strip.
+UNPRUNED_STEPS = 1481
+
+
+def test_chains_stop_once_no_strip_is_reachable(monkeypatch):
+    # the columns are pinned by the reference tests; this pins that
+    # most of each chain is never walked, and that signed_flip is worked
+    # out once per hf_plus call, not once per cone
+    k = staircase(5)
+    flips, cones = [], []
+
+    def flipping(source):
+        flips.append(source)
+        return signed_flip(source)
+
+    def building(*args):
+        cones.append(build_mapping_cone(*args))
+        return cones[-1]
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "signed_flip", flipping)
+    monkeypatch.setattr(surgery, "build_mapping_cone", building)
+    hf_plus(k, 7, 3)
+    assert len(cones) == 7 and len(flips) == 1
+    steps = sum(cone.chain_steps for cone in cones)
+    assert 0 < steps < UNPRUNED_STEPS // 4, steps
+
+
 def test_cone_joins_are_the_v_and_h_maps():
     # the unreduced cones the reduced one is tested against: the whole
     # window, and the kept blocks that the chain-level identity cancels
@@ -694,6 +724,8 @@ REDUCED_CONE_CASES = (
      for p, q in [(1, 1), (2, 1), (5, 2), (7, 3)]]
     + [(twisty(2), p, q) for p, q in [(1, 1), (2, 1), (5, 2), (7, 3)]]
     + [(staircase(g), p, q) for g in (3, 4, 5) for p, q in [(7, 3), (2, 7)]]
+    # a knot of the benchmark's ladder, whose chains mostly stop early
+    + [(staircase(6), p, q) for p, q in [(1, 1), (7, 3)]]
     + [(torsion_square(), p, q) for p, q in [(2, 1), (3, 2)]]
     # random pieces give U terms between blocks below the cut
     + [(random_knot(random.Random(seed), 4), p, q) for seed in range(4)

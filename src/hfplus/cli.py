@@ -189,9 +189,24 @@ def _format_red(hf_red):
     return ", ".join(parts)
 
 
+def _parse_spin(text, p):
+    """None for "all", else the Spin^c index, an integer in [0, |p| - 1]."""
+    if text == "all":
+        return None
+    try:
+        index = int(text)
+    except ValueError:
+        index = -1
+    if not 0 <= index < abs(p):
+        raise ValueError(
+            f"spin index must be an integer in [0, {abs(p) - 1}]")
+    return index
+
+
 def _cmd_surgery(args):
     k, input_desc = _load(args.knot)
     p, q = _parse_slope(args.slope)
+    spin = _parse_spin(args.spin, p)
     t0 = time.monotonic()
     result = hf_plus(k, p, q)
     diag = None
@@ -199,16 +214,13 @@ def _cmd_surgery(args):
         diag = diagnostic_sum(k, p, q)
     timing_ms = int((time.monotonic() - t0) * 1000)
     records = result.spin_c
-    if args.spin != "all":
-        idx = int(args.spin)
-        if not 0 <= idx < abs(p):
-            raise ValueError(f"spin index must lie in [0, {abs(p) - 1}]")
-        records = tuple(r for r in records if r.index == idx)
+    if spin is not None:
+        records = tuple(r for r in records if r.index == spin)
     if args.json:
         doc = result_document(result, input_desc, timing_ms, diag)
-        if args.spin != "all":
+        if spin is not None:
             doc["spin_c"] = [rec for rec in doc["spin_c"]
-                             if rec["index"] == int(args.spin)]
+                             if rec["index"] == spin]
         print(json.dumps(doc, indent=2))
         return 0
     print(f"HF+ of {p}/{q} surgery on {k.name or args.knot}"

@@ -18,11 +18,15 @@ into the unimodular transforms that each caller asks for:
 with D diagonal and d_1 | d_2 | ... .  Only the transforms actually
 needed are tracked; kernel computations want R and R^{-1}, the
 quotient structure wants L and L^{-1}.  A matrix with no entry is its
-own Smith form, with identity transforms, and takes no elimination
-(_ZeroSnf).  So a degree with no boundary leaving it and none arriving
-from one degree up, as in every degree of a residue with zero
-differential, reads its kernel basis and homology off its own basis,
-and U on that homology is U's own columns.  For the same reason the
+own Smith form and takes no elimination (_ZeroSnf): every transform is
+the identity, which is held as None and never built.  So a degree with
+no boundary leaving it and none arriving from one degree up, as in
+every degree of a residue with zero differential, is bare: its kernel
+is the whole degree, nothing is divided out, and each element is one
+free class, its own representative and coordinate.  Between two bare
+degrees U on homology is U's own columns, read straight off the
+complex (GradedGroup.u_matrix).  This is exact, since the identity is
+a unimodular L and R for the zero matrix.  For the same reason the
 quotient of a free group by a class with a +-1 entry, which spans a
 direct summand, is free of rank one less and takes no elimination
 (_quotient_by_class).
@@ -321,41 +325,32 @@ class _SnfWork:
 class _ZeroSnf:
     """The Smith normal form of a zero matrix, built without elimination.
 
-    D is the zero matrix, so the rank is 0 and identity transforms (each
-    its own inverse, shared by a transform and its inverse) satisfy
-    L * M * R == D.
+    D is the zero matrix, so the rank is 0 and the identity satisfies
+    L * M * R == D: every transform a caller tracks is the identity,
+    given as None.
     """
 
     rank = 0
     diag = ()
-
-    def __init__(self, nrows, ncols, track_l=False, track_linv=False,
-                 track_r=False, track_rinv=False):
-        rows = ([{i: 1} for i in range(nrows)]
-                if track_l or track_linv else None)
-        cols = ([{i: 1} for i in range(ncols)]
-                if track_r or track_rinv else None)
-        self.l_rows = rows if track_l else None
-        self.linv_cols = rows if track_linv else None
-        self.r_cols = cols if track_r else None
-        self.q_rows = cols if track_rinv else None
+    l_rows = linv_cols = r_cols = q_rows = None
 
 
-def _snf(entries_rows, nrows, ncols, **track):
+def _snf(entries_rows, nrows, ncols, track_l=False, track_linv=False,
+         track_r=False, track_rinv=False):
     """Smith data of the matrix with these row dicts; a matrix with no
     entry takes no elimination (_ZeroSnf)."""
     if not any(entries_rows):
-        return _ZeroSnf(nrows, ncols, **track)
+        return _ZeroSnf()
     if SELF_CHECK:
         # keep a pristine copy and force full tracking for verification
         original = [dict(row) for row in entries_rows]
-        work = _SnfWork(entries_rows, nrows, ncols,
-                        track_l=True, track_linv=track.get("track_linv", False),
-                        track_r=True, track_rinv=track.get("track_rinv", False))
+        work = _SnfWork(entries_rows, nrows, ncols, True, track_linv, True,
+                        track_rinv)
         work.run()
         _verify_snf(work, original)
         return work
-    return _SnfWork(entries_rows, nrows, ncols, **track).run()
+    return _SnfWork(entries_rows, nrows, ncols, track_l, track_linv, track_r,
+                    track_rinv).run()
 
 
 def _verify_snf(work, original):
@@ -762,37 +757,48 @@ def _free_slots(h, d):
 class _DegreeHomology:
     """Homology of a graded complex in a single degree, with enough of
     the Smith data retained to convert cycles to homology coordinates
-    and to produce cycle representatives."""
+    and to produce cycle representatives.
 
-    __slots__ = ("ids", "pos", "z", "d_rank", "kernel_cols", "q_rows",
-                 "y_l_rows", "y_linv_cols", "y_diag", "y_rank",
-                 "kept", "factors")
+    A transform given as None is the identity (_ZeroSnf): kernel_cols
+    and q_rows when no boundary leaves the degree, y_l_rows and
+    y_linv_cols when none arrives.  A bare degree, with neither, keeps
+    every element as a free slot and reads coordinates off its basis.
+    """
 
-    def __init__(self, ids, pos, z, d_rank, kernel_cols, q_rows,
-                 y_l_rows, y_linv_cols, y_diag, y_rank):
+    __slots__ = ("ids", "_pos", "z", "d_rank", "kernel_cols", "q_rows",
+                 "y_l_rows", "y_linv_cols", "bare", "kept", "factors",
+                 "free_rank", "torsion")
+
+    def __init__(self, ids, z, d_rank, kernel_cols, q_rows, y_l_rows,
+                 y_linv_cols, y_diag):
         self.ids = ids
-        self.pos = pos
+        self._pos = None
         self.z = z
         self.d_rank = d_rank
         self.kernel_cols = kernel_cols
         self.q_rows = q_rows
         self.y_l_rows = y_l_rows
         self.y_linv_cols = y_linv_cols
-        self.y_diag = y_diag
-        self.y_rank = y_rank
-        kept = []
-        factors = []
-        for s in range(z):
-            fac = y_diag[s] if s < y_rank else 0
-            if fac != 1:
-                kept.append(s)
-                factors.append(fac)
-        self.kept = kept
-        self.factors = factors
+        self.bare = q_rows is None and y_l_rows is None
+        # y_diag is d_1 | d_2 | ...: its 1s come first
+        units = y_diag.count(1)
+        self.kept = range(units, z)
+        self.factors = list(y_diag[units:]) + [0] * (z - len(y_diag))
+        self.free_rank = z - len(y_diag)
+        self.torsion = tuple(y_diag[units:])
+
+    @property
+    def pos(self):
+        """Local position of each element, worked out when first read."""
+        if self._pos is None:
+            self._pos = {gid: i for i, gid in enumerate(self.ids)}
+        return self._pos
 
     def kernel_coords(self, local_vec):
         # rows `d_rank..z-1` of Rinv applied to a cycle give its
         # coordinates in the kernel basis
+        if self.q_rows is None:
+            return [local_vec.get(s, 0) for s in range(self.z)]
         out = [0] * self.z
         for s in range(self.z):
             qrow = self.q_rows[self.d_rank + s]
@@ -807,6 +813,8 @@ class _DegreeHomology:
     def coords(self, local_vec):
         """Homology coordinates (aligned with `kept`) of a cycle."""
         w = self.kernel_coords(local_vec)
+        if self.y_l_rows is None:
+            return w
         out = []
         for s, fac in zip(self.kept, self.factors):
             acc = 0
@@ -821,19 +829,13 @@ class _DegreeHomology:
         """A cycle (local sparse vector) representing generator
         `slot_index` of the homology in this degree."""
         s = self.kept[slot_index]
-        kcoords = self.y_linv_cols[s]
+        kcoords = {s: 1} if self.y_linv_cols is None else self.y_linv_cols[s]
+        if self.kernel_cols is None:
+            return dict(kcoords)
         vec = {}
         for kslot, coeff in kcoords.items():
             _dict_axpy(vec, self.kernel_cols[kslot], coeff)
         return vec
-
-    @property
-    def free_rank(self):
-        return sum(1 for f in self.factors if f == 0)
-
-    @property
-    def torsion(self):
-        return tuple(sorted(f for f in self.factors if f > 1))
 
 
 class GradedGroup:
@@ -901,14 +903,21 @@ class GradedGroup:
         if self.complex.u_action is None:
             raise ValueError("complex carries no U-action")
         src = self._data.get(d)
-        cols = []
+        dst = self._data.get(d - 2)
         u = self.complex.u_action
-        for slot in range(len(src.kept) if src else 0):
-            vec = self.rep_global(d, slot)
-            img = {}
-            for gid, coeff in vec.items():
-                _dict_axpy(img, u[gid], coeff)
-            cols.append(self.coords_global(d - 2, img))
+        if src is None:
+            cols = []
+        elif src.bare and (dst is None or dst.bare):
+            # both degrees are their own homology: U's own columns
+            below = dst.ids if dst else ()
+            cols = [[u[j].get(i, 0) for i in below] for j in src.ids]
+        else:
+            cols = []
+            for slot in range(len(src.kept)):
+                img = {}
+                for gid, coeff in self.rep_global(d, slot).items():
+                    _dict_axpy(img, u[gid], coeff)
+                cols.append(self.coords_global(d - 2, img))
         self._u_cache[d] = cols
         return cols
 
@@ -919,49 +928,47 @@ def graded_homology(complex_, ceiling=None):
     Degrees above ceiling are skipped; the ceiling's image is still
     read from the boundary columns one degree up.  An empty boundary
     matrix, leaving a degree or arriving in it, takes no elimination
-    (_snf).
+    and no local matrix (_snf), so a bare degree costs its elements.
     """
     data = {}
     by_degree = complex_.by_degree
     boundary = complex_.boundary
+    # the elements of each degree with a boundary, by local position
+    sources = {d: [(j, gid) for j, gid in enumerate(ids) if boundary[gid]]
+               for d, ids in by_degree.items()}
     for d, ids in by_degree.items():
         if ceiling is not None and d > ceiling:
             continue
-        pos = {gid: i for i, gid in enumerate(ids)}
-        below = by_degree.get(d - 1, ())
-        pos_below = {gid: i for i, gid in enumerate(below)}
         # local matrix of the boundary leaving degree d
-        rows = [{} for _ in range(len(below))]
-        for j, gid in enumerate(ids):
-            for tgt, v in boundary[gid].items():
-                rows[pos_below[tgt]][j] = v
-        work = _snf(rows, len(below), len(ids),
-                    track_r=True, track_rinv=True)
+        rows = []
+        if sources[d]:
+            pos_below = {gid: i for i, gid in enumerate(by_degree[d - 1])}
+            rows = [{} for _ in pos_below]
+            for j, gid in sources[d]:
+                for tgt, v in boundary[gid].items():
+                    rows[pos_below[tgt]][j] = v
+        work = _snf(rows, len(rows), len(ids), track_r=True, track_rinv=True)
         z = len(ids) - work.rank
-        kernel_cols = [work.r_cols[work.rank + s] for s in range(z)]
+        kernel_cols = None if work.r_cols is None else work.r_cols[work.rank:]
         # image from one degree up, in kernel coordinates
-        above = by_degree.get(d + 1, ())
-        stage = _DegreeHomology(ids, pos, z, work.rank, kernel_cols,
-                                work.q_rows, None, None, [], 0)
-        y_rows = [{} for _ in range(z)]
-        ncols_y = 0
-        for gid in above:
-            col = boundary[gid]
-            if not col:
-                continue
-            local = {pos[t]: v for t, v in col.items()}
-            w = stage.kernel_coords(local)
-            nonzero = False
-            for s, val in enumerate(w):
-                if val:
-                    y_rows[s][ncols_y] = val
-                    nonzero = True
-            if nonzero:
-                ncols_y += 1
+        y_rows, ncols_y = [], 0
+        if sources.get(d + 1):
+            stage = _DegreeHomology(ids, z, work.rank, kernel_cols,
+                                    work.q_rows, None, None, ())
+            pos = stage.pos
+            y_rows = [{} for _ in range(z)]
+            for _, gid in sources[d + 1]:
+                w = stage.kernel_coords(
+                    {pos[t]: v for t, v in boundary[gid].items()})
+                for s, val in enumerate(w):
+                    if val:
+                        y_rows[s][ncols_y] = val
+                if any(w):
+                    ncols_y += 1
         ywork = _snf(y_rows, z, ncols_y, track_l=True, track_linv=True)
-        data[d] = _DegreeHomology(ids, pos, z, work.rank, kernel_cols,
+        data[d] = _DegreeHomology(ids, z, work.rank, kernel_cols,
                                   work.q_rows, ywork.l_rows, ywork.linv_cols,
-                                  ywork.diag, ywork.rank)
+                                  ywork.diag)
     return GradedGroup(complex_, data, ceiling=ceiling)
 
 
@@ -1020,61 +1027,59 @@ def tower_decompose(h):
     tower: bare Z's, spaced by two and linked by U-isomorphisms (this
     is the stabilization check).
     """
-    degrees = sorted(h.support(h.ceiling), reverse=True)
+    degrees = h.support(h.ceiling)
     if len(degrees) < TOWER_LEVELS:
         raise NotStabilizedError(f"{len(degrees)} occupied degrees, "
                                  f"fewer than {TOWER_LEVELS} tower levels")
+    data = h._data
     # the top TOWER_LEVELS degrees must be bare Z's linked by U-isomorphisms
-    for idx in range(TOWER_LEVELS):
-        d = degrees[idx]
-        if h.torsion(d):
+    for idx in range(1, TOWER_LEVELS + 1):
+        d = degrees[-idx]
+        dh = data[d]
+        if dh.torsion:
             raise TorsionInTowerError(
                 f"torsion at degree {d} inside the stable tower region")
-        if h.free_rank(d) != 1:
+        if dh.free_rank != 1:
             raise NotStabilizedError(
-                f"rank {h.free_rank(d)} at degree {d} near the top")
-        if idx + 1 < TOWER_LEVELS:
-            if degrees[idx + 1] != d - 2:
+                f"rank {dh.free_rank} at degree {d} near the top")
+        if idx < TOWER_LEVELS:
+            if degrees[-idx - 1] != d - 2:
                 raise NotStabilizedError(
                     f"tower degrees not spaced by two near {d}")
-            col = h.u_matrix(d)
-            if len(col) != 1 or len(col[0]) != 1 or abs(col[0][0]) != 1:
+            if h.u_matrix(d) not in ([[1]], [[-1]]):
                 raise NotStabilizedError(
                     f"U is not an isomorphism from degree {d}")
     # walk the tower down from the top
-    top = degrees[0]
-    dh = h.degree_data(top)
-    vec = [0] * len(dh.kept)
-    vec[next(i for i, f in enumerate(dh.factors) if f == 0)] = 1
-    tower = {top: vec}
-    cur = top
+    cur = degrees[-1]
+    factors = data[cur].factors
+    vec = [0] * len(factors)
+    vec[factors.index(0)] = 1
+    tower = {cur: vec}
     while True:
-        below = h.degree_data(cur - 2)
+        below = data.get(cur - 2)
         if below is None or not below.kept:
             break
-        cols = h.u_matrix(cur)
         img = [0] * len(below.kept)
-        for slot, coeff in enumerate(tower[cur]):
+        for coeff, col in zip(vec, h.u_matrix(cur)):
             if coeff:
-                col = cols[slot]
-                for r in range(len(img)):
-                    img[r] += coeff * col[r]
-        for r, f in enumerate(below.factors):
-            if f:
-                img[r] %= f
-        has_free = any(img[r] for r, f in enumerate(below.factors) if f == 0)
-        if not has_free:
+                for r, v in enumerate(col):
+                    img[r] += coeff * v
+        if below.torsion:
+            img = [v % f if f else v for v, f in zip(img, below.factors)]
+            if not any(v for v, f in zip(img, below.factors) if f == 0):
+                break
+        elif not any(img):
             break
         cur -= 2
-        tower[cur] = img
+        tower[cur] = vec = img
     d_bottom = cur
     reduced = []
-    for d in sorted(degrees):
+    for d in degrees:
+        dh = data[d]
         if d in tower:
-            free, torsion = _quotient_by_class(
-                h.degree_data(d).factors, tower[d])
+            free, torsion = _quotient_by_class(dh.factors, tower[d])
         else:
-            free, torsion = h.free_rank(d), h.torsion(d)
+            free, torsion = dh.free_rank, dh.torsion
         if free or torsion:
             reduced.append((d, (free, torsion)))
     return TowerDecomposition(d_bottom=d_bottom, reduced=tuple(reduced))

@@ -177,10 +177,17 @@ def _cone_blocks(descriptor, g, gauge=0):
     return blocks
 
 
-def _cone_shape(source, descriptor, g, gauge):
-    """The kept blocks and the cone degree l + 2 depth they are cut at."""
+def _cone_shape(source, descriptor, g, gauge, floors):
+    """The kept blocks and the cone degree l + 2 depth they are cut at.
+
+    band_floor over blocks is the largest of offset plus band_floor of
+    the block's region alone; floors holds the latter, once per region.
+    """
     blocks = _cone_blocks(descriptor, g, gauge)
-    top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
+    for _, region, _, _ in blocks:
+        if region not in floors:
+            floors[region] = band_floor(source, [(region, 0)])
+    top = (max(floors[r] + off for _, r, off, _ in blocks)
            + 2 * descriptor.depth)
     return blocks, top
 
@@ -245,7 +252,8 @@ def reduce_regions(source, descriptors, gauge=0):
     if not source.graded:
         raise GradingError("surgery requires solved gradings")
     knot_genus = genus(source)
-    shapes = {d: _cone_shape(source, d, knot_genus, gauge)
+    floors = {}
+    shapes = {d: _cone_shape(source, d, knot_genus, gauge, floors)
               for d in descriptors}
     cuts, joined = {}, set()
     for blocks, top in shapes.values():

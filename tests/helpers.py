@@ -1,7 +1,8 @@
 """Shared test utilities.
 
-Two independent oracles live here (a rational row-reduction rank and a
-homology free-rank computed from those ranks alone), plus a generator
+Three independent oracles live here (a rational row-reduction rank, a
+homology free-rank computed from those ranks alone, and the dimensions
+of homology with F_p coefficients from ranks mod p), plus a generator
 of random valid bifiltered complexes assembled from pieces whose
 differential squares to zero by construction (with a flip, for
 surgery, in random_knot), the staircase complex of any L-space knot
@@ -93,6 +94,47 @@ def homology_free_ranks(gc):
         if free:
             out[d] = free
     return out
+
+
+def rank_mod_p(columns, p):
+    """Rank over F_p of a column-sparse integer matrix.
+
+    Plain Gaussian elimination: each column is reduced against the
+    pivot columns kept so far, each scaled to 1 at its first row, and
+    becomes one more pivot when something is left.
+    """
+    pivots = {}
+    for col in columns:
+        vec = {r: v % p for r, v in col.items() if v % p}
+        while vec:
+            r = min(vec)
+            if r not in pivots:
+                inverse = pow(vec[r], -1, p)
+                pivots[r] = {i: v * inverse % p for i, v in vec.items()}
+                break
+            factor = vec[r]
+            for i, v in pivots[r].items():
+                nv = (vec.get(i, 0) - factor * v) % p
+                if nv:
+                    vec[i] = nv
+                else:
+                    vec.pop(i, None)
+    return len(pivots)
+
+
+def homology_dims_mod_p(gc, p):
+    """dim H_d(C; F_p) for every degree d of a graded complex.
+
+    dim H_d = n_d - rank(boundary leaving d) - rank(boundary leaving d + 1),
+    both ranks over F_p (rank_mod_p).
+    """
+    by_degree = {}
+    for idx, d in enumerate(gc.degrees):
+        by_degree.setdefault(d, []).append(idx)
+    ranks = {d: rank_mod_p([gc.boundary[i] for i in idxs], p)
+             for d, idxs in by_degree.items()}
+    return {d: len(idxs) - ranks[d] - ranks.get(d + 1, 0)
+            for d, idxs in by_degree.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,18 @@ perfbench/tracing.py wraps each (module, attribute) of its WRAP table
 and stops the benchmark when one is gone.  This test reads that table
 from the file (parsed, not imported, so nothing is written next to
 it), so that renaming or dropping a traced layer fails here first.
-The attributes its cone-build hook reads are checked the same way.
+The attributes its cone-build hook reads are checked the same way, and
+so is the order of calls through which it links a cone to its homology
+and tower split.
 """
 
 import ast
 import importlib
+from collections import OrderedDict
 from pathlib import Path
 
+from helpers import staircase
+from hfplus import cfk, surgery
 from hfplus.cfk import builtin
 from hfplus.homology import TOWER_LEVELS
 from hfplus.surgery import SurgeryDescriptor, build_mapping_cone
@@ -46,3 +51,35 @@ def test_the_cone_build_hook_reads_existing_attributes():
     assert cone.complex.n == len(cone.complex.boundary) > 0
     assert all(isinstance(col, dict) for col in cone.complex.boundary)
     assert len(source.generators) == 3
+
+
+def test_each_cone_goes_through_homology_then_its_tower_split(monkeypatch):
+    # the trace keys cone sizes by the id of the cone's complex, then of
+    # the group graded_homology returns, which tower_decompose must get
+    cones, groups, splits = [], [], []
+    build = surgery.build_mapping_cone
+    homology = surgery.graded_homology
+    split = surgery.tower_decompose
+
+    def building(*args, **kwargs):
+        cone = build(*args, **kwargs)
+        cones.append(cone.complex)
+        return cone
+
+    def reading(complex_, *args, **kwargs):
+        group = homology(complex_, *args, **kwargs)
+        groups.append((complex_, group))
+        return group
+
+    def splitting(group):
+        splits.append(group)
+        return split(group)
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "build_mapping_cone", building)
+    monkeypatch.setattr(surgery, "graded_homology", reading)
+    monkeypatch.setattr(surgery, "tower_decompose", splitting)
+    surgery.hf_plus(staircase(3), 7, 3)
+    assert len(cones) == len(groups) == len(splits) == 7
+    for cone, (complex_, group), read in zip(cones, groups, splits):
+        assert complex_ is cone and read is group

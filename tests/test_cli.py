@@ -12,7 +12,7 @@ else:  # pytest itself requires tomli before Python 3.11
     import tomli as tomllib
 
 from helpers import child_env
-from hfplus import surgery
+from hfplus import cli, surgery
 from hfplus.cfk import builtin, serialize_text
 from hfplus.cli import main, parse_document, result_document, strip_provenance
 from hfplus.detect import diagnostic_sum
@@ -93,6 +93,18 @@ def test_surgery_spin_filter(capsys):
     code, _, err = run(capsys, "surgery", "figure_eight", "7/3",
                        "--spin", "9")
     assert code == 2
+
+
+def test_surgery_spin_is_checked_before_computing(capsys, monkeypatch):
+    def computing(*args):
+        raise AssertionError("hf_plus ran before --spin was checked")
+
+    monkeypatch.setattr(cli, "hf_plus", computing)
+    for spin in ("abc", "5", "-1"):
+        code, out, err = run(capsys, "surgery", "trefoil_right", "3/1",
+                             "--spin", spin)
+        assert code == 2 and out == "", spin
+        assert err == "error: spin index must be an integer in [0, 2]\n", spin
 
 
 def test_surgery_json_round_trip(capsys):

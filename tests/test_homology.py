@@ -359,7 +359,57 @@ def test_zero_differential_reads_homology_off_the_basis(monkeypatch):
         below = gc.by_degree.get(d - 2, [])
         assert h.u_matrix(d) == [[u[j].get(i, 0) for i in below]
                                  for j in ids], d
+        # every transform of a bare degree is the identity, held as None
+        dh = h.degree_data(d)
+        assert dh.bare
+        assert (dh.kernel_cols, dh.q_rows, dh.y_l_rows, dh.y_linv_cols) == (
+            None, None, None, None), d
     assert built == []
+
+
+def _with_unit_pairs(gc):
+    """gc plus an acyclic pair x -> y, d(x) = y and no U, from every
+    occupied degree: the homology and U on it are unchanged, and every
+    degree of gc then has a boundary leaving it."""
+    degrees = list(gc.degrees)
+    boundary = [dict(col) for col in gc.boundary]
+    u_action = [dict(col) for col in gc.u_action]
+    for d in sorted(gc.by_degree):
+        degrees += [d, d - 1]
+        boundary += [{len(boundary) + 1: 1}, {}]
+        u_action += [{}, {}]
+    return GradedComplex(degrees, boundary, u_action=u_action)
+
+
+def test_bare_degrees_read_the_same_as_through_the_snf(monkeypatch):
+    # random residues read as they are, with their zero-differential
+    # degrees bare, and with a unit pair in every degree, which sends
+    # each degree through the elimination: the homology, the kernels of
+    # U on it and the tower split agree
+    rng = random.Random(20261020)
+    regions = [Region.min_i(), Region.max_ij(0), Region.max_ij(1)]
+    built = _count_snf_works(monkeypatch)
+    bare, towers = 0, 0
+    for _ in range(40):
+        k = random_complex(rng)
+        region = rng.choice(regions)
+        top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
+        gc = realize(k, region, top).realization
+        gc.cancel_units()
+        padded = _with_unit_pairs(gc)
+        h = graded_homology(gc)
+        bare += sum(h.degree_data(d).bare for d in gc.by_degree)
+        before = len(built)
+        forced = graded_homology(padded)
+        assert len(built) - before >= len(gc.by_degree), k.name
+        assert not any(forced.degree_data(d).bare for d in gc.by_degree)
+        assert forced.summary() == h.summary(), k.name
+        assert (homology._homology_profile(padded)
+                == homology._homology_profile(gc)), k.name
+        outcome = _outcome(lambda: tower_decompose(h))
+        assert _outcome(lambda: tower_decompose(forced)) == outcome, k.name
+        towers += not isinstance(outcome, type)
+    assert bare and towers
 
 
 def test_a_degree_with_boundary_arriving_still_runs_the_snf(monkeypatch):

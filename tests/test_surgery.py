@@ -6,9 +6,9 @@ from math import gcd
 
 import pytest
 
-from helpers import (ReferenceCone, h_columns, map_h, map_v, random_knot,
-                     reference_spin_c, staircase, torsion_square, twisty,
-                     v_columns)
+from helpers import (ReferenceCone, h_columns, homology_dims_mod_p, map_h,
+                     map_v, random_knot, reference_spin_c, staircase,
+                     torsion_square, twisty, v_columns)
 from hfplus import acomplex, cfk, homology, surgery
 from hfplus.acomplex import band_floor, genus, realize, signed_flip
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
@@ -784,6 +784,40 @@ def test_torsion_goes_through_the_cone():
     after = graded_homology(cone.complex, ceiling=cone.ceiling).summary()
     assert after == before
     assert any(torsion == (2,) for _, torsion in before.values())
+
+
+def test_cone_homology_mod_p_obeys_universal_coefficients():
+    # dim H_d(C; F_p) = free_d + #{p | t in torsion_d}
+    #                 + #{p | t in torsion_(d-1)} (Hatcher, Thm 3A.3), on
+    # every cone as built (boundary everywhere, through the Smith form)
+    # and as cancelled (bare degrees), against ranks mod p alone
+    cases = [(builtin(name), p, q) for name in BUILTIN_NAMES
+             for p, q in [(1, 1), (2, 1), (3, 2), (7, 3)]]
+    cases += [(torsion_square(), p, q) for p, q in [(2, 1), (3, 2)]]
+    for k, p, q in cases:
+        descriptors = [SurgeryDescriptor(p, q, i,
+                                         truncation_sigma(k, p, q, i),
+                                         TOWER_LEVELS) for i in range(p)]
+        regions = surgery.reduce_regions(k, descriptors)
+        moved = {2: 0, 3: 0}
+        for desc in descriptors:
+            gc = build_mapping_cone(k, desc, regions=regions).complex
+            for cancel in (False, True):
+                if cancel:
+                    gc.cancel_units()
+                h = graded_homology(gc)
+                for prime in moved:
+                    dims = homology_dims_mod_p(gc, prime)
+                    expect = {d: h.free_rank(d)
+                              + sum(t % prime == 0 for t in h.torsion(d))
+                              + sum(t % prime == 0 for t in h.torsion(d - 1))
+                              for d in dims}
+                    assert dims == expect, (k.name, p, q, desc, prime)
+                    moved[prime] += sum(dims.values()) - sum(
+                        h.free_rank(d) for d in dims)
+        # Z/2 moves the F_2 dimension and not the F_3 one
+        assert moved[3] == 0, (k.name, p, q)
+        assert bool(moved[2]) == (k.name == "torsion_square"), (k.name, p, q)
 
 
 def test_cone_homology_reads_the_cancelled_cone_itself(monkeypatch):

@@ -9,11 +9,11 @@ and whose degree is at most a cut `top`.  Since the differential and U
 both lower the degree, the kept part is the subcomplex of the region
 complex spanned by its elements of degree <= top, so its homology is
 exact in every degree below top -- realizations record that trust
-ceiling, top - 1.  Their elements come in degree order, so a lower cut
-is a prefix: an hf_plus call realizes only the bottom A block of each
-cone, once per region, and cuts it as a prefix of its unit-cancelled
-residue (surgery.reduce_regions).  The cone's other blocks are enumerated
-key by key (surgery.MappingCone), so hf_plus never realizes B.
+ceiling, top - 1.  An hf_plus call realizes only the bottom A block of
+each cone, once per region at one cut, and uses its unit-cancelled
+residue whole (surgery.reduce_regions).  The cone's other blocks are
+enumerated key by key (surgery.MappingCone), so hf_plus never realizes
+B.
 
 The two maps out of A_s = C{max(i, j-s) >= 0} both land in
 B = C{i >= 0}.  A_s is B plus the finite strip S_s = C{i < 0 <= j - s},
@@ -22,10 +22,10 @@ identity on B's keys.  The horizontal map h projects to C{j >= s},
 slides down by U^s, and applies the flip; when the flip only commutes
 with the differential up to a global sign, h absorbs (-1)^m per
 generator, which restores the chain-map identity without disturbing
-the involution.  h_key defines h a key at a time, for the surgery
-cone.  band_floor is the one rule for where truncated computations
-cut, worked out in closed form from the generators' gradings and the
-blocks' offsets, with no retry.  Neither hfk_hat nor kernel_rank_v
+the involution.  surgery._key_table writes h on integer keys, for
+the surgery cone.  band_floor is the one rule for where truncated
+computations cut, worked out in closed form from the generators'
+gradings and the blocks' offsets, with no retry.  Neither hfk_hat nor kernel_rank_v
 realizes a region: a level of HFK-hat is a level of the finite
 {i = 0} column, built by cfk.column, and the kernel of v on homology
 is the homology of the finite strip.
@@ -66,7 +66,8 @@ def band_floor(complex_, blocks):
     Cutting every block at degree l + 2 levels of the shared grading (a
     block with offset o at top l + 2 levels - o) keeps a subcomplex
     exact up to C = l + 2 levels - 1, and the band l..C holds exactly
-    `levels` tower levels, whatever their parity.
+    `levels` tower levels, whatever their parity.  A higher cut is
+    exact the same way, and its band holds at least `levels`.
     """
     return max(offset + max(g.m + 2 * _k_range(g, region, 0).start
                             for g in complex_.generators)
@@ -149,18 +150,6 @@ def signed_flip(complex_):
         sgn, flipped = complex_.flip[g.name]
         signed[g.name] = (-sgn if eps < 0 and g.m % 2 else sgn, flipped)
     return signed
-
-
-def h_key(complex_, flip, s, key):
-    """(sign, key of B) that h: A_s -> B sends a key of A_s to, or None.
-
-    flip is from signed_flip.  h sends a key to at most one key.
-    """
-    name, k = key
-    if complex_.by_name[name].j + k - s < 0:
-        return None
-    sgn, flipped = flip[name]
-    return sgn, (flipped, k - s)
 
 
 # ---------------------------------------------------------------------------

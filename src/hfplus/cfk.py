@@ -184,8 +184,7 @@ class Region:
 
     Each region is a quotient complex, cut by degree at realization
     time.  level(i, j) measures how deep a filtration level sits inside
-    the region, negative outside it; value(i, j) is that depth, or None
-    when outside.
+    the region, negative outside it.
     """
 
     kind: str
@@ -201,10 +200,6 @@ class Region:
 
     def level(self, i, j):
         return i if self.kind == "min_i" else max(i, j - self.params[0])
-
-    def value(self, i, j):
-        v = self.level(i, j)
-        return v if v >= 0 else None
 
     def describe(self):
         if self.kind == "min_i":

@@ -33,11 +33,11 @@ direct summand, is free of rank one less and takes no elimination
 
 cancel_unit_pairs shrinks a complex before any of this: it cancels
 basis pairs joined by a +-1 boundary entry (reduction by elementary
-collapses, Kaczynski-Mrozek-Slusarek 1998), degree by degree upward so
-that every degree prefix of the residue is exact, and carries U to the
-residue as pi U iota (the perturbation lemma), in place.  It can carry
-the maps into and out of the complex that join it to the rest of a
-mapping cone.  Every pivot is a unit, so the reduction is exact over Z
+collapses, Kaczynski-Mrozek-Slusarek 1998), degree by degree upward,
+carries U to the residue as pi U iota (the perturbation lemma), and
+compacts the lists it is given to the residue, in place.  It can carry
+the maps out of the complex that join it to the rest of a mapping
+cone.  Every pivot is a unit, so the reduction is exact over Z
 and keeps torsion.  It runs on the regions of a surgery cone and, as
 GradedComplex.cancel_units, on the cone itself: what is read from
 their homology needs nothing beyond U.
@@ -57,7 +57,8 @@ from .errors import NotStabilizedError, TorsionInTowerError
 SELF_CHECK = False
 
 # Top occupied degrees tower_decompose requires to be bare tower levels;
-# truncations cut at acomplex.band_floor + 2 TOWER_LEVELS hold them exactly.
+# truncations cut at or above acomplex.band_floor + 2 TOWER_LEVELS hold
+# them exactly.
 TOWER_LEVELS = 4
 
 
@@ -482,72 +483,54 @@ class GradedComplex:
     def cancel_units(self):
         """Shrink to a homotopy-equivalent residue by cancelling unit pairs.
 
-        cancel_unit_pairs does the cancelling; the complex is then
-        rewritten in place (the same object, its lists edited) to the
-        residue and re-checked.  When nothing was cancelled every list
-        is unchanged, so the check made at construction still holds.
+        cancel_unit_pairs does the cancelling and compacts the lists in
+        place (the same object, its lists edited); the labels follow and
+        the residue is re-checked.  When nothing was cancelled every
+        list holds what it held, so the check made at construction still
+        holds.
         """
-        keep, _ = cancel_unit_pairs(self.degrees, self.boundary,
-                                    self.u_action)
+        keep = cancel_unit_pairs(self.degrees, self.boundary, self.u_action)
         if len(keep) == self.n:
             return
-        new = {old: pos for pos, old in enumerate(keep)}
-
-        def renumbered(cols):
-            cols[:] = [{new[i]: v for i, v in cols[j].items()} for j in keep]
-
-        renumbered(self.boundary)
-        if self.u_action is not None:
-            renumbered(self.u_action)
-        self.degrees[:] = [self.degrees[j] for j in keep]
         if self.labels is not None:
             self.labels[:] = [self.labels[j] for j in keep]
         self._index()
         self._check()
 
 
-def cancel_unit_pairs(degrees, boundary, u_action, cuts=(), carried=None):
+def cancel_unit_pairs(degrees, boundary, u_action, carried=None):
     """Cancel the +-1 pairs of a complex degree by degree upward, in place.
 
-    Elements 0..n-1, n = len(degrees), form the complex, with columns
-    boundary and u_action (or None).  In each degree in increasing
-    order, each live x with a +-1 entry c at some y of d(x) (the y with
-    the fewest other boundaries through it) is cancelled against y,
-    until no such x is left: every column a with y in d(a) takes
-    d(a) += k d(x), k = -c d(a)_y, so that iota(a) = a + k iota(x), and
-    then x leaves every column and x, y are deleted.  That is
-    d' = pi d iota for the projection pi onto the quotient by the
-    contractible span of x and d(x), which sends x to 0 and y to
-    y - c d(x), and its chain inverse iota.  U' = pi U iota is then
-    worked out once for the columns that remain, so homology, torsion
-    and the U-action on homology are unchanged.
+    The complex has columns boundary and u_action (or None), one per
+    entry of degrees.  In each degree in increasing order, each live x
+    with a +-1 entry c at some y of d(x) (the y with the fewest other
+    boundaries through it) is cancelled against y, until no such x is
+    left: every column a with y in d(a) takes d(a) += k d(x),
+    k = -c d(a)_y, so that iota(a) = a + k iota(x), and then x leaves
+    every column and x, y are deleted.  That is d' = pi d iota for the
+    projection pi onto the quotient by the contractible span of x and
+    d(x), which sends x to 0 and y to y - c d(x), and its chain inverse
+    iota.  U' = pi U iota is then worked out once for the columns that
+    remain, so homology, torsion and the U-action on homology are
+    unchanged.
 
     The complex may be one summand of a bigger complex, such as a
-    mapping cone, that the steps above then reduce as well.  Columns
-    past n belong to elements outside the complex whose d and U have
-    components in it: they take every step but are never cancelled.
-    carried = (f, g) holds, for every column j, the components f[j] of
-    d(j) and g[j] of U(j) outside the complex, provided nothing outside
-    maps back into it: they become f(iota j) and g(iota j) plus the
-    outside part of pi U iota j, pi sending y to y - c (d(x) + f(x)).
+    mapping cone, that nothing outside maps back into.  carried =
+    (f, g) then holds, for every column j, the components f[j] of d(j)
+    and g[j] of U(j) outside the complex: they become f(iota j) and
+    g(iota j) plus the outside part of pi U iota j, pi sending y to
+    y - c (d(x) + f(x)).  Their entries are keys of the outside, which
+    are left as they are.
 
-    A pair cancelled in degrees e and e - 1 only rewrites columns of
-    degree >= e, so after degree c the columns of every element of
-    degree <= c are final: the elements of degree <= c that survive
-    degree c are the residue of the prefix cut at c.  These are the
-    final residue below c plus each y of degree c whose x sits at
-    c + 1; for every c in cuts those y are returned as ghosts, mapping
-    y to its columns (boundary, U, and f, g when carried) as they
-    stood, which reference the final residue only.
-
-    Returns (keep, ghosts): the surviving elements in index order, and
-    the ghosts.  The columns of the survivors and of the columns past n
-    are rewritten; boundary columns of cancelled elements are left as
-    None.  Under SELF_CHECK the homology and the rank of U on it are
-    compared before and after.
+    The lists degrees, boundary, u_action and the two of carried are
+    compacted in place to the surviving elements, renumbered in index
+    order.  Returns keep, the surviving elements' old indices.  Under
+    SELF_CHECK the homology and the rank of U on it are compared before
+    and after.
     """
     n = len(degrees)
-    before = (_own_profile(degrees, boundary, u_action, range(n))
+    before = (_homology_profile(GradedComplex(degrees, boundary, u_action,
+                                              check=False))
               if SELF_CHECK else None)
     rows = _row_index(boundary, n)
     by_degree = {}
@@ -556,7 +539,6 @@ def cancel_unit_pairs(degrees, boundary, u_action, cuts=(), carried=None):
     live = [True] * n
     absorbed = {}  # column -> [(k, x)]: iota(column) = column + k iota(x)
     pairs = []  # (x, y, d(x) as it stood), in the order cancelled
-    stood = {}  # ghost -> its boundary column as it stood
     for deg in sorted(by_degree):
         batch = by_degree[deg]
         cancelled = True
@@ -572,27 +554,25 @@ def cancel_unit_pairs(degrees, boundary, u_action, cuts=(), carried=None):
                         y = i
                 if y is None:
                     continue
-                if deg - 1 in cuts:
-                    stood[y] = boundary[y]
                 pairs.append((x, y, boundary[x]))
                 _cancel_pair(boundary, rows, absorbed, x, y)
                 live[x] = live[y] = False
                 cancelled = True
     keep = [x for x in range(n) if live[x]]
     finish = _maps_through_pairs(live, pairs, absorbed, u_action, carried)
-    ghosts = {}
-    for y, col in stood.items():
-        ghosts[y] = (col,) + finish(y)
-    for j in keep + list(range(n, len(boundary))):
-        maps = finish(j)
-        if u_action is not None:
-            u_action[j] = maps[0]
-        if carried is not None:
-            carried[0][j], carried[1][j] = maps[1:]
-    if (before is not None
-            and _own_profile(degrees, boundary, u_action, keep) != before):
+    maps = [finish(j) for j in keep]
+    new = {old: pos for pos, old in enumerate(keep)}
+    degrees[:] = [degrees[j] for j in keep]
+    boundary[:] = [{new[i]: v for i, v in boundary[j].items()} for j in keep]
+    if u_action is not None:
+        u_action[:] = [{new[i]: v for i, v in m[0].items()} for m in maps]
+    if carried is not None:
+        carried[0][:] = [m[1] for m in maps]
+        carried[1][:] = [m[2] for m in maps]
+    if (before is not None and _homology_profile(GradedComplex(
+            degrees, boundary, u_action, check=False)) != before):
         raise AssertionError("unit cancellation changed the homology")
-    return keep, ghosts
+    return keep
 
 
 def _maps_through_pairs(live, pairs, absorbed, u_action, carried):
@@ -678,18 +658,6 @@ def _solve(memo, key, needs, compute):
             memo[top] = compute(top)
             stack.pop()
     return memo[key]
-
-
-def _own_profile(degrees, boundary, u_action, elements):
-    """_homology_profile of the complex spanned by elements."""
-    new = {old: pos for pos, old in enumerate(elements)}
-
-    def own(cols):
-        return [{new[i]: v for i, v in cols[j].items()} for j in elements]
-
-    return _homology_profile(GradedComplex(
-        [degrees[j] for j in elements], own(boundary),
-        None if u_action is None else own(u_action), check=False))
 
 
 def _row_index(columns, n):
@@ -986,9 +954,6 @@ class TowerDecomposition:
 
     d_bottom: object
     reduced: tuple
-
-    def reduced_dict(self):
-        return {d: v for d, v in self.reduced}
 
     @property
     def total_reduced_rank(self):

@@ -23,16 +23,17 @@ cone that is left is then cut in degree as below; the offsets stay
 pinned at -sigma.  For a large slope one A block is left and the cone
 is H(A_t) (compare Ni-Wu, arXiv:1009.4720).
 
-Every kept block is cut at one absolute cone degree top,
+Every kept block is cut at one absolute cone degree top, at least
 acomplex.band_floor over the kept blocks plus two per tower level
 read, so the kept elements span a subcomplex whose homology is exact
 below the cut.  Of these only three pieces are built (MappingCone):
 
-* the bottom block A_lo, a degree prefix of its region.  An hf_plus
-  call realizes each distinct bottom region once for all its Spin^c
-  structures, at the largest cut any cone needs, and reduces it once
-  by unit cancellation in increasing degree (reduce_regions), carrying
-  its h column and the U terms into B_{lo+1} along as keys of B;
+* the bottom block A_lo, its region's whole residue.  An hf_plus call
+  cuts every cone whose bottom block is the same region at one degree
+  of that region, the largest any of them needs, and realizes and
+  reduces that region once by unit cancellation (reduce_regions),
+  carrying its h column and the U terms into B_{lo+1} along as
+  integer keys of B;
 * for every other A_s, t = t(s), the strip S_t = C{i < 0 <= j - t}:
   v: A_s -> B is the quotient map, the identity on the copy of B
   inside A_s, and its kernel is this finite subcomplex;
@@ -81,12 +82,11 @@ transported by orientation-reversal duality.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .acomplex import band_floor, genus, h_key, realize, signed_flip
+from .acomplex import band_floor, genus, realize, signed_flip
 from .cfk import Region, memoized, mirror, require_valid
 from .errors import (FlipMissingError, GradingError, NotStabilizedError,
                      TorsionInTowerError)
@@ -98,7 +98,7 @@ from .homology import (TOWER_LEVELS, GradedComplex, cancel_unit_pairs,
 class SurgeryDescriptor:
     """Shape of one truncated cone: slope, residue, window, depth.
 
-    depth is the number of tower levels held above the band floor.
+    The cone holds at least depth tower levels above the band floor.
     """
 
     p: int
@@ -157,7 +157,7 @@ def _cone_offsets(descriptor, gauge=0):
 
 
 def _cone_blocks(descriptor, g, gauge=0):
-    """(label, region, grading offset, sign) of each summand built.
+    """(label, region, grading offset) of each summand built.
 
     The window's end pairs cancel for a knot of genus g: while more
     than one A block is left, (A_s, B_s) goes while the top A_s has
@@ -170,84 +170,78 @@ def _cone_blocks(descriptor, g, gauge=0):
     while lo < hi and d.t(lo) <= -g:
         lo += 1
     off_a, off_b = _cone_offsets(d, gauge)
-    blocks = [(("A", s), Region.max_ij(d.t(s)), off_a[s], 1)
+    blocks = [(("A", s), Region.max_ij(d.t(s)), off_a[s])
               for s in range(lo, hi + 1)]
-    blocks += [(("B", s), Region.min_i(), off_b[s], -1)
+    blocks += [(("B", s), Region.min_i(), off_b[s])
                for s in range(lo + 1, hi + 1)]
     return blocks
 
 
 def _cone_shape(source, descriptor, g, gauge, floors):
-    """The kept blocks and the cone degree l + 2 depth they are cut at.
+    """The kept blocks and the least cone degree l + 2 depth to cut at.
 
     band_floor over blocks is the largest of offset plus band_floor of
     the block's region alone; floors holds the latter, once per region.
     """
     blocks = _cone_blocks(descriptor, g, gauge)
-    for _, region, _, _ in blocks:
+    for _, region, _ in blocks:
         if region not in floors:
             floors[region] = band_floor(source, [(region, 0)])
-    top = (max(floors[r] + off for _, r, off, _ in blocks)
+    top = (max(floors[r] + off for _, r, off in blocks)
            + 2 * descriptor.depth)
     return blocks, top
 
 
-class Residue:
-    """One region after unit cancellation, ready to be cut into blocks.
+def _key_table(source):
+    """(index, arrows, into, hop, back, in_b): d and h on integer keys.
 
-    Elements 0..n-1 are the residue, in degree order; after them come
-    the ghosts, and ghosts[c] lists those a block cut at degree c keeps
-    (see cancel_unit_pairs).  ids, degrees, boundary and u_action cover
-    both, and every column entry is a residue element.  carried is None,
-    or holds each element's (h, U) columns into B, keyed by B's keys
-    (x, k), as cancellation left them (reduce_regions).
+    The translate (x, k) has key index[x] + G k, with G the number of
+    generators, and generator n = key % G.  arrows[n] holds the key
+    offset to each term of d(x) with its coefficient, and into[n] the
+    key offset from each generator whose d meets x.  h_t: A_t -> B
+    sends a key of generator n to key + hop[n][1] - G t, with sign
+    hop[n][0], when key >= hop[n][2] + G t, i.e. j + k >= t, and to 0
+    otherwise; the sign and image are signed_flip's.  A key of
+    generator n lies in B when key >= in_b[n], and there
+    h_t^-1 key = key + back[n] + G t.
     """
-
-    def __init__(self, realized, cuts, carried=None):
-        keep, ghosts = cancel_unit_pairs(realized.degrees, realized.boundary,
-                                         realized.u_action, cuts, carried)
-        new = {old: pos for pos, old in enumerate(keep)}
-
-        def renumbered(col):
-            return {new[i]: c for i, c in col.items()}
-
-        stood = [ghosts[y] for y in sorted(ghosts)]
-        order = keep + sorted(ghosts)
-        self.n = len(keep)
-        self.ids = [realized.ids[j] for j in order]
-        self.degrees = [realized.degrees[j] for j in order]
-        self.ghosts = {c: [] for c in cuts}
-        for pos, j in enumerate(order[self.n:], self.n):
-            self.ghosts[realized.degrees[j]].append(pos)
-        self.boundary = ([renumbered(realized.boundary[j]) for j in keep]
-                         + [renumbered(col[0]) for col in stood])
-        self.u_action = ([renumbered(realized.u_action[j]) for j in keep]
-                         + [renumbered(col[1]) for col in stood])
-        self.carried = None if carried is None else (
-            [(carried[0][j], carried[1][j]) for j in keep]
-            + [col[2:] for col in stood])
-
-    def block(self, cut):
-        """The elements a block cut at degree cut keeps, in order."""
-        return (list(range(bisect_right(self.degrees, cut, 0, self.n)))
-                + self.ghosts[cut])
+    flip = signed_flip(source)
+    gens = source.generators
+    G = len(gens)
+    index = {g.name: n for n, g in enumerate(gens)}
+    arrows = [[] for _ in gens]
+    into = [[] for _ in gens]
+    for x, term in source.arrows():
+        n, y = index[x.name], index[term.target]
+        arrows[n].append((y - n - G * term.u_exponent, term.coefficient))
+        into[y].append(n - y + G * term.u_exponent)
+    hop, back = [], [0] * G
+    for n, g in enumerate(gens):
+        sgn, flipped = flip[g.name]
+        hop.append((sgn, index[flipped] - n, n - G * g.j))
+        back[index[flipped]] = n - index[flipped]
+    in_b = [n - G * g.i for n, g in enumerate(gens)]
+    return index, arrows, into, hop, back, in_b
 
 
 def reduce_regions(source, descriptors, gauge=0):
-    """(shapes, residues, flip) of the cones of descriptors.
+    """(shapes, residues, keys) of the cones of descriptors.
 
-    shapes maps each descriptor to its kept blocks and their cut
-    (_cone_shape), and residues the region of each cone's bottom block
-    A_lo to its Residue; no other block is realized.  flip is
-    signed_flip(source), worked out once for every cone with more than
-    one A block, or None when there is none.  Each such region
-    is realized once, cut at the largest degree any of its blocks
-    needs, checked once, and reduced by cancel_unit_pairs in increasing
-    degree, so a block is a degree prefix of the residue.  When the
-    region is the bottom of a cone with more than one A block, its h
-    column rides along as keys of B, and so do the U terms into B that
-    the cancellation creates: nothing maps into A_lo, so this is a
-    strong deformation retract of the whole cone.
+    shapes maps each descriptor to its kept blocks and the cone degree
+    top they are cut at.  Every cone whose bottom block A_lo is the
+    same region is cut at one degree of that region, the largest any
+    of them needs (_cone_shape), so each cone's top is at least
+    l + 2 depth and it holds at least depth tower levels
+    (acomplex.band_floor).  residues maps that region to its residue
+    (ids, degrees, boundary, u_action, carried): the region is realized
+    once at its cut, checked once and reduced by cancel_unit_pairs, and
+    is then the whole bottom block of each of those cones; no other
+    block is realized.  When the region is the bottom of a cone with
+    more than one A block, carried holds its h columns into B, keyed as
+    in _key_table, and the U terms into B that the cancellation
+    creates: nothing maps into A_lo, so this is a strong deformation
+    retract of the whole cone.  keys is _key_table(source), built once
+    for every such cone, or None when there is none.
     """
     if not source.graded:
         raise GradingError("surgery requires solved gradings")
@@ -257,23 +251,35 @@ def reduce_regions(source, descriptors, gauge=0):
               for d in descriptors}
     cuts, joined = {}, set()
     for blocks, top in shapes.values():
-        _, region, offset, _ = blocks[0]
-        cuts.setdefault(region, set()).add(top - offset)
+        _, region, offset = blocks[0]
+        cuts[region] = max(cuts.get(region, top - offset), top - offset)
         if len(blocks) > 1:
             joined.add(region)
-    flip = signed_flip(source) if joined else None
+    shapes = {d: (blocks, cuts[blocks[0][1]] + blocks[0][2])
+              for d, (blocks, _) in shapes.items()}
+    keys = _key_table(source) if joined else None
     residues = {}
-    for region, region_cuts in cuts.items():
-        real = realize(source, region, max(region_cuts))
+    for region, cut in cuts.items():
+        real = realize(source, region, cut)
         real.realization  # the region's one check
         carried = None
         if region in joined:
-            images = [h_key(source, flip, region.params[0], key)
-                      for key in real.ids]
-            carried = ([{} if im is None else {im[1]: im[0]} for im in images],
-                       [{} for _ in images])
-        residues[region] = Residue(real, region_cuts, carried)
-    return shapes, residues, flip
+            index, _, _, hop, _, _ = keys
+            G = len(index)
+            shift = G * region.params[0]
+            h = []
+            for name, k in real.ids:
+                n = index[name]
+                sgn, off, floor = hop[n]
+                key = n + G * k
+                h.append({key + off - shift: sgn}
+                         if key >= floor + shift else {})
+            carried = (h, [{} for _ in h])
+        keep = cancel_unit_pairs(real.degrees, real.boundary, real.u_action,
+                                 carried)
+        residues[region] = ([real.ids[j] for j in keep], real.degrees,
+                            real.boundary, real.u_action, carried)
+    return shapes, residues, keys
 
 
 def _add(col, n, c):
@@ -287,12 +293,12 @@ def _add(col, n, c):
 class MappingCone:
     """The assembled truncated cone, reduced, as one graded U-complex.
 
-    The kept blocks (label, region, grading offset, sign of its
-    differential) are ("A", s) for lo <= s <= hi and ("B", s) for
-    lo < s <= hi (_cone_blocks), all cut at cone degree ceiling + 1 =
-    top = l + 2 depth, with l from acomplex.band_floor over them;
-    n_a_summands and n_b_summands count them.  The bottom block A_lo is
-    the degree prefix of its region's Residue (reduce_regions).  Of
+    The kept blocks (label, region, grading offset) are ("A", s) for
+    lo <= s <= hi and ("B", s) for lo < s <= hi (_cone_blocks), all cut
+    at cone degree ceiling + 1 = top, at least l + 2 depth with l from
+    acomplex.band_floor over them, so the cone holds at least depth
+    tower levels; n_a_summands and n_b_summands count them.  The bottom
+    block A_lo is its region's whole residue (reduce_regions).  Of
     every other A_s only the strip S_t = C{i < 0 <= j - t}, t = t(s),
     is built, and of every B_s only the slice T_s of cone degree top:
     the rest of B_s is v of the copy of B inside A_s, and is cancelled
@@ -302,36 +308,35 @@ class MappingCone:
     commutes with U, and drops the (offset) grading by exactly one on
     every component covers each block too.  regions is what
     reduce_regions returned for a list of descriptors that holds this
-    one; without it, this one cone's bottom region is reduced first.
-    chain_steps counts the keys the Morse chains visited (_join).
+    one; without it, this one cone's bottom region is reduced first, at
+    this cone's own least cut.  chain_steps counts the keys the Morse
+    chains visited (_join).
     """
 
     def __init__(self, source, descriptor, gauge=0, regions=None):
-        shapes, residues, flip = (
+        shapes, residues, keys = (
             regions if regions is not None
             else reduce_regions(source, [descriptor], gauge))
         self.source = source
         self.descriptor = descriptor
         blocks, top = shapes[descriptor]
-        (label, region, offset, _), rest = blocks[0], blocks[1:]
-        res = residues[region]
-        members = res.block(top - offset)
-        ids = [label + res.ids[j] for j in members]
-        degrees = [res.degrees[j] + offset for j in members]
-        boundary = [dict(res.boundary[j]) for j in members]
-        u_cols = [dict(res.u_action[j]) for j in members]
+        (label, region, offset), rest = blocks[0], blocks[1:]
+        res_ids, res_degrees, res_boundary, res_u, carried = residues[region]
+        ids = [label + key for key in res_ids]
+        degrees = [deg + offset for deg in res_degrees]
+        boundary = [dict(col) for col in res_boundary]
+        u_cols = [dict(col) for col in res_u]
         self.chain_steps = 0
         if rest:
-            self.chain_steps = self._join(
-                rest, top, [res.carried[j] for j in members], flip,
-                ids, degrees, boundary, u_cols)
+            self.chain_steps = self._join(rest, top, carried, keys, ids,
+                                          degrees, boundary, u_cols)
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
         self.n_a_summands = sum(label[0] == "A" for label, *_ in blocks)
         self.n_b_summands = len(blocks) - self.n_a_summands
 
-    def _join(self, rest, top, carried, flip, ids, degrees, boundary,
+    def _join(self, rest, top, carried, keys, ids, degrees, boundary,
               u_cols):
         """Append the strips and slices of rest, cancelling B against A.
 
@@ -340,8 +345,9 @@ class MappingCone:
         d and U of the key in the strip, then follows h to B_{s+1} and,
         with weight -1 (v has coefficient 1), back up to the same key
         of A_{s+1}.  carried holds the bottom block's h and U columns
-        into B_{lo+1}, and flip is signed_flip of the source.  Returns
-        the number of steps the chains took.
+        into B_{lo+1}, and keys is _key_table of the source, whose
+        integer keys they and the chains use.  Returns the number of
+        steps the chains took.
 
         A chain stops at the first key that is not live.  live[s] holds
         the keys of A_s whose d or U meets the strip S_t(s) (read off
@@ -351,32 +357,13 @@ class MappingCone:
         flip to be an involution that swaps i and j.  A key outside
         live[s] adds nothing at s and h_s moves it outside live[s + 1],
         so no later step of its chain adds anything either, and the
-        cone is the same as with every chain walked to its end.  Keys
-        are ints, generator index + G * translate with G the number of
-        generators; arrows, into and hop encode d, its transpose and
-        h_key on them.
+        cone is the same as with every chain walked to its end.
         """
-        source = self.source
-        gens = source.generators
+        gens = self.source.generators
         G = len(gens)
-        index = {g.name: n for n, g in enumerate(gens)}
-        arrows = [[] for _ in gens]  # key offset to each target, coefficient
-        into = [[] for _ in gens]  # key offset from each source
-        for x, term in source.arrows():
-            n, y = index[x.name], index[term.target]
-            arrows[n].append((y - n - G * term.u_exponent, term.coefficient))
-            into[y].append(n - y + G * term.u_exponent)
-        # h_s sends a key of generator n to key + hop[n][1] - G t(s), with
-        # sign hop[n][0], when key >= hop[n][2] + G t(s), i.e. j + k >= t(s);
-        # h_s^-1 of a key of generator n in B is key + back[n] + G t(s)
-        hop, back = [], [0] * G
-        for n, g in enumerate(gens):
-            sgn, flipped = flip[g.name]
-            hop.append((sgn, index[flipped] - n, n - G * g.j))
-            back[index[flipped]] = n - index[flipped]
-        in_b = [n - G * g.i for n, g in enumerate(gens)]  # key in B: >= this
+        _, arrows, into, hop, back, in_b = keys
         strips, shifts = {}, {}
-        for label, region, offset, _ in rest:
+        for label, region, offset in rest:
             if label[0] == "A":
                 s, t = label[1], region.params[0]
                 shifts[s] = G * t
@@ -388,7 +375,7 @@ class MappingCone:
                         ids.append(label + (g.name, k))
                         degrees.append(g.m + 2 * k + offset)
         slices = [(label[1], n + G * ((top - offset - g.m) // 2))
-                  for label, _, offset, _ in rest if label[0] == "B"
+                  for label, _, offset in rest if label[0] == "B"
                   for n, g in enumerate(gens)
                   if (top - offset - g.m) % 2 == 0
                   and g.i + (top - offset - g.m) // 2 >= 0]
@@ -427,11 +414,11 @@ class MappingCone:
             return steps
 
         steps = 0
-        for (h, u), col, ucol in zip(carried, boundary, u_cols):
-            for (name, k), c in h.items():
-                steps += walk(first, index[name] + G * k, -c, col, ucol)
-            for (name, k), c in u.items():
-                steps += walk(first, index[name] + G * k, -c, ucol)
+        for h, u, col, ucol in zip(*carried, boundary, u_cols):
+            for key, c in h.items():
+                steps += walk(first, key, -c, col, ucol)
+            for key, c in u.items():
+                steps += walk(first, key, -c, ucol)
         for s, strip in strips.items():
             for key in strip:
                 boundary.append({})
@@ -625,10 +612,11 @@ def hf_plus(complex_, p, q, gauge=0):
 
     Each Spin^c structure's window is truncation_sigma wide; the
     bottom regions of the cones' kept blocks (_cone_blocks cancels the
-    end pairs) are reduced together for every Spin^c structure
-    (reduce_regions), then each Spin^c structure builds one cone from
-    them and the strips, holding TOWER_LEVELS tower levels above its
-    band floor (see MappingCone), which is what tower_decompose reads.
+    end pairs) are reduced together for every Spin^c structure, each at
+    one cut (reduce_regions), then each Spin^c structure builds one cone
+    from them and the strips, holding at least TOWER_LEVELS tower levels
+    above its band floor (see MappingCone), which is what
+    tower_decompose reads.
     Each result records sigma and depth as provenance: sigma is the
     window the offsets are pinned in, not the number of blocks built.
     A failed tower check raises its error type again, naming the slope,

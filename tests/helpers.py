@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import hfplus
 from hfplus import surgery
-from hfplus.acomplex import band_floor, genus, h_key, realize, signed_flip
+from hfplus.acomplex import band_floor, genus, realize, signed_flip
 from hfplus.cfk import Generator, KnotComplex, Region, grading_solve
 from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
                              integer_rank, smith_normal_form, tower_decompose)
@@ -469,6 +469,18 @@ def v_columns(keys, tgt):
             for key in keys]
 
 
+def h_key(k, flip, s, key):
+    """(sign, key of B) that h: A_s -> B sends a key of A_s to, or None.
+
+    flip is from signed_flip.  h sends a key to at most one key.
+    """
+    name, n = key
+    if k.by_name[name].j + n - s < 0:
+        return None
+    sgn, flipped = flip[name]
+    return sgn, (flipped, n - s)
+
+
 def h_columns(k, flip, s, keys, tgt):
     """Columns of h: A_s -> B on keys of A_s, in tgt's elements."""
     cols = []
@@ -560,19 +572,20 @@ class ReferenceCone:
             blocks = surgery._cone_blocks(descriptor, genus(source), gauge)
         else:
             off_a, off_b = surgery._cone_offsets(descriptor, gauge)
-            blocks = [(("A", s), Region.max_ij(descriptor.t(s)), off_a[s],
-                       1) for s in descriptor.a_positions()]
-            blocks += [(("B", s), Region.min_i(), off_b[s], -1)
+            blocks = [(("A", s), Region.max_ij(descriptor.t(s)), off_a[s])
+                      for s in descriptor.a_positions()]
+            blocks += [(("B", s), Region.min_i(), off_b[s])
                        for s in descriptor.b_positions()]
-        top = (band_floor(source, [(r, off) for _, r, off, _ in blocks])
+        top = (band_floor(source, [(r, off) for _, r, off in blocks])
                + 2 * descriptor.depth)
         real = {}
-        for _, region, offset, _ in sorted(blocks, key=lambda b: b[2]):
+        for _, region, offset in sorted(blocks, key=lambda b: b[2]):
             if region not in real:
                 real[region] = realize(source, region, top - offset)
         ids, degrees, boundary, u_cols, base = [], [], [], [], {}
-        for label, region, offset, sign in blocks:
+        for label, region, offset in blocks:
             rr = real[region]
+            sign = 1 if label[0] == "A" else -1
             n = bisect_right(rr.degrees, top - offset)
             b0 = len(ids)
             base[label] = b0, rr.ids[:n]

@@ -293,15 +293,16 @@ def test_serialize_is_idempotent_after_one_pass():
 
 
 def test_region_values():
+    # level is the depth inside the region, negative outside it
     quarter = Region.min_i()
-    assert quarter.value(0, 5) == 0
-    assert quarter.value(3, -2) == 3
-    assert quarter.value(-1, 4) is None
+    assert quarter.level(0, 5) == 0
+    assert quarter.level(3, -2) == 3
+    assert quarter.level(-1, 4) == -1
 
     hook = Region.max_ij(1)
-    assert hook.value(0, 1) == 0
-    assert hook.value(2, 5) == 4  # max(i, j - s)
-    assert hook.value(-1, 0) is None
+    assert hook.level(0, 1) == 0
+    assert hook.level(2, 5) == 4  # max(i, j - s)
+    assert hook.level(-1, 0) == -1
 
 
 def test_unknot_content_key_is_stable_under_renaming():

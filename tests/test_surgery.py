@@ -44,7 +44,7 @@ def _kept_blocks(k, descriptor):
 def _band_floor(k, descriptor):
     """The kept blocks' band's lower end, from the regions' definitions."""
     return max(offset + g.m + 2 * _first(g, region)
-               for _, region, offset, _ in _kept_blocks(k, descriptor)
+               for _, region, offset in _kept_blocks(k, descriptor)
                for g in k.generators) + 1
 
 
@@ -122,7 +122,7 @@ def test_calibration_minimum_lies_in_the_kept_window():
                     off_a, _ = surgery._cone_offsets(desc)
                     f = {s: off_a[s] + 2 * min(0, desc.t(s))
                          for s in desc.a_positions()}
-                    kept = [label[1] for label, _, _, _
+                    kept = [label[1] for label, _, _
                             in surgery._cone_blocks(desc, g)
                             if label[0] == "A"]
                     assert (min(f[s] for s in kept)
@@ -182,7 +182,7 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
             desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
                                      TOWER_LEVELS)
             top = _band_floor(k, desc) + 2 * desc.depth
-            _, region, offset, _ = _kept_blocks(k, desc)[0]
+            _, region, offset = _kept_blocks(k, desc)[0]
             tops[region] = max(tops.get(region, top - offset), top - offset)
         calls = []
         checked = []
@@ -214,12 +214,12 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
         assert len(calls) == len(tops) and dict(calls) == tops, (p, q)
         assert Region.min_i() not in tops
         assert len(checked) == len(tops) + p, (p, q)
-        # the bottom block is a prefix of its region, every other A_s
+        # the bottom block lies in its region, every other A_s is
         # the strip S_t(s) and every B_s the slice of cone degree C + 1
         for cone in cones:
             kept = _kept_blocks(k, cone.descriptor)
             blocks = {label: (region, offset)
-                      for label, region, offset, _ in kept}
+                      for label, region, offset in kept}
             joined += len(kept) > 1
             for label, degree in zip(cone.ids, cone.complex.degrees):
                 region, offset = blocks[label[:2]]
@@ -244,14 +244,19 @@ UNPRUNED_STEPS = 1481
 
 def test_chains_stop_once_no_strip_is_reachable(monkeypatch):
     # the columns are pinned by the reference tests; this pins that
-    # most of each chain is never walked, and that signed_flip is worked
-    # out once per hf_plus call, not once per cone
+    # most of each chain is never walked, and that signed_flip and the
+    # key table are worked out once per hf_plus call, not once per cone
     k = staircase(5)
-    flips, cones = [], []
+    flips, tables, cones = [], [], []
+    key_table = surgery._key_table
 
     def flipping(source):
         flips.append(source)
         return signed_flip(source)
+
+    def tabling(source):
+        tables.append(source)
+        return key_table(source)
 
     def building(*args):
         cones.append(build_mapping_cone(*args))
@@ -259,11 +264,47 @@ def test_chains_stop_once_no_strip_is_reachable(monkeypatch):
 
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     monkeypatch.setattr(surgery, "signed_flip", flipping)
+    monkeypatch.setattr(surgery, "_key_table", tabling)
     monkeypatch.setattr(surgery, "build_mapping_cone", building)
     hf_plus(k, 7, 3)
-    assert len(cones) == 7 and len(flips) == 1
+    assert len(cones) == 7 and len(flips) == len(tables) == 1
     steps = sum(cone.chain_steps for cone in cones)
     assert 0 < steps < UNPRUNED_STEPS // 4, steps
+
+
+def test_cones_sharing_a_bottom_region_are_cut_at_one_degree(monkeypatch):
+    # in each case some cones share a bottom region whose least cuts
+    # differ; every such cone is cut at the largest, which holds at least
+    # TOWER_LEVELS tower levels, and reads what a cone built alone at
+    # its own least cut reads
+    cones = []
+
+    def building(*args):
+        cones.append(build_mapping_cone(*args))
+        return cones[-1]
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    for k, p, q in [(builtin("torus_2_5"), 5, 3), (staircase(4), 7, 3)]:
+        cones.clear()
+        with monkeypatch.context() as m:
+            m.setattr(surgery, "build_mapping_cone", building)
+            result = hf_plus(k, p, q)
+        cuts = {}
+        for cone in cones:
+            _, region, offset = _kept_blocks(k, cone.descriptor)[0]
+            least = _band_floor(k, cone.descriptor) + 2 * TOWER_LEVELS - 1
+            assert cone.ceiling >= least, (k.name, cone.descriptor)
+            cuts.setdefault(region, set()).add(
+                (cone.ceiling - offset, least - offset))
+        assert all(len({cut for cut, _ in c}) == 1 for c in cuts.values())
+        assert any(len({own for _, own in c}) > 1 for c in cuts.values())
+        for r in result.spin_c:
+            desc = SurgeryDescriptor(p, q, r.index, r.sigma, r.depth)
+            assert (build_mapping_cone(k, desc).ceiling
+                    == _band_floor(k, desc) + 2 * TOWER_LEVELS - 1)
+            alone = surgery._spin_c_result(k, p, q, r.index, r.sigma,
+                                           r.depth, 0)
+            assert alone == r, (k.name, p, q, r.index)
 
 
 def test_cone_joins_are_the_v_and_h_maps():
@@ -326,8 +367,7 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
     # s > lo, below the top, against the same key of B_s; and U agrees
     # on homology
     monkeypatch.setattr(surgery, "cancel_unit_pairs",
-                        lambda degrees, *rest: (list(range(len(degrees))),
-                                                {}))
+                        lambda degrees, *rest: list(range(len(degrees))))
     joined = 0
     for k in CHAIN_CASES:
         for p, q in [(1, 1), (2, 1), (5, 2), (7, 3), (1, 5), (2, 7)]:
@@ -545,7 +585,7 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
             desc = SurgeryDescriptor(p, q, r.index, r.sigma, r.depth)
             assert r.depth == TOWER_LEVELS, (k.name, desc)
             assert _band_floor(k, desc) == band_floor(
-                k, [(region, offset) for _, region, offset, _
+                k, [(region, offset) for _, region, offset
                     in _kept_blocks(k, desc)]), (k.name, desc)
             # the band floor moved to absolute degrees, as r.d and hf_red are
             floor = _band_floor(k, desc) + surgery._calibration_shift(desc)

@@ -42,6 +42,13 @@ and keeps torsion.  It runs on the regions of a surgery cone and, as
 GradedComplex.cancel_units, on the cone itself: what is read from
 their homology needs nothing beyond U.
 
+A GradedComplex checks itself when built and again after cancel_units
+has shrunk it (_check), in one pass over its columns: for each column
+j, no zero is stored in d(j), d lowers the degree by one and U by two,
+and d(d j) = 0 and U(d j) = d(U j), each composite summed into one
+dict for j and then dropped.  That covers each region realization,
+each surgery cone as built and each cone residue.
+
 Setting SELF_CHECK = True (the test suite does this) re-multiplies
 L * M * R on every call and compares against D exactly, checks
 |det| = 1 on small transforms, and compares the homology and the rank
@@ -76,22 +83,6 @@ def _dict_axpy(dst, src, k):
             dst[key] = nv
         elif key in dst:
             del dst[key]
-
-
-def _compose(outer, inner):
-    """Column-sparse composition: (outer . inner) as columns."""
-    out = []
-    for col in inner:
-        acc = {}
-        for mid, c in col.items():
-            for row, v in outer[mid].items():
-                nv = acc.get(row, 0) + c * v
-                if nv:
-                    acc[row] = nv
-                elif row in acc:
-                    del acc[row]
-        out.append(acc)
-    return out
 
 
 def _det(m):
@@ -458,26 +449,39 @@ class GradedComplex:
         self.by_degree = by_degree
 
     def _check(self):
-        deg = self.degrees
-        for j, col in enumerate(self.boundary):
-            for i, v in col.items():
-                if v == 0:
-                    raise ValueError("explicit zero stored in boundary")
-                if deg[i] != deg[j] - 1:
-                    raise ValueError(
-                        f"boundary entry {j}->{i} does not drop degree by 1")
-        for col in _compose(self.boundary, self.boundary):
+        """One pass per column j: its entries, d(d j) = 0, U(d j) = d(U j).
+
+        Each composite of j is summed into one dict, tested and dropped;
+        no composed column list is built.
+        """
+        deg, boundary, u_action = self.degrees, self.boundary, self.u_action
+        for j, col in enumerate(boundary):
+            dd, ud = {}, {}
             if col:
-                raise ValueError("boundary does not square to zero")
-        if self.u_action is not None:
-            for j, col in enumerate(self.u_action):
+                below = deg[j] - 1
                 for i, v in col.items():
-                    if deg[i] != deg[j] - 2:
+                    if v == 0:
+                        raise ValueError("explicit zero stored in boundary")
+                    if deg[i] != below:
+                        raise ValueError(f"boundary entry {j}->{i} does not "
+                                         "drop degree by 1")
+                    for r, w in boundary[i].items():
+                        dd[r] = dd.get(r, 0) + v * w
+                    if u_action is not None:
+                        for r, w in u_action[i].items():
+                            ud[r] = ud.get(r, 0) + v * w
+                if any(dd.values()):
+                    raise ValueError("boundary does not square to zero")
+            ucol = u_action[j] if u_action is not None else None
+            if ucol:
+                below = deg[j] - 2
+                for i, v in ucol.items():
+                    if deg[i] != below:
                         raise ValueError(
                             f"U entry {j}->{i} does not drop degree by 2")
-            ud = _compose(self.u_action, self.boundary)
-            du = _compose(self.boundary, self.u_action)
-            if ud != du:
+                    for r, w in boundary[i].items():
+                        ud[r] = ud.get(r, 0) - v * w
+            if any(ud.values()):
                 raise ValueError("U does not commute with the boundary")
 
     def cancel_units(self):

@@ -26,7 +26,7 @@ is H(A_t) (compare Ni-Wu, arXiv:1009.4720).
 Every kept block is cut at one absolute cone degree top, at least
 acomplex.band_floor over the kept blocks plus two per tower level
 read, so the kept elements span a subcomplex whose homology is exact
-below the cut.  Of these only three pieces are built (MappingCone):
+below the cut.  Of these only two pieces are built (MappingCone):
 
 * the bottom block A_lo, its region's whole residue.  An hf_plus call
   cuts every cone whose bottom block is the same region at one degree
@@ -36,13 +36,18 @@ below the cut.  Of these only three pieces are built (MappingCone):
   integer keys of B;
 * for every other A_s, t = t(s), the strip S_t = C{i < 0 <= j - t}:
   v: A_s -> B is the quotient map, the identity on the copy of B
-  inside A_s, and its kernel is this finite subcomplex;
-* for every kept B_s, the slice T_s of cone degree top.  B_s sits one
-  degree lower than A_s in the cone, so v does not reach it.
+  inside A_s, and its kernel is this finite subcomplex.
 
-Every other element of B_s is v(p), with coefficient 1, for the same
-key p in A_s's copy of B, and all these pairs are cancelled at once
-(algebraic Morse theory, Skoldberg; Joellenbeck-Welker).  An arrow
+Every element b of B_s is v(p), with coefficient 1, for the same key p
+in A_s's copy of B, and all these pairs are cancelled at once
+(algebraic Morse theory, Skoldberg; Joellenbeck-Welker).  B_s sits one
+degree lower than A_s in the cone, so when b has cone degree top, p
+has degree top + 1.  Taking these p into the kept set as well leaves a
+subcomplex that still holds every element of degree <= top, so its
+homology is still exact below the cut, and every element of B_s is
+matched.  No element of degree <= top reaches one of the new pairs (d,
+v, h and U lower the degree), so no other column changes, and the
+cone holds no element of B at all.  An arrow
 out of a matched p goes to S_t, which is kept, to the copy of B in
 A_s, a matched source that contributes nothing, or through h to
 B_{s+1}; so every zigzag k -> b <- p -> b' <- p' ... moves s up by one
@@ -300,9 +305,9 @@ class MappingCone:
     tower levels; n_a_summands and n_b_summands count them.  The bottom
     block A_lo is its region's whole residue (reduce_regions).  Of
     every other A_s only the strip S_t = C{i < 0 <= j - t}, t = t(s),
-    is built, and of every B_s only the slice T_s of cone degree top:
-    the rest of B_s is v of the copy of B inside A_s, and is cancelled
-    against it (see the module docstring).  Labels are ("A"|"B", s,
+    is built, and no element of any B_s: each is v of the same key of
+    the copy of B inside A_s, and is cancelled against it, also at
+    degree top (see the module docstring).  Labels are ("A", s,
     generator name, translate).  The cone is the one GradedComplex
     built: its check that the total differential squares to zero,
     commutes with U, and drops the (offset) grading by exactly one on
@@ -338,7 +343,7 @@ class MappingCone:
 
     def _join(self, rest, top, carried, keys, ids, degrees, boundary,
               u_cols):
-        """Append the strips and slices of rest, cancelling B against A.
+        """Append the strips of rest, cancelling all of B against A.
 
         walk(s, key, c, col, ucol) adds c times the Morse chain from the
         key of A_s, in its strip or its copy of B: at each step it adds
@@ -374,15 +379,7 @@ class MappingCone:
                         strip[n + G * k] = len(ids)
                         ids.append(label + (g.name, k))
                         degrees.append(g.m + 2 * k + offset)
-        slices = [(label[1], n + G * ((top - offset - g.m) // 2))
-                  for label, _, offset in rest if label[0] == "B"
-                  for n, g in enumerate(gens)
-                  if (top - offset - g.m) % 2 == 0
-                  and g.i + (top - offset - g.m) // 2 >= 0]
-        ids.extend(("B", s, gens[key % G].name, key // G)
-                   for s, key in slices)
-        degrees.extend(top for _ in slices)
-        first, hi = rest[0][0][1], rest[-1][0][1]
+        first, hi = min(strips), max(strips)
         live, after = {}, set()
         for s in range(hi, first - 1, -1):
             hit = {key + off for key in strips[s] for off in into[key % G]}
@@ -424,16 +421,6 @@ class MappingCone:
                 boundary.append({})
                 u_cols.append({})
                 steps += walk(s, key, 1, boundary[-1], u_cols[-1])
-        for s, key in slices:
-            col, ucol = {}, {}
-            for off, coefficient in arrows[key % G]:
-                target = key + off
-                if target >= in_b[target % G]:
-                    steps += walk(s, target, coefficient, col, ucol)
-            if key - G >= in_b[key % G]:
-                steps += walk(s, key - G, -1, ucol)
-            boundary.append(col)
-            u_cols.append(ucol)
         return steps
 
 

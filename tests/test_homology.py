@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from helpers import (ChainMap, homology_free_ranks, random_complex,
-                     rational_rank)
+from helpers import (ChainMap, _compose, homology_free_ranks,
+                     random_complex, rational_rank, staircase, torsion_square)
 from hfplus import homology
 from hfplus.cfk import Region
 from hfplus.acomplex import band_floor, realize
 from hfplus.errors import NotStabilizedError, TorsionInTowerError
-from hfplus.homology import (GradedComplex, cancel_unit_pairs,
+from hfplus.homology import (TOWER_LEVELS, GradedComplex, cancel_unit_pairs,
                              integer_rank, graded_homology,
                              smith_normal_form, tower_decompose)
+from hfplus.surgery import (SurgeryDescriptor, build_mapping_cone,
+                            truncation_sigma)
 
 
 def _matmul(a, b):
@@ -80,14 +82,105 @@ def test_homology_of_a_split_pair_is_zero():
 
 
 def test_graded_complex_validation():
-    with pytest.raises(ValueError):
-        GradedComplex([0, 0], [{1: 1}, {}])  # boundary must drop degree 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not drop degree by 1"):
+        GradedComplex([0, 0], [{1: 1}, {}])
+    with pytest.raises(ValueError, match="does not square to zero"):
         # d(a) = b, d(b) = c: the composite is nonzero
         GradedComplex([2, 1, 0], [{1: 1}, {2: 1}, {}])
-    with pytest.raises(ValueError):
-        # U must drop degree by exactly 2
+    with pytest.raises(ValueError, match="does not drop degree by 2"):
         GradedComplex([1, 0], [{1: 1}, {}], u_action=[{1: 1}, {}])
+    with pytest.raises(ValueError, match="explicit zero stored"):
+        GradedComplex([1, 0], [{1: 0}, {}])
+    # d(x) = y and d(a) = b, with U(x) = a: U(d x) = 0 but d(U x) = b
+    with pytest.raises(ValueError, match="U does not commute"):
+        GradedComplex([3, 2, 1, 0], [{1: 1}, {}, {3: 1}, {}],
+                      u_action=[{2: 1}, {}, {}, {}])
+    # d(j) = 0 but d(U j) = b, with U(j) = a and d(a) = b
+    with pytest.raises(ValueError, match="U does not commute"):
+        GradedComplex([3, 1, 0], [{}, {2: 1}, {}],
+                      u_action=[{1: 1}, {}, {}])
+
+
+def test_graded_complex_check_sums_terms_that_cancel():
+    # d(a) = b + c with d(b) = e, d(c) = -e: d(d a) = e - e = 0
+    GradedComplex([2, 1, 1, 0], [{1: 1, 2: 1}, {3: 1}, {3: -1}, {}])
+    # d(x) = y, d(a) = d(c) = b, U(x) = a - c: d(U x) = b - b = U(d x)
+    GradedComplex([3, 2, 1, 0, 1], [{1: 1}, {}, {3: 1}, {}, {3: 1}],
+                  u_action=[{2: 1, 4: -1}, {}, {}, {}, {}])
+    # d(x) = y + z, U(y) = a, U(z) = -a: U(d x) = a - a = d(U x)
+    GradedComplex([3, 2, 2, 0], [{1: 1, 2: 1}, {}, {}, {}],
+                  u_action=[{}, {3: 1}, {3: -1}, {}])
+
+
+def _violations(degrees, boundary, u_action):
+    """Every message GradedComplex's check could raise on these lists,
+    found from the whole composed columns (helpers._compose)."""
+    found = set()
+    for j, col in enumerate(boundary):
+        for i, v in col.items():
+            if v == 0:
+                found.add("explicit zero stored in boundary")
+            if degrees[i] != degrees[j] - 1:
+                found.add(f"boundary entry {j}->{i} does not drop degree "
+                          "by 1")
+    if any(_compose(boundary, boundary)):
+        found.add("boundary does not square to zero")
+    for j, col in enumerate(u_action):
+        for i in col:
+            if degrees[i] != degrees[j] - 2:
+                found.add(f"U entry {j}->{i} does not drop degree by 2")
+    if _compose(u_action, boundary) != _compose(boundary, u_action):
+        found.add("U does not commute with the boundary")
+    return found
+
+
+def test_graded_complex_check_agrees_with_composed_columns():
+    # one entry of d or U of a benchmark ladder cone, as built or as
+    # cancelled, or of a region of torsion_square (where d(d a) sums two
+    # terms), flipped, stored as zero or deleted: the check raises
+    # exactly when the composed columns show a violation, and with one
+    # of the messages they show
+    rng = random.Random(20261019)
+    k = torsion_square()
+    gc = realize(k, Region.min_i(),
+                 band_floor(k, [(Region.min_i(), 0)]) + 8).realization
+    complexes = [(gc.degrees, gc.boundary, gc.u_action)]
+    for k, p, q in [(staircase(3), 7, 3), (staircase(5), 1, 1)]:
+        for i in range(p):
+            desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
+                                     TOWER_LEVELS)
+            gc = build_mapping_cone(k, desc).complex
+            complexes.append((list(gc.degrees),
+                              [dict(c) for c in gc.boundary],
+                              [dict(c) for c in gc.u_action]))
+            gc.cancel_units()
+            complexes.append((gc.degrees, gc.boundary, gc.u_action))
+    seen = set()
+    for degrees, boundary, u_action in complexes:
+        assert not _violations(degrees, boundary, u_action)
+        for _ in range(20):
+            maps = [[dict(c) for c in boundary],
+                    [dict(c) for c in u_action]]
+            m = rng.choice([m for m in maps if any(m)])
+            col = rng.choice([c for c in m if c])
+            i = rng.choice(sorted(col))
+            how = rng.choice(("flip", "zero", "delete"))
+            if how == "delete":
+                del col[i]
+            else:
+                col[i] = -col[i] if how == "flip" else 0
+            found = _violations(degrees, *maps)
+            try:
+                GradedComplex(degrees, *maps)
+                raised = None
+            except ValueError as exc:
+                raised = str(exc)
+            assert (raised is None) == (not found), (how, found)
+            assert raised is None or raised in found, (raised, found)
+            seen.add(raised)
+    assert seen == {None, "explicit zero stored in boundary",
+                    "boundary does not square to zero",
+                    "U does not commute with the boundary"}, seen
 
 
 def test_chain_map_validation_and_induced():

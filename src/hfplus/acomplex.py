@@ -25,10 +25,16 @@ generator, which restores the chain-map identity without disturbing
 the involution.  surgery._key_table writes h on integer keys, for
 the surgery cone.  band_floor is the one rule for where truncated
 computations cut, worked out in closed form from the generators'
-gradings and the blocks' offsets, with no retry.  Neither hfk_hat nor kernel_rank_v
-realizes a region: a level of HFK-hat is a level of the finite
-{i = 0} column, built by cfk.column, and the kernel of v on homology
-is the homology of the finite strip.
+gradings and the blocks' offsets, with no retry.
+
+Each finite piece of CFK^oo has one translate rule per generator:
+_k_range for a region cut at top, _strip_range for the finite strip
+S_t (kernel_rank_v and surgery.MappingCone), k = -i for the {i = 0}
+column (cfk.column).  cfk._restrict restricts d to the column, a
+region or the strip; the cone writes d on its strips through
+surgery._key_table's integer keys.  Neither hfk_hat nor kernel_rank_v
+realizes a region: a level of HFK-hat is a level of the column, and
+the kernel of v on homology is the homology of the strip.
 
 Realizations and homology groups are built anew on every call and
 never cached; genus and kernel_rank_v keep their results in cfk's memo.
@@ -39,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cfk import column, flip_chain_sign, memoized
+from .cfk import _restrict, column, flip_chain_sign, memoized
 from .errors import FlipMissingError, GradingError, InvalidComplexError
 from .homology import GradedComplex, graded_homology
 
@@ -47,6 +53,11 @@ from .homology import GradedComplex, graded_homology
 def _k_range(g, region, top):
     """The range of translates of g in the region, degree <= top."""
     return range(-region.level(g.i, g.j), (top - g.m) // 2 + 1)
+
+
+def _strip_range(g, t):
+    """The translates t - j_g <= k < -i_g of g in S_t = C{i < 0 <= j - t}."""
+    return range(t - g.j, -g.i)
 
 
 def band_floor(complex_, blocks):
@@ -74,20 +85,6 @@ def band_floor(complex_, blocks):
                for region, offset in blocks) + 1
 
 
-def _boundary(source, ids, id_of):
-    """Columns of the differential on the translates ids, id_of their
-    inverse, with every term that lands outside them dropped."""
-    boundary = []
-    for name, k in ids:
-        col = {}
-        for t in source.differential.get(name, ()):
-            tid = id_of.get((t.target, k - t.u_exponent))
-            if tid is not None:
-                col[tid] = t.coefficient
-        boundary.append(col)
-    return boundary
-
-
 class RealizedRegion:
     """A region of a knot complex, unfolded into a finite complex.
 
@@ -112,9 +109,9 @@ class RealizedRegion:
                           for k in _k_range(g, region, top))
         self.degrees = [deg for deg, _, _ in elements]
         self.ids = ids = [(name, k) for _, name, k in elements]
-        self.id_of = id_of = {key: n for n, key in enumerate(ids)}
+        self.boundary, id_of = _restrict(source, ids)
+        self.id_of = id_of
         self.ceiling = top - 1
-        self.boundary = _boundary(source, ids, id_of)
         self.u_action = u_action = []
         for name, k in ids:
             uid = id_of.get((name, k - 1))
@@ -263,9 +260,9 @@ def kernel_rank_v(complex_, s):
     single Z, as for any knot in S^3, H(B) is the tower and v_* is onto
     it, so the connecting map vanishes and ker v_* is H(S_s).  Any
     other column homology raises InvalidComplexError.  S_s holds
-    the translates (x, k) with s - j_x <= k < -i_x; a term of the
-    differential that leaves the strip leaves A_s, so dropping it keeps
-    the differential exact.
+    the translates (x, k) with s - j_x <= k < -i_x (_strip_range); a
+    term of the differential that leaves the strip leaves A_s, so
+    dropping it keeps the differential exact.
     """
     if not complex_.graded:
         raise GradingError("kernel_rank_v requires solved gradings")
@@ -276,9 +273,8 @@ def kernel_rank_v(complex_, s):
             "v is onto only when the {i = 0} column has homology Z; it "
             f"has (free rank, torsion) {hat.summary()} by degree"])
     ids = [(g.name, k) for g in complex_.generators
-           for k in range(s - g.j, -g.i)]
-    id_of = {key: n for n, key in enumerate(ids)}
+           for k in _strip_range(g, s)]
     strip = GradedComplex(
         [complex_.by_name[name].m + 2 * k for name, k in ids],
-        _boundary(complex_, ids, id_of))
+        _restrict(complex_, ids)[0])
     return graded_homology(strip).total_free_rank()

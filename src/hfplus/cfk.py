@@ -224,9 +224,15 @@ def _symbolic_square(complex_):
     return out
 
 
-def _flip_compare(complex_):
-    """Return +1/-1 if flip∘d = sign * d∘flip globally, else None."""
+def flip_chain_sign(complex_):
+    """The global sign with which flip commutes with the differential.
+
+    +1 or -1 for a valid flip; None when there is no flip, or when no
+    single sign works (which validate() reports as a violation).
+    """
     flip = complex_.flip
+    if flip is None:
+        return None
 
     def flip_terms(terms):
         acc = {}
@@ -254,17 +260,6 @@ def _flip_compare(complex_):
             return None
     # prefer +1 when the differential doesn't pin the sign
     return 1 if 1 in candidates else -1
-
-
-def flip_chain_sign(complex_):
-    """The global sign with which flip commutes with the differential.
-
-    +1 or -1 for a valid flip; None when no single sign works (which
-    validate() reports as a violation).
-    """
-    if complex_.flip is None:
-        return None
-    return _flip_compare(complex_)
 
 
 def validate(complex_):
@@ -336,7 +331,7 @@ def validate(complex_):
             if key not in seen:
                 violations.append(f"flip source {key} is not a generator")
                 flip_ok = False
-        if flip_ok and _flip_compare(complex_) is None:
+        if flip_ok and flip_chain_sign(complex_) is None:
             violations.append("flip is not a chain map up to global sign")
     return violations
 
@@ -555,24 +550,35 @@ def _relative_gradings(complex_, component):
     return rel
 
 
+def _restrict(complex_, ids):
+    """(boundary, id_of) of d on the translates ids = [(name, k), ...].
+
+    boundary[n], column-sparse as in GradedComplex, is d of ids[n] with
+    every term outside ids dropped; id_of inverts ids.
+    """
+    id_of = {key: n for n, key in enumerate(ids)}
+    boundary = []
+    for name, k in ids:
+        col = {}
+        for t in complex_.differential.get(name, ()):
+            tid = id_of.get((t.target, k - t.u_exponent))
+            if tid is not None:
+                col[tid] = t.coefficient
+        boundary.append(col)
+    return boundary, id_of
+
+
 def column(complex_, degrees, check=False):
     """The {i = 0} column on the generators named in degrees.
 
-    Each generator x contributes its one translate at i = 0 (k = -i_x),
-    in degree degrees[x]; an arrow x -> c U^n y is kept when y is named
-    and i_y - n = i_x.  Over all generators, in degrees m - 2i, this is
-    the finite complex whose homology is HF-hat(S^3) and whose
-    associated graded is HFK-hat.
+    Each generator x contributes its one translate at i = 0, k = -i_x,
+    in degree degrees[x], and d is restricted to these translates.
+    Over all generators, in degrees m - 2i, this is the finite complex
+    whose homology is HF-hat(S^3) and whose associated graded is
+    HFK-hat.
     """
-    index = {name: n for n, name in enumerate(degrees)}
-    boundary = []
-    for name in degrees:
-        i = complex_.by_name[name].i
-        boundary.append({
-            index[t.target]: t.coefficient
-            for t in complex_.differential[name]
-            if t.target in index
-            and complex_.by_name[t.target].i - t.u_exponent == i})
+    boundary, _ = _restrict(complex_, [(name, -complex_.by_name[name].i)
+                                       for name in degrees])
     return GradedComplex(list(degrees.values()), boundary, check=check)
 
 

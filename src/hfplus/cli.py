@@ -33,16 +33,21 @@ from .surgery import hf_plus
 _PROVENANCE_KEYS = ("timing_ms", "sigma", "depth")
 
 
+def _read(path):
+    """The text of a complex file; ParseError when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+
+
 def _load(target):
     """A builtin name or a path to a complex file; gradings solved."""
     if target in BUILTIN_NAMES:
         k = builtin(target)
         return k, {"kind": "builtin", "name": target}
-    try:
-        with open(target, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {target}: {exc.strerror}")
+    text = _read(target)
     k = parse_text(text)
     if not k.graded:
         k = grading_solve(k)
@@ -277,12 +282,7 @@ def _cmd_compare(args):
 
 def _cmd_validate(args):
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.file}: {exc.strerror}")
-    try:
-        parse_text(text)
+        parse_text(_read(args.file))
     except InvalidComplexError as exc:
         print(f"{len(exc.violations)} violation(s):")
         for v in exc.violations:

@@ -79,11 +79,6 @@ class CompareResult:
         return f"distinct ({self.witness})"
 
 
-def _red_normal(r):
-    # reduced summary of one Spin^c structure, with torsion kept
-    return tuple((deg, rank, torsion) for deg, rank, torsion in r.hf_red)
-
-
 def compare(result_a, result_b):
     """Graded comparison of two HFResults at the same |slope|.
 
@@ -96,8 +91,8 @@ def compare(result_a, result_b):
     """
     if (abs(result_a.p), result_a.q) != (abs(result_b.p), result_b.q):
         raise ValueError("results are at different slopes")
-    pa = sorted((r.d, _red_normal(r)) for r in result_a.spin_c)
-    pb = sorted((r.d, _red_normal(r)) for r in result_b.spin_c)
+    pa = sorted(r.profile() for r in result_a.spin_c)
+    pb = sorted(r.profile() for r in result_b.spin_c)
     if pa == pb:
         return CompareResult(True)
     da = sorted(d for d, _ in pa)

@@ -36,7 +36,10 @@ below the cut.  Of these only two pieces are built (MappingCone):
   integer keys of B;
 * for every other A_s, t = t(s), the strip S_t = C{i < 0 <= j - t}:
   v: A_s -> B is the quotient map, the identity on the copy of B
-  inside A_s, and its kernel is this finite subcomplex.
+  inside A_s, and its kernel is this finite subcomplex.  It lies
+  below the cut: top is at least 2 depth above off_B(s) + m - 2i, the
+  cone degree of each generator's first translate in the kept B_s,
+  and the strip's translates, at i <= -1 in A_s, lie below that.
 
 Every element b of B_s is v(p), with coefficient 1, for the same key p
 in A_s's copy of B, and all these pairs are cancelled at once
@@ -91,7 +94,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .acomplex import band_floor, genus, realize, signed_flip
+from .acomplex import _strip_range, band_floor, genus, realize, signed_flip
 from .cfk import Region, memoized, mirror, require_valid
 from .errors import (FlipMissingError, GradingError, NotStabilizedError,
                      TorsionInTowerError)
@@ -305,17 +308,17 @@ class MappingCone:
     tower levels; n_a_summands and n_b_summands count them.  The bottom
     block A_lo is its region's whole residue (reduce_regions).  Of
     every other A_s only the strip S_t = C{i < 0 <= j - t}, t = t(s),
-    is built, and no element of any B_s: each is v of the same key of
-    the copy of B inside A_s, and is cancelled against it, also at
-    degree top (see the module docstring).  Labels are ("A", s,
-    generator name, translate).  The cone is the one GradedComplex
-    built: its check that the total differential squares to zero,
-    commutes with U, and drops the (offset) grading by exactly one on
-    every component covers each block too.  regions is what
-    reduce_regions returned for a list of descriptors that holds this
-    one; without it, this one cone's bottom region is reduced first, at
-    this cone's own least cut.  chain_steps counts the keys the Morse
-    chains visited (_join).
+    is built, whole (acomplex._strip_range), and no element of any B_s:
+    each is v of the same key of the copy of B inside A_s, and is
+    cancelled against it, also at degree top (see the module
+    docstring).  Labels are ("A", s, generator name, translate).  The
+    cone is the one GradedComplex built: its check that the total
+    differential squares to zero, commutes with U, and drops the
+    (offset) grading by exactly one on every component covers each
+    block too.  regions is what reduce_regions returned for a list of
+    descriptors that holds this one; without it, this one cone's bottom
+    region is reduced first, at this cone's own least cut.  chain_steps
+    counts the keys the Morse chains visited (_join).
     """
 
     def __init__(self, source, descriptor, gauge=0, regions=None):
@@ -333,16 +336,15 @@ class MappingCone:
         u_cols = [dict(col) for col in res_u]
         self.chain_steps = 0
         if rest:
-            self.chain_steps = self._join(rest, top, carried, keys, ids,
-                                          degrees, boundary, u_cols)
+            self.chain_steps = self._join(rest, carried, keys, ids, degrees,
+                                          boundary, u_cols)
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
         self.n_a_summands = sum(label[0] == "A" for label, *_ in blocks)
         self.n_b_summands = len(blocks) - self.n_a_summands
 
-    def _join(self, rest, top, carried, keys, ids, degrees, boundary,
-              u_cols):
+    def _join(self, rest, carried, keys, ids, degrees, boundary, u_cols):
         """Append the strips of rest, cancelling all of B against A.
 
         walk(s, key, c, col, ucol) adds c times the Morse chain from the
@@ -374,8 +376,7 @@ class MappingCone:
                 shifts[s] = G * t
                 strip = strips[s] = {}
                 for n, g in enumerate(gens):
-                    for k in range(t - g.j,
-                                   min(-g.i, (top - offset - g.m) // 2 + 1)):
+                    for k in _strip_range(g, t):
                         strip[n + G * k] = len(ids)
                         ids.append(label + (g.name, k))
                         degrees.append(g.m + 2 * k + offset)

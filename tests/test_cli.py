@@ -66,6 +66,14 @@ def test_missing_input_file(capsys):
     assert "cannot read" in err
 
 
+def test_validate_missing_input_file(capsys, tmp_path):
+    missing = tmp_path / "no_such_knot.txt"
+    code, out, err = run(capsys, "validate", str(missing))
+    assert code == 2
+    assert f"cannot read {missing}" in err
+    assert out == ""
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["frobnicate"]) == 2
 

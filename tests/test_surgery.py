@@ -234,6 +234,50 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
     assert joined >= 5
 
 
+def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
+    # every realization holds _k_range's translates of each generator,
+    # and every A_s past the bottom block holds _strip_range's translates
+    # of S_t(s), whole: the strip lies 2 depth + 2 or more below top
+    cases = [(builtin(name), p, q) for name in BUILTIN_NAMES
+             for p, q in GRID]
+    cases += [(staircase(g), p, q) for g in range(2, 9)
+              for p, q in ((1, 1), (7, 3))]
+    rng = random.Random(11)
+    cases += [(random_knot(rng, 2), p, q) for _ in range(4)
+              for p, q in ((1, 1), (7, 3), (2, 5))]
+    realized, strips = [], []
+
+    def counting(complex_, region, top):
+        real = realize(complex_, region, top)
+        realized.append((complex_, region, top, len(real.ids)))
+        return real
+
+    def building(complex_, descriptor, gauge=0, regions=None):
+        cone = build_mapping_cone(complex_, descriptor, gauge, regions)
+        top = cone.ceiling + 1
+        for label, region, _ in _kept_blocks(complex_, descriptor)[1:]:
+            if label[0] == "A":
+                degrees = [degree for lab, degree
+                           in zip(cone.ids, cone.complex.degrees)
+                           if lab[:2] == label]
+                rule = sum(len(acomplex._strip_range(g, region.params[0]))
+                           for g in complex_.generators)
+                assert len(degrees) == rule, (complex_.name, descriptor)
+                assert max(degrees) + 2 * descriptor.depth + 2 <= top
+                strips.append(rule)
+        return cone
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "realize", counting)
+    monkeypatch.setattr(surgery, "build_mapping_cone", building)
+    for k, p, q in cases:
+        hf_plus(k, p, q)
+    for k, region, top, size in realized:
+        assert size == sum(len(acomplex._k_range(g, region, top))
+                           for g in k.generators), (k.name, region, top)
+    assert len(realized) > len(cases) and sum(strips) > 1000
+
+
 # Chain steps the cones of staircase(5) at 7/3 take when every Morse
 # chain is walked to its end, with no stop at the first key that can no
 # longer reach a strip: the sum of chain_steps over the seven cones of

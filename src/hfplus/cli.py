@@ -8,7 +8,8 @@ complex file.
 
 Exit codes: 0 on success, 1 when a computation fails (stabilization,
 inconsistent input detected mid-run), 2 for usage errors, unreadable
-slopes, or files that do not parse/validate.
+slopes, or files that do not parse/validate.  validate itself exits 1
+when it lists the violations of a file that parses.
 """
 
 from __future__ import annotations

@@ -35,7 +35,9 @@ cancel_unit_pairs shrinks a complex before any of this: it cancels
 basis pairs joined by a +-1 boundary entry (reduction by elementary
 collapses, Kaczynski-Mrozek-Slusarek 1998), degree by degree upward,
 carries U to the residue as pi U iota (the perturbation lemma), and
-compacts the lists it is given to the residue, in place.  It can carry
+compacts the lists it is given to the residue, in place.  Each step
+applies its chain inverse iota to every map as it happens; pi is
+applied once, at the end, working back from the last pair.  It can carry
 the maps out of the complex that join it to the rest of a mapping
 cone.  Every pivot is a unit, so the reduction is exact over Z
 and keeps torsion.  It runs on the regions of a surgery cone and, as
@@ -83,6 +85,15 @@ def _dict_axpy(dst, src, k):
             dst[key] = nv
         elif key in dst:
             del dst[key]
+
+
+def _add(col, n, c):
+    # col[n] += c (c != 0), dropping a zero
+    c += col.get(n, 0)
+    if c:
+        col[n] = c
+    else:
+        del col[n]
 
 
 def _det(m):
@@ -509,14 +520,14 @@ def cancel_unit_pairs(degrees, boundary, u_action, carried=None):
     entry of degrees.  In each degree in increasing order, each live x
     with a +-1 entry c at some y of d(x) (the y with the fewest other
     boundaries through it) is cancelled against y, until no such x is
-    left: every column a with y in d(a) takes d(a) += k d(x),
-    k = -c d(a)_y, so that iota(a) = a + k iota(x), and then x leaves
-    every column and x, y are deleted.  That is d' = pi d iota for the
-    projection pi onto the quotient by the contractible span of x and
-    d(x), which sends x to 0 and y to y - c d(x), and its chain inverse
-    iota.  U' = pi U iota is then worked out once for the columns that
-    remain, so homology, torsion and the U-action on homology are
-    unchanged.
+    left: every column a with y in d(a) takes a += k x, k = -c d(a)_y,
+    in d, in U and in carried alike, and then x leaves every column and
+    x, y are deleted.  That is d' = pi d iota for the projection pi onto
+    the quotient by the contractible span of x and d(x), which sends x
+    to 0 and y to y - c d(x), and its chain inverse iota(a) = a + k x,
+    which each step applies to every map as it happens.  U' = pi U iota
+    then needs pi once, at the end (_project), so homology, torsion and
+    the U-action on homology are unchanged.
 
     The complex may be one summand of a bigger complex, such as a
     mapping cone, that nothing outside maps back into.  carried =
@@ -540,8 +551,8 @@ def cancel_unit_pairs(degrees, boundary, u_action, carried=None):
     by_degree = {}
     for x, deg in enumerate(degrees):
         by_degree.setdefault(deg, []).append(x)
+    maps = [m for m in (u_action, *(carried or ())) if m is not None]
     live = [True] * n
-    absorbed = {}  # column -> [(k, x)]: iota(column) = column + k iota(x)
     pairs = []  # (x, y, d(x) as it stood), in the order cancelled
     for deg in sorted(by_degree):
         batch = by_degree[deg]
@@ -559,109 +570,72 @@ def cancel_unit_pairs(degrees, boundary, u_action, carried=None):
                 if y is None:
                     continue
                 pairs.append((x, y, boundary[x]))
-                _cancel_pair(boundary, rows, absorbed, x, y)
+                _cancel_pair(boundary, rows, maps, x, y)
                 live[x] = live[y] = False
                 cancelled = True
     keep = [x for x in range(n) if live[x]]
-    finish = _maps_through_pairs(live, pairs, absorbed, u_action, carried)
-    maps = [finish(j) for j in keep]
+    if u_action is not None:
+        _project(live, pairs, keep, u_action, carried)
     new = {old: pos for pos, old in enumerate(keep)}
     degrees[:] = [degrees[j] for j in keep]
     boundary[:] = [{new[i]: v for i, v in boundary[j].items()} for j in keep]
     if u_action is not None:
-        u_action[:] = [{new[i]: v for i, v in m[0].items()} for m in maps]
+        u_action[:] = [{new[i]: v for i, v in u_action[j].items()}
+                       for j in keep]
     if carried is not None:
-        carried[0][:] = [m[1] for m in maps]
-        carried[1][:] = [m[2] for m in maps]
+        for m in carried:
+            m[:] = [m[j] for j in keep]
     if (before is not None and _homology_profile(GradedComplex(
             degrees, boundary, u_action, check=False)) != before):
         raise AssertionError("unit cancellation changed the homology")
     return keep
 
 
-def _maps_through_pairs(live, pairs, absorbed, u_action, carried):
-    """finish(j): the columns of U (and f, g) that j ends with.
+def _project(live, pairs, keep, u_action, carried):
+    """Apply pi to the U columns of keep, which hold U(iota j).
 
-    They are pi U iota j, and f iota j and g iota j plus the outside
-    part of pi U iota j.  iota of a cancelled x and pi of a cancelled y
-    are each worked out once, when first needed.
+    pi sends a survivor to itself, a cancelled x to 0 and a cancelled y
+    to pi(y) = -c (d(x) + f(x) - c y), with d(x) and f(x) as they stood
+    when y was cancelled.  d(x) meets only survivors and the y cancelled
+    after it, so one forward pass over the pairs finds every y that the
+    columns of keep reach, and one reverse pass works out pi(y) for
+    those alone, each from terms already final.  The part of pi U iota j
+    outside the complex is added to g[j].
     """
     f, g = carried or (None, None)
-    pair_of = {y: (x, dx) for x, y, dx in pairs}
-    iota = {}  # cancelled x -> its (U, f, g) taken through iota
+    need = {z for j in keep for z in u_action[j] if not live[z]}
+    for x, y, dx in pairs:
+        if y in need:
+            need.update(z for z in dx if not live[z])
     pi = {}  # cancelled y -> (pi(y) inside, its part outside)
-
-    def through(j):
-        """(U, f, g) of iota(j), from those of the x it absorbed."""
-        maps = [{} if u_action is None else u_action[j],
-                None if f is None else f[j], None if g is None else g[j]]
-        steps = absorbed.get(j, ())
-        if steps:
-            maps = [m if m is None else dict(m) for m in maps]
-        for k, x in steps:
-            for m, extra in zip(maps, _solve(iota, x, absorbed_by, through)):
-                if m is not None:
-                    _dict_axpy(m, extra, k)
-        return maps
-
-    def absorbed_by(x):
-        return [earlier for _, earlier in absorbed.get(x, ())]
-
-    def later(y):
-        return [z for z in pair_of[y][1] if z != y and z in pair_of]
-
-    def project(y):
-        """pi(y) = pi(y - c d(x)), d(x) as it stood, f(iota x) outside."""
-        x, dx = pair_of[y]
+    for x, y, dx in reversed(pairs):
+        if y not in need:
+            continue
         c = dx[y]
         inside, outside = {}, {}
         if f is not None:
-            _dict_axpy(outside, _solve(iota, x, absorbed_by, through)[1], -c)
+            _dict_axpy(outside, f[x], -c)
         for z, v in dx.items():
             if z != y:
-                add_image(inside, outside, z, -c * v)
-        return inside, outside
-
-    def add_image(inside, outside, z, k):
-        # pi sends a survivor to itself and a cancelled x to 0
-        if live[z]:
-            inside[z] = inside.get(z, 0) + k
-            if not inside[z]:
-                del inside[z]
-        elif z in pair_of:
-            image = _solve(pi, z, later, project)
-            _dict_axpy(inside, image[0], k)
-            _dict_axpy(outside, image[1], k)
-
-    def finish(j):
-        u, fj, gj = through(j)
+                _image(live, pi, inside, outside, z, -c * v)
+        pi[y] = inside, outside
+    for j in keep:
         inside, outside = {}, {}
-        for z, v in u.items():
-            add_image(inside, outside, z, v)
-        if f is None:
-            return (inside,)
-        gj = dict(gj)
-        _dict_axpy(gj, outside, 1)
-        return inside, dict(fj), gj
-
-    return finish
+        for z, v in u_action[j].items():
+            _image(live, pi, inside, outside, z, v)
+        u_action[j] = inside
+        if g is not None:
+            _dict_axpy(g[j], outside, 1)
 
 
-def _solve(memo, key, needs, compute):
-    """memo[key], after every key it needs, depth first without recursion."""
-    stack = [key]
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        todo = [k for k in needs(top) if k not in memo]
-        if todo:
-            stack.extend(todo)
-        else:
-            memo[top] = compute(top)
-            stack.pop()
-    return memo[key]
+def _image(live, pi, inside, outside, z, k):
+    # (inside, outside) += k pi(z); a survivor may also be reached
+    # through some pi(y), so its own term accumulates
+    if live[z]:
+        _add(inside, z, k)
+    elif z in pi:
+        _dict_axpy(inside, pi[z][0], k)
+        _dict_axpy(outside, pi[z][1], k)
 
 
 def _row_index(columns, n):
@@ -687,15 +661,20 @@ def _indexed_axpy(columns, rows, a, src, k):
             rows[i].discard(a)
 
 
-def _cancel_pair(boundary, rows, absorbed, x, y):
-    """One cancellation step of cancel_unit_pairs, on the boundary."""
+def _cancel_pair(boundary, rows, maps, x, y):
+    """One cancellation step of cancel_unit_pairs: iota on every map.
+
+    Every column a with y in d(a) takes a += k x in the boundary and in
+    each column list of maps (U and the carried f and g).
+    """
     dx = boundary[x]
     c = dx[y]
     for a in list(rows[y]):
         if a != x:
             k = -c * boundary[a][y]
             _indexed_axpy(boundary, rows, a, dx, k)
-            absorbed.setdefault(a, []).append((k, x))
+            for m in maps:
+                _dict_axpy(m[a], m[x], k)
     for a in rows[x]:
         del boundary[a][x]
     for z in (x, y):

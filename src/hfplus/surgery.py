@@ -98,8 +98,8 @@ from .acomplex import _strip_range, band_floor, genus, realize, signed_flip
 from .cfk import Region, memoized, mirror, require_valid
 from .errors import (FlipMissingError, GradingError, NotStabilizedError,
                      TorsionInTowerError)
-from .homology import (TOWER_LEVELS, GradedComplex, cancel_unit_pairs,
-                       graded_homology, tower_decompose)
+from .homology import (TOWER_LEVELS, GradedComplex, _add,
+                       cancel_unit_pairs, graded_homology, tower_decompose)
 
 
 @dataclass(frozen=True)
@@ -288,14 +288,6 @@ def reduce_regions(source, descriptors, gauge=0):
         residues[region] = ([real.ids[j] for j in keep], real.degrees,
                             real.boundary, real.u_action, carried)
     return shapes, residues, keys
-
-
-def _add(col, n, c):
-    c += col.get(n, 0)
-    if c:
-        col[n] = c
-    else:
-        del col[n]
 
 
 class MappingCone:
@@ -553,8 +545,9 @@ def conjugation_constant(result):
     return None
 
 
-def _spin_c_result(complex_, p, q, i, sigma, depth, gauge, regions=None):
-    descriptor = SurgeryDescriptor(p, q, i, sigma, depth)
+def _spin_c_result(complex_, descriptor, gauge=0, regions=None):
+    p, q, i, sigma, depth = (descriptor.p, descriptor.q, descriptor.spin_c,
+                             descriptor.sigma, descriptor.depth)
     try:
         bottom, reduced = _cone_data(complex_, descriptor, gauge, regions)
     except (NotStabilizedError, TorsionInTowerError) as exc:
@@ -646,8 +639,7 @@ def hf_plus(complex_, p, q, gauge=0):
                           TOWER_LEVELS)
         for i in range(p)]
     regions = reduce_regions(complex_, descriptors, gauge)
-    per_index = [_spin_c_result(complex_, p, q, d.spin_c, d.sigma, d.depth,
-                                gauge, regions)
+    per_index = [_spin_c_result(complex_, d, gauge, regions)
                  for d in descriptors]
     return HFResult(p=p, q=q, orientation="standard",
                     spin_c=tuple(per_index),

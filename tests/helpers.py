@@ -10,12 +10,13 @@ from its Alexander polynomial, a complex whose surgeries have torsion,
 the v and h maps as checked chain maps between realized regions and
 the maps they induce on homology (the oracle kernel_rank_v is compared
 with), the unreduced full-window surgery cone that the reduced one is
-compared with (and the d and HF_red read from it), the tower bottom of
-C{i >= 0} read through a realization (how gradings were normalized
-before grading_solve read the {i = 0} column), and the environment for
-child interpreters.  The acceptance registry at the bottom is filled
-by test_acceptance.py and printed by the conftest terminal-summary
-hook.
+compared with (and the d and HF_red read from it), unit cancellation
+applied one whole step at a time (the reference cancel_unit_pairs is
+compared with), the tower bottom of C{i >= 0} read through a
+realization (how gradings were normalized before grading_solve read
+the {i = 0} column), and the environment for child interpreters.  The
+acceptance registry at the bottom is filled by test_acceptance.py and
+printed by the conftest terminal-summary hook.
 """
 
 import os
@@ -628,6 +629,64 @@ def reference_spin_c(source, p, q, i, sigma):
     return (tower.d_bottom + shift,
             tuple((deg + shift, rank, torsion)
                   for deg, (rank, torsion) in tower.reduced))
+
+
+# ---------------------------------------------------------------------------
+# unit cancellation, one whole step at a time
+
+
+def reduce_step_by_step(degrees, boundary, u_action, carried, pairs):
+    """What cancelling pairs, in order, leaves of a complex.
+
+    Each pair (x, y), with c = d(x)_y = +-1, is one elementary
+    reduction, applied in full to every column left before the next:
+    iota(a) = a - c d(a)_y x on d, U and the carried f and g, then the
+    projection, x -> 0 and y -> y - c (d(x) + f(x)), on d and U, its
+    outside part going to g.  Nothing is deferred and no helper of
+    homology is called.  Returns (keep, degrees, boundary, u_action, f,
+    g), renumbered as cancel_unit_pairs leaves them; f and g are None
+    without carried, u_action is None without U.
+    """
+    n = len(degrees)
+    f, g = carried if carried is not None else ([{}] * n, [{}] * n)
+    us = u_action if u_action is not None else [{}] * n
+    cols = {j: [dict(boundary[j]), dict(us[j]), dict(f[j]), dict(g[j])]
+            for j in range(n)}
+
+    def axpy(dst, src, k):
+        for i, v in src.items():
+            dst[i] = dst.get(i, 0) + k * v
+            if not dst[i]:
+                del dst[i]
+
+    for x, y in pairs:
+        dx, ux, fx, gx = cols.pop(x)
+        del cols[y]
+        c = dx[y]
+        assert c in (1, -1), (x, y)
+        rest = {i: v for i, v in dx.items() if i != y}
+        for d, u, fa, ga in cols.values():
+            k = -c * d.get(y, 0)
+            if k:
+                for dst, src in ((d, dx), (u, ux), (fa, fx), (ga, gx)):
+                    axpy(dst, src, k)
+            assert y not in d
+            d.pop(x, None)
+            u.pop(x, None)
+            uy = u.pop(y, 0)
+            if uy:
+                axpy(u, rest, -c * uy)
+                axpy(ga, fx, -c * uy)
+    keep = sorted(cols)
+    new = {old: pos for pos, old in enumerate(keep)}
+    out = [[{new[i]: v for i, v in cols[j][m].items()} for j in keep]
+           for m in (0, 1)]
+    out += [[cols[j][m] for j in keep] for m in (2, 3)]
+    if u_action is None:
+        out[1] = None
+    if carried is None:
+        out[2:] = [None, None]
+    return (keep, [degrees[j] for j in keep], *out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,55 @@
+"""Digest of hf_plus over a fixed sweep of knots and slopes.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/sweep.py
+
+The sweep is the builtins, staircase(2..8), twisty(1..3),
+torsion_square() and 40 random_knot(Random(7), 2), in that order, each
+at every coprime p/q with p in -10..10 (p != 0, ascending) and q in
+1..5.  It prints the number of results, the number that raised, and
+the sha256 of repr(hf_plus(k, p, q).comparable()) over the sweep, each
+result's text fed in order; a result that raised feeds its exception's
+type and message instead.  A change that leaves every answer alone
+leaves all three lines as they were.  pytest does not collect this file.
+"""
+
+import hashlib
+import random
+from math import gcd
+
+from helpers import random_knot, staircase, torsion_square, twisty
+from hfplus import BUILTIN_NAMES, builtin, hf_plus
+
+
+def sweep_knots():
+    rng = random.Random(7)
+    return ([builtin(name) for name in BUILTIN_NAMES]
+            + [staircase(g) for g in range(2, 9)]
+            + [twisty(n) for n in range(1, 4)]
+            + [torsion_square()]
+            + [random_knot(rng, 2) for _ in range(40)])
+
+
+def main():
+    digest = hashlib.sha256()
+    results = errors = 0
+    for k in sweep_knots():
+        for p in range(-10, 11):
+            for q in range(1, 6):
+                if p == 0 or gcd(abs(p), q) != 1:
+                    continue
+                results += 1
+                try:
+                    text = repr(hf_plus(k, p, q).comparable())
+                except Exception as exc:
+                    errors += 1
+                    text = f"{type(exc).__name__}: {exc}"
+                digest.update(text.encode())
+    print(results)
+    print(errors)
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

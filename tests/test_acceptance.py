@@ -25,8 +25,8 @@ from hfplus.cfk import BUILTIN_NAMES, Region, builtin
 from hfplus.detect import (casson_surgery, classify_surgery, compare,
                            diagnostic_sum)
 from hfplus.homology import TOWER_LEVELS, graded_homology
-from hfplus.surgery import (_spin_c_result, conjugation_constant, hf_plus,
-                            lens_d_oracle)
+from hfplus.surgery import (SurgeryDescriptor, _spin_c_result,
+                            conjugation_constant, hf_plus, lens_d_oracle)
 
 pytestmark = pytest.mark.no_self_check
 
@@ -198,7 +198,8 @@ def test_criterion_11_robustness(grid):
     for (name, p, q), base in grid.items():
         k = builtin(name)
         deeper = replace(base, spin_c=tuple(
-            _spin_c_result(k, p, q, r.index, r.sigma, 2 * TOWER_LEVELS, 0)
+            _spin_c_result(k, SurgeryDescriptor(p, q, r.index, r.sigma,
+                                                2 * TOWER_LEVELS))
             for r in base.spin_c))
         if base.comparable() != deeper.comparable():
             failures.append(f"{name} {p}/{q}: depth doubling changed it")

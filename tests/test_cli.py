@@ -17,7 +17,7 @@ from hfplus.cfk import builtin, serialize_text
 from hfplus.cli import main, parse_document, result_document, strip_provenance
 from hfplus.detect import diagnostic_sum
 from hfplus.homology import TOWER_LEVELS
-from hfplus.surgery import hf_plus
+from hfplus.surgery import SurgeryDescriptor, hf_plus
 
 
 def run(capsys, *argv):
@@ -137,8 +137,8 @@ def test_json_identical_across_depths(capsys):
     k = builtin("trefoil_right")
     base = hf_plus(k, 3, 2)
     deeper = replace(base, spin_c=tuple(
-        surgery._spin_c_result(k, 3, 2, r.index, r.sigma,
-                               2 * TOWER_LEVELS, 0)
+        surgery._spin_c_result(k, SurgeryDescriptor(3, 2, r.index, r.sigma,
+                                                    2 * TOWER_LEVELS))
         for r in base.spin_c))
     redone = result_document(deeper, doc["input"], 0,
                              diagnostic_sum(k, 3, 2))

@@ -1,5 +1,6 @@
 import random
 from collections import OrderedDict
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -7,8 +8,9 @@ from math import gcd
 import pytest
 
 from helpers import (ReferenceCone, h_columns, homology_dims_mod_p, map_h,
-                     map_v, random_knot, reference_spin_c, staircase,
-                     torsion_square, twisty, v_columns)
+                     map_v, random_knot, reduce_step_by_step,
+                     reference_spin_c, staircase, torsion_square, twisty,
+                     v_columns)
 from hfplus import acomplex, cfk, homology, surgery
 from hfplus.acomplex import band_floor, genus, realize, signed_flip
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
@@ -347,8 +349,7 @@ def test_cones_sharing_a_bottom_region_are_cut_at_one_degree(monkeypatch):
             desc = SurgeryDescriptor(p, q, r.index, r.sigma, r.depth)
             assert (build_mapping_cone(k, desc).ceiling
                     == _band_floor(k, desc) + 2 * TOWER_LEVELS - 1)
-            alone = surgery._spin_c_result(k, p, q, r.index, r.sigma,
-                                           r.depth, 0)
+            alone = surgery._spin_c_result(k, desc)
             assert alone == r, (k.name, p, q, r.index)
 
 
@@ -393,7 +394,7 @@ def _cancel_matched_pairs(cone, pairs):
     rows = homology._row_index(boundary, len(boundary))
     for x, y in pairs:
         assert boundary[x][y] == 1
-        homology._cancel_pair(boundary, rows, {}, x, y)
+        homology._cancel_pair(boundary, rows, [], x, y)
     return {cone.ids[j]: {cone.ids[i]: c for i, c in col.items()}
             for j, col in enumerate(boundary) if col is not None}
 
@@ -689,8 +690,8 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
             floor = _band_floor(k, desc) + surgery._calibration_shift(desc)
             assert r.d < floor, (k.name, desc)
             assert all(deg < floor for deg, _, _ in r.hf_red), (k.name, desc)
-            deeper.append(surgery._spin_c_result(
-                k, p, q, r.index, r.sigma, 2 * TOWER_LEVELS, 0))
+            deeper.append(surgery._spin_c_result(k, SurgeryDescriptor(
+                p, q, r.index, r.sigma, 2 * TOWER_LEVELS)))
         assert (replace(result, spin_c=tuple(deeper)).comparable()
                 == result.comparable()), (k.name, p, q)
 
@@ -698,7 +699,8 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
 def test_too_small_depth_names_the_cone_in_its_error():
     pattern = r"^1/1 surgery, Spin\^c 0, sigma 1, depth 3: "
     with pytest.raises(NotStabilizedError, match=pattern) as info:
-        surgery._spin_c_result(builtin("torus_2_5"), 1, 1, 0, 1, 3, 0)
+        surgery._spin_c_result(builtin("torus_2_5"),
+                               SurgeryDescriptor(1, 1, 0, 1, 3))
     assert type(info.value.__cause__) is NotStabilizedError
 
 
@@ -802,8 +804,8 @@ def test_depth_and_width_do_not_change_results():
         k = builtin(name)
         base = hf_plus(k, p, q)
         deeper = replace(base, spin_c=tuple(
-            surgery._spin_c_result(k, p, q, r.index, r.sigma,
-                                   2 * TOWER_LEVELS, 0)
+            surgery._spin_c_result(k, SurgeryDescriptor(
+                p, q, r.index, r.sigma, 2 * TOWER_LEVELS))
             for r in base.spin_c))
         assert base.comparable() == deeper.comparable(), name
         for r in base.spin_c:
@@ -894,6 +896,76 @@ def test_cancel_units_agrees_with_the_unreduced_cone():
             assert invariants == _cone_invariants(reference, ceiling), (
                 k.name, p, q, i)
             assert unreduced in (None, invariants[:2]), (k.name, p, q, i)
+
+
+def _mirrored_random_knots():
+    # the 11th and 19th random_knot(Random(7), 2): their mirrors' cones
+    # carry f(x) into pi(y) from the bottom region
+    rng = random.Random(7)
+    knots = [random_knot(rng, 2) for _ in range(19)]
+    assert [knots[10].name, knots[18].name] == [
+        "random_knot_809435", "random_knot_449145"]
+    return [mirror(knots[10]), mirror(knots[18])]
+
+
+STEP_CASES = ([(builtin(name), p, q) for name in BUILTIN_NAMES
+               for p, q in GRID]
+              + [(staircase(g), p, q) for g in range(2, 6)
+                 for p, q in [(1, 1), (7, 3)]]
+              + [(torsion_square(), p, q) for p, q in GRID]
+              + [(k, p, q) for k in _mirrored_random_knots()
+                 for p, q in [(9, 4), (8, 3), (3, 4), (2, 3)]])
+
+
+@pytest.mark.no_self_check
+def test_unit_cancellation_is_the_step_by_step_reduction(monkeypatch):
+    # every cancel_unit_pairs that hf_plus makes, on each bottom region
+    # with its carried h columns and on each cone, leaves exactly what
+    # its pairs leave when each step is applied in full, pi and iota,
+    # to d, U, f and g before the next (helpers.reduce_step_by_step)
+    pairs = []
+    step, cancel = homology._cancel_pair, homology.cancel_unit_pairs
+
+    def recorded(boundary, rows, maps, x, y):
+        pairs.append((x, y))
+        step(boundary, rows, maps, x, y)
+
+    seen = {"regions": 0, "carried": 0, "cones": 0}
+
+    def checked(degrees, boundary, u_action, carried=None):
+        given = deepcopy((degrees, boundary, u_action, carried))
+        pairs.clear()
+        keep = cancel(degrees, boundary, u_action, carried)
+        f, g = carried if carried is not None else (None, None)
+        assert ((keep, degrees, boundary, u_action, f, g)
+                == reduce_step_by_step(*given, pairs))
+        return keep
+
+    def in_regions(*args):
+        seen["regions"] += 1
+        seen["carried"] += len(args) > 3 and args[3] is not None
+        return checked(*args)
+
+    def in_cones(*args):
+        seen["cones"] += 1
+        return checked(*args)
+
+    monkeypatch.setattr(homology, "_cancel_pair", recorded)
+    monkeypatch.setattr(surgery, "cancel_unit_pairs", in_regions)
+    monkeypatch.setattr(homology, "cancel_unit_pairs", in_cones)
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    for k, p, q in STEP_CASES:
+        hf_plus(k, p, q)
+    # the unreduced cones of the whole window also cancel a y that d(x)
+    # of an earlier pair reaches, so some pi(y) reads a later pi(y')
+    k = builtin("torus_2_5")
+    for p, q in [(1, 1), (2, 1)]:
+        for i in range(p):
+            desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
+                                     TOWER_LEVELS)
+            ReferenceCone(k, desc).complex.cancel_units()
+    assert seen["carried"] and seen["regions"] > seen["carried"], seen
+    assert seen["cones"] >= len(STEP_CASES), seen
 
 
 def test_torsion_goes_through_the_cone():

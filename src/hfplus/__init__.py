@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 from .acomplex import (LaurentPolynomial, alexander_polynomial, genus,
                        hfk_hat, kernel_rank_v, realize)
 from .cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region, UTerm,
-                  are_isomorphic, builtin, flip_chain_sign, grading_solve,
-                  mirror, parse_text, require_valid, serialize_text,
-                  validate)
+                  builtin, flip_chain_sign, grading_solve, mirror, parse_text,
+                  require_valid, serialize_text, validate)
 from .detect import (CompareResult, Diagnostic, casson_surgery,
                      classify_surgery, compare, diagnostic_sum)
 from .errors import (CFKError, FlipMissingError, GradingError,
@@ -34,7 +33,7 @@ __all__ = [
     # complexes
     "Generator", "UTerm", "KnotComplex", "Region", "BUILTIN_NAMES",
     "builtin", "mirror", "validate", "require_valid", "parse_text",
-    "serialize_text", "grading_solve", "are_isomorphic", "flip_chain_sign",
+    "serialize_text", "grading_solve", "flip_chain_sign",
     # homological algebra
     "smith_normal_form", "graded_homology", "GradedComplex", "GradedGroup",
     "tower_decompose", "TowerDecomposition",

@@ -32,7 +32,6 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import permutations
 
 from .errors import GradingError, InvalidComplexError, ParseError
 from .homology import GradedComplex, graded_homology
@@ -420,68 +419,6 @@ def mirror(complex_):
         name = (complex_.name[7:] if complex_.name.startswith("mirror_")
                 else "mirror_" + complex_.name)
     return KnotComplex(gens, diff, complex_.flip, name=name)
-
-
-def are_isomorphic(a, b):
-    """Equality up to a renaming of generators.
-
-    Brute-force search over bijections compatible with (i, j, m); fine
-    for the handful-of-generators complexes this package deals in.
-    """
-    if len(a.generators) != len(b.generators):
-        return False
-
-    def signature_groups(k):
-        groups = {}
-        for g in k.generators:
-            groups.setdefault((g.i, g.j, g.m), []).append(g.name)
-        return groups
-
-    ga, gb = signature_groups(a), signature_groups(b)
-    if set(ga) != set(gb) or any(len(ga[k]) != len(gb[k]) for k in ga):
-        return False
-
-    keys = sorted(ga)
-    total = 1
-    for k in keys:
-        f = 1
-        for x in range(2, len(ga[k]) + 1):
-            f *= x
-        total *= f
-        if total > 10 ** 6:
-            raise ValueError("too many candidate renamings to search")
-
-    def check(rename):
-        for src in a.differential:
-            mapped = sorted(
-                (rename[t2.target], t2.u_exponent, t2.coefficient)
-                for t2 in a.differential[src])
-            actual = sorted(
-                (t2.target, t2.u_exponent, t2.coefficient)
-                for t2 in b.differential.get(rename[src], ()))
-            if mapped != actual:
-                return False
-        if (a.flip is None) != (b.flip is None):
-            return False
-        if a.flip is not None:
-            for src, (s, tgt) in a.flip.items():
-                got = b.flip.get(rename[src])
-                if got != (s, rename[tgt]):
-                    return False
-        return True
-
-    def search(idx, rename):
-        if idx == len(keys):
-            return check(rename)
-        names_a = ga[keys[idx]]
-        for perm in permutations(gb[keys[idx]]):
-            for na, nb in zip(names_a, perm):
-                rename[na] = nb
-            if search(idx + 1, rename):
-                return True
-        return False
-
-    return search(0, {})
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,6 @@ j, no zero is stored in d(j), d lowers the degree by one and U by two,
 and d(d j) = 0 and U(d j) = d(U j), each composite summed into one
 dict for j and then dropped.  That covers each region realization,
 each surgery cone as built and each cone residue.
-
-Setting SELF_CHECK = True (the test suite does this) re-multiplies
-L * M * R on every call and compares against D exactly, checks
-|det| = 1 on small transforms, and compares the homology and the rank
-of U on it before and after each cancel_unit_pairs.
 """
 
 from __future__ import annotations
@@ -62,8 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotStabilizedError, TorsionInTowerError
-
-SELF_CHECK = False
 
 # Top occupied degrees tower_decompose requires to be bare tower levels;
 # truncations cut at or above acomplex.band_floor + 2 TOWER_LEVELS hold
@@ -94,31 +87,6 @@ def _add(col, n, c):
         col[n] = c
     else:
         del col[n]
-
-
-def _det(m):
-    """Exact determinant of a small dense integer matrix (Bareiss)."""
-    a = [row[:] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -344,46 +312,8 @@ def _snf(entries_rows, nrows, ncols, track_l=False, track_linv=False,
     entry takes no elimination (_ZeroSnf)."""
     if not any(entries_rows):
         return _ZeroSnf()
-    if SELF_CHECK:
-        # keep a pristine copy and force full tracking for verification
-        original = [dict(row) for row in entries_rows]
-        work = _SnfWork(entries_rows, nrows, ncols, True, track_linv, True,
-                        track_rinv)
-        work.run()
-        _verify_snf(work, original)
-        return work
     return _SnfWork(entries_rows, nrows, ncols, track_l, track_linv, track_r,
                     track_rinv).run()
-
-
-def _verify_snf(work, original):
-    # L * M * R == D, entry by entry
-    lm = []
-    for r in range(work.nrows):
-        acc = {}
-        for c, coeff in work.l_rows[r].items():
-            _dict_axpy(acc, original[c], coeff)
-        lm.append(acc)
-    for j in range(work.ncols):
-        col = work.r_cols[j]
-        for r in range(work.nrows):
-            s = 0
-            row = lm[r]
-            for c, v in col.items():
-                s += row.get(c, 0) * v
-            expect = work.rows[r].get(j, 0)
-            if s != expect:
-                raise AssertionError("smith normal form self-check failed")
-    if work.nrows <= 16:
-        dense = [[work.l_rows[r].get(c, 0) for c in range(work.nrows)]
-                 for r in range(work.nrows)]
-        if abs(_det(dense)) != 1:
-            raise AssertionError("row transform is not unimodular")
-    if work.ncols <= 16:
-        dense = [[work.r_cols[c].get(r, 0) for c in range(work.ncols)]
-                 for r in range(work.ncols)]
-        if abs(_det(dense)) != 1:
-            raise AssertionError("column transform is not unimodular")
 
 
 def smith_normal_form(matrix):
@@ -401,9 +331,6 @@ def smith_normal_form(matrix):
     rows = [{c: int(v) for c, v in enumerate(row) if v} for row in matrix]
     work = _SnfWork(rows, nrows, ncols, track_l=True, track_r=True)
     work.run()
-    if SELF_CHECK:
-        _verify_snf(work, [{c: int(v) for c, v in enumerate(row) if v}
-                           for row in matrix])
     l_dense = [[work.l_rows[r].get(c, 0) for c in range(nrows)]
                for r in range(nrows)]
     d_dense = [[work.rows[r].get(c, 0) for c in range(ncols)]
@@ -411,22 +338,6 @@ def smith_normal_form(matrix):
     r_dense = [[work.r_cols[c].get(r, 0) for c in range(ncols)]
                for r in range(ncols)]
     return l_dense, d_dense, r_dense
-
-
-def integer_rank(columns):
-    """Rank of a column-sparse integer matrix (= rank over Q)."""
-    rows = {}
-    maxrow = -1
-    cols = list(columns)
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            rows.setdefault(r, {})[j] = v
-            if r > maxrow:
-                maxrow = r
-    dense_rows = [rows.get(r, {}) for r in range(maxrow + 1)]
-    work = _SnfWork(dense_rows, maxrow + 1, len(cols))
-    work.run()
-    return work.rank
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +450,9 @@ def cancel_unit_pairs(degrees, boundary, u_action, carried=None):
 
     The lists degrees, boundary, u_action and the two of carried are
     compacted in place to the surviving elements, renumbered in index
-    order.  Returns keep, the surviving elements' old indices.  Under
-    SELF_CHECK the homology and the rank of U on it are compared before
-    and after.
+    order.  Returns keep, the surviving elements' old indices.
     """
     n = len(degrees)
-    before = (_homology_profile(GradedComplex(degrees, boundary, u_action,
-                                              check=False))
-              if SELF_CHECK else None)
     rows = _row_index(boundary, n)
     by_degree = {}
     for x, deg in enumerate(degrees):
@@ -585,9 +491,6 @@ def cancel_unit_pairs(degrees, boundary, u_action, carried=None):
     if carried is not None:
         for m in carried:
             m[:] = [m[j] for j in keep]
-    if (before is not None and _homology_profile(GradedComplex(
-            degrees, boundary, u_action, check=False)) != before):
-        raise AssertionError("unit cancellation changed the homology")
     return keep
 
 
@@ -681,28 +584,6 @@ def _cancel_pair(boundary, rows, maps, x, y):
         for i in boundary[z]:
             rows[i].discard(z)
         boundary[z] = rows[z] = None
-
-
-def _homology_profile(complex_):
-    """Per-degree (free rank, torsion), and per degree the rank of the
-    kernel of U between the free parts of homology."""
-    h = graded_homology(complex_)
-    if complex_.u_action is None:
-        return h.summary(), None
-    kernels = []
-    for d in h.support():
-        cols = h.u_matrix(d)
-        below = _free_slots(h, d - 2)
-        free = [{r: cols[i][slot] for r, slot in enumerate(below)
-                 if cols[i][slot]} for i in _free_slots(h, d)]
-        kernels.append(len(free) - integer_rank(free))
-    return h.summary(), kernels
-
-
-def _free_slots(h, d):
-    """Slots of the homology of degree d that carry a free Z."""
-    dh = h.degree_data(d)
-    return [i for i, f in enumerate(dh.factors) if f == 0] if dh else []
 
 
 class _DegreeHomology:

@@ -509,7 +509,6 @@ class HFResult:
     q: int
     orientation: str
     spin_c: tuple
-    source_name: str
 
     @property
     def slope(self):
@@ -627,8 +626,7 @@ def hf_plus(complex_, p, q, gauge=0):
                             f"{exc}") from exc
         return HFResult(p=p, q=q, orientation="reversed",
                         spin_c=tuple(map(_reverse_orientation,
-                                         inner.spin_c)),
-                        source_name=complex_.name or "complex")
+                                         inner.spin_c)))
     if not complex_.graded:
         raise GradingError("surgery requires solved gradings")
     if complex_.flip is None:
@@ -642,5 +640,4 @@ def hf_plus(complex_, p, q, gauge=0):
     per_index = [_spin_c_result(complex_, d, gauge, regions)
                  for d in descriptors]
     return HFResult(p=p, q=q, orientation="standard",
-                    spin_c=tuple(per_index),
-                    source_name=complex_.name or "complex")
+                    spin_c=tuple(per_index))

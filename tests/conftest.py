@@ -1,23 +1,67 @@
+"""Checks installed on every unit test, and the acceptance summary.
+
+The autouse fixture installs two checks with monkeypatch, undone when
+the test ends:
+
+- homology._SnfWork becomes _CheckedSnfWork, which tracks L and R on
+  every elimination and, after run, checks L * M * R == D and that L
+  and R are unimodular (helpers.verify_snf);
+- cancel_unit_pairs, as homology and surgery each name it, becomes
+  _checked_cancel_unit_pairs, which compares the homology and the
+  kernel ranks of U on it before and after (helpers.homology_profile).
+  That covers a direct call through homology.cancel_unit_pairs,
+  GradedComplex.cancel_units on a cone, and surgery.reduce_regions on
+  each bottom region.
+
+Each raises AssertionError on a mismatch.  The acceptance sweep opts
+out (module marker no_self_check) so the full slope grid stays inside
+its time budget; its correctness is covered by the independent oracles
+instead.
+"""
+
 import pytest
 
-from hfplus import homology
+from helpers import homology_profile, verify_snf
+from hfplus import homology, surgery
+from hfplus.homology import GradedComplex
+
+_cancel_unit_pairs = homology.cancel_unit_pairs
+
+
+class _CheckedSnfWork(homology._SnfWork):
+    """_SnfWork with L and R always tracked, checked after run."""
+
+    def __init__(self, rows, nrows, ncols, track_l=False, track_linv=False,
+                 track_r=False, track_rinv=False):
+        self.original = [dict(row) for row in rows]
+        super().__init__(rows, nrows, ncols, True, track_linv, True,
+                         track_rinv)
+
+    def run(self):
+        super().run()
+        verify_snf(self, self.original)
+        return self
+
+
+def _checked_cancel_unit_pairs(degrees, boundary, u_action, carried=None):
+    """cancel_unit_pairs, raising if the homology or U on it changed."""
+    before = homology_profile(GradedComplex(degrees, boundary, u_action,
+                                            check=False))
+    keep = _cancel_unit_pairs(degrees, boundary, u_action, carried)
+    if homology_profile(GradedComplex(degrees, boundary, u_action,
+                                      check=False)) != before:
+        raise AssertionError("unit cancellation changed the homology")
+    return keep
 
 
 @pytest.fixture(autouse=True)
-def _self_check(request):
-    """Run every unit test with the expensive algebra checks enabled.
-
-    The acceptance sweep opts out (module marker) so the full slope grid
-    stays inside its time budget; its correctness is covered by the
-    independent oracles instead.
-    """
+def _self_check(request, monkeypatch):
     if request.node.get_closest_marker("no_self_check"):
-        yield
         return
-    old = homology.SELF_CHECK
-    homology.SELF_CHECK = True
-    yield
-    homology.SELF_CHECK = old
+    monkeypatch.setattr(homology, "_SnfWork", _CheckedSnfWork)
+    for module in (homology, surgery):
+        monkeypatch.setattr(module, "cancel_unit_pairs",
+                            _checked_cancel_unit_pairs)
 
 
 def pytest_configure(config):

@@ -15,6 +15,10 @@ applied one whole step at a time (the reference cancel_unit_pairs is
 compared with), the tower bottom of C{i >= 0} read through a
 realization (how gradings were normalized before grading_solve read
 the {i = 0} column), and the environment for child interpreters.  The
+checks conftest installs on every unit test read from here too: that a
+finished Smith normal form satisfies L * M * R == D with unimodular L
+and R (verify_snf), and the homology with the kernel ranks of U on it
+that unit cancellation must keep (homology_profile).  The
 acceptance registry at the bottom is filled by test_acceptance.py and
 printed by the conftest terminal-summary hook.
 """
@@ -28,7 +32,7 @@ from hfplus import surgery
 from hfplus.acomplex import band_floor, genus, realize, signed_flip
 from hfplus.cfk import Generator, KnotComplex, Region, grading_solve
 from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
-                             integer_rank, smith_normal_form, tower_decompose)
+                             smith_normal_form, tower_decompose)
 
 
 def child_env():
@@ -136,6 +140,97 @@ def homology_dims_mod_p(gc, p):
              for d, idxs in by_degree.items()}
     return {d: len(idxs) - ranks[d] - ranks.get(d + 1, 0)
             for d, idxs in by_degree.items()}
+
+
+# ---------------------------------------------------------------------------
+# the checks conftest installs
+
+
+def det(m):
+    """Exact determinant of a small dense integer matrix (Bareiss)."""
+    a = [row[:] for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def verify_snf(work, original):
+    """Check a finished homology._SnfWork that tracked L and R.
+
+    original is the matrix before elimination, as row dicts.  Raises
+    AssertionError unless L * M * R == D entry by entry, and unless L
+    and R have determinant +-1 where they are at most 16 square.
+    """
+    lm = []
+    for r in range(work.nrows):
+        acc = {}
+        for c, coeff in work.l_rows[r].items():
+            for j, v in original[c].items():
+                acc[j] = acc.get(j, 0) + coeff * v
+        lm.append(acc)
+    for j in range(work.ncols):
+        col = work.r_cols[j]
+        for r in range(work.nrows):
+            row = lm[r]
+            s = sum(row.get(c, 0) * v for c, v in col.items())
+            if s != work.rows[r].get(j, 0):
+                raise AssertionError("smith normal form self-check failed")
+    if work.nrows <= 16:
+        dense = [[work.l_rows[r].get(c, 0) for c in range(work.nrows)]
+                 for r in range(work.nrows)]
+        if abs(det(dense)) != 1:
+            raise AssertionError("row transform is not unimodular")
+    if work.ncols <= 16:
+        dense = [[work.r_cols[c].get(r, 0) for c in range(work.ncols)]
+                 for r in range(work.ncols)]
+        if abs(det(dense)) != 1:
+            raise AssertionError("column transform is not unimodular")
+
+
+def free_slots(h, d):
+    """Slots of the homology of degree d that carry a free Z."""
+    dh = h.degree_data(d)
+    return [i for i, f in enumerate(dh.factors) if f == 0] if dh else []
+
+
+def free_kernel_rank(cols, src_free, tgt_free):
+    """Rank of the kernel of a map of homology between free parts.
+
+    cols[i] holds the homology coordinates of the image of slot i;
+    src_free and tgt_free are the free slots (free_slots) of source and
+    target.  The rank is over Q.
+    """
+    reduced = [{r: cols[i][slot] for r, slot in enumerate(tgt_free)
+                if cols[i][slot]} for i in src_free]
+    return len(src_free) - rational_rank(reduced, len(tgt_free))
+
+
+def homology_profile(complex_):
+    """Per-degree (free rank, torsion), and per degree the rank of the
+    kernel of U between the free parts of homology (None without U)."""
+    h = graded_homology(complex_)
+    if complex_.u_action is None:
+        return h.summary(), None
+    return h.summary(), [free_kernel_rank(h.u_matrix(d), free_slots(h, d),
+                                          free_slots(h, d - 2))
+                         for d in h.support()]
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +497,10 @@ class InducedMap:
 
     def kernel_rank(self, max_degree=None):
         """Free rank of the kernel (rank over Q of the degreewise maps)."""
-        total = 0
-        for d in self.source_h.support(max_degree):
-            sdh = self.source_h.degree_data(d)
-            tdh = self.target_h.degree_data(d + self.shift)
-            src_free = [i for i, f in enumerate(sdh.factors) if f == 0]
-            tgt_free = ([i for i, f in enumerate(tdh.factors) if f == 0]
-                        if tdh else [])
-            cols = self.matrices.get(d, [])
-            reduced = [{r: cols[i][slot] for r, slot in enumerate(tgt_free)
-                        if cols[i][slot]} for i in src_free]
-            total += len(src_free) - integer_rank(reduced)
-        return total
+        return sum(free_kernel_rank(self.matrices.get(d, []),
+                                    free_slots(self.source_h, d),
+                                    free_slots(self.target_h, d + self.shift))
+                   for d in self.source_h.support(max_degree))
 
     def is_surjective(self, max_degree=None):
         """Surjectivity as a map of abelian groups, degreewise."""

@@ -8,10 +8,10 @@ import pytest
 from helpers import (l_space_staircase, random_complex, staircase,
                      strip_gradings, torsion_square, tower_bottom, twisty)
 from hfplus import acomplex, cfk
-from hfplus.cfk import (BUILTIN_NAMES, KnotComplex, Region, UTerm,
-                        are_isomorphic, builtin, flip_chain_sign,
-                        grading_solve, memoized, mirror, parse_text,
-                        serialize_text, validate)
+from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
+                        UTerm, builtin, flip_chain_sign, grading_solve,
+                        memoized, mirror, parse_text, serialize_text,
+                        validate)
 from hfplus.errors import (GradingError, InvalidComplexError,
                            NotStabilizedError, ParseError)
 from hfplus.surgery import hf_plus
@@ -101,17 +101,31 @@ def test_d_squared_cancellation_over_the_integers():
     assert any("d-squared" in v for v in validate(k2))
 
 
+def _renamed(k, names):
+    """k with each generator x renamed names.get(x, x)."""
+    def n(x):
+        return names.get(x, x)
+
+    gens = [Generator(n(g.name), g.i, g.j, g.m) for g in k.generators]
+    diff = {n(x): [UTerm(t.coefficient, t.u_exponent, n(t.target))
+                   for t in terms] for x, terms in k.differential.items()}
+    flip = {n(x): (sign, n(y)) for x, (sign, y) in k.flip.items()}
+    return KnotComplex(gens, diff, flip, name=k.name)
+
+
 def test_mirror_is_an_involution_and_swaps_trefoils():
     for name in BUILTIN_NAMES:
         k = builtin(name)
         assert mirror(mirror(k)) == k
         assert validate(mirror(k)) == []
-    assert are_isomorphic(mirror(builtin("trefoil_right")),
-                          builtin("trefoil_left"))
-    assert are_isomorphic(mirror(builtin("trefoil_left")),
-                          builtin("trefoil_right"))
-    assert not are_isomorphic(builtin("trefoil_right"),
-                              builtin("trefoil_left"))
+    # the mirror of one trefoil is the other, once a and c swap names
+    swap = {"a": "c", "c": "a"}
+    right, left = builtin("trefoil_right"), builtin("trefoil_left")
+    assert _renamed(mirror(right), swap) == left
+    assert _renamed(mirror(left), swap) == right
+    # and no renaming makes the two trefoils equal: their (i, j, m) differ
+    assert (sorted((g.i, g.j, g.m) for g in right.generators)
+            != sorted((g.i, g.j, g.m) for g in left.generators))
 
 
 def test_round_trip_builtins():
@@ -276,7 +290,7 @@ flip b = b
 flip c = a
 """
     k = parse_text(text)
-    assert are_isomorphic(k, builtin("trefoil_right"))
+    assert k == builtin("trefoil_right")
 
 
 def test_parse_handles_u_powers_and_coefficients():
@@ -407,4 +421,18 @@ def test_the_package_has_one_cache():
                         and ("cache" in name.lower() or "memo" in name.lower())
                         and _builds_dict(value)):
                     found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_no_module_has_a_switch():
+    """No module of the package assigns a bool constant at module level:
+    the library runs in one mode, and tests install their own checks."""
+    found = []
+    for path in sorted(Path(cfk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, bool)):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -1,17 +1,18 @@
 import random
+from collections import OrderedDict
 
 import pytest
 
 from helpers import (ChainMap, _compose, homology_free_ranks,
-                     random_complex, rational_rank, staircase, torsion_square)
-from hfplus import homology
+                     homology_profile, random_complex, rational_rank,
+                     staircase, torsion_square)
+from hfplus import cfk, homology
 from hfplus.cfk import Region
 from hfplus.acomplex import band_floor, realize
 from hfplus.errors import NotStabilizedError, TorsionInTowerError
-from hfplus.homology import (TOWER_LEVELS, GradedComplex, cancel_unit_pairs,
-                             integer_rank, graded_homology,
+from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
                              smith_normal_form, tower_decompose)
-from hfplus.surgery import (SurgeryDescriptor, build_mapping_cone,
+from hfplus.surgery import (SurgeryDescriptor, build_mapping_cone, hf_plus,
                             truncation_sigma)
 
 
@@ -62,7 +63,6 @@ def test_snf_matches_rational_rank_on_random_matrices():
         cols = [{r: m[r][c] for r in range(nrows) if m[r][c]}
                 for c in range(ncols)]
         assert snf_rank == rational_rank(cols, nrows)
-        assert snf_rank == integer_rank(cols)
 
 
 def test_torsion_from_a_doubling_arrow():
@@ -371,26 +371,68 @@ def test_cancel_unit_pairs_carries_maps_out_of_the_complex():
     u_action = [{4: 1}, {}, {1: 1}, {}, {}]
     f = [{0: 5}, {}, {}, {}, {}]
     g = [{}, {}, {}, {}, {}]
-    keep = cancel_unit_pairs(degrees, boundary, u_action, carried=(f, g))
+    keep = homology.cancel_unit_pairs(degrees, boundary, u_action,
+                                      carried=(f, g))
     assert keep == [2, 3, 4] and degrees == [4, 2, 1]
     assert boundary == [{}, {}, {}] and u_action == [{}, {}, {}]
     assert f == [{}, {}, {}] and g == [{0: -5}, {}, {}]
 
 
-def test_cancel_unit_pairs_self_check_catches_a_wrong_step(monkeypatch):
+def _doubling_cancel_pair(monkeypatch):
+    """Make each cancellation step double the first boundary column left."""
     step = homology._cancel_pair
 
     def doubling(boundary, *args):
         step(boundary, *args)
-        col = next(col for col in boundary if col)
+        col = next((col for col in boundary if col), {})
         for i in col:
             col[i] *= 2
 
     monkeypatch.setattr(homology, "_cancel_pair", doubling)
+
+
+def _random_region():
     k = random_complex(random.Random(5))
-    rr = realize(k, Region.min_i(), band_floor(k, [(Region.min_i(), 0)]) + 8)
+    return realize(k, Region.min_i(),
+                   band_floor(k, [(Region.min_i(), 0)]) + 8)
+
+
+def test_cancel_unit_pairs_self_check_catches_a_wrong_step(monkeypatch):
+    _doubling_cancel_pair(monkeypatch)
+    rr = _random_region()
     with pytest.raises(AssertionError, match="changed the homology"):
-        cancel_unit_pairs(rr.degrees, rr.boundary, rr.u_action)
+        homology.cancel_unit_pairs(rr.degrees, rr.boundary, rr.u_action)
+
+
+def test_the_cancellation_check_runs_on_cones_and_regions(monkeypatch):
+    # the check conftest installs on cancel_unit_pairs also catches a
+    # wrong step reached through GradedComplex.cancel_units, and through
+    # hf_plus, whose first cancellation reduces a bottom region
+    # (surgery.reduce_regions)
+    _doubling_cancel_pair(monkeypatch)
+    with pytest.raises(AssertionError, match="changed the homology"):
+        _random_region().realization.cancel_units()
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    with pytest.raises(AssertionError, match="changed the homology") as exc:
+        hf_plus(staircase(3), 7, 3)
+    assert "reduce_regions" in [entry.name for entry in exc.traceback]
+
+
+def test_the_snf_check_catches_a_wrong_elimination(monkeypatch):
+    # the check conftest installs on _SnfWork runs on every elimination,
+    # whether graded_homology or smith_normal_form asks for it: here each
+    # reduced pivot is negated in D but not in L
+    reduce = homology._SnfWork._reduce_slot
+
+    def negating(self, t):
+        reduce(self, t)
+        self.rows[t][t] = -self.rows[t][t]
+
+    monkeypatch.setattr(homology._SnfWork, "_reduce_slot", negating)
+    with pytest.raises(AssertionError, match="smith normal form"):
+        graded_homology(GradedComplex([1, 0], [{1: 2}, {}]))
+    with pytest.raises(AssertionError, match="smith normal form"):
+        smith_normal_form([[2, 4], [6, 8]])
 
 
 def _count_snf_works(monkeypatch):
@@ -464,8 +506,7 @@ def test_bare_degrees_read_the_same_as_through_the_snf(monkeypatch):
         assert len(built) - before >= len(gc.by_degree), k.name
         assert not any(forced.degree_data(d).bare for d in gc.by_degree)
         assert forced.summary() == h.summary(), k.name
-        assert (homology._homology_profile(padded)
-                == homology._homology_profile(gc)), k.name
+        assert homology_profile(padded) == homology_profile(gc), k.name
         outcome = _outcome(lambda: tower_decompose(h))
         assert _outcome(lambda: tower_decompose(forced)) == outcome, k.name
         towers += not isinstance(outcome, type)

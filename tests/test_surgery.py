@@ -7,10 +7,10 @@ from math import gcd
 
 import pytest
 
-from helpers import (ReferenceCone, h_columns, homology_dims_mod_p, map_h,
-                     map_v, random_knot, reduce_step_by_step,
-                     reference_spin_c, staircase, torsion_square, twisty,
-                     v_columns)
+from helpers import (ReferenceCone, h_columns, homology_dims_mod_p,
+                     homology_profile, map_h, map_v, random_knot,
+                     reduce_step_by_step, reference_spin_c, staircase,
+                     torsion_square, twisty, v_columns)
 from hfplus import acomplex, cfk, homology, surgery
 from hfplus.acomplex import band_floor, genus, realize, signed_flip
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
@@ -406,8 +406,8 @@ CHAIN_CASES = ([builtin(name) for name in BUILTIN_NAMES]
 
 
 def _profile_to(gc, ceiling):
-    """homology._homology_profile of gc on the degrees up to ceiling."""
-    summary, u_ranks = homology._homology_profile(gc)
+    """helpers.homology_profile of gc on the degrees up to ceiling."""
+    summary, u_ranks = homology_profile(gc)
     support = sorted(summary)
     return ({d: v for d, v in summary.items() if d <= ceiling},
             [r for d, r in zip(support, u_ranks) if d <= ceiling])

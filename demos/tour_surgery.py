@@ -6,10 +6,12 @@ Run as: python3 demos/tour_surgery.py
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 from hfplus import (SurgeryDescriptor, build_mapping_cone, builtin,
                     conjugation_constant, graded_homology, hf_plus,
-                    lens_d_oracle, tower_decompose, truncation_sigma)
+                    lens_d_oracle, surgery, tower_decompose,
+                    truncation_sigma)
 from hfplus.homology import TOWER_LEVELS
 
 # the unreduced full-window cone lives with the tests, as their reference
@@ -82,10 +84,19 @@ def main():
           f"identical = {tower == deeper}")
     print(f"    unreduced cone of the whole window, sigma and sigma + 1: "
           f"identical = {full}")
-    shifted = hf_plus(eight, 7, 3, gauge=2)
-    deltas = sorted({str(r.d - b.d)
-                     for r, b in zip(shifted.spin_c, base.spin_c)})
-    print(f"    gauge shift by 2 moves every d by exactly: {deltas}")
+    # the relative offsets are pinned at off_A(-sigma) = 0; pinning them
+    # at 2 moves every cone degree, and the calibration, which reads the
+    # same offsets, moves back by as much (the memo is bypassed)
+    pinned = surgery._cone_offsets
+
+    def moved(descriptor):
+        return tuple({s: off + 2 for s, off in offsets.items()}
+                     for offsets in pinned(descriptor))
+
+    with mock.patch.object(surgery, "_cone_offsets", moved):
+        repinned = hf_plus.__wrapped__(eight, 7, 3)
+    print(f"    offsets pinned at 2 instead of 0: "
+          f"identical = {repinned.comparable() == base.comparable()}")
 
     show_result(hf_plus(builtin("trefoil_right"), -1, 1),
                 "-1 surgery on the right trefoil (computed on the mirror, "

@@ -158,17 +158,13 @@ def hfk_hat(complex_, s):
 
     The {i = 0} column (cfk.column) on the generators with j - i = s,
     which is the level (0, s), in degrees m - 2i.  An ungraded complex
-    puts every element in degree 0, which is enough for ranks when the
-    level carries no arrow; one that does raises GradingError.
+    raises GradingError.
     """
-    graded = complex_.graded
-    level = column(complex_, {
-        g.name: g.m - 2 * g.i if graded else 0
-        for g in complex_.generators if g.j - g.i == s}, check=graded)
-    if not graded and any(level.boundary):
-        raise GradingError(f"level {s} carries an arrow, so HFK-hat "
-                           "there requires solved gradings")
-    return graded_homology(level)
+    if not complex_.graded:
+        raise GradingError("hfk_hat requires solved gradings")
+    return graded_homology(column(complex_, {
+        g.name: g.m - 2 * g.i
+        for g in complex_.generators if g.j - g.i == s}))
 
 
 def _alexander_support(complex_):
@@ -267,7 +263,7 @@ def kernel_rank_v(complex_, s):
     if not complex_.graded:
         raise GradingError("kernel_rank_v requires solved gradings")
     hat = graded_homology(column(complex_, {
-        g.name: g.m - 2 * g.i for g in complex_.generators}, check=True))
+        g.name: g.m - 2 * g.i for g in complex_.generators}))
     if list(hat.summary().values()) != [(1, ())]:
         raise InvalidComplexError([
             "v is onto only when the {i = 0} column has homology Z; it "

@@ -151,8 +151,9 @@ _memo = OrderedDict()
 def memoized(fn):
     """Keep fn's results in the one bounded memo, keyed by content.
 
-    Arguments are bound with defaults applied, so positional, keyword
-    and default spellings of a call share an entry; a KnotComplex is
+    Arguments are bound to fn's parameters, so positional and keyword
+    spellings of a call share an entry; no memoized function has a
+    default, so every entry names every argument.  A KnotComplex is
     keyed by content_key().  A call that raises stores nothing.
     """
     signature = inspect.signature(fn)
@@ -160,7 +161,6 @@ def memoized(fn):
     @wraps(fn)
     def wrapper(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
         key = (fn,) + tuple(a.content_key() if isinstance(a, KnotComplex)
                             else a for a in bound.arguments.values())
         if key not in _memo:
@@ -425,66 +425,43 @@ def mirror(complex_):
 # grading solver
 
 
-def _components(complex_):
-    """Connected components under arrows and flip edges."""
-    adj = {g.name: set() for g in complex_.generators}
-    for g, t in complex_.arrows():
-        if t.target in adj:
-            adj[g.name].add(t.target)
-            adj[t.target].add(g.name)
-    if complex_.flip:
-        for src, (_, tgt) in complex_.flip.items():
-            if src in adj and tgt in adj:
-                adj[src].add(tgt)
-                adj[tgt].add(src)
-    comps = []
-    seen = set()
-    for g in complex_.generators:
-        if g.name in seen:
-            continue
-        comp = []
-        stack = [g.name]
-        seen.add(g.name)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        comps.append(sorted(comp))
-    return comps
+def _relative_gradings(complex_):
+    """(sorted names, relative m) of each connected component.
 
-
-def _relative_gradings(complex_, component):
-    """Solve m up to one constant on a component; root gets 0."""
-    inside = set(component)
-    rel = {component[0]: 0}
-    stack = [component[0]]
-    edges = {name: [] for name in component}
+    Components are connected by arrows and flip edges.  An arrow
+    x -> U^n y forces m_y = m_x - 1 + 2n and a flip edge equal
+    gradings, so one walk finds each component and solves m on it up to
+    one constant, with the component's first generator at 0.
+    """
+    edges = {g.name: [] for g in complex_.generators}
     for g, t in complex_.arrows():
-        if g.name in inside and t.target in inside:
-            # m_target = m_source - 1 + 2n
+        if t.target in edges:
             delta = -1 + 2 * t.u_exponent
             edges[g.name].append((t.target, delta))
             edges[t.target].append((g.name, -delta))
-    if complex_.flip:
-        for src, (_, tgt) in complex_.flip.items():
-            if src in inside and tgt in inside and src != tgt:
-                edges[src].append((tgt, 0))
-                edges[tgt].append((src, 0))
-    while stack:
-        cur = stack.pop()
-        for nxt, delta in edges[cur]:
-            want = rel[cur] + delta
-            if nxt in rel:
-                if rel[nxt] != want:
+    for src, (_, tgt) in (complex_.flip or {}).items():
+        if src in edges and tgt in edges:
+            edges[src].append((tgt, 0))
+            edges[tgt].append((src, 0))
+    rel, components = {}, []
+    for g in complex_.generators:
+        if g.name in rel:
+            continue
+        rel[g.name] = 0
+        names, stack = [g.name], [g.name]
+        while stack:
+            cur = stack.pop()
+            for nxt, delta in edges[cur]:
+                want = rel[cur] + delta
+                if nxt not in rel:
+                    rel[nxt] = want
+                    names.append(nxt)
+                    stack.append(nxt)
+                elif rel[nxt] != want:
                     raise GradingError(
                         f"inconsistent grading constraints near {nxt}")
-            else:
-                rel[nxt] = want
-                stack.append(nxt)
-    return rel
+        components.append((sorted(names), {n: rel[n] for n in names}))
+    return components
 
 
 def _restrict(complex_, ids):
@@ -505,18 +482,19 @@ def _restrict(complex_, ids):
     return boundary, id_of
 
 
-def column(complex_, degrees, check=False):
+def column(complex_, degrees):
     """The {i = 0} column on the generators named in degrees.
 
     Each generator x contributes its one translate at i = 0, k = -i_x,
     in degree degrees[x], and d is restricted to these translates.
     Over all generators, in degrees m - 2i, this is the finite complex
     whose homology is HF-hat(S^3) and whose associated graded is
-    HFK-hat.
+    HFK-hat.  The column is checked (GradedComplex), so every arrow
+    inside it must drop degrees by one.
     """
     boundary, _ = _restrict(complex_, [(name, -complex_.by_name[name].i)
                                        for name in degrees])
-    return GradedComplex(list(degrees.values()), boundary, check=check)
+    return GradedComplex(list(degrees.values()), boundary)
 
 
 def grading_solve(complex_, seeds=None):
@@ -542,8 +520,7 @@ def grading_solve(complex_, seeds=None):
             seeds[g.name] = g.m
     solved = {}
     towers = []
-    for comp in _components(complex_):
-        rel = _relative_gradings(complex_, comp)
+    for comp, rel in _relative_gradings(complex_):
         h = graded_homology(column(complex_, {
             name: rel[name] - 2 * complex_.by_name[name].i
             for name in comp}))

@@ -31,7 +31,7 @@ from .detect import classify_surgery, compare, diagnostic_sum
 from .errors import CFKError, InvalidComplexError, ParseError
 from .surgery import hf_plus
 
-_PROVENANCE_KEYS = ("timing_ms", "sigma", "depth")
+_PROVENANCE_KEYS = ("timing_ms", "sigma")
 
 
 def _read(path):
@@ -97,7 +97,6 @@ def result_document(result, input_desc, timing_ms, diagnostic=None):
                 ],
                 "parity": {"even": r.parity[0], "odd": r.parity[1]},
                 "sigma": r.sigma,
-                "depth": r.depth,
             }
             for r in result.spin_c
         ],
@@ -127,11 +126,11 @@ def parse_document(text):
 
 
 def strip_provenance(doc):
-    """Drop timing and truncation-shape fields before comparing runs.
+    """Drop timing and the window width before comparing runs.
 
-    The shape parameters (sigma, depth) are reporting provenance: the
-    mathematical content must be identical across depths and widths,
-    and comparisons of that content go through this helper.
+    sigma is reporting provenance: the mathematical content must be
+    identical across window widths and truncation depths, and
+    comparisons of that content go through this helper.
     """
     def clean(obj):
         if isinstance(obj, dict):

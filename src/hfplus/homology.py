@@ -119,18 +119,8 @@ class _SnfWork:
     # -- elementary operations ------------------------------------------
 
     def _row_axpy(self, r, p, k):
-        # row_r += k * row_p
-        rows, colnz = self.rows, self.colnz
-        rowr = rows[r]
-        for c, v in rows[p].items():
-            nv = rowr.get(c, 0) + k * v
-            if nv:
-                if c not in rowr:
-                    colnz[c].add(r)
-                rowr[c] = nv
-            elif c in rowr:
-                del rowr[c]
-                colnz[c].discard(r)
+        # row_r += k * row_p (k != 0)
+        _indexed_axpy(self.rows, self.colnz, r, self.rows[p], k)
         if self.l_rows is not None:
             _dict_axpy(self.l_rows[r], self.l_rows[p], k)
         if self.linv_cols is not None:

@@ -156,15 +156,15 @@ def truncation_sigma(complex_, p, q, i):
     return sigma
 
 
-def _cone_offsets(descriptor, gauge=0):
-    off_a = {-descriptor.sigma: gauge}
+def _cone_offsets(descriptor):
+    off_a = {-descriptor.sigma: 0}
     for s in range(-descriptor.sigma, descriptor.sigma):
         off_a[s + 1] = off_a[s] + 2 * descriptor.t(s)
     off_b = {s: off_a[s] - 1 for s in descriptor.b_positions()}
     return off_a, off_b
 
 
-def _cone_blocks(descriptor, g, gauge=0):
+def _cone_blocks(descriptor, g):
     """(label, region, grading offset) of each summand built.
 
     The window's end pairs cancel for a knot of genus g: while more
@@ -177,7 +177,7 @@ def _cone_blocks(descriptor, g, gauge=0):
         hi -= 1
     while lo < hi and d.t(lo) <= -g:
         lo += 1
-    off_a, off_b = _cone_offsets(d, gauge)
+    off_a, off_b = _cone_offsets(d)
     blocks = [(("A", s), Region.max_ij(d.t(s)), off_a[s])
               for s in range(lo, hi + 1)]
     blocks += [(("B", s), Region.min_i(), off_b[s])
@@ -185,13 +185,13 @@ def _cone_blocks(descriptor, g, gauge=0):
     return blocks
 
 
-def _cone_shape(source, descriptor, g, gauge, floors):
+def _cone_shape(source, descriptor, g, floors):
     """The kept blocks and the least cone degree l + 2 depth to cut at.
 
     band_floor over blocks is the largest of offset plus band_floor of
     the block's region alone; floors holds the latter, once per region.
     """
-    blocks = _cone_blocks(descriptor, g, gauge)
+    blocks = _cone_blocks(descriptor, g)
     for _, region, _ in blocks:
         if region not in floors:
             floors[region] = band_floor(source, [(region, 0)])
@@ -232,7 +232,7 @@ def _key_table(source):
     return index, arrows, into, hop, back, in_b
 
 
-def reduce_regions(source, descriptors, gauge=0):
+def reduce_regions(source, descriptors):
     """(shapes, residues, keys) of the cones of descriptors.
 
     shapes maps each descriptor to its kept blocks and the cone degree
@@ -255,7 +255,7 @@ def reduce_regions(source, descriptors, gauge=0):
         raise GradingError("surgery requires solved gradings")
     knot_genus = genus(source)
     floors = {}
-    shapes = {d: _cone_shape(source, d, knot_genus, gauge, floors)
+    shapes = {d: _cone_shape(source, d, knot_genus, floors)
               for d in descriptors}
     cuts, joined = {}, set()
     for blocks, top in shapes.values():
@@ -313,10 +313,10 @@ class MappingCone:
     counts the keys the Morse chains visited (_join).
     """
 
-    def __init__(self, source, descriptor, gauge=0, regions=None):
+    def __init__(self, source, descriptor, regions=None):
         shapes, residues, keys = (
             regions if regions is not None
-            else reduce_regions(source, [descriptor], gauge))
+            else reduce_regions(source, [descriptor]))
         self.source = source
         self.descriptor = descriptor
         blocks, top = shapes[descriptor]
@@ -417,8 +417,8 @@ class MappingCone:
         return steps
 
 
-def build_mapping_cone(complex_, descriptor, gauge=0, regions=None):
-    return MappingCone(complex_, descriptor, gauge, regions)
+def build_mapping_cone(complex_, descriptor, regions=None):
+    return MappingCone(complex_, descriptor, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +446,9 @@ def lens_d_oracle(p, q, i):
     return Fraction(num, 4 * p * q) - lens_d_oracle(q, p % q, i % q)
 
 
-def _cone_data(complex_, descriptor, gauge=0, regions=None):
+def _cone_data(complex_, descriptor, regions=None):
     """(relative tower bottom, relative reduced summary) for one cone."""
-    cone = build_mapping_cone(complex_, descriptor, gauge, regions)
+    cone = build_mapping_cone(complex_, descriptor, regions)
     cone.complex.cancel_units()
     h = graded_homology(cone.complex, ceiling=cone.ceiling)
     tower = tower_decompose(h)
@@ -490,14 +490,13 @@ class SpincResult:
     hf_red: tuple
     parity: tuple
     sigma: int
-    depth: int
 
     @property
     def total_reduced_rank(self):
         return sum(rank for _, rank, _ in self.hf_red)
 
     def profile(self):
-        """Grading data with the provenance (sigma, depth) left out."""
+        """Grading data with the provenance (sigma) left out."""
         return (self.d, self.hf_red)
 
 
@@ -522,7 +521,7 @@ class HFResult:
         return [r.d for r in self.spin_c]
 
     def comparable(self):
-        """Everything except provenance (sigma/depth) and timing."""
+        """Everything except provenance (sigma) and timing."""
         return (self.p, self.q, self.orientation,
                 tuple((r.index, r.d, r.hf_red, r.parity)
                       for r in self.spin_c))
@@ -544,14 +543,14 @@ def conjugation_constant(result):
     return None
 
 
-def _spin_c_result(complex_, descriptor, gauge=0, regions=None):
-    p, q, i, sigma, depth = (descriptor.p, descriptor.q, descriptor.spin_c,
-                             descriptor.sigma, descriptor.depth)
+def _spin_c_result(complex_, descriptor, regions=None):
+    p, q, i, sigma = (descriptor.p, descriptor.q, descriptor.spin_c,
+                      descriptor.sigma)
     try:
-        bottom, reduced = _cone_data(complex_, descriptor, gauge, regions)
+        bottom, reduced = _cone_data(complex_, descriptor, regions)
     except (NotStabilizedError, TorsionInTowerError) as exc:
         raise type(exc)(f"{p}/{q} surgery, Spin^c {i}, sigma {sigma}, "
-                        f"depth {depth}: {exc}") from exc
+                        f"depth {descriptor.depth}: {exc}") from exc
     shift = _calibration_shift(descriptor)
     d = bottom + shift
     red = tuple((deg + shift, rank, torsion)
@@ -559,7 +558,7 @@ def _spin_c_result(complex_, descriptor, gauge=0, regions=None):
     even = sum(rank for deg, (rank, _) in reduced if (deg - bottom) % 2 == 0)
     odd = sum(rank for deg, (rank, _) in reduced if (deg - bottom) % 2 == 1)
     return SpincResult(index=i, d=d, hf_red=red, parity=(even, odd),
-                       sigma=sigma, depth=depth)
+                       sigma=sigma)
 
 
 def _reverse_orientation(r):
@@ -583,11 +582,11 @@ def _reverse_orientation(r):
                 merged[deg] = (old_rk + rk, tuple(sorted(old_tor + tor)))
     red = tuple((deg, rk, tor) for deg, (rk, tor) in sorted(merged.items()))
     return SpincResult(index=r.index, d=-r.d, hf_red=red,
-                       parity=r.parity[::-1], sigma=r.sigma, depth=r.depth)
+                       parity=r.parity[::-1], sigma=r.sigma)
 
 
 @memoized
-def hf_plus(complex_, p, q, gauge=0):
+def hf_plus(complex_, p, q):
     """HF+ of p/q surgery, one SpincResult per residue class.
 
     Each Spin^c structure's window is truncation_sigma wide; the
@@ -597,12 +596,10 @@ def hf_plus(complex_, p, q, gauge=0):
     from them and the strips, holding at least TOWER_LEVELS tower levels
     above its band floor (see MappingCone), which is what
     tower_decompose reads.
-    Each result records sigma and depth as provenance: sigma is the
-    window the offsets are pinned in, not the number of blocks built.
-    A failed tower check raises its error type again, naming the slope,
-    Spin^c index, sigma and depth.  gauge shifts all relative offsets
-    by a constant, so that invariance of the output under it can be
-    demonstrated.
+    Each result records sigma as provenance: the window the offsets
+    are pinned in, not the number of blocks built.  A failed tower
+    check raises its error type again, naming the slope, Spin^c index,
+    sigma and depth.
 
     Negative p is computed on the mirror complex, since
     S^3_{-p/q}(K) = -S^3_{p/q}(mirror K).  The result carries
@@ -620,7 +617,7 @@ def hf_plus(complex_, p, q, gauge=0):
         raise ValueError("slope must be in lowest terms")
     if p < 0:
         try:
-            inner = hf_plus(mirror(complex_), -p, q, gauge)
+            inner = hf_plus(mirror(complex_), -p, q)
         except (NotStabilizedError, TorsionInTowerError) as exc:
             raise type(exc)(f"{p}/{q} surgery, cone built on the mirror: "
                             f"{exc}") from exc
@@ -636,8 +633,8 @@ def hf_plus(complex_, p, q, gauge=0):
         SurgeryDescriptor(p, q, i, truncation_sigma(complex_, p, q, i),
                           TOWER_LEVELS)
         for i in range(p)]
-    regions = reduce_regions(complex_, descriptors, gauge)
-    per_index = [_spin_c_result(complex_, d, gauge, regions)
+    regions = reduce_regions(complex_, descriptors)
+    per_index = [_spin_c_result(complex_, d, regions)
                  for d in descriptors]
     return HFResult(p=p, q=q, orientation="standard",
                     spin_c=tuple(per_index))

@@ -654,12 +654,12 @@ class ReferenceCone:
     unit-cancelled residue and cancels every B_s against A_s.
     """
 
-    def __init__(self, source, descriptor, gauge=0, kept=False):
+    def __init__(self, source, descriptor, kept=False):
         flip = signed_flip(source)
         if kept:
-            blocks = surgery._cone_blocks(descriptor, genus(source), gauge)
+            blocks = surgery._cone_blocks(descriptor, genus(source))
         else:
-            off_a, off_b = surgery._cone_offsets(descriptor, gauge)
+            off_a, off_b = surgery._cone_offsets(descriptor)
             blocks = [(("A", s), Region.max_ij(descriptor.t(s)), off_a[s])
                       for s in descriptor.a_positions()]
             blocks += [(("B", s), Region.min_i(), off_b[s])

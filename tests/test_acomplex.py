@@ -185,18 +185,13 @@ def test_conjugation_symmetry_of_hook_regions():
             assert left == right, (name, s)
 
 
-def test_hfk_rank_only_fallback_without_gradings():
-    k = KnotComplex([("x", 0, 1), ("y", 0, 0)], {"x": ((1, 0, "y"),)})
-    h = hfk_hat(k, 1)
-    assert h.total_free_rank() == 1
-    h0 = hfk_hat(k, 0)
-    assert h0.total_free_rank() == 1
-
-
 def test_hfk_hat_of_an_ungraded_level_with_an_arrow_needs_gradings():
-    k = KnotComplex([("x", 0, 0), ("y", 0, 0)], {"x": [(1, 0, "y")]})
-    with pytest.raises(GradingError, match="arrow"):
-        hfk_hat(k, 0)
+    # so does every other level of an ungraded complex
+    for k in (KnotComplex([("x", 0, 0), ("y", 0, 0)], {"x": [(1, 0, "y")]}),
+              KnotComplex([("x", 0, 1), ("y", 0, 0)], {"x": [(1, 0, "y")]})):
+        for s in (0, 1):
+            with pytest.raises(GradingError, match="requires solved gradings"):
+                hfk_hat(k, s)
 
 
 def test_kernel_rank_v_realizes_no_region(monkeypatch):

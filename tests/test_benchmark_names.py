@@ -1,26 +1,31 @@
-"""The names the benchmark traces still exist in the package.
+"""The names the benchmark traces and imports still exist in the package.
 
 perfbench/tracing.py wraps each (module, attribute) of its WRAP table
 and stops the benchmark when one is gone.  This test reads that table
 from the file (parsed, not imported, so nothing is written next to
 it), so that renaming or dropping a traced layer fails here first.
-The attributes its cone-build hook reads are checked the same way, and
-so is the order of calls through which it links a cone to its homology
-and tower split.
+Every name a perfbench script imports from hfplus is resolved the same
+way.  The attributes its cone-build hook reads are checked, and so is
+the order of calls through which it links a cone to its homology and
+tower split.  The signatures and result fields the benchmark's
+recordings rest on are pinned.
 """
 
 import ast
 import importlib
+import inspect
 from collections import OrderedDict
+from dataclasses import fields
 from pathlib import Path
 
 from helpers import staircase
 from hfplus import cfk, surgery
 from hfplus.cfk import builtin
 from hfplus.homology import TOWER_LEVELS
-from hfplus.surgery import SurgeryDescriptor, build_mapping_cone
+from hfplus.surgery import SpincResult, SurgeryDescriptor, build_mapping_cone
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _wrap_table():
@@ -40,6 +45,47 @@ def test_every_traced_name_exists():
                if not hasattr(importlib.import_module(f"hfplus.{module}"),
                               attr)]
     assert not missing, missing
+
+
+def _perfbench_imports():
+    """(module, name, script) of each `from hfplus... import name`."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "hfplus"):
+                for alias in node.names:
+                    yield node.module, alias.name, path.name
+
+
+def _resolves(module, name):
+    """Whether `from module import name` finds an attribute or submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_name_the_benchmark_imports_exists():
+    found = list(_perfbench_imports())
+    assert ("hfplus.cli", "strip_provenance", "checks.py") in found
+    missing = [f"{module}.{name} ({script})"
+               for module, name, script in found
+               if not _resolves(module, name)]
+    assert not missing, missing
+
+
+def test_the_benchmark_signatures_and_result_fields():
+    assert list(inspect.signature(surgery.hf_plus).parameters) == [
+        "complex_", "p", "q"]
+    # tracing reads the descriptor as build_mapping_cone's second argument
+    assert list(inspect.signature(build_mapping_cone).parameters)[:2] == [
+        "complex_", "descriptor"]
+    assert [f.name for f in fields(SpincResult)] == [
+        "index", "d", "hf_red", "parity", "sigma"]
 
 
 def test_the_cone_build_hook_reads_existing_attributes():

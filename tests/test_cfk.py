@@ -329,9 +329,9 @@ def test_unknot_content_key_is_stable_under_renaming():
 def test_memo_shares_one_entry_across_argument_spellings():
     k = builtin("trefoil_right")
     first = hf_plus(k, 3, 2)
-    assert hf_plus(k, 3, 2, 0) is first
-    assert hf_plus(k, q=2, p=3, gauge=0) is first
-    assert hf_plus(complex_=k, p=3, q=2, gauge=0) is first
+    assert hf_plus(k, 3, q=2) is first
+    assert hf_plus(k, q=2, p=3) is first
+    assert hf_plus(complex_=k, p=3, q=2) is first
 
 
 def test_memo_keys_complexes_by_content():

@@ -142,8 +142,7 @@ def test_json_identical_across_depths(capsys):
         for r in base.spin_c))
     redone = result_document(deeper, doc["input"], 0,
                              diagnostic_sum(k, 3, 2))
-    assert {rec["depth"] for rec in doc["spin_c"]} == {TOWER_LEVELS}
-    assert {rec["depth"] for rec in redone["spin_c"]} == {2 * TOWER_LEVELS}
+    assert all("depth" not in rec for rec in doc["spin_c"])
     assert strip_provenance(doc) == strip_provenance(redone)
 
 

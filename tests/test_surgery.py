@@ -254,8 +254,8 @@ def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
         realized.append((complex_, region, top, len(real.ids)))
         return real
 
-    def building(complex_, descriptor, gauge=0, regions=None):
-        cone = build_mapping_cone(complex_, descriptor, gauge, regions)
+    def building(complex_, descriptor, regions=None):
+        cone = build_mapping_cone(complex_, descriptor, regions)
         top = cone.ceiling + 1
         for label, region, _ in _kept_blocks(complex_, descriptor)[1:]:
             if label[0] == "A":
@@ -346,7 +346,7 @@ def test_cones_sharing_a_bottom_region_are_cut_at_one_degree(monkeypatch):
         assert all(len({cut for cut, _ in c}) == 1 for c in cuts.values())
         assert any(len({own for _, own in c}) > 1 for c in cuts.values())
         for r in result.spin_c:
-            desc = SurgeryDescriptor(p, q, r.index, r.sigma, r.depth)
+            desc = SurgeryDescriptor(p, q, r.index, r.sigma, TOWER_LEVELS)
             assert (build_mapping_cone(k, desc).ceiling
                     == _band_floor(k, desc) + 2 * TOWER_LEVELS - 1)
             alone = surgery._spin_c_result(k, desc)
@@ -681,8 +681,7 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
         result = hf_plus(k, p, q)
         deeper = []
         for r in result.spin_c:
-            desc = SurgeryDescriptor(p, q, r.index, r.sigma, r.depth)
-            assert r.depth == TOWER_LEVELS, (k.name, desc)
+            desc = SurgeryDescriptor(p, q, r.index, r.sigma, TOWER_LEVELS)
             assert _band_floor(k, desc) == band_floor(
                 k, [(region, offset) for _, region, offset
                     in _kept_blocks(k, desc)]), (k.name, desc)
@@ -736,13 +735,13 @@ def test_casson_identity_on_plus_minus_one_over_n():
 def test_reverse_orientation_transports_free_part_and_torsion():
     r = SpincResult(index=0, d=F(1, 2),
                     hf_red=((F(-3, 2), 1, (2,)), (F(-1, 2), 2, (3,))),
-                    parity=(1, 2), sigma=1, depth=8)
+                    parity=(1, 2), sigma=1)
     out = surgery._reverse_orientation(r)
     # free 1 -> 1/2, torsion 2 -> -1/2, free 2 -> -1/2, torsion 3 -> -3/2
     assert out.hf_red == ((F(-3, 2), 0, (3,)), (F(-1, 2), 2, (2,)),
                           (F(1, 2), 1, ()))
     assert out.d == F(-1, 2) and out.parity == (2, 1)
-    assert (out.index, out.sigma, out.depth) == (0, 1, 8)
+    assert (out.index, out.sigma) == (0, 1)
 
 
 def test_hf_plus_rejects_invalid_complexes():
@@ -765,6 +764,28 @@ def test_hf_plus_rejects_invalid_complexes():
                 hf_plus(k, p, 1)
             (found,) = info.value.violations
             assert found.startswith(violation), (found, p)
+
+
+def test_a_corrupted_flip_is_caught_before_any_cone(monkeypatch):
+    k = builtin("figure_eight")
+    assert k.flip["d"] == (-1, "d")
+    bad = KnotComplex(k.generators, k.differential,
+                      {**k.flip, "d": (1, "d")})
+    assert validate(bad) == ["flip is not a chain map up to global sign"]
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return build_mapping_cone(*args)
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "build_mapping_cone", build)
+    for p in (1, -1):
+        with pytest.raises(InvalidComplexError) as info:
+            hf_plus(bad, p, 1)
+        assert info.value.violations == [
+            "flip is not a chain map up to global sign"], p
+    assert not built
 
 
 def test_negative_slope_reports_reversed_orientation():
@@ -814,15 +835,52 @@ def test_depth_and_width_do_not_change_results():
                         == (r.d, r.hf_red)), (name, p, q, r.index, sigma)
 
 
-def test_gauge_shifts_every_d_by_the_constant():
-    k = builtin("trefoil_left")
-    base = hf_plus(k, 3, 2)
-    shifted = hf_plus(k, 3, 2, gauge=5)
-    for r0, r5 in zip(base.spin_c, shifted.spin_c):
-        assert r5.d == r0.d + 5
-        assert r5.parity == r0.parity
-        assert r5.hf_red == tuple(
-            (deg + 5, rank, torsion) for deg, rank, torsion in r0.hf_red)
+# the builtins at every grid slope and its negative
+SIGNED_CASES = [(name, sign * p, q) for name in BUILTIN_NAMES
+                for p, q in GRID for sign in (1, -1)]
+
+
+def test_moving_the_offsets_pin_changes_no_result(monkeypatch):
+    # the offsets are pinned at off_A(-sigma) = 0; the calibration reads
+    # the same offsets as the cone, so it absorbs any other pin
+    pinned = surgery._cone_offsets
+
+    def moved(descriptor):
+        return tuple({s: off + 5 for s, off in offsets.items()}
+                     for offsets in pinned(descriptor))
+
+    base = [hf_plus(builtin(name), p, q).comparable()
+            for name, p, q in SIGNED_CASES]
+    desc = SurgeryDescriptor(7, 3, 2, 1, TOWER_LEVELS)
+    bottom, _ = surgery._cone_data(builtin("figure_eight"), desc)
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "_cone_offsets", moved)
+    assert surgery._cone_data(builtin("figure_eight"), desc)[0] == bottom + 5
+    for (name, p, q), comparable in zip(SIGNED_CASES, base):
+        assert hf_plus(builtin(name), p, q).comparable() == comparable, (
+            name, p, q)
+
+
+def test_gauge_shifts_every_d_by_the_constant(monkeypatch):
+    # shifting the built blocks' offsets and not the calibration's moves
+    # every d and HF_red degree by the shift, negated at negative slopes
+    kept = surgery._cone_blocks
+
+    def shifted(descriptor, g):
+        return [(label, region, off + 5)
+                for label, region, off in kept(descriptor, g)]
+
+    base = [hf_plus(builtin(name), p, q) for name, p, q in SIGNED_CASES]
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "_cone_blocks", shifted)
+    for (name, p, q), r0 in zip(SIGNED_CASES, base):
+        by = 5 if p > 0 else -5
+        r5 = hf_plus(builtin(name), p, q)
+        assert r5.d_values() == [d + by for d in r0.d_values()], (name, p, q)
+        for a, b in zip(r0.spin_c, r5.spin_c):
+            assert b.parity == a.parity, (name, p, q)
+            assert b.hf_red == tuple((deg + by, rank, torsion)
+                                     for deg, rank, torsion in a.hf_red)
 
 
 def test_conjugation_constant_exists_on_samples():
@@ -1046,7 +1104,7 @@ def test_cone_homology_reads_the_cancelled_cone_itself(monkeypatch):
     k = staircase(5)
     desc = SurgeryDescriptor(7, 3, 0, sigma=2, depth=12)
     assert len(_kept_blocks(k, desc)) == 7
-    surgery._cone_data(k, desc, gauge=3)
+    surgery._cone_data(k, desc)
     ((cone_complex, n_built),) = built
     ((read_complex, n_read),) = read
     assert read_complex is cone_complex and n_read < n_built

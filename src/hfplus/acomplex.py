@@ -11,9 +11,10 @@ complex spanned by its elements of degree <= top, so its homology is
 exact in every degree below top -- realizations record that trust
 ceiling, top - 1.  An hf_plus call realizes only the bottom A block of
 each cone, once per region at one cut, and uses its unit-cancelled
-residue whole (surgery.reduce_regions).  The cone's other blocks are
-enumerated key by key (surgery.MappingCone), so hf_plus never realizes
-B.
+residue whole (surgery.reduce_regions).  Of every other A block the
+cone holds the residue of its strip, which the call builds from
+_strip_range and reduces once for each distinct strip, so hf_plus
+never realizes B.
 
 The two maps out of A_s = C{max(i, j-s) >= 0} both land in
 B = C{i >= 0}.  A_s is B plus the finite strip S_s = C{i < 0 <= j - s},
@@ -29,9 +30,9 @@ gradings and the blocks' offsets, with no retry.
 
 Each finite piece of CFK^oo has one translate rule per generator:
 _k_range for a region cut at top, _strip_range for the finite strip
-S_t (kernel_rank_v and surgery.MappingCone), k = -i for the {i = 0}
+S_t (kernel_rank_v and surgery.reduce_regions), k = -i for the {i = 0}
 column (cfk.column).  cfk._restrict restricts d to the column, a
-region or the strip; the cone writes d on its strips through
+region or the strip; the cone restricts d to its strips through
 surgery._key_table's integer keys.  Neither hfk_hat nor kernel_rank_v
 realizes a region: a level of HFK-hat is a level of the column, and
 the kernel of v on homology is the homology of the strip.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import re
 import sys
@@ -114,6 +113,7 @@ def result_document(result, input_desc, timing_ms, diagnostic=None):
 
 def parse_document(text):
     """Inverse of emission: fraction strings come back as Fractions."""
+    import json
     doc = json.loads(text)
     for rec in doc.get("spin_c", ()):
         rec["d"] = Fraction(rec["d"])
@@ -222,6 +222,7 @@ def _cmd_surgery(args):
     if spin is not None:
         records = tuple(r for r in records if r.index == spin)
     if args.json:
+        import json
         doc = result_document(result, input_desc, timing_ms, diag)
         if spin is not None:
             doc["spin_c"] = [rec for rec in doc["spin_c"]

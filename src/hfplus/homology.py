@@ -39,17 +39,20 @@ compacts the lists it is given to the residue, in place.  Each step
 applies its chain inverse iota to every map as it happens; pi is
 applied once, at the end, working back from the last pair.  It can carry
 the maps out of the complex that join it to the rest of a mapping
-cone.  Every pivot is a unit, so the reduction is exact over Z
-and keeps torsion.  It runs on the regions of a surgery cone and, as
-GradedComplex.cancel_units, on the cone itself: what is read from
-their homology needs nothing beyond U.
+cone, and incoming columns: the d and U of elements outside it that
+meet it, which are reduced along with it but never pivot and are
+never rows.  Every pivot is a unit, so the reduction is exact over Z
+and keeps torsion.  It runs on the regions and strips of a surgery
+cone and, as GradedComplex.cancel_units, on the cone itself: what is
+read from their homology needs nothing beyond U.
 
 A GradedComplex checks itself when built and again after cancel_units
 has shrunk it (_check), in one pass over its columns: for each column
 j, no zero is stored in d(j), d lowers the degree by one and U by two,
 and d(d j) = 0 and U(d j) = d(U j), each composite summed into one
 dict for j and then dropped.  That covers each region realization,
-each surgery cone as built and each cone residue.
+each strip of a surgery cone as built, each surgery cone as built and
+each cone residue.
 """
 
 from __future__ import annotations
@@ -438,9 +441,18 @@ def cancel_unit_pairs(degrees, boundary, u_action, carried=None):
     y - c (d(x) + f(x)).  Their entries are keys of the outside, which
     are left as they are.
 
+    Columns of boundary past the n = len(degrees) elements are
+    incoming: each is d of an element outside the complex that meets
+    it, with its U column and carried columns at the same index.  They
+    take every iota step and pi at the end, as carried maps do, but
+    never pivot and are never rows, so they come out as d, pi U iota
+    and f, g of that element over the residue.
+
     The lists degrees, boundary, u_action and the two of carried are
     compacted in place to the surviving elements, renumbered in index
-    order.  Returns keep, the surviving elements' old indices.
+    order, followed by the incoming columns.  Returns keep, the
+    surviving elements' old indices; when no pair is found that is
+    range(n) and every list is left as it was.
     """
     n = len(degrees)
     rows = _row_index(boundary, n)
@@ -469,34 +481,38 @@ def cancel_unit_pairs(degrees, boundary, u_action, carried=None):
                 _cancel_pair(boundary, rows, maps, x, y)
                 live[x] = live[y] = False
                 cancelled = True
+    if not pairs:
+        return list(range(n))
     keep = [x for x in range(n) if live[x]]
+    columns = keep + list(range(n, len(boundary)))
     if u_action is not None:
-        _project(live, pairs, keep, u_action, carried)
+        _project(live, pairs, columns, u_action, carried)
     new = {old: pos for pos, old in enumerate(keep)}
     degrees[:] = [degrees[j] for j in keep]
-    boundary[:] = [{new[i]: v for i, v in boundary[j].items()} for j in keep]
+    boundary[:] = [{new[i]: v for i, v in boundary[j].items()}
+                   for j in columns]
     if u_action is not None:
         u_action[:] = [{new[i]: v for i, v in u_action[j].items()}
-                       for j in keep]
+                       for j in columns]
     if carried is not None:
         for m in carried:
-            m[:] = [m[j] for j in keep]
+            m[:] = [m[j] for j in columns]
     return keep
 
 
-def _project(live, pairs, keep, u_action, carried):
-    """Apply pi to the U columns of keep, which hold U(iota j).
+def _project(live, pairs, columns, u_action, carried):
+    """Apply pi to the U columns of columns, which hold U(iota j).
 
     pi sends a survivor to itself, a cancelled x to 0 and a cancelled y
     to pi(y) = -c (d(x) + f(x) - c y), with d(x) and f(x) as they stood
     when y was cancelled.  d(x) meets only survivors and the y cancelled
     after it, so one forward pass over the pairs finds every y that the
-    columns of keep reach, and one reverse pass works out pi(y) for
-    those alone, each from terms already final.  The part of pi U iota j
-    outside the complex is added to g[j].
+    columns reach, and one reverse pass works out pi(y) for those alone,
+    each from terms already final.  The part of pi U iota j outside the
+    complex is added to g[j].
     """
     f, g = carried or (None, None)
-    need = {z for j in keep for z in u_action[j] if not live[z]}
+    need = {z for j in columns for z in u_action[j] if not live[z]}
     for x, y, dx in pairs:
         if y in need:
             need.update(z for z in dx if not live[z])
@@ -512,7 +528,7 @@ def _project(live, pairs, keep, u_action, carried):
             if z != y:
                 _image(live, pi, inside, outside, z, -c * v)
         pi[y] = inside, outside
-    for j in keep:
+    for j in columns:
         inside, outside = {}, {}
         for z, v in u_action[j].items():
             _image(live, pi, inside, outside, z, v)

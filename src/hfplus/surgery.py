@@ -26,7 +26,7 @@ is H(A_t) (compare Ni-Wu, arXiv:1009.4720).
 Every kept block is cut at one absolute cone degree top, at least
 acomplex.band_floor over the kept blocks plus two per tower level
 read, so the kept elements span a subcomplex whose homology is exact
-below the cut.  Of these only two pieces are built (MappingCone):
+below the cut.  Of these only residues are built (MappingCone):
 
 * the bottom block A_lo, its region's whole residue.  An hf_plus call
   cuts every cone whose bottom block is the same region at one degree
@@ -34,12 +34,16 @@ below the cut.  Of these only two pieces are built (MappingCone):
   reduces that region once by unit cancellation (reduce_regions),
   carrying its h column and the U terms into B_{lo+1} along as
   integer keys of B;
-* for every other A_s, t = t(s), the strip S_t = C{i < 0 <= j - t}:
-  v: A_s -> B is the quotient map, the identity on the copy of B
-  inside A_s, and its kernel is this finite subcomplex.  It lies
-  below the cut: top is at least 2 depth above off_B(s) + m - 2i, the
-  cone degree of each generator's first translate in the kept B_s,
-  and the strip's translates, at i <= -1 in A_s, lie below that.
+* for every other A_s, t = t(s), the residue of the strip
+  S_t = C{i < 0 <= j - t}: v: A_s -> B is the quotient map, the
+  identity on the copy of B inside A_s, and its kernel is this finite
+  subcomplex.  It lies below the cut: top is at least 2 depth above
+  off_B(s) + m - 2i, the cone degree of each generator's first
+  translate in the kept B_s, and the strip's translates, at i <= -1
+  in A_s, lie below that.  A strip does not depend on the cut, so an
+  hf_plus call builds and reduces each distinct S_t once, carrying h
+  out of each element, and d and U of each key of B that meets it,
+  as integer keys of B.
 
 Every element b of B_s is v(p), with coefficient 1, for the same key p
 in A_s's copy of B, and all these pairs are cancelled at once
@@ -50,22 +54,22 @@ subcomplex that still holds every element of degree <= top, so its
 homology is still exact below the cut, and every element of B_s is
 matched.  No element of degree <= top reaches one of the new pairs (d,
 v, h and U lower the degree), so no other column changes, and the
-cone holds no element of B at all.  An arrow
-out of a matched p goes to S_t, which is kept, to the copy of B in
-A_s, a matched source that contributes nothing, or through h to
-B_{s+1}; so every zigzag k -> b <- p -> b' <- p' ... moves s up by one
-at each step, the matching is acyclic, and each zigzag is one chain,
-since h sends a key to at most one key.  The reduced differential is
-D on the kept elements plus the sum over chains, with weight -1 for
-every step back up a matched pair and h's sign for every h step;
-U' = pi U iota adds, along each chain, U(p) where it falls into S_t.
-A step adds something only at a key whose d or U meets the strip, so
-each chain stops at the first key from which h can no longer reach
-such a key in a later block (MappingCone._join): the steps it skips
-add nothing, and the cone is the same.  B is never realized.  Each
-cone is the one complex checked, then shrunk in place by cancelling
-its remaining +-1 pairs (GradedComplex.cancel_units); the Smith normal
-form and the tower split run on that residue only.
+cone holds no element of B at all.  Each strip's own unit pairs are
+cancelled first; these are elementary reductions of the whole cone,
+since only S_t and the copy of B in A_s map into S_t, and d leaves S_t
+only through h.  After them an arrow out of a matched p goes to the
+strip's residue, to the copy of B in A_s (matched sources, which add
+nothing) or into B_{s+1}, so every zigzag k -> b <- p -> b' <- p' ...
+climbs one block per step, and the matching is acyclic.  The cone is
+the residues joined by the perturbed maps (the homological
+perturbation lemma; Crainic, arXiv:math/0403266), which
+MappingCone._join sums by sweeping frontiers of keys of B upward; a
+frontier drops a key from which h can no longer reach a key that
+meets a strip, as the steps it skips add nothing.  B is never
+realized.  Each cone is the one complex checked, then shrunk in place
+by cancelling any +-1 pairs left between its blocks
+(GradedComplex.cancel_units); the Smith normal form and the tower
+split run on that residue only.
 
 Grading bookkeeping happens in two separate steps, both exact:
 
@@ -232,8 +236,60 @@ def _key_table(source):
     return index, arrows, into, hop, back, in_b
 
 
+def _h_columns(keys, columns, t):
+    """h_t of each key in columns: {image key: sign}, or {} if j + k < t."""
+    hop = keys[3]
+    G, shift = len(hop), len(hop) * t
+    out = []
+    for key in columns:
+        sgn, off, floor = hop[key % G]
+        out.append({key + off - shift: sgn} if key >= floor + shift else {})
+    return out
+
+
+def _reduce_strip(source, keys, t):
+    """(ids, degrees, boundary, u_action, f, g, incoming) of S_t reduced.
+
+    The strip holds _strip_range's translates of each generator, with d
+    and U restricted to it, and is checked as built.  f holds h_t of
+    each element as keys of B, as a bottom region's carried columns do.
+    Every key p of B whose d or U meets the strip is an incoming column
+    (homology.cancel_unit_pairs): d(p) and U(p) restricted to the strip,
+    and f = h_t(p).  After unit cancellation the residue's columns are
+    d, U, f and g (pi U iota outside the strip) over the residue, and
+    incoming maps each such p to its own four.
+    """
+    _, arrows, into, _, _, _ = keys
+    gens = source.generators
+    G = len(gens)
+    strip, ids, degrees = {}, [], []
+    for n, g in enumerate(gens):
+        for k in _strip_range(g, t):
+            strip[n + G * k] = len(ids)
+            ids.append((g.name, k))
+            degrees.append(g.m + 2 * k)
+    hit = {key + off for key in strip for off in into[key % G]}
+    hit.update(key + G for key in strip)
+    incoming = [key for key in hit if key not in strip]
+    columns = [*strip, *incoming]
+    boundary = [{strip[key + off]: c for off, c in arrows[key % G]
+                 if key + off in strip} for key in columns]
+    u_action = [{strip[key - G]: 1} if key - G in strip else {}
+                for key in columns]
+    n = len(ids)
+    # the strip's one check
+    GradedComplex(degrees, boundary[:n], u_action[:n], labels=ids)
+    f, g = _h_columns(keys, columns, t), [{} for _ in columns]
+    keep = cancel_unit_pairs(degrees, boundary, u_action, (f, g))
+    r = len(keep)
+    return ([ids[j] for j in keep], degrees, boundary[:r], u_action[:r],
+            f[:r], g[:r],
+            dict(zip(incoming, zip(boundary[r:], u_action[r:], f[r:],
+                                   g[r:]))))
+
+
 def reduce_regions(source, descriptors):
-    """(shapes, residues, keys) of the cones of descriptors.
+    """(shapes, residues, strips, keys) of the cones of descriptors.
 
     shapes maps each descriptor to its kept blocks and the cone degree
     top they are cut at.  Every cone whose bottom block A_lo is the
@@ -248,8 +304,10 @@ def reduce_regions(source, descriptors):
     more than one A block, carried holds its h columns into B, keyed as
     in _key_table, and the U terms into B that the cancellation
     creates: nothing maps into A_lo, so this is a strong deformation
-    retract of the whole cone.  keys is _key_table(source), built once
-    for every such cone, or None when there is none.
+    retract of the whole cone.  strips maps each t of another kept A
+    block to its strip S_t, reduced once (_reduce_strip).  keys is
+    _key_table(source), built once for every cone with more than one A
+    block, or None when there is none.
     """
     if not source.graded:
         raise GradingError("surgery requires solved gradings")
@@ -257,12 +315,14 @@ def reduce_regions(source, descriptors):
     floors = {}
     shapes = {d: _cone_shape(source, d, knot_genus, floors)
               for d in descriptors}
-    cuts, joined = {}, set()
+    cuts, joined, ts = {}, set(), set()
     for blocks, top in shapes.values():
         _, region, offset = blocks[0]
         cuts[region] = max(cuts.get(region, top - offset), top - offset)
         if len(blocks) > 1:
             joined.add(region)
+            ts.update(r.params[0] for label, r, _ in blocks[1:]
+                      if label[0] == "A")
     shapes = {d: (blocks, cuts[blocks[0][1]] + blocks[0][2])
               for d, (blocks, _) in shapes.items()}
     keys = _key_table(source) if joined else None
@@ -272,22 +332,18 @@ def reduce_regions(source, descriptors):
         real.realization  # the region's one check
         carried = None
         if region in joined:
-            index, _, _, hop, _, _ = keys
+            index = keys[0]
             G = len(index)
-            shift = G * region.params[0]
-            h = []
-            for name, k in real.ids:
-                n = index[name]
-                sgn, off, floor = hop[n]
-                key = n + G * k
-                h.append({key + off - shift: sgn}
-                         if key >= floor + shift else {})
-            carried = (h, [{} for _ in h])
+            carried = (_h_columns(keys, [index[name] + G * k
+                                         for name, k in real.ids],
+                                  region.params[0]),
+                       [{} for _ in real.ids])
         keep = cancel_unit_pairs(real.degrees, real.boundary, real.u_action,
                                  carried)
         residues[region] = ([real.ids[j] for j in keep], real.degrees,
                             real.boundary, real.u_action, carried)
-    return shapes, residues, keys
+    strips = {t: _reduce_strip(source, keys, t) for t in sorted(ts)}
+    return shapes, residues, strips, keys
 
 
 class MappingCone:
@@ -298,23 +354,23 @@ class MappingCone:
     at cone degree ceiling + 1 = top, at least l + 2 depth with l from
     acomplex.band_floor over them, so the cone holds at least depth
     tower levels; n_a_summands and n_b_summands count them.  The bottom
-    block A_lo is its region's whole residue (reduce_regions).  Of
-    every other A_s only the strip S_t = C{i < 0 <= j - t}, t = t(s),
-    is built, whole (acomplex._strip_range), and no element of any B_s:
-    each is v of the same key of the copy of B inside A_s, and is
-    cancelled against it, also at degree top (see the module
-    docstring).  Labels are ("A", s, generator name, translate).  The
-    cone is the one GradedComplex built: its check that the total
-    differential squares to zero, commutes with U, and drops the
-    (offset) grading by exactly one on every component covers each
-    block too.  regions is what reduce_regions returned for a list of
-    descriptors that holds this one; without it, this one cone's bottom
-    region is reduced first, at this cone's own least cut.  chain_steps
-    counts the keys the Morse chains visited (_join).
+    block A_lo is its region's whole residue, and every other A_s is the
+    residue of its strip S_t, t = t(s), reduced whole (reduce_regions).
+    No element of any B_s is left: each is v of the same key of the
+    copy of B inside A_s, and is cancelled against it, also at degree
+    top (see the module docstring).  Labels are ("A", s, generator
+    name, translate).  The cone is the one GradedComplex built: its
+    check that the total differential squares to zero, commutes with
+    U, and drops the (offset) grading by exactly one on every component
+    covers the maps that join the residues.  regions is what
+    reduce_regions returned for a list of descriptors that holds this
+    one; without it, this one cone's regions and strips are reduced
+    first, at this cone's own least cut.  chain_steps counts the keys
+    the Morse chains visited (_join).
     """
 
     def __init__(self, source, descriptor, regions=None):
-        shapes, residues, keys = (
+        shapes, residues, strips, keys = (
             regions if regions is not None
             else reduce_regions(source, [descriptor]))
         self.source = source
@@ -328,92 +384,107 @@ class MappingCone:
         u_cols = [dict(col) for col in res_u]
         self.chain_steps = 0
         if rest:
-            self.chain_steps = self._join(rest, carried, keys, ids, degrees,
-                                          boundary, u_cols)
+            self.chain_steps = self._join(rest, carried, strips, keys, ids,
+                                          degrees, boundary, u_cols)
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
         self.n_a_summands = sum(label[0] == "A" for label, *_ in blocks)
         self.n_b_summands = len(blocks) - self.n_a_summands
 
-    def _join(self, rest, carried, keys, ids, degrees, boundary, u_cols):
-        """Append the strips of rest, cancelling all of B against A.
+    def _join(self, rest, carried, strips, keys, ids, degrees, boundary,
+              u_cols):
+        """Append the strip residues of rest, cancelling all of B against A.
 
-        walk(s, key, c, col, ucol) adds c times the Morse chain from the
-        key of A_s, in its strip or its copy of B: at each step it adds
-        d and U of the key in the strip, then follows h to B_{s+1} and,
-        with weight -1 (v has coefficient 1), back up to the same key
-        of A_{s+1}.  carried holds the bottom block's h and U columns
-        into B_{lo+1}, and keys is _key_table of the source, whose
-        integer keys they and the chains use.  Returns the number of
-        steps the chains took.
+        Each column leaves its block with f (its d) and g (its U) in
+        B_{s+1}, as keys of _key_table: the bottom residue's carried
+        columns, and each strip residue's own.  Cancelling b = v(p)
+        against the same key p of A_{s+1} (v has coefficient 1) turns a
+        term b of d or U into -b times the rest of d p, so f and g start
+        two frontiers of terms in B, the d frontier and the U frontier,
+        swept upward block by block.  A key with term b in S_t(s)'s
+        incoming table enters with c = -b: on the d frontier it adds c
+        times its reduced d to the column and c times its reduced U to
+        the U column, and passes c f and c g on as terms in B_{s+1}; on
+        the U frontier it adds c times its reduced d to the U column and
+        passes c f on.  Any other key meets no strip, so the rest of its
+        d is h_s of it alone, which it passes on.  Returns the number of
+        keys the frontiers visited.
 
-        A chain stops at the first key that is not live.  live[s] holds
-        the keys of A_s whose d or U meets the strip S_t(s) (read off
-        the strip through the transposed differential), and every key
-        that h_s sends into live[s + 1].  h_s lands in B, and on B
-        h_s^-1 (y, k) = (flip^-1 y, k + t(s)): validate requires the
-        flip to be an involution that swaps i and j.  A key outside
-        live[s] adds nothing at s and h_s moves it outside live[s + 1],
-        so no later step of its chain adds anything either, and the
-        cone is the same as with every chain walked to its end.
+        A frontier drops a key that is not live.  live[s] holds the keys
+        in S_t(s)'s incoming table, and every key that h_s sends into
+        live[s + 1].  h_s lands in B, and on B h_s^-1 (y, k) =
+        (flip^-1 y, k + t(s)): validate requires the flip to be an
+        involution that swaps i and j.  A key outside live[s] adds
+        nothing at s and h_s moves it outside live[s + 1], so no later
+        step adds anything for it either, and the cone is the same as
+        with every frontier swept to the top.
         """
-        gens = self.source.generators
-        G = len(gens)
-        _, arrows, into, hop, back, in_b = keys
-        strips, shifts = {}, {}
+        G = len(self.source.generators)
+        _, _, _, hop, back, in_b = keys
+        levels, sweeps = {}, []
         for label, region, offset in rest:
             if label[0] == "A":
                 s, t = label[1], region.params[0]
-                shifts[s] = G * t
-                strip = strips[s] = {}
-                for n, g in enumerate(gens):
-                    for k in _strip_range(g, t):
-                        strip[n + G * k] = len(ids)
-                        ids.append(label + (g.name, k))
-                        degrees.append(g.m + 2 * k + offset)
-        first, hi = min(strips), max(strips)
+                res_ids, res_degrees, res_d, res_u, f, g, table = strips[t]
+                base = len(ids)
+                levels[s] = G * t, base, table
+                ids.extend(label + key for key in res_ids)
+                degrees.extend(deg + offset for deg in res_degrees)
+                boundary.extend({base + i: c for i, c in col.items()}
+                                for col in res_d)
+                u_cols.extend({base + i: c for i, c in col.items()}
+                              for col in res_u)
+                sweeps.append((s + 1, f, g))
+        first, hi = min(levels), max(levels)
+        sweeps.insert(0, (first, *carried))
         live, after = {}, set()
         for s in range(hi, first - 1, -1):
-            hit = {key + off for key in strips[s] for off in into[key % G]}
-            hit.update(key + G for key in strips[s])
-            shift = shifts[s]
-            hit.update(key + back[key % G] + shift for key in after
-                       if key >= in_b[key % G])
-            live[s] = after = hit
+            shift, _, table = levels[s]
+            alive = set(table)
+            alive.update(key + back[key % G] + shift for key in after
+                         if key >= in_b[key % G])
+            live[s] = after = alive
 
-        def walk(s, key, c, col, ucol=None):
+        def sweep(s, d_terms, u_terms, col, ucol):
             steps = 0
-            while key in live[s]:
-                steps += 1
-                n = key % G
-                strip = strips[s]
-                for off, coefficient in arrows[n]:
-                    m = strip.get(key + off)
-                    if m is not None:
-                        _add(col, m, c * coefficient)
-                if ucol is not None:
-                    m = strip.get(key - G)
-                    if m is not None:
-                        _add(ucol, m, c)
-                sgn, off, floor = hop[n]
-                shift = shifts[s]
-                if s == hi or key < floor + shift:
-                    break
-                c, key, s = -c * sgn, key + off - shift, s + 1
+            while s <= hi and (d_terms or u_terms):
+                shift, base, table = levels[s]
+                alive = live[s]
+                d_up, u_up = {}, {}
+                for terms, out, up in ((d_terms, col, d_up),
+                                       (u_terms, ucol, u_up)):
+                    for key, b in terms.items():
+                        if key not in alive:
+                            continue
+                        steps += 1
+                        entry = table.get(key)
+                        if entry is None:
+                            sgn, off, floor = hop[key % G]
+                            if key >= floor + shift:
+                                _add(up, key + off - shift, -b * sgn)
+                            continue
+                        d_in, u_in, f_in, g_in = entry
+                        for i, v in d_in.items():
+                            _add(out, base + i, -b * v)
+                        for image, v in f_in.items():
+                            _add(up, image, -b * v)
+                        if up is d_up:
+                            for i, v in u_in.items():
+                                _add(ucol, base + i, -b * v)
+                            for image, v in g_in.items():
+                                _add(u_up, image, -b * v)
+                d_terms, u_terms = d_up, u_up
+                s += 1
             return steps
 
-        steps = 0
-        for h, u, col, ucol in zip(*carried, boundary, u_cols):
-            for key, c in h.items():
-                steps += walk(first, key, -c, col, ucol)
-            for key, c in u.items():
-                steps += walk(first, key, -c, ucol)
-        for s, strip in strips.items():
-            for key in strip:
-                boundary.append({})
-                u_cols.append({})
-                steps += walk(s, key, 1, boundary[-1], u_cols[-1])
+        steps, j = 0, 0
+        for s, fs, gs in sweeps:
+            alive = live.get(s, frozenset())
+            for f, g in zip(fs, gs):
+                if not (alive.isdisjoint(f) and alive.isdisjoint(g)):
+                    steps += sweep(s, f, g, boundary[j], u_cols[j])
+                j += 1
         return steps
 
 

@@ -11,7 +11,10 @@ the test ends:
   kernel ranks of U on it before and after (helpers.homology_profile).
   That covers a direct call through homology.cancel_unit_pairs,
   GradedComplex.cancel_units on a cone, and surgery.reduce_regions on
-  each bottom region.
+  each bottom region and each strip.  A call with incoming columns,
+  as each strip's is, is also compared, every list of it, with the
+  same pairs cancelled one whole step at a time
+  (helpers.reduce_step_by_step); homology._cancel_pair records them.
 
 Each raises AssertionError on a mismatch.  The acceptance sweep opts
 out (module marker no_self_check) so the full slope grid stays inside
@@ -19,13 +22,17 @@ its time budget; its correctness is covered by the independent oracles
 instead.
 """
 
+from copy import deepcopy
+
 import pytest
 
-from helpers import homology_profile, verify_snf
+from helpers import homology_profile, reduce_step_by_step, verify_snf
 from hfplus import homology, surgery
 from hfplus.homology import GradedComplex
 
 _cancel_unit_pairs = homology.cancel_unit_pairs
+_cancel_pair = homology._cancel_pair
+_PAIRS = []
 
 
 class _CheckedSnfWork(homology._SnfWork):
@@ -43,14 +50,36 @@ class _CheckedSnfWork(homology._SnfWork):
         return self
 
 
+def _recorded_cancel_pair(boundary, rows, maps, x, y):
+    _PAIRS.append((x, y))
+    _cancel_pair(boundary, rows, maps, x, y)
+
+
+def _profile(degrees, boundary, u_action):
+    """homology_profile of the complex, its incoming columns left out."""
+    n = len(degrees)
+    return homology_profile(GradedComplex(
+        degrees, boundary[:n], u_action and u_action[:n], check=False))
+
+
 def _checked_cancel_unit_pairs(degrees, boundary, u_action, carried=None):
-    """cancel_unit_pairs, raising if the homology or U on it changed."""
-    before = homology_profile(GradedComplex(degrees, boundary, u_action,
-                                            check=False))
+    """cancel_unit_pairs, raising if the homology or U on it changed.
+
+    With incoming columns it also raises unless every list is what the
+    recorded pairs leave when each step is applied in full.
+    """
+    given = (deepcopy((degrees, boundary, u_action, carried))
+             if len(boundary) > len(degrees) else None)
+    before = _profile(degrees, boundary, u_action)
+    _PAIRS.clear()
     keep = _cancel_unit_pairs(degrees, boundary, u_action, carried)
-    if homology_profile(GradedComplex(degrees, boundary, u_action,
-                                      check=False)) != before:
+    if _profile(degrees, boundary, u_action) != before:
         raise AssertionError("unit cancellation changed the homology")
+    f, g = carried if carried is not None else (None, None)
+    if given is not None and ((keep, degrees, boundary, u_action, f, g)
+                              != reduce_step_by_step(*given, _PAIRS)):
+        raise AssertionError("unit cancellation is not the step-by-step "
+                             "reduction")
     return keep
 
 
@@ -59,6 +88,7 @@ def _self_check(request, monkeypatch):
     if request.node.get_closest_marker("no_self_check"):
         return
     monkeypatch.setattr(homology, "_SnfWork", _CheckedSnfWork)
+    monkeypatch.setattr(homology, "_cancel_pair", _recorded_cancel_pair)
     for module in (homology, surgery):
         monkeypatch.setattr(module, "cancel_unit_pairs",
                             _checked_cancel_unit_pairs)

@@ -729,16 +729,18 @@ def reduce_step_by_step(degrees, boundary, u_action, carried, pairs):
     reduction, applied in full to every column left before the next:
     iota(a) = a - c d(a)_y x on d, U and the carried f and g, then the
     projection, x -> 0 and y -> y - c (d(x) + f(x)), on d and U, its
-    outside part going to g.  Nothing is deferred and no helper of
-    homology is called.  Returns (keep, degrees, boundary, u_action, f,
-    g), renumbered as cancel_unit_pairs leaves them; f and g are None
-    without carried, u_action is None without U.
+    outside part going to g.  The columns of boundary past len(degrees)
+    are incoming: they take every step too, and are never in a pair.
+    Nothing is deferred and no helper of homology is called.  Returns
+    (keep, degrees, boundary, u_action, f, g), renumbered as
+    cancel_unit_pairs leaves them, the incoming columns last; f and g
+    are None without carried, u_action is None without U.
     """
-    n = len(degrees)
-    f, g = carried if carried is not None else ([{}] * n, [{}] * n)
-    us = u_action if u_action is not None else [{}] * n
+    n, width = len(degrees), len(boundary)
+    f, g = carried if carried is not None else ([{}] * width, [{}] * width)
+    us = u_action if u_action is not None else [{}] * width
     cols = {j: [dict(boundary[j]), dict(us[j]), dict(f[j]), dict(g[j])]
-            for j in range(n)}
+            for j in range(width)}
 
     def axpy(dst, src, k):
         for i, v in src.items():
@@ -747,6 +749,7 @@ def reduce_step_by_step(degrees, boundary, u_action, carried, pairs):
                 del dst[i]
 
     for x, y in pairs:
+        assert x < n and y < n, (x, y)
         dx, ux, fx, gx = cols.pop(x)
         del cols[y]
         c = dx[y]
@@ -764,11 +767,12 @@ def reduce_step_by_step(degrees, boundary, u_action, carried, pairs):
             if uy:
                 axpy(u, rest, -c * uy)
                 axpy(ga, fx, -c * uy)
-    keep = sorted(cols)
+    keep = sorted(j for j in cols if j < n)
+    columns = keep + list(range(n, width))
     new = {old: pos for pos, old in enumerate(keep)}
-    out = [[{new[i]: v for i, v in cols[j][m].items()} for j in keep]
+    out = [[{new[i]: v for i, v in cols[j][m].items()} for j in columns]
            for m in (0, 1)]
-    out += [[cols[j][m] for j in keep] for m in (2, 3)]
+    out += [[cols[j][m] for j in columns] for m in (2, 3)]
     if u_action is None:
         out[1] = None
     if carried is None:

@@ -11,7 +11,11 @@ at every coprime p/q with p in -10..10 (p != 0, ascending) and q in
 the sha256 of repr(hf_plus(k, p, q).comparable()) over the sweep, each
 result's text fed in order; a result that raised feeds its exception's
 type and message instead.  A change that leaves every answer alone
-leaves all three lines as they were.  pytest does not collect this file.
+leaves these three lines as they were.  A fourth line gives the total
+number of elements of every cone as built (surgery.build_mapping_cone)
+over the sweep, before cancel_units; it measures the work, is no part
+of the answer digest, and may change when the answers do not.  pytest
+does not collect this file.
 """
 
 import hashlib
@@ -19,7 +23,7 @@ import random
 from math import gcd
 
 from helpers import random_knot, staircase, torsion_square, twisty
-from hfplus import BUILTIN_NAMES, builtin, hf_plus
+from hfplus import BUILTIN_NAMES, builtin, hf_plus, surgery
 
 
 def sweep_knots():
@@ -34,6 +38,15 @@ def sweep_knots():
 def main():
     digest = hashlib.sha256()
     results = errors = 0
+    built = []
+    build = surgery.build_mapping_cone
+
+    def counting(*args):
+        cone = build(*args)
+        built.append(cone.complex.n)
+        return cone
+
+    surgery.build_mapping_cone = counting
     for k in sweep_knots():
         for p in range(-10, 11):
             for q in range(1, 6):
@@ -49,6 +62,7 @@ def main():
     print(results)
     print(errors)
     print(digest.hexdigest())
+    print(sum(built))
 
 
 if __name__ == "__main__":

@@ -418,6 +418,25 @@ def test_the_cancellation_check_runs_on_cones_and_regions(monkeypatch):
     assert "reduce_regions" in [entry.name for entry in exc.traceback]
 
 
+def test_the_cancellation_check_runs_on_each_strip(monkeypatch):
+    # a step that also doubles every incoming column leaves the homology
+    # of each strip alone; the step-by-step comparison the check makes
+    # on every call with incoming columns catches it
+    step = homology._cancel_pair
+
+    def doubling(boundary, rows, *args):
+        step(boundary, rows, *args)
+        for col in boundary[len(rows):]:
+            for i in col:
+                col[i] *= 2
+
+    monkeypatch.setattr(homology, "_cancel_pair", doubling)
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    with pytest.raises(AssertionError, match="step-by-step") as exc:
+        hf_plus(staircase(3), 7, 3)
+    assert "_reduce_strip" in [entry.name for entry in exc.traceback]
+
+
 def test_the_snf_check_catches_a_wrong_elimination(monkeypatch):
     # the check conftest installs on _SnfWork runs on every elimination,
     # whether graded_homology or smith_normal_form asks for it: here each

@@ -178,13 +178,14 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
              (builtin("trefoil_right"), 5, 1)]
     joined = 0
     for k, p, q in cases:
-        tops = {}
+        tops, ts = {}, set()
         for i in range(p):
             desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
                                      TOWER_LEVELS)
             top = _band_floor(k, desc) + 2 * desc.depth
-            _, region, offset = _kept_blocks(k, desc)[0]
+            (_, region, offset), *rest = _kept_blocks(k, desc)
             tops[region] = max(tops.get(region, top - offset), top - offset)
+            ts.update(r.params[0] for label, r, _ in rest if label[0] == "A")
         calls = []
         checked = []
         cones = []
@@ -211,10 +212,11 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
             hf_plus(k, p, q)
         # one realization per distinct bottom region, at the largest top
         # any Spin^c structure's cone needs, and none of B; each checked
-        # once, and each of the p cones checked once when it is built
+        # once, each strip S_t checked once for each distinct t, and each
+        # of the p cones checked once when it is built
         assert len(calls) == len(tops) and dict(calls) == tops, (p, q)
         assert Region.min_i() not in tops
-        assert len(checked) == len(tops) + p, (p, q)
+        assert len(checked) == len(tops) + len(ts) + p, (p, q)
         # the bottom block lies in its region, every other A_s is
         # the strip S_t(s), and no element of any B_s is left
         for cone in cones:
@@ -236,10 +238,21 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
     assert joined >= 5
 
 
+def _residue_total(complex_, descriptor, regions):
+    """Elements of the cone's bottom residue and its strips' residues."""
+    _, residues, strips, _ = regions
+    (_, bottom, _), *rest = _kept_blocks(complex_, descriptor)
+    return len(residues[bottom][0]) + sum(
+        len(strips[region.params[0]][0])
+        for label, region, _ in rest if label[0] == "A")
+
+
 def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
-    # every realization holds _k_range's translates of each generator,
-    # and every A_s past the bottom block holds _strip_range's translates
-    # of S_t(s), whole: the strip lies 2 depth + 2 or more below top
+    # every realization holds _k_range's translates of each generator;
+    # every strip S_t is built with _strip_range's translates, whole,
+    # since it lies 2 depth + 2 or more below the top of each cone it is
+    # used in; and each cone is its bottom residue and the residues of
+    # its strips
     cases = [(builtin(name), p, q) for name in BUILTIN_NAMES
              for p, q in GRID]
     cases += [(staircase(g), p, q) for g in range(2, 9)
@@ -247,46 +260,82 @@ def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
     rng = random.Random(11)
     cases += [(random_knot(rng, 2), p, q) for _ in range(4)
               for p, q in ((1, 1), (7, 3), (2, 5))]
-    realized, strips = [], []
+    realized, strips, built = [], [], []
 
     def counting(complex_, region, top):
         real = realize(complex_, region, top)
         realized.append((complex_, region, top, len(real.ids)))
         return real
 
-    def building(complex_, descriptor, regions=None):
+    def checking(degrees, boundary, u_action, labels, **kwargs):
+        if labels and len(labels[0]) == 2:  # a strip's (name, k) labels
+            strips.append(labels)
+        return GradedComplex(degrees, boundary, u_action, labels, **kwargs)
+
+    def building(complex_, descriptor, regions):
         cone = build_mapping_cone(complex_, descriptor, regions)
-        top = cone.ceiling + 1
-        for label, region, _ in _kept_blocks(complex_, descriptor)[1:]:
+        gen = complex_.by_name
+        # the first translate of a generator in S_t is k = t - j
+        by_t = {min(k + gen[name].j for name, k in labels): labels
+                for labels in strips}
+        for label, region, offset in _kept_blocks(complex_,
+                                                  descriptor)[1:]:
             if label[0] == "A":
-                degrees = [degree for lab, degree
-                           in zip(cone.ids, cone.complex.degrees)
-                           if lab[:2] == label]
-                rule = sum(len(acomplex._strip_range(g, region.params[0]))
-                           for g in complex_.generators)
-                assert len(degrees) == rule, (complex_.name, descriptor)
-                assert max(degrees) + 2 * descriptor.depth + 2 <= top
-                strips.append(rule)
+                t = region.params[0]
+                labels = by_t[t]
+                assert sorted(labels) == sorted(
+                    (g.name, k) for g in complex_.generators
+                    for k in acomplex._strip_range(g, t)), (
+                        complex_.name, descriptor, t)
+                assert (max(gen[name].m + 2 * k + offset
+                            for name, k in labels)
+                        + 2 * descriptor.depth + 2 <= cone.ceiling + 1)
+                built.append(len(labels))
+        assert (cone.complex.n
+                == _residue_total(complex_, descriptor, regions)), (
+                    complex_.name, descriptor)
         return cone
 
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     monkeypatch.setattr(surgery, "realize", counting)
+    monkeypatch.setattr(surgery, "GradedComplex", checking)
     monkeypatch.setattr(surgery, "build_mapping_cone", building)
     for k, p, q in cases:
+        strips.clear()
         hf_plus(k, p, q)
     for k, region, top, size in realized:
         assert size == sum(len(acomplex._k_range(g, region, top))
                            for g in k.generators), (k.name, region, top)
-    assert len(realized) > len(cases) and sum(strips) > 1000
+    assert len(realized) > len(cases) and sum(built) > 1000
 
 
-# Chain steps the cones of staircase(5) at 7/3 take when every Morse
-# chain is walked to its end, with no stop at the first key that can no
-# longer reach a strip: the sum of chain_steps over the seven cones of
-# hf_plus(staircase(5), 7, 3) with the loop in MappingCone._join's walk
-# made unconditional, so that each chain stops only at the top block or
-# where h is zero.
-UNPRUNED_STEPS = 905
+def test_a_large_cone_is_its_residues(monkeypatch):
+    # T(2,41) at 1/4 has one cone; built with whole strips it held
+    # 41,886 elements, and as the residues of its bottom region and its
+    # strips it holds 1,606
+    k = staircase(20)
+    sizes = []
+
+    def building(complex_, descriptor, regions):
+        cone = build_mapping_cone(complex_, descriptor, regions)
+        assert (cone.complex.n
+                == _residue_total(complex_, descriptor, regions))
+        sizes.append(cone.complex.n)
+        return cone
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "build_mapping_cone", building)
+    hf_plus(k, 1, 4)
+    assert len(sizes) == 1 and sizes[0] < 2000, sizes
+
+
+# Chain steps the cones of staircase(5) at 7/3 take when every frontier
+# is swept to its end, keeping the keys that can no longer reach a
+# strip: the sum of chain_steps over the seven cones of
+# hf_plus(staircase(5), 7, 3) with the live test in MappingCone._join's
+# sweep removed, so that each frontier stops only at the top block or
+# where it is empty.
+UNPRUNED_STEPS = 534
 
 
 def test_chains_stop_once_no_strip_is_reachable(monkeypatch):
@@ -388,10 +437,17 @@ def test_cone_joins_are_the_v_and_h_maps():
         assert joins == 2 * (len(a_positions) - 1) == 8, kept
 
 
-def _cancel_matched_pairs(cone, pairs):
-    """The cone's columns, by label, after cancelling exactly pairs."""
+def _cancel_matched_pairs(cone, units, pairs):
+    """The cone's columns, by label, after cancelling units, then pairs.
+
+    Each of units has a +-1 entry when it is cancelled, and each of
+    pairs an entry 1.
+    """
     boundary = [dict(col) for col in cone.complex.boundary]
     rows = homology._row_index(boundary, len(boundary))
+    for x, y in units:
+        assert boundary[x][y] in (1, -1)
+        homology._cancel_pair(boundary, rows, [], x, y)
     for x, y in pairs:
         assert boundary[x][y] == 1
         homology._cancel_pair(boundary, rows, [], x, y)
@@ -417,13 +473,36 @@ def _profile_to(gc, ceiling):
 def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
     # with the bottom block left unreduced, the cone's columns are those
     # of the unreduced cone of the kept blocks after cancelling exactly
-    # the pairs (p, v(p)): every key p of the copy of B inside A_s,
-    # s > lo, below the top, against the same key of B_s; less the
-    # columns of the elements of B_s at the top, which nothing maps
-    # into; and U agrees on homology up to the ceiling
-    monkeypatch.setattr(surgery, "cancel_unit_pairs",
-                        lambda degrees, *rest: list(range(len(degrees))))
-    joined = dropped = 0
+    # the pairs that each strip S_t(s) cancelled when it was reduced, in
+    # A_s, and then the pairs (p, v(p)): every key p of the copy of B
+    # inside A_s, s > lo, below the top, against the same key of B_s;
+    # less the columns of the elements of B_s at the top, which nothing
+    # maps into; and U agrees on homology up to the ceiling
+    step, cancel = homology._cancel_pair, homology.cancel_unit_pairs
+    strip_labels, strip_pairs, recording = [], {}, []
+
+    def checking(*args, labels=None, **kwargs):
+        strip_labels[:] = labels or ()
+        return GradedComplex(*args, labels=labels, **kwargs)
+
+    def recorded(boundary, rows, maps, x, y):
+        recording.append((x, y))
+        step(boundary, rows, maps, x, y)
+
+    def reducing(degrees, boundary, u_action, carried=None):
+        if len(boundary) == len(degrees):  # a bottom region stays whole
+            return list(range(len(degrees)))
+        ids = list(strip_labels)  # the strip's, checked just before
+        recording.clear()
+        keep = cancel(degrees, boundary, u_action, carried)
+        strip_pairs[frozenset(ids)] = [(ids[x], ids[y])
+                                       for x, y in recording]
+        return keep
+
+    monkeypatch.setattr(surgery, "GradedComplex", checking)
+    monkeypatch.setattr(homology, "_cancel_pair", recorded)
+    monkeypatch.setattr(surgery, "cancel_unit_pairs", reducing)
+    joined = dropped = units_cancelled = 0
     for k in CHAIN_CASES:
         for p, q in [(1, 1), (2, 1), (5, 2), (7, 3), (1, 5), (2, 7)]:
             for i in range(p):
@@ -433,10 +512,21 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
                 if len(_kept_blocks(k, desc)) == 1:
                     continue
                 joined += 1
+                strip_pairs.clear()
                 cone = build_mapping_cone(k, desc)
                 kept = ReferenceCone(k, desc, kept=True)
                 assert cone.ceiling == kept.ceiling
                 index = {label: n for n, label in enumerate(kept.ids)}
+                units = []
+                for label, region, _ in _kept_blocks(k, desc)[1:]:
+                    if label[0] == "A":
+                        strip = frozenset(
+                            (g.name, n) for g in k.generators
+                            for n in acomplex._strip_range(
+                                g, region.params[0]))
+                        units += [(index[label + x], index[label + y])
+                                  for x, y in strip_pairs[strip]]
+                units_cancelled += len(units)
                 pairs = [(index[("A",) + label[1:]], n)
                          for n, label in enumerate(kept.ids)
                          if label[0] == "B"
@@ -445,7 +535,7 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
                        in zip(kept.ids, kept.complex.degrees)
                        if label[0] == "B" and degree == kept.ceiling + 1}
                 dropped += len(top)
-                cancelled = _cancel_matched_pairs(kept, pairs)
+                cancelled = _cancel_matched_pairs(kept, units, pairs)
                 assert not any(top & col.keys()
                                for col in cancelled.values()), (
                                    k.name, p, q, i)
@@ -459,7 +549,7 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
                 assert (_profile_to(cone.complex, cone.ceiling)
                         == _profile_to(kept.complex, cone.ceiling)), (
                             k.name, p, q, i)
-    assert joined >= 50 and dropped
+    assert joined >= 50 and dropped and units_cancelled
 
 
 @pytest.mark.no_self_check
@@ -978,9 +1068,10 @@ STEP_CASES = ([(builtin(name), p, q) for name in BUILTIN_NAMES
 @pytest.mark.no_self_check
 def test_unit_cancellation_is_the_step_by_step_reduction(monkeypatch):
     # every cancel_unit_pairs that hf_plus makes, on each bottom region
-    # with its carried h columns and on each cone, leaves exactly what
-    # its pairs leave when each step is applied in full, pi and iota,
-    # to d, U, f and g before the next (helpers.reduce_step_by_step)
+    # with its carried h columns, on each strip with its carried and
+    # incoming columns, and on each cone, leaves exactly what its pairs
+    # leave when each step is applied in full, pi and iota, to d, U, f
+    # and g before the next (helpers.reduce_step_by_step)
     pairs = []
     step, cancel = homology._cancel_pair, homology.cancel_unit_pairs
 
@@ -988,7 +1079,7 @@ def test_unit_cancellation_is_the_step_by_step_reduction(monkeypatch):
         pairs.append((x, y))
         step(boundary, rows, maps, x, y)
 
-    seen = {"regions": 0, "carried": 0, "cones": 0}
+    seen = {"regions": 0, "carried": 0, "strips": 0, "cones": 0}
 
     def checked(degrees, boundary, u_action, carried=None):
         given = deepcopy((degrees, boundary, u_action, carried))
@@ -999,17 +1090,20 @@ def test_unit_cancellation_is_the_step_by_step_reduction(monkeypatch):
                 == reduce_step_by_step(*given, pairs))
         return keep
 
-    def in_regions(*args):
-        seen["regions"] += 1
-        seen["carried"] += len(args) > 3 and args[3] is not None
-        return checked(*args)
+    def in_surgery(degrees, boundary, u_action, carried=None):
+        if len(boundary) > len(degrees):
+            seen["strips"] += 1
+        else:
+            seen["regions"] += 1
+            seen["carried"] += carried is not None
+        return checked(degrees, boundary, u_action, carried)
 
     def in_cones(*args):
         seen["cones"] += 1
         return checked(*args)
 
     monkeypatch.setattr(homology, "_cancel_pair", recorded)
-    monkeypatch.setattr(surgery, "cancel_unit_pairs", in_regions)
+    monkeypatch.setattr(surgery, "cancel_unit_pairs", in_surgery)
     monkeypatch.setattr(homology, "cancel_unit_pairs", in_cones)
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     for k, p, q in STEP_CASES:
@@ -1023,7 +1117,7 @@ def test_unit_cancellation_is_the_step_by_step_reduction(monkeypatch):
                                      TOWER_LEVELS)
             ReferenceCone(k, desc).complex.cancel_units()
     assert seen["carried"] and seen["regions"] > seen["carried"], seen
-    assert seen["cones"] >= len(STEP_CASES), seen
+    assert seen["strips"] and seen["cones"] >= len(STEP_CASES), seen
 
 
 def test_torsion_goes_through_the_cone():
@@ -1100,10 +1194,12 @@ def test_cone_homology_reads_the_cancelled_cone_itself(monkeypatch):
 
     monkeypatch.setattr(surgery, "build_mapping_cone", build)
     monkeypatch.setattr(surgery, "graded_homology", homology)
-    # a cone that keeps B blocks, so joining leaves pairs to cancel
-    k = staircase(5)
-    desc = SurgeryDescriptor(7, 3, 0, sigma=2, depth=12)
-    assert len(_kept_blocks(k, desc)) == 7
+    # a cone whose residues are joined by a +-1 entry, so that
+    # cancel_units still shrinks it
+    k = random_knot(random.Random(0), 4)
+    desc = SurgeryDescriptor(2, 1, 0, truncation_sigma(k, 2, 1, 0),
+                             TOWER_LEVELS)
+    assert len(_kept_blocks(k, desc)) == 5
     surgery._cone_data(k, desc)
     ((cone_complex, n_built),) = built
     ((read_complex, n_read),) = read

@@ -39,12 +39,13 @@ the kernel of v on homology is the homology of the strip.
 
 Realizations and homology groups are built anew on every call and
 never cached; genus and kernel_rank_v keep their results in cfk's memo.
+Only what graded_homology reads here is checked (GradedComplex): a
+realization is a subquotient of a complex that require_valid checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .cfk import _restrict, column, flip_chain_sign, memoized
 from .errors import FlipMissingError, GradingError, InvalidComplexError
@@ -96,8 +97,7 @@ class RealizedRegion:
     region is upward closed, so keeping its translates of degree <= top
     keeps a subcomplex, and ceiling = top - 1 bounds the degrees in
     which homology of the realization agrees with the untruncated
-    region.  The checked GradedComplex realization is built on first
-    use.
+    region.  The lists are not checked (see the module docstring).
     """
 
     def __init__(self, source, region, top):
@@ -117,11 +117,6 @@ class RealizedRegion:
         for name, k in ids:
             uid = id_of.get((name, k - 1))
             u_action.append({uid: 1} if uid is not None else {})
-
-    @cached_property
-    def realization(self):
-        return GradedComplex(self.degrees, self.boundary, self.u_action,
-                             labels=self.ids)
 
     def __repr__(self):
         return (f"RealizedRegion({self.source.name or '?'}, "

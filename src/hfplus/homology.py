@@ -46,13 +46,13 @@ and keeps torsion.  It runs on the regions and strips of a surgery
 cone and, as GradedComplex.cancel_units, on the cone itself: what is
 read from their homology needs nothing beyond U.
 
-A GradedComplex checks itself when built and again after cancel_units
-has shrunk it (_check), in one pass over its columns: for each column
-j, no zero is stored in d(j), d lowers the degree by one and U by two,
-and d(d j) = 0 and U(d j) = d(U j), each composite summed into one
-dict for j and then dropped.  That covers each region realization,
-each strip of a surgery cone as built, each surgery cone as built and
-each cone residue.
+A GradedComplex checks itself when built (_check), in one pass over
+its columns: for each column j, no zero is stored in d(j), d lowers
+the degree by one and U by two, and d(d j) = 0 and U(d j) = d(U j),
+each composite summed into one dict for j and then dropped.  In a
+surgery call that is each assembled cone.  Its regions and strips
+(subquotients of a complex cfk.require_valid checks) and every residue
+cancel_unit_pairs leaves (exact reductions) are not checked again.
 """
 
 from __future__ import annotations
@@ -346,15 +346,13 @@ class GradedComplex:
     present) drops it by 2 and commutes with the boundary.
     """
 
-    def __init__(self, degrees, boundary, u_action=None, labels=None,
-                 check=True):
+    def __init__(self, degrees, boundary, u_action=None, labels=None):
         self.degrees = list(degrees)
         self.boundary = boundary
         self.u_action = u_action
         self.labels = labels
         self._index()
-        if check:
-            self._check()
+        self._check()
 
     def _index(self):
         self.n = len(self.degrees)
@@ -403,18 +401,14 @@ class GradedComplex:
         """Shrink to a homotopy-equivalent residue by cancelling unit pairs.
 
         cancel_unit_pairs does the cancelling and compacts the lists in
-        place (the same object, its lists edited); the labels follow and
-        the residue is re-checked.  When nothing was cancelled every
-        list holds what it held, so the check made at construction still
-        holds.
+        place (the same object, its lists edited); the labels follow.
+        The residue is not checked again: each step is an exact
+        elementary reduction of the complex checked at construction.
         """
         keep = cancel_unit_pairs(self.degrees, self.boundary, self.u_action)
-        if len(keep) == self.n:
-            return
         if self.labels is not None:
             self.labels[:] = [self.labels[j] for j in keep]
         self._index()
-        self._check()
 
 
 def cancel_unit_pairs(degrees, boundary, u_action, carried=None):

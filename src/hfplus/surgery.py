@@ -66,8 +66,9 @@ perturbation lemma; Crainic, arXiv:math/0403266), which
 MappingCone._join sums by sweeping frontiers of keys of B upward; a
 frontier drops a key from which h can no longer reach a key that
 meets a strip, as the steps it skips add nothing.  B is never
-realized.  Each cone is the one complex checked, then shrunk in place
-by cancelling any +-1 pairs left between its blocks
+realized.  Each cone is the one complex checked (its regions and
+strips are subquotients of a source require_valid checks), then shrunk
+in place by cancelling any +-1 pairs left between its blocks
 (GradedComplex.cancel_units); the Smith normal form and the tower
 split run on that residue only.
 
@@ -251,8 +252,9 @@ def _reduce_strip(source, keys, t):
     """(ids, degrees, boundary, u_action, f, g, incoming) of S_t reduced.
 
     The strip holds _strip_range's translates of each generator, with d
-    and U restricted to it, and is checked as built.  f holds h_t of
-    each element as keys of B, as a bottom region's carried columns do.
+    and U restricted to it, unchecked (require_valid checks the source).
+    f holds h_t of each element as keys of B, as a bottom region's
+    carried columns do.
     Every key p of B whose d or U meets the strip is an incoming column
     (homology.cancel_unit_pairs): d(p) and U(p) restricted to the strip,
     and f = h_t(p).  After unit cancellation the residue's columns are
@@ -276,9 +278,6 @@ def _reduce_strip(source, keys, t):
                  if key + off in strip} for key in columns]
     u_action = [{strip[key - G]: 1} if key - G in strip else {}
                 for key in columns]
-    n = len(ids)
-    # the strip's one check
-    GradedComplex(degrees, boundary[:n], u_action[:n], labels=ids)
     f, g = _h_columns(keys, columns, t), [{} for _ in columns]
     keep = cancel_unit_pairs(degrees, boundary, u_action, (f, g))
     r = len(keep)
@@ -298,7 +297,7 @@ def reduce_regions(source, descriptors):
     l + 2 depth and it holds at least depth tower levels
     (acomplex.band_floor).  residues maps that region to its residue
     (ids, degrees, boundary, u_action, carried): the region is realized
-    once at its cut, checked once and reduced by cancel_unit_pairs, and
+    once at its cut, unchecked, and reduced by cancel_unit_pairs, and
     is then the whole bottom block of each of those cones; no other
     block is realized.  When the region is the bottom of a cone with
     more than one A block, carried holds its h columns into B, keyed as
@@ -307,7 +306,7 @@ def reduce_regions(source, descriptors):
     retract of the whole cone.  strips maps each t of another kept A
     block to its strip S_t, reduced once (_reduce_strip).  keys is
     _key_table(source), built once for every cone with more than one A
-    block, or None when there is none.
+    block, or None when there is none.  source must pass require_valid.
     """
     if not source.graded:
         raise GradingError("surgery requires solved gradings")
@@ -329,7 +328,6 @@ def reduce_regions(source, descriptors):
     residues = {}
     for region, cut in cuts.items():
         real = realize(source, region, cut)
-        real.realization  # the region's one check
         carried = None
         if region in joined:
             index = keys[0]
@@ -359,14 +357,15 @@ class MappingCone:
     No element of any B_s is left: each is v of the same key of the
     copy of B inside A_s, and is cancelled against it, also at degree
     top (see the module docstring).  Labels are ("A", s, generator
-    name, translate).  The cone is the one GradedComplex built: its
-    check that the total differential squares to zero, commutes with
-    U, and drops the (offset) grading by exactly one on every component
-    covers the maps that join the residues.  regions is what
-    reduce_regions returned for a list of descriptors that holds this
-    one; without it, this one cone's regions and strips are reduced
-    first, at this cone's own least cut.  chain_steps counts the keys
-    the Morse chains visited (_join).
+    name, translate).  The source must pass require_valid, as hf_plus
+    ensures.  The cone is the one GradedComplex built: its check that
+    the total differential squares to zero, commutes with U, and drops
+    the (offset) grading by exactly one on every component is the
+    library's one check on the maps that join the residues.  regions is
+    what reduce_regions returned for a list of descriptors that holds
+    this one; without it, this one cone's regions and strips are
+    reduced first, at this cone's own least cut.  chain_steps counts the
+    keys the Morse chains visited (_join).
     """
 
     def __init__(self, source, descriptor, regions=None):
@@ -489,6 +488,7 @@ class MappingCone:
 
 
 def build_mapping_cone(complex_, descriptor, regions=None):
+    """MappingCone; complex_ must pass require_valid, as in hf_plus."""
     return MappingCone(complex_, descriptor, regions)
 
 

@@ -1,34 +1,47 @@
 """Checks installed on every unit test, and the acceptance summary.
 
-The autouse fixture installs two checks with monkeypatch, undone when
-the test ends:
+Two autouse fixtures install these checks with monkeypatch.  For the
+whole session, so in module fixtures such as the acceptance sweep's
+grid and in tests marked no_self_check too (_structure_check):
+
+- cancel_unit_pairs, as homology and surgery each name it, builds a
+  checked GradedComplex (helpers.checked_complex) of the residue it
+  leaves when it cancelled anything, incoming columns left out, and as
+  surgery names it of the complex it is given as well.  Every region
+  and every strip of a surgery cone goes through
+  surgery.cancel_unit_pairs right after it is built
+  (surgery.reduce_regions), and every cone residue comes out of
+  homology.cancel_unit_pairs (GradedComplex.cancel_units, on a cone
+  checked when built).  The library checks none of these; this is
+  where a bug in cfk._restrict, surgery._key_table or the cancellation
+  shows.  A child interpreter a test starts has none of it.
+
+On every test not marked no_self_check, undone when it ends
+(_self_check):
 
 - homology._SnfWork becomes _CheckedSnfWork, which tracks L and R on
   every elimination and, after run, checks L * M * R == D and that L
   and R are unimodular (helpers.verify_snf);
-- cancel_unit_pairs, as homology and surgery each name it, becomes
-  _checked_cancel_unit_pairs, which compares the homology and the
-  kernel ranks of U on it before and after (helpers.homology_profile).
-  That covers a direct call through homology.cancel_unit_pairs,
-  GradedComplex.cancel_units on a cone, and surgery.reduce_regions on
-  each bottom region and each strip.  A call with incoming columns,
-  as each strip's is, is also compared, every list of it, with the
-  same pairs cancelled one whole step at a time
-  (helpers.reduce_step_by_step); homology._cancel_pair records them.
+- cancel_unit_pairs also compares the homology and the kernel ranks of
+  U on it before and after (helpers.homology_profile, on the checked
+  complexes above).  A call with incoming columns, as each strip's is,
+  is also compared, every list of it, with the same pairs cancelled
+  one whole step at a time (helpers.reduce_step_by_step);
+  homology._cancel_pair records them.
 
-Each raises AssertionError on a mismatch.  The acceptance sweep opts
-out (module marker no_self_check) so the full slope grid stays inside
-its time budget; its correctness is covered by the independent oracles
-instead.
+The structural check raises ValueError, the others AssertionError.
+The acceptance sweep opts out of the second group (module marker
+no_self_check) so the full slope grid stays inside its time budget;
+its correctness is covered by the independent oracles instead.
 """
 
 from copy import deepcopy
 
 import pytest
 
-from helpers import homology_profile, reduce_step_by_step, verify_snf
+from helpers import (checked_complex, homology_profile, reduce_step_by_step,
+                     verify_snf)
 from hfplus import homology, surgery
-from hfplus.homology import GradedComplex
 
 _cancel_unit_pairs = homology.cancel_unit_pairs
 _cancel_pair = homology._cancel_pair
@@ -55,25 +68,38 @@ def _recorded_cancel_pair(boundary, rows, maps, x, y):
     _cancel_pair(boundary, rows, maps, x, y)
 
 
-def _profile(degrees, boundary, u_action):
-    """homology_profile of the complex, its incoming columns left out."""
+def _residue_checked_cancel_unit_pairs(degrees, boundary, u_action,
+                                       carried=None):
+    """cancel_unit_pairs, checking the residue when it cancelled a pair."""
     n = len(degrees)
-    return homology_profile(GradedComplex(
-        degrees, boundary[:n], u_action and u_action[:n], check=False))
+    keep = _cancel_unit_pairs(degrees, boundary, u_action, carried)
+    if len(keep) < n:
+        checked_complex(degrees, boundary, u_action)
+    return keep
+
+
+def _structure_checked_cancel_unit_pairs(degrees, boundary, u_action,
+                                        carried=None):
+    """cancel_unit_pairs, checking the complex given and the residue."""
+    checked_complex(degrees, boundary, u_action)
+    return _residue_checked_cancel_unit_pairs(degrees, boundary, u_action,
+                                              carried)
 
 
 def _checked_cancel_unit_pairs(degrees, boundary, u_action, carried=None):
     """cancel_unit_pairs, raising if the homology or U on it changed.
 
-    With incoming columns it also raises unless every list is what the
-    recorded pairs leave when each step is applied in full.
+    Both profiles are read off checked complexes.  With incoming
+    columns it also raises unless every list is what the recorded pairs
+    leave when each step is applied in full.
     """
     given = (deepcopy((degrees, boundary, u_action, carried))
              if len(boundary) > len(degrees) else None)
-    before = _profile(degrees, boundary, u_action)
+    before = homology_profile(checked_complex(degrees, boundary, u_action))
     _PAIRS.clear()
     keep = _cancel_unit_pairs(degrees, boundary, u_action, carried)
-    if _profile(degrees, boundary, u_action) != before:
+    if (homology_profile(checked_complex(degrees, boundary, u_action))
+            != before):
         raise AssertionError("unit cancellation changed the homology")
     f, g = carried if carried is not None else (None, None)
     if given is not None and ((keep, degrees, boundary, u_action, f, g)
@@ -81,6 +107,16 @@ def _checked_cancel_unit_pairs(degrees, boundary, u_action, carried=None):
         raise AssertionError("unit cancellation is not the step-by-step "
                              "reduction")
     return keep
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _structure_check():
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(homology, "cancel_unit_pairs",
+                  _residue_checked_cancel_unit_pairs)
+        m.setattr(surgery, "cancel_unit_pairs",
+                  _structure_checked_cancel_unit_pairs)
+        yield
 
 
 @pytest.fixture(autouse=True)
@@ -96,7 +132,8 @@ def _self_check(request, monkeypatch):
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "no_self_check: skip redundant internal verification")
+        "markers", "no_self_check: skip the SNF and homology-profile "
+        "checks; the structural check still runs")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

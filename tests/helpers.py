@@ -15,12 +15,16 @@ applied one whole step at a time (the reference cancel_unit_pairs is
 compared with), the tower bottom of C{i >= 0} read through a
 realization (how gradings were normalized before grading_solve read
 the {i = 0} column), and the environment for child interpreters.  The
-checks conftest installs on every unit test read from here too: that a
-finished Smith normal form satisfies L * M * R == D with unimodular L
-and R (verify_snf), and the homology with the kernel ranks of U on it
-that unit cancellation must keep (homology_profile).  The
-acceptance registry at the bottom is filled by test_acceptance.py and
-printed by the conftest terminal-summary hook.
+checks conftest installs read from here too: that a finished Smith
+normal form satisfies L * M * R == D with unimodular L and R
+(verify_snf), the homology with the kernel ranks of U on it that unit
+cancellation must keep (homology_profile), and the structural check
+of every complex unit cancellation is given and leaves
+(checked_complex).  realization is a RealizedRegion as a checked
+GradedComplex (the library keeps only its lists), and library_checks
+records the checks the library makes itself.  The acceptance registry
+at the bottom is filled by test_acceptance.py and printed by the
+conftest terminal-summary hook.
 """
 
 import os
@@ -28,7 +32,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import hfplus
-from hfplus import surgery
+from hfplus import homology, surgery
 from hfplus.acomplex import band_floor, genus, realize, signed_flip
 from hfplus.cfk import Generator, KnotComplex, Region, grading_solve
 from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
@@ -541,8 +545,56 @@ class InducedMap:
         return set(tsupport) <= {d + self.shift for d in degs}
 
 
+def realization(realized):
+    """The RealizedRegion as a checked GradedComplex on its own lists."""
+    return GradedComplex(realized.degrees, realized.boundary,
+                         realized.u_action, labels=realized.ids)
+
+
+def checked_complex(degrees, boundary, u_action):
+    """A checked GradedComplex of the complex, incoming columns left out.
+
+    cancel_unit_pairs reads the columns of boundary and u_action past
+    len(degrees) as incoming: d and U of elements outside the complex.
+    """
+    n = len(degrees)
+    return GradedComplex(degrees, boundary[:n], u_action and u_action[:n])
+
+
+def library_checks(monkeypatch):
+    """The complexes the library checks from now on, in order.
+
+    Records each GradedComplex._check made outside cancel_unit_pairs
+    (as homology and surgery name it).  That function checks nothing
+    itself, so what runs inside it is the check tests/conftest.py
+    installs there, which is left out.
+    """
+    checked, inside = [], []
+    check = GradedComplex._check
+
+    def counting(self):
+        if not inside:
+            checked.append(self)
+        check(self)
+
+    def marking(cancel):
+        def cancelling(*args):
+            inside.append(True)
+            try:
+                return cancel(*args)
+            finally:
+                inside.pop()
+        return cancelling
+
+    monkeypatch.setattr(GradedComplex, "_check", counting)
+    for module in (homology, surgery):
+        monkeypatch.setattr(module, "cancel_unit_pairs",
+                            marking(module.cancel_unit_pairs))
+    return checked
+
+
 def _homology(realized):
-    return graded_homology(realized.realization, ceiling=realized.ceiling)
+    return graded_homology(realization(realized), ceiling=realized.ceiling)
 
 
 def region_homology(k, region, top):
@@ -585,13 +637,13 @@ def _a_and_b(k, s, top, b_top):
 
 
 def _v_map(src, tgt):
-    return ChainMap(src.realization, tgt.realization,
+    return ChainMap(realization(src), realization(tgt),
                     v_columns(src.ids, tgt), shift=0)
 
 
 def _h_map(k, s, src, tgt):
     cols = h_columns(k, signed_flip(k), s, src.ids, tgt)
-    return ChainMap(src.realization, tgt.realization, cols, shift=-2 * s)
+    return ChainMap(realization(src), realization(tgt), cols, shift=-2 * s)
 
 
 def map_v(k, s, top):

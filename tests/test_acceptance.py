@@ -18,8 +18,8 @@ from math import gcd
 
 import pytest
 
-from helpers import (homology_free_ranks, induced_v, random_complex, record,
-                     reference_spin_c, twisty)
+from helpers import (homology_free_ranks, induced_v, random_complex,
+                     realization, record, reference_spin_c, twisty)
 from hfplus.acomplex import band_floor, genus, hfk_hat, realize
 from hfplus.cfk import BUILTIN_NAMES, Region, builtin
 from hfplus.detect import (casson_surgery, classify_surgery, compare,
@@ -215,10 +215,10 @@ def test_criterion_11_robustness(grid):
         k = random_complex(rng)
         region = rng.choice([Region.min_i(), Region.max_ij(0)])
         top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
-        realized = realize(k, region, top)
-        h = graded_homology(realized.realization)
-        oracle = homology_free_ranks(realized.realization)
-        for d in set(realized.realization.degrees):
+        gc = realization(realize(k, region, top))
+        h = graded_homology(gc)
+        oracle = homology_free_ranks(gc)
+        for d in set(gc.degrees):
             if h.free_rank(d) != oracle.get(d, 0):
                 failures.append(f"rank oracle mismatch on {k.name} at {d}")
     record(11, failures)

@@ -4,8 +4,8 @@ from collections import OrderedDict
 import pytest
 
 from helpers import (induced_h, induced_v, map_h, map_v,
-                     oracle_kernel_rank_v, random_knot, region_homology,
-                     staircase, torsion_square, twisty)
+                     oracle_kernel_rank_v, random_knot, realization,
+                     region_homology, staircase, torsion_square, twisty)
 from hfplus import acomplex, cfk
 from hfplus.acomplex import (alexander_polynomial, genus, hfk_hat,
                              kernel_rank_v, realize, band_floor,
@@ -25,7 +25,7 @@ def _top(k, s, shift=0):
 
 def test_realize_unknot_quarter_plane():
     realized = realize(builtin("unknot"), Region.min_i(), 13)
-    gc = realized.realization
+    gc = realization(realized)
     assert gc.n == 7
     assert sorted(gc.degrees) == [0, 2, 4, 6, 8, 10, 12]
     assert all(col == {} for col in gc.boundary)
@@ -45,14 +45,14 @@ def test_realize_respects_depth_bound():
     region = Region.min_i()
     shallow = realize(k, region, 3)
     deep = realize(k, region, 10)
-    assert deep.realization.n > shallow.realization.n
+    low_gc, high_gc = realization(shallow), realization(deep)
+    assert high_gc.n > low_gc.n
     assert (shallow.ceiling, deep.ceiling) == (2, 9)
     # the kept set is every translate of the region up to the cut
     assert set(shallow.ids) == {key for key in deep.ids
-                                if deep.realization.degrees[
-                                    deep.id_of[key]] <= 3}
-    low = graded_homology(shallow.realization).summary(shallow.ceiling)
-    high = graded_homology(deep.realization).summary(shallow.ceiling)
+                                if high_gc.degrees[deep.id_of[key]] <= 3}
+    low = graded_homology(low_gc).summary(shallow.ceiling)
+    high = graded_homology(high_gc).summary(shallow.ceiling)
     assert low == high
 
 

@@ -4,8 +4,8 @@ from collections import OrderedDict
 import pytest
 
 from helpers import (ChainMap, _compose, homology_free_ranks,
-                     homology_profile, random_complex, rational_rank,
-                     staircase, torsion_square)
+                     homology_profile, library_checks, random_complex,
+                     rational_rank, realization, staircase, torsion_square)
 from hfplus import cfk, homology
 from hfplus.cfk import Region
 from hfplus.acomplex import band_floor, realize
@@ -142,8 +142,8 @@ def test_graded_complex_check_agrees_with_composed_columns():
     # of the messages they show
     rng = random.Random(20261019)
     k = torsion_square()
-    gc = realize(k, Region.min_i(),
-                 band_floor(k, [(Region.min_i(), 0)]) + 8).realization
+    gc = realization(realize(k, Region.min_i(),
+                             band_floor(k, [(Region.min_i(), 0)]) + 8))
     complexes = [(gc.degrees, gc.boundary, gc.u_action)]
     for k, p, q in [(staircase(3), 7, 3), (staircase(5), 1, 1)]:
         for i in range(p):
@@ -253,7 +253,7 @@ def test_random_realizations_match_rational_oracle():
                              Region.max_ij(1)])
         top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
         realized = realize(k, region, top)
-        gc = realized.realization
+        gc = realization(realized)
         h = graded_homology(gc)
         oracle = homology_free_ranks(gc)
         for d in set(gc.degrees):
@@ -289,23 +289,11 @@ def test_cancel_units_keeps_torsion_and_drops_split_pairs():
     assert graded_homology(split).summary() == {0: (1, ())}
 
 
-def _counting_checks(monkeypatch):
-    checked = []
-    check = GradedComplex._check
-
-    def counting(self):
-        checked.append(self.n)
-        check(self)
-
-    monkeypatch.setattr(GradedComplex, "_check", counting)
-    return checked
-
-
 def test_cancel_units_with_nothing_to_cancel_changes_and_checks_nothing(
         monkeypatch):
     # d(x) = 2 y and U(x) = z: no unit, so the complex stays as built,
     # and the check made at construction is not repeated
-    checked = _counting_checks(monkeypatch)
+    checked = library_checks(monkeypatch)
     gc = GradedComplex([2, 1, 0], [{1: 2}, {}, {}],
                        u_action=[{2: 1}, {}, {}], labels=["x", "y", "z"])
 
@@ -316,14 +304,31 @@ def test_cancel_units_with_nothing_to_cancel_changes_and_checks_nothing(
     before = repr(state())
     gc.cancel_units()
     assert repr(state()) == before
-    assert checked == [3]
+    assert [c.n for c in checked] == [3]
 
 
-def test_cancel_units_checks_the_complex_it_shrank(monkeypatch):
-    checked = _counting_checks(monkeypatch)
+@pytest.mark.no_self_check
+def test_the_installed_check_catches_a_broken_residue(monkeypatch):
+    # x -> y + 2 z cancels x against y, so z is left, and the library
+    # checks the complex it built and not the residue.  A step that
+    # also sets d(z) = z leaves a residue whose d keeps its degree; the
+    # check tests/conftest.py installs on cancel_unit_pairs, marker
+    # no_self_check or not, catches it
+    checked = library_checks(monkeypatch)
     gc = GradedComplex([1, 0, 0], [{1: 1, 2: 2}, {}, {}])
     gc.cancel_units()
-    assert checked == [3, 1]
+    assert gc.n == 1 and checked == [gc]
+    step = homology._cancel_pair
+
+    def looping(boundary, *args):
+        step(boundary, *args)
+        boundary[-1][len(boundary) - 1] = 1
+
+    monkeypatch.setattr(homology, "_cancel_pair", looping)
+    gc = GradedComplex([1, 0, 0], [{1: 1, 2: 2}, {}, {}])
+    with pytest.raises(ValueError, match="does not drop degree by 1") as exc:
+        gc.cancel_units()
+    assert "cancel_units" in [entry.name for entry in exc.traceback]
 
 
 def test_cancel_units_transports_u_along_a_cancelled_pair():
@@ -346,8 +351,8 @@ def test_cancel_units_agrees_with_the_unreduced_complex():
         k = random_complex(rng)
         region = rng.choice(regions)
         top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 6)
-        full = graded_homology(realize(k, region, top).realization)
-        gc = realize(k, region, top).realization
+        full = graded_homology(realization(realize(k, region, top)))
+        gc = realization(realize(k, region, top))
         boundary, u_action = gc.boundary, gc.u_action
         gc.cancel_units()
         assert gc.boundary is boundary and gc.u_action is u_action
@@ -411,7 +416,7 @@ def test_the_cancellation_check_runs_on_cones_and_regions(monkeypatch):
     # (surgery.reduce_regions)
     _doubling_cancel_pair(monkeypatch)
     with pytest.raises(AssertionError, match="changed the homology"):
-        _random_region().realization.cancel_units()
+        realization(_random_region()).cancel_units()
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     with pytest.raises(AssertionError, match="changed the homology") as exc:
         hf_plus(staircase(3), 7, 3)
@@ -515,7 +520,7 @@ def test_bare_degrees_read_the_same_as_through_the_snf(monkeypatch):
         k = random_complex(rng)
         region = rng.choice(regions)
         top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
-        gc = realize(k, region, top).realization
+        gc = realization(realize(k, region, top))
         gc.cancel_units()
         padded = _with_unit_pairs(gc)
         h = graded_homology(gc)

@@ -7,10 +7,11 @@ from math import gcd
 
 import pytest
 
-from helpers import (ReferenceCone, h_columns, homology_dims_mod_p,
-                     homology_profile, map_h, map_v, random_knot,
-                     reduce_step_by_step, reference_spin_c, staircase,
-                     torsion_square, twisty, v_columns)
+from helpers import (ReferenceCone, checked_complex, h_columns,
+                     homology_dims_mod_p, homology_profile, library_checks,
+                     map_h, map_v, random_knot, reduce_step_by_step,
+                     reference_spin_c, staircase, torsion_square, twisty,
+                     v_columns)
 from hfplus import acomplex, cfk, homology, surgery
 from hfplus.acomplex import band_floor, genus, realize, signed_flip
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
@@ -172,11 +173,14 @@ def test_each_a_block_is_b_plus_its_strip():
 
 def test_hf_plus_realizes_each_region_once(monkeypatch):
     # 1/5 and 2/7 have q > p, so several Spin^c structures share a
-    # bottom region; at 5/1 every cone of the trefoil is one A block
+    # bottom region; at 5/1 every cone of the trefoil is one A block;
+    # the random knot's cone at 2/1 still shrinks in cancel_units
     cases = [(staircase(5), 7, 3), (builtin("figure_eight"), 2, 7),
              (builtin("trefoil_right"), 1, 5),
-             (builtin("trefoil_right"), 5, 1)]
-    joined = 0
+             (builtin("trefoil_right"), 5, 1),
+             (random_knot(random.Random(0), 4), 2, 1)]
+    reduce_strip = surgery._reduce_strip
+    joined = shrunk = 0
     for k, p, q in cases:
         tops, ts = {}, set()
         for i in range(p):
@@ -186,37 +190,39 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
             (_, region, offset), *rest = _kept_blocks(k, desc)
             tops[region] = max(tops.get(region, top - offset), top - offset)
             ts.update(r.params[0] for label, r, _ in rest if label[0] == "A")
-        calls = []
-        checked = []
-        cones = []
+        calls, strips, cones, sizes = [], [], [], []
 
         def counting(complex_, region, top):
             calls.append((region, top))
             return realize(complex_, region, top)
 
-        def checking(*args, **kwargs):
-            checked.append(args)
-            return GradedComplex(*args, **kwargs)
+        def reducing(source, keys, t):
+            strips.append(t)
+            return reduce_strip(source, keys, t)
 
         def building(*args):
             cones.append(build_mapping_cone(*args))
+            sizes.append(cones[-1].complex.n)
             return cones[-1]
 
         with monkeypatch.context() as m:
             m.setattr(cfk, "_memo", OrderedDict())
-            acomplex.genus(k)  # its hat homology checks complexes too
+            acomplex.genus(k)  # its hat homology checks columns
             m.setattr(surgery, "realize", counting)
-            m.setattr(surgery, "GradedComplex", checking)
-            m.setattr(acomplex, "GradedComplex", checking)
+            m.setattr(surgery, "_reduce_strip", reducing)
             m.setattr(surgery, "build_mapping_cone", building)
+            checked = library_checks(m)
             hf_plus(k, p, q)
         # one realization per distinct bottom region, at the largest top
-        # any Spin^c structure's cone needs, and none of B; each checked
-        # once, each strip S_t checked once for each distinct t, and each
-        # of the p cones checked once when it is built
+        # any Spin^c structure's cone needs, and none of B; one strip S_t
+        # for each distinct t; and the library checks each of the p cones
+        # once, when it is built, and no region, strip or residue
         assert len(calls) == len(tops) and dict(calls) == tops, (p, q)
         assert Region.min_i() not in tops
-        assert len(checked) == len(tops) + len(ts) + p, (p, q)
+        assert sorted(strips) == sorted(ts), (p, q)
+        assert len(cones) == p and checked == [c.complex for c in cones], (
+            p, q)
+        shrunk += sum(sizes) > sum(cone.complex.n for cone in cones)
         # the bottom block lies in its region, every other A_s is
         # the strip S_t(s), and no element of any B_s is left
         for cone in cones:
@@ -235,7 +241,7 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
                     assert label[3] >= _first(g, region), (p, q, label)
                 else:
                     assert i < 0 <= j - region.params[0], (p, q, label)
-    assert joined >= 5
+    assert joined >= 5 and shrunk
 
 
 def _residue_total(complex_, descriptor, regions):
@@ -260,37 +266,39 @@ def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
     rng = random.Random(11)
     cases += [(random_knot(rng, 2), p, q) for _ in range(4)
               for p, q in ((1, 1), (7, 3), (2, 5))]
-    realized, strips, built = [], [], []
+    realized, strips, built, given = [], {}, [], []
+    cancel, reduce_strip = surgery.cancel_unit_pairs, surgery._reduce_strip
 
     def counting(complex_, region, top):
         real = realize(complex_, region, top)
         realized.append((complex_, region, top, len(real.ids)))
         return real
 
-    def checking(degrees, boundary, u_action, labels, **kwargs):
-        if labels and len(labels[0]) == 2:  # a strip's (name, k) labels
-            strips.append(labels)
-        return GradedComplex(degrees, boundary, u_action, labels, **kwargs)
+    def cancelling(degrees, *args):
+        given[:] = [list(degrees)]
+        return cancel(degrees, *args)
+
+    def reducing(source, keys, t):
+        # the strip's degrees as built, which its one cancellation gets
+        residue = reduce_strip(source, keys, t)
+        strips[t] = given[0], residue[0]
+        return residue
 
     def building(complex_, descriptor, regions):
         cone = build_mapping_cone(complex_, descriptor, regions)
-        gen = complex_.by_name
-        # the first translate of a generator in S_t is k = t - j
-        by_t = {min(k + gen[name].j for name, k in labels): labels
-                for labels in strips}
         for label, region, offset in _kept_blocks(complex_,
                                                   descriptor)[1:]:
             if label[0] == "A":
                 t = region.params[0]
-                labels = by_t[t]
-                assert sorted(labels) == sorted(
-                    (g.name, k) for g in complex_.generators
-                    for k in acomplex._strip_range(g, t)), (
-                        complex_.name, descriptor, t)
-                assert (max(gen[name].m + 2 * k + offset
-                            for name, k in labels)
-                        + 2 * descriptor.depth + 2 <= cone.ceiling + 1)
-                built.append(len(labels))
+                degrees, kept = strips[t]
+                translates = [(g, k) for g in complex_.generators
+                              for k in acomplex._strip_range(g, t)]
+                assert degrees == [g.m + 2 * k for g, k in translates], (
+                    complex_.name, descriptor, t)
+                assert set(kept) <= {(g.name, k) for g, k in translates}
+                assert (max(degrees) + offset + 2 * descriptor.depth + 2
+                        <= cone.ceiling + 1)
+                built.append(len(degrees))
         assert (cone.complex.n
                 == _residue_total(complex_, descriptor, regions)), (
                     complex_.name, descriptor)
@@ -298,7 +306,8 @@ def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
 
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     monkeypatch.setattr(surgery, "realize", counting)
-    monkeypatch.setattr(surgery, "GradedComplex", checking)
+    monkeypatch.setattr(surgery, "cancel_unit_pairs", cancelling)
+    monkeypatch.setattr(surgery, "_reduce_strip", reducing)
     monkeypatch.setattr(surgery, "build_mapping_cone", building)
     for k, p, q in cases:
         strips.clear()
@@ -479,11 +488,14 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
     # less the columns of the elements of B_s at the top, which nothing
     # maps into; and U agrees on homology up to the ceiling
     step, cancel = homology._cancel_pair, homology.cancel_unit_pairs
+    reduce_strip = surgery._reduce_strip
     strip_labels, strip_pairs, recording = [], {}, []
 
-    def checking(*args, labels=None, **kwargs):
-        strip_labels[:] = labels or ()
-        return GradedComplex(*args, labels=labels, **kwargs)
+    def strip(source, keys, t):
+        # _reduce_strip's elements, in the order it builds them
+        strip_labels[:] = [(g.name, k) for g in source.generators
+                           for k in acomplex._strip_range(g, t)]
+        return reduce_strip(source, keys, t)
 
     def recorded(boundary, rows, maps, x, y):
         recording.append((x, y))
@@ -491,15 +503,16 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
 
     def reducing(degrees, boundary, u_action, carried=None):
         if len(boundary) == len(degrees):  # a bottom region stays whole
+            checked_complex(degrees, boundary, u_action)
             return list(range(len(degrees)))
-        ids = list(strip_labels)  # the strip's, checked just before
+        ids = list(strip_labels)
         recording.clear()
         keep = cancel(degrees, boundary, u_action, carried)
         strip_pairs[frozenset(ids)] = [(ids[x], ids[y])
                                        for x, y in recording]
         return keep
 
-    monkeypatch.setattr(surgery, "GradedComplex", checking)
+    monkeypatch.setattr(surgery, "_reduce_strip", strip)
     monkeypatch.setattr(homology, "_cancel_pair", recorded)
     monkeypatch.setattr(surgery, "cancel_unit_pairs", reducing)
     joined = dropped = units_cancelled = 0
@@ -875,6 +888,55 @@ def test_a_corrupted_flip_is_caught_before_any_cone(monkeypatch):
             hf_plus(bad, p, 1)
         assert info.value.violations == [
             "flip is not a chain map up to global sign"], p
+    assert not built
+
+
+@pytest.mark.no_self_check
+def test_the_installed_check_catches_a_broken_restriction(monkeypatch):
+    # one arrow moved one translate down, so that its degree drops by
+    # three: once in each region realized (cfk._restrict, as acomplex
+    # names it), once in the strips (surgery._key_table's arrows).  The
+    # library checks no region and no strip; the check tests/conftest.py
+    # installs on cancel_unit_pairs, marker no_self_check or not, raises
+    # in reduce_regions, before any cone is built
+    restrict, key_table = acomplex._restrict, surgery._key_table
+
+    def moved_region(complex_, ids):
+        boundary, id_of = restrict(complex_, ids)
+        for col in boundary:
+            for i in col:
+                name, k = ids[i]
+                lower = id_of.get((name, k - 1))
+                if lower is not None and lower not in col:
+                    col[lower] = col.pop(i)
+                    return boundary, id_of
+        return boundary, id_of
+
+    def moved_strip(source):
+        index, arrows, *rest = key_table(source)
+        n = next(n for n, out in enumerate(arrows) if out)
+        (off, c), *others = arrows[n]
+        arrows[n] = [(off - len(index), c), *others]
+        return (index, arrows, *rest)
+
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return build_mapping_cone(*args)
+
+    monkeypatch.setattr(surgery, "build_mapping_cone", build)
+    for module, name, corrupt in [(acomplex, "_restrict", moved_region),
+                                  (surgery, "_key_table", moved_strip)]:
+        with monkeypatch.context() as m:
+            m.setattr(cfk, "_memo", OrderedDict())
+            m.setattr(module, name, corrupt)
+            with pytest.raises(ValueError, match="degree by 1|square to "
+                               "zero") as exc:
+                hf_plus(staircase(5), 7, 3)
+        names = [entry.name for entry in exc.traceback]
+        assert "reduce_regions" in names, name
+        assert ("_reduce_strip" in names) == (name == "_key_table")
     assert not built
 
 

@@ -1,20 +1,24 @@
 """Concrete realizations of filtration regions and their structure maps.
 
-A knot complex stores one generator per U-orbit; to compute anything
-we unfold finitely many translates.  The translate (x, k) sits at
-filtration (i_x + k, j_x + k) and grading m_x + 2k, and U acts by
-k -> k - 1.  Every region is upward closed (a quotient complex), and
-realizing one keeps the translates whose filtration lies in the region
-and whose degree is at most a cut `top`.  Since the differential and U
-both lower the degree, the kept part is the subcomplex of the region
+A knot complex stores one generator per U-orbit.  The translate (x, k)
+sits at filtration (i_x + k, j_x + k) and grading m_x + 2k, U acts by
+k -> k - 1, and cfk._unfold numbers the translates by integer keys.
+Each finite piece of CFK^oo is a set of keys, with one translate rule
+per generator: _k_range for a region cut at top, _strip_range for the
+strip S_t (_strip), k = -i for the {i = 0} column (cfk.column), and
+cfk._restrict restricts d and U to any of them.
+
+Every region is upward closed (a quotient complex), and realizing one
+keeps the translates whose filtration lies in the region and whose
+degree is at most a cut `top`.  Since the differential and U both
+lower the degree, the kept part is the subcomplex of the region
 complex spanned by its elements of degree <= top, so its homology is
 exact in every degree below top -- realizations record that trust
-ceiling, top - 1.  An hf_plus call realizes only the bottom A block of
-each cone, once per region at one cut, and uses its unit-cancelled
-residue whole (surgery.reduce_regions).  Of every other A block the
-cone holds the residue of its strip, which the call builds from
-_strip_range and reduces once for each distinct strip, so hf_plus
-never realizes B.
+ceiling, top - 1.  hf_plus realizes only the bottom A block of each
+cone; every other A block is the residue of a strip, and B is never
+realized (surgery.reduce_regions).  Neither hfk_hat nor kernel_rank_v
+realizes a region: a level of HFK-hat is a level of the column, and
+the kernel of v on homology is the homology of the strip.
 
 The two maps out of A_s = C{max(i, j-s) >= 0} both land in
 B = C{i >= 0}.  A_s is B plus the finite strip S_s = C{i < 0 <= j - s},
@@ -28,15 +32,6 @@ the surgery cone.  band_floor is the one rule for where truncated
 computations cut, worked out in closed form from the generators'
 gradings and the blocks' offsets, with no retry.
 
-Each finite piece of CFK^oo has one translate rule per generator:
-_k_range for a region cut at top, _strip_range for the finite strip
-S_t (kernel_rank_v and surgery.reduce_regions), k = -i for the {i = 0}
-column (cfk.column).  cfk._restrict restricts d to the column, a
-region or the strip; the cone restricts d to its strips through
-surgery._key_table's integer keys.  Neither hfk_hat nor kernel_rank_v
-realizes a region: a level of HFK-hat is a level of the column, and
-the kernel of v on homology is the homology of the strip.
-
 Realizations and homology groups are built anew on every call and
 never cached; genus and kernel_rank_v keep their results in cfk's memo.
 Only what graded_homology reads here is checked (GradedComplex): a
@@ -47,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfk import _restrict, column, flip_chain_sign, memoized
+from .cfk import _restrict, _unfold, column, flip_chain_sign, memoized
 from .errors import FlipMissingError, GradingError, InvalidComplexError
 from .homology import GradedComplex, graded_homology
 
@@ -60,6 +55,17 @@ def _k_range(g, region, top):
 def _strip_range(g, t):
     """The translates t - j_g <= k < -i_g of g in S_t = C{i < 0 <= j - t}."""
     return range(t - g.j, -g.i)
+
+
+def _strip(complex_, t):
+    """(keys, degrees) of S_t (_strip_range); keys maps key to position."""
+    index, G = _unfold(complex_)[0], len(complex_.generators)
+    keys, degrees = {}, []
+    for g in complex_.generators:
+        for k in _strip_range(g, t):
+            keys[index[g.name] + G * k] = len(degrees)
+            degrees.append(g.m + 2 * k)
+    return keys, degrees
 
 
 def band_floor(complex_, blocks):
@@ -90,14 +96,14 @@ def band_floor(complex_, blocks):
 class RealizedRegion:
     """A region of a knot complex, unfolded into a finite complex.
 
-    Element n is ids[n] = (generator name, translate), of degree
-    degrees[n]; id_of inverts ids.  Elements come in degree order (ties
-    by name, then translate), and boundary and u_action, column-sparse
-    as in GradedComplex, lower it, so each degree cut is a prefix.  The
-    region is upward closed, so keeping its translates of degree <= top
-    keeps a subcomplex, and ceiling = top - 1 bounds the degrees in
-    which homology of the realization agrees with the untruncated
-    region.  The lists are not checked (see the module docstring).
+    Element n is ids[n] = (generator name, translate), with key keys[n]
+    and degree degrees[n].  Elements come in degree order (ties by name,
+    then translate), and boundary and u_action (cfk._restrict) lower
+    it, so each degree cut is a prefix.  The region is upward closed,
+    so keeping its translates of degree <= top keeps a subcomplex, and
+    ceiling = top - 1 bounds the degrees in which homology of the
+    realization agrees with the untruncated region.  The lists are not
+    checked (see the module docstring).
     """
 
     def __init__(self, source, region, top):
@@ -105,18 +111,17 @@ class RealizedRegion:
             raise GradingError("realization requires solved gradings")
         self.source = source
         self.region = region
+        unfolding = _unfold(source)
+        index, G = unfolding[0], len(source.generators)
         elements = sorted((g.m + 2 * k, g.name, k)
                           for g in source.generators
                           for k in _k_range(g, region, top))
         self.degrees = [deg for deg, _, _ in elements]
-        self.ids = ids = [(name, k) for _, name, k in elements]
-        self.boundary, id_of = _restrict(source, ids)
-        self.id_of = id_of
+        self.ids = [(name, k) for _, name, k in elements]
+        self.keys = [index[name] + G * k for _, name, k in elements]
+        self.boundary, self.u_action = _restrict(
+            unfolding, {key: n for n, key in enumerate(self.keys)})
         self.ceiling = top - 1
-        self.u_action = u_action = []
-        for name, k in ids:
-            uid = id_of.get((name, k - 1))
-            u_action.append({uid: 1} if uid is not None else {})
 
     def __repr__(self):
         return (f"RealizedRegion({self.source.name or '?'}, "
@@ -251,10 +256,8 @@ def kernel_rank_v(complex_, s):
     {i = 0} column (cfk.column, in degrees m - 2i) has homology a
     single Z, as for any knot in S^3, H(B) is the tower and v_* is onto
     it, so the connecting map vanishes and ker v_* is H(S_s).  Any
-    other column homology raises InvalidComplexError.  S_s holds
-    the translates (x, k) with s - j_x <= k < -i_x (_strip_range); a
-    term of the differential that leaves the strip leaves A_s, so
-    dropping it keeps the differential exact.
+    other column homology raises InvalidComplexError.  A term of d that
+    leaves S_s (_strip) leaves A_s, so cfk._restrict may drop it.
     """
     if not complex_.graded:
         raise GradingError("kernel_rank_v requires solved gradings")
@@ -264,9 +267,6 @@ def kernel_rank_v(complex_, s):
         raise InvalidComplexError([
             "v is onto only when the {i = 0} column has homology Z; it "
             f"has (free rank, torsion) {hat.summary()} by degree"])
-    ids = [(g.name, k) for g in complex_.generators
-           for k in _strip_range(g, s)]
-    strip = GradedComplex(
-        [complex_.by_name[name].m + 2 * k for name, k in ids],
-        _restrict(complex_, ids)[0])
-    return graded_homology(strip).total_free_rank()
+    keys, degrees = _strip(complex_, s)
+    boundary, _ = _restrict(_unfold(complex_), keys)
+    return graded_homology(GradedComplex(degrees, boundary)).total_free_rank()

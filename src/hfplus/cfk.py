@@ -6,8 +6,8 @@ with a differential recorded over Z[U].  An arrow x -> c*U^n*y is
 subject to the filtration axiom (i_y - n, j_y - n) <= (i_x, j_x) and,
 once gradings are assigned, to m_y - 2n = m_x - 1.  The whole complex
 represents the usual Z ⊕ Z filtered object over Z[U, U^{-1}]; we only
-ever store one generator per U-orbit and let the realization step
-(see acomplex) unfold the translates it needs.
+ever store one generator per U-orbit, and _unfold numbers the
+translates by integer keys, to which _restrict restricts d and U.
 
 Complexes may also carry a "flip": the distinguished involution that
 exchanges the two filtration directions.  It is data, not something we
@@ -151,20 +151,21 @@ _memo = OrderedDict()
 def memoized(fn):
     """Keep fn's results in the one bounded memo, keyed by content.
 
-    Arguments are bound to fn's parameters, so positional and keyword
-    spellings of a call share an entry; no memoized function has a
-    default, so every entry names every argument.  A KnotComplex is
-    keyed by content_key().  A call that raises stores nothing.
+    Keyword arguments are bound to fn's parameters, so positional and
+    keyword spellings of a call share an entry; no memoized function
+    has a default, so every entry names every argument.  A KnotComplex
+    is keyed by content_key().  A call that raises stores nothing.
     """
     signature = inspect.signature(fn)
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
+        if kwargs:
+            args = tuple(signature.bind(*args, **kwargs).arguments.values())
         key = (fn,) + tuple(a.content_key() if isinstance(a, KnotComplex)
-                            else a for a in bound.arguments.values())
+                            else a for a in args)
         if key not in _memo:
-            _memo[key] = fn(*args, **kwargs)
+            _memo[key] = fn(*args)
             if len(_memo) > _MEMO_SIZE:
                 _memo.popitem(last=False)
         _memo.move_to_end(key)
@@ -464,36 +465,64 @@ def _relative_gradings(complex_):
     return components
 
 
-def _restrict(complex_, ids):
-    """(boundary, id_of) of d on the translates ids = [(name, k), ...].
+@memoized
+def _unfold(complex_):
+    """(index, arrows, into): d of CFK^oo on integer keys, one per knot.
 
-    boundary[n], column-sparse as in GradedComplex, is d of ids[n] with
-    every term outside ids dropped; id_of inverts ids.
+    The translate (x, k) has key index[x] + G k, G the number of
+    generators, and U sends it to key - G; d(x) has a term c at
+    key + off for each (off, c) in arrows[index[x]], and into[n] holds
+    the offset from each generator whose d meets generator n.  Equal
+    complexes share it, whatever their generator order: use index.
     """
-    id_of = {key: n for n, key in enumerate(ids)}
-    boundary = []
-    for name, k in ids:
+    gens = complex_.generators
+    G = len(gens)
+    index = {g.name: n for n, g in enumerate(gens)}
+    arrows = [[] for _ in gens]
+    into = [[] for _ in gens]
+    for x, term in complex_.arrows():
+        n, y = index[x.name], index[term.target]
+        arrows[n].append((y - n - G * term.u_exponent, term.coefficient))
+        into[y].append(n - y + G * term.u_exponent)
+    return index, arrows, into
+
+
+def _restrict(unfolding, rows, columns=None):
+    """(boundary, u_action) of d and U on columns, restricted to rows.
+
+    The one restriction rule.  unfolding starts with _unfold's table;
+    rows maps each key kept to its position, and columns are the keys
+    of rows unless given.  Both are column-sparse as in GradedComplex.
+    """
+    _, arrows, *_ = unfolding
+    G = len(arrows)
+    boundary, u_action = [], []
+    for key in rows if columns is None else columns:
         col = {}
-        for t in complex_.differential.get(name, ()):
-            tid = id_of.get((t.target, k - t.u_exponent))
-            if tid is not None:
-                col[tid] = t.coefficient
+        for off, c in arrows[key % G]:
+            row = rows.get(key + off)
+            if row is not None:
+                col[row] = c
         boundary.append(col)
-    return boundary, id_of
+        row = rows.get(key - G)
+        u_action.append({} if row is None else {row: 1})
+    return boundary, u_action
 
 
 def column(complex_, degrees):
     """The {i = 0} column on the generators named in degrees.
 
     Each generator x contributes its one translate at i = 0, k = -i_x,
-    in degree degrees[x], and d is restricted to these translates.
-    Over all generators, in degrees m - 2i, this is the finite complex
-    whose homology is HF-hat(S^3) and whose associated graded is
-    HFK-hat.  The column is checked (GradedComplex), so every arrow
-    inside it must drop degrees by one.
+    in degree degrees[x].  Over all generators, in degrees m - 2i, this
+    is the finite complex whose homology is HF-hat(S^3) and whose
+    associated graded is HFK-hat.  The column is checked (GradedComplex),
+    so every arrow inside it must drop degrees by one.
     """
-    boundary, _ = _restrict(complex_, [(name, -complex_.by_name[name].i)
-                                       for name in degrees])
+    unfolding = _unfold(complex_)
+    index, G = unfolding[0], len(complex_.generators)
+    boundary, _ = _restrict(unfolding, {
+        index[name] - G * complex_.by_name[name].i: n
+        for n, name in enumerate(degrees)})
     return GradedComplex(list(degrees.values()), boundary)
 
 
@@ -511,10 +540,13 @@ def grading_solve(complex_, seeds=None):
     `seeds` or a grading already present on one of its generators.  A
     component whose column homology is torsion only (an acyclic piece
     over Z[U, U^-1]) has no grading fixed by the complex, so it needs
-    a seed too.
+    a seed too.  A seed that names no generator raises GradingError.
     """
     require_valid(complex_, ignore_grading=True)
     seeds = dict(seeds or {})
+    for name in seeds:
+        if name not in complex_.by_name:
+            raise GradingError(f"grading seed {name!r} names no generator")
     for g in complex_.generators:
         if g.m is not None and g.name not in seeds:
             seeds[g.name] = g.m
@@ -651,7 +683,6 @@ def parse_text(source):
     gens = []
     diff = {}
     flip = {}
-    saw_flip = False
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -673,22 +704,18 @@ def parse_text(source):
                 raise ParseError("gen fields must be integers", lineno)
             m = nums[2] if len(nums) == 3 else None
             gens.append(Generator(name, nums[0], nums[1], m))
-        elif head == "d":
+        elif head in ("d", "flip"):
             if "=" not in rest:
-                raise ParseError("d line needs '='", lineno)
+                raise ParseError(f"{head} line needs '='", lineno)
             lhs, rhs = rest.split("=", 1)
             lhs = lhs.strip()
-            if not _NAME_RE.match(lhs):
-                raise ParseError(f"bad generator name {lhs!r}", lineno)
-            if lhs in diff:
-                raise ParseError(f"second d line for {lhs}", lineno)
-            diff[lhs] = _split_terms(rhs, lineno)
-        elif head == "flip":
-            saw_flip = True
-            if "=" not in rest:
-                raise ParseError("flip line needs '='", lineno)
-            lhs, rhs = rest.split("=", 1)
-            lhs = lhs.strip()
+            if lhs in (diff if head == "d" else flip):
+                raise ParseError(f"second {head} line for {lhs}", lineno)
+            if head == "d":
+                if not _NAME_RE.match(lhs):
+                    raise ParseError(f"bad generator name {lhs!r}", lineno)
+                diff[lhs] = _split_terms(rhs, lineno)
+                continue
             rhs = rhs.replace("−", "-").strip()
             sign = 1
             while rhs.startswith("-"):
@@ -699,7 +726,7 @@ def parse_text(source):
             flip[lhs] = (sign, rhs)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
-    complex_ = KnotComplex(gens, diff, flip if saw_flip else None)
+    complex_ = KnotComplex(gens, diff, flip or None)
     require_valid(complex_, ignore_grading=False)
     return complex_
 

@@ -41,9 +41,7 @@ below the cut.  Of these only residues are built (MappingCone):
   off_B(s) + m - 2i, the cone degree of each generator's first
   translate in the kept B_s, and the strip's translates, at i <= -1
   in A_s, lie below that.  A strip does not depend on the cut, so an
-  hf_plus call builds and reduces each distinct S_t once, carrying h
-  out of each element, and d and U of each key of B that meets it,
-  as integer keys of B.
+  hf_plus call builds and reduces each distinct S_t once (_reduce_strip).
 
 Every element b of B_s is v(p), with coefficient 1, for the same key p
 in A_s's copy of B, and all these pairs are cancelled at once
@@ -99,8 +97,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .acomplex import _strip_range, band_floor, genus, realize, signed_flip
-from .cfk import Region, memoized, mirror, require_valid
+from .acomplex import _strip, band_floor, genus, realize, signed_flip
+from .cfk import Region, _restrict, _unfold, memoized, mirror, require_valid
 from .errors import (FlipMissingError, GradingError, NotStabilizedError,
                      TorsionInTowerError)
 from .homology import (TOWER_LEVELS, GradedComplex, _add,
@@ -206,34 +204,23 @@ def _cone_shape(source, descriptor, g, floors):
 
 
 def _key_table(source):
-    """(index, arrows, into, hop, back, in_b): d and h on integer keys.
+    """(index, arrows, into, hop, back, in_b): cfk._unfold's table and h.
 
-    The translate (x, k) has key index[x] + G k, with G the number of
-    generators, and generator n = key % G.  arrows[n] holds the key
-    offset to each term of d(x) with its coefficient, and into[n] the
-    key offset from each generator whose d meets x.  h_t: A_t -> B
-    sends a key of generator n to key + hop[n][1] - G t, with sign
-    hop[n][0], when key >= hop[n][2] + G t, i.e. j + k >= t, and to 0
-    otherwise; the sign and image are signed_flip's.  A key of
+    h_t: A_t -> B sends a key of generator n to key + hop[n][1] - G t,
+    with sign hop[n][0], when key >= hop[n][2] + G t, i.e. j + k >= t,
+    and to 0 otherwise; the sign and image are signed_flip's.  A key of
     generator n lies in B when key >= in_b[n], and there
     h_t^-1 key = key + back[n] + G t.
     """
+    index, arrows, into = _unfold(source)
     flip = signed_flip(source)
-    gens = source.generators
-    G = len(gens)
-    index = {g.name: n for n, g in enumerate(gens)}
-    arrows = [[] for _ in gens]
-    into = [[] for _ in gens]
-    for x, term in source.arrows():
-        n, y = index[x.name], index[term.target]
-        arrows[n].append((y - n - G * term.u_exponent, term.coefficient))
-        into[y].append(n - y + G * term.u_exponent)
-    hop, back = [], [0] * G
-    for n, g in enumerate(gens):
-        sgn, flipped = flip[g.name]
-        hop.append((sgn, index[flipped] - n, n - G * g.j))
+    G = len(arrows)
+    hop, back, in_b = [None] * G, [0] * G, [0] * G
+    for g in source.generators:
+        n, (sgn, flipped) = index[g.name], flip[g.name]
+        hop[n] = (sgn, index[flipped] - n, n - G * g.j)
         back[index[flipped]] = n - index[flipped]
-    in_b = [n - G * g.i for n, g in enumerate(gens)]
+        in_b[n] = n - G * g.i
     return index, arrows, into, hop, back, in_b
 
 
@@ -251,38 +238,26 @@ def _h_columns(keys, columns, t):
 def _reduce_strip(source, keys, t):
     """(ids, degrees, boundary, u_action, f, g, incoming) of S_t reduced.
 
-    The strip holds _strip_range's translates of each generator, with d
-    and U restricted to it, unchecked (require_valid checks the source).
-    f holds h_t of each element as keys of B, as a bottom region's
-    carried columns do.
-    Every key p of B whose d or U meets the strip is an incoming column
-    (homology.cancel_unit_pairs): d(p) and U(p) restricted to the strip,
-    and f = h_t(p).  After unit cancellation the residue's columns are
-    d, U, f and g (pi U iota outside the strip) over the residue, and
-    incoming maps each such p to its own four.
+    The strip is acomplex._strip's, unchecked (require_valid checks the
+    source).  Its columns, and an incoming one (cancel_unit_pairs) for
+    each key p of B whose d or U meets it, hold d and U on the strip
+    (cfk._restrict) and f = h_t as keys of B, as a bottom region's
+    carried columns do.  The residue's columns are d, U, f and g (pi U
+    iota outside the strip), and incoming maps each p to its own four.
     """
-    _, arrows, into, _, _, _ = keys
-    gens = source.generators
-    G = len(gens)
-    strip, ids, degrees = {}, [], []
-    for n, g in enumerate(gens):
-        for k in _strip_range(g, t):
-            strip[n + G * k] = len(ids)
-            ids.append((g.name, k))
-            degrees.append(g.m + 2 * k)
+    index, arrows, into, *_ = keys
+    G = len(arrows)
+    strip, degrees = _strip(source, t)
     hit = {key + off for key in strip for off in into[key % G]}
     hit.update(key + G for key in strip)
     incoming = [key for key in hit if key not in strip]
     columns = [*strip, *incoming]
-    boundary = [{strip[key + off]: c for off, c in arrows[key % G]
-                 if key + off in strip} for key in columns]
-    u_action = [{strip[key - G]: 1} if key - G in strip else {}
-                for key in columns]
+    boundary, u_action = _restrict(keys, strip, columns)
     f, g = _h_columns(keys, columns, t), [{} for _ in columns]
     keep = cancel_unit_pairs(degrees, boundary, u_action, (f, g))
-    r = len(keep)
-    return ([ids[j] for j in keep], degrees, boundary[:r], u_action[:r],
-            f[:r], g[:r],
+    r, names = len(keep), list(index)
+    return ([(names[columns[j] % G], columns[j] // G) for j in keep],
+            degrees, boundary[:r], u_action[:r], f[:r], g[:r],
             dict(zip(incoming, zip(boundary[r:], u_action[r:], f[r:],
                                    g[r:]))))
 
@@ -330,11 +305,7 @@ def reduce_regions(source, descriptors):
         real = realize(source, region, cut)
         carried = None
         if region in joined:
-            index = keys[0]
-            G = len(index)
-            carried = (_h_columns(keys, [index[name] + G * k
-                                         for name, k in real.ids],
-                                  region.params[0]),
+            carried = (_h_columns(keys, real.keys, region.params[0]),
                        [{} for _ in real.ids])
         keep = cancel_unit_pairs(real.degrees, real.boundary, real.u_action,
                                  carried)

@@ -13,7 +13,7 @@ grid and in tests marked no_self_check too (_structure_check):
   (surgery.reduce_regions), and every cone residue comes out of
   homology.cancel_unit_pairs (GradedComplex.cancel_units, on a cone
   checked when built).  The library checks none of these; this is
-  where a bug in cfk._restrict, surgery._key_table or the cancellation
+  where a bug in cfk._unfold, cfk._restrict or the cancellation
   shows.  A child interpreter a test starts has none of it.
 
 On every test not marked no_self_check, undone when it ends

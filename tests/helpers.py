@@ -21,10 +21,10 @@ normal form satisfies L * M * R == D with unimodular L and R
 cancellation must keep (homology_profile), and the structural check
 of every complex unit cancellation is given and leaves
 (checked_complex).  realization is a RealizedRegion as a checked
-GradedComplex (the library keeps only its lists), and library_checks
-records the checks the library makes itself.  The acceptance registry
-at the bottom is filled by test_acceptance.py and printed by the
-conftest terminal-summary hook.
+GradedComplex (the library keeps only its lists), id_of inverts its
+ids, and library_checks records the checks the library makes itself.
+The acceptance registry at the bottom is filled by test_acceptance.py
+and printed by the conftest terminal-summary hook.
 """
 
 import os
@@ -603,10 +603,15 @@ def region_homology(k, region, top):
     return realized, _homology(realized)
 
 
+def id_of(realized):
+    """{(name, translate): element} of a RealizedRegion, inverting ids."""
+    return {key: n for n, key in enumerate(realized.ids)}
+
+
 def v_columns(keys, tgt):
     """Columns of v: A_s -> B, the projection, on keys of A_s."""
-    return [{} if key not in tgt.id_of else {tgt.id_of[key]: 1}
-            for key in keys]
+    index = id_of(tgt)
+    return [{} if key not in index else {index[key]: 1} for key in keys]
 
 
 def h_key(k, flip, s, key):
@@ -623,10 +628,10 @@ def h_key(k, flip, s, key):
 
 def h_columns(k, flip, s, keys, tgt):
     """Columns of h: A_s -> B on keys of A_s, in tgt's elements."""
-    cols = []
+    index, cols = id_of(tgt), []
     for key in keys:
         image = h_key(k, flip, s, key)
-        tid = None if image is None else tgt.id_of.get(image[1])
+        tid = None if image is None else index.get(image[1])
         cols.append({} if tid is None else {tid: image[0]})
     return cols
 

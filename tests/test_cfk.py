@@ -255,6 +255,12 @@ def test_grading_solver_seed_conflict():
                       seeds={"b": 17})
 
 
+def test_grading_solver_rejects_a_seed_that_names_no_generator():
+    for k in (builtin("trefoil_right"), strip_gradings(builtin("unknot"))):
+        with pytest.raises(GradingError, match="'zz' names no generator"):
+            grading_solve(k, seeds={"zz": 5})
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_text("gen a 0\n")
@@ -268,6 +274,18 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_text("gen a 0 0\nd a = a\nd a = 2 a\n")
     assert "second d line" in str(exc.value)
+
+    with pytest.raises(ParseError) as exc:
+        parse_text("gen a 0 0\ngen b 0 0\ngen c 0 0\n"
+                   "flip a = b\nflip a = c\n")
+    assert exc.value.line == 5
+    assert "second flip line for a" in str(exc.value)
+
+    for head in ("d", "flip"):
+        with pytest.raises(ParseError) as exc:
+            parse_text(f"gen a 0 0\n{head} a a\n")
+        assert exc.value.line == 2
+        assert f"{head} line needs '='" in str(exc.value)
 
     with pytest.raises(ParseError) as exc:
         parse_text("wibble a\n")
@@ -421,6 +439,22 @@ def test_the_package_has_one_cache():
                         and ("cache" in name.lower() or "memo" in name.lower())
                         and _builds_dict(value)):
                     found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_only_cfk_reads_the_differential():
+    """No module of the package but cfk reads KnotComplex.differential
+    or calls .arrows(): every other one reads d through cfk._unfold and
+    cfk._restrict, the one unfolding of CFK^oo."""
+    found = []
+    for path in sorted(Path(cfk.__file__).parent.glob("*.py")):
+        if path.name == "cfk.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("differential", "arrows")):
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
     assert found == []
 
 

@@ -8,12 +8,13 @@ from math import gcd
 import pytest
 
 from helpers import (ReferenceCone, checked_complex, h_columns,
-                     homology_dims_mod_p, homology_profile, library_checks,
-                     map_h, map_v, random_knot, reduce_step_by_step,
-                     reference_spin_c, staircase, torsion_square, twisty,
-                     v_columns)
+                     homology_dims_mod_p, homology_profile, id_of,
+                     library_checks, map_h, map_v, random_knot,
+                     reduce_step_by_step, reference_spin_c, staircase,
+                     torsion_square, twisty, v_columns)
 from hfplus import acomplex, cfk, homology, surgery
-from hfplus.acomplex import band_floor, genus, realize, signed_flip
+from hfplus.acomplex import (band_floor, genus, hfk_hat, kernel_rank_v,
+                             realize, signed_flip)
 from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
                         builtin, flip_chain_sign, mirror, validate)
 from hfplus.detect import casson_surgery
@@ -156,14 +157,15 @@ def test_each_a_block_is_b_plus_its_strip():
                 assert (dict(zip(a.ids, a.degrees))
                         == {**dict(zip(b.ids, b.degrees)), **strip}), (
                             k.name, t, top)
+                index = id_of(b)
                 assert v_columns(a.ids, b) == [
-                    {} if key in strip else {b.id_of[key]: 1}
+                    {} if key in strip else {index[key]: 1}
                     for key in a.ids]
                 for key, col, ucol in zip(a.ids, a.boundary, a.u_action):
                     if key in strip:
                         assert {a.ids[n] for n in (*col, *ucol)} <= set(strip)
                         continue
-                    n = b.id_of[key]
+                    n = index[key]
                     for into, own in ((col, b.boundary[n]),
                                       (ucol, b.u_action[n])):
                         assert ({a.ids[i]: c for i, c in into.items()
@@ -891,53 +893,89 @@ def test_a_corrupted_flip_is_caught_before_any_cone(monkeypatch):
     assert not built
 
 
-@pytest.mark.no_self_check
-def test_the_installed_check_catches_a_broken_restriction(monkeypatch):
-    # one arrow moved one translate down, so that its degree drops by
-    # three: once in each region realized (cfk._restrict, as acomplex
-    # names it), once in the strips (surgery._key_table's arrows).  The
-    # library checks no region and no strip; the check tests/conftest.py
-    # installs on cancel_unit_pairs, marker no_self_check or not, raises
-    # in reduce_regions, before any cone is built
-    restrict, key_table = acomplex._restrict, surgery._key_table
+def _one_arrow_moved_down(restrict):
+    """cfk._restrict with one arrow of d one translate lower.
 
-    def moved_region(complex_, ids):
-        boundary, id_of = restrict(complex_, ids)
-        for col in boundary:
-            for i in col:
-                name, k = ids[i]
-                lower = id_of.get((name, k - 1))
-                if lower is not None and lower not in col:
-                    col[lower] = col.pop(i)
-                    return boundary, id_of
-        return boundary, id_of
-
-    def moved_strip(source):
-        index, arrows, *rest = key_table(source)
+    The first arrow x -> y of the unfolding lands on the translate of y
+    one below (key - G), so every column of x that keeps that translate
+    carries an arrow that drops the degree by three, and one that does
+    not keep it loses the arrow.
+    """
+    def moved(unfolding, rows, columns=None):
+        index, arrows, *rest = unfolding
         n = next(n for n, out in enumerate(arrows) if out)
         (off, c), *others = arrows[n]
-        arrows[n] = [(off - len(index), c), *others]
-        return (index, arrows, *rest)
+        arrows = [*arrows[:n], [(off - len(arrows), c), *others],
+                  *arrows[n + 1:]]
+        return restrict((index, arrows, *rest), rows, columns)
 
+    return moved
+
+
+@pytest.mark.no_self_check
+def test_the_installed_check_catches_a_broken_restriction(monkeypatch):
+    # cfk._restrict is the one rule that restricts d, so one corruption
+    # of it reaches every piece.  The library checks no region and no
+    # strip of a cone; the check tests/conftest.py installs on
+    # cancel_unit_pairs, marker no_self_check or not, raises in
+    # reduce_regions, before any cone is built: in the regions realized
+    # (as acomplex names _restrict), or in the strips (as surgery names
+    # it).  hfk_hat's column (as cfk names it) and kernel_rank_v's strip
+    # (as acomplex names it) are GradedComplexes, checked when built.
+    # The moved arrow leaves a column, so hfk_hat reads a knot with a
+    # square inside one filtration level: b -> c + d, c -> e, d -> -e
+    box = KnotComplex([("a", 0, 0, 0), ("b", 0, 0, 1), ("c", 0, 0, 0),
+                       ("d", 0, 0, 0), ("e", 0, 0, -1)],
+                      {"b": [(1, 0, "c"), (1, 0, "d")],
+                       "c": [(1, 0, "e")], "d": [(-1, 0, "e")]})
+    assert validate(box) == [] and hfk_hat(box, 0).total_free_rank() == 1
     built = []
 
     def build(*args):
         built.append(args)
         return build_mapping_cone(*args)
 
+    def cone():
+        hf_plus(staircase(5), 7, 3)
+
     monkeypatch.setattr(surgery, "build_mapping_cone", build)
-    for module, name, corrupt in [(acomplex, "_restrict", moved_region),
-                                  (surgery, "_key_table", moved_strip)]:
+    for module, run, inside, outside in [
+            (acomplex, cone, {"reduce_regions"}, "_reduce_strip"),
+            (surgery, cone, {"reduce_regions", "_reduce_strip"}, None),
+            (cfk, lambda: hfk_hat(box, 0), {"hfk_hat", "column"}, None),
+            (acomplex, lambda: kernel_rank_v(staircase(5), 0),
+             {"kernel_rank_v"}, "column")]:
         with monkeypatch.context() as m:
             m.setattr(cfk, "_memo", OrderedDict())
-            m.setattr(module, name, corrupt)
+            m.setattr(module, "_restrict",
+                      _one_arrow_moved_down(module._restrict))
             with pytest.raises(ValueError, match="degree by 1|square to "
                                "zero") as exc:
-                hf_plus(staircase(5), 7, 3)
+                run()
         names = [entry.name for entry in exc.traceback]
-        assert "reduce_regions" in names, name
-        assert ("_reduce_strip" in names) == (name == "_key_table")
+        assert inside <= set(names) and outside not in names, inside
     assert not built
+
+
+def test_a_reordered_complex_shares_the_unfolding(monkeypatch):
+    # the memo keys a complex by content, which ignores the order of its
+    # generators, so a reordered copy is handed the first one's
+    # unfolding; every piece reaches a generator through its index
+    k = staircase(3)
+    reordered = KnotComplex(k.generators[::-1], k.differential, k.flip)
+
+    def invariants(complex_):
+        return (hf_plus(complex_, 7, 3).comparable(),
+                [kernel_rank_v(complex_, s) for s in range(-3, 4)],
+                [hfk_hat(complex_, s).summary() for s in range(-3, 4)])
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    expected = invariants(k)
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    index = cfk._unfold(k)[0]
+    assert cfk._unfold(reordered)[0] is index
+    assert list(index) != [g.name for g in reordered.generators]
+    assert invariants(reordered) == expected
 
 
 def test_negative_slope_reports_reversed_orientation():

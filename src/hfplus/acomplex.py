@@ -33,16 +33,19 @@ computations cut, worked out in closed form from the generators'
 gradings and the blocks' offsets, with no retry.
 
 Realizations and homology groups are built anew on every call and
-never cached; genus and kernel_rank_v keep their results in cfk's memo.
-Only what graded_homology reads here is checked (GradedComplex): a
-realization is a subquotient of a complex that require_valid checks.
+never cached; genus, kernel_rank_v and surgery._reduce_strip keep
+their results in cfk's memo.  Each knot-level invariant runs
+require_valid once; beyond that only what graded_homology reads is
+checked (GradedComplex): a realization is a subquotient of a complex
+that require_valid checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfk import _restrict, _unfold, column, flip_chain_sign, memoized
+from .cfk import (_restrict, _unfold, column, flip_chain_sign, memoized,
+                  require_valid)
 from .errors import FlipMissingError, GradingError, InvalidComplexError
 from .homology import GradedComplex, graded_homology
 
@@ -154,18 +157,27 @@ def signed_flip(complex_):
 # knot-level invariants
 
 
+def _valid_graded(complex_, what):
+    """complex_, if it is graded (else GradingError) and require_valid."""
+    if not complex_.graded:
+        raise GradingError(f"{what} requires solved gradings")
+    return require_valid(complex_)
+
+
+def _hat(complex_, s):
+    return graded_homology(column(complex_, {
+        g.name: g.m - 2 * g.i
+        for g in complex_.generators if g.j - g.i == s}))
+
+
 def hfk_hat(complex_, s):
     """Hat knot Floer homology at Alexander grading s.
 
     The {i = 0} column (cfk.column) on the generators with j - i = s,
     which is the level (0, s), in degrees m - 2i.  An ungraded complex
-    raises GradingError.
+    raises GradingError, an invalid one InvalidComplexError.
     """
-    if not complex_.graded:
-        raise GradingError("hfk_hat requires solved gradings")
-    return graded_homology(column(complex_, {
-        g.name: g.m - 2 * g.i
-        for g in complex_.generators if g.j - g.i == s}))
+    return _hat(_valid_graded(complex_, "hfk_hat"), s)
 
 
 def _alexander_support(complex_):
@@ -175,9 +187,10 @@ def _alexander_support(complex_):
 @memoized
 def genus(complex_):
     """Top filtration level with nonzero hat homology (0 for the unknot)."""
+    _valid_graded(complex_, "genus")
     best = None
     for s in reversed(_alexander_support(complex_)):
-        if hfk_hat(complex_, s).support():
+        if _hat(complex_, s).support():
             best = s
             break
     return max(best, 0) if best is not None else 0
@@ -230,11 +243,10 @@ def alexander_polynomial(complex_):
     Output is symmetric under s -> -s for any honest knot complex;
     asymmetry is reported as a validation failure.
     """
-    if not complex_.graded:
-        raise GradingError("alexander polynomial requires solved gradings")
+    _valid_graded(complex_, "alexander polynomial")
     coeffs = {}
     for s in _alexander_support(complex_):
-        h = hfk_hat(complex_, s)
+        h = _hat(complex_, s)
         chi = 0
         for d in h.support():
             chi += h.free_rank(d) if d % 2 == 0 else -h.free_rank(d)
@@ -259,8 +271,7 @@ def kernel_rank_v(complex_, s):
     other column homology raises InvalidComplexError.  A term of d that
     leaves S_s (_strip) leaves A_s, so cfk._restrict may drop it.
     """
-    if not complex_.graded:
-        raise GradingError("kernel_rank_v requires solved gradings")
+    _valid_graded(complex_, "kernel_rank_v")
     hat = graded_homology(column(complex_, {
         g.name: g.m - 2 * g.i for g in complex_.generators}))
     if list(hat.summary().values()) != [(1, ())]:

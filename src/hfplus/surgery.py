@@ -40,8 +40,8 @@ below the cut.  Of these only residues are built (MappingCone):
   subcomplex.  It lies below the cut: top is at least 2 depth above
   off_B(s) + m - 2i, the cone degree of each generator's first
   translate in the kept B_s, and the strip's translates, at i <= -1
-  in A_s, lie below that.  A strip does not depend on the cut, so an
-  hf_plus call builds and reduces each distinct S_t once (_reduce_strip).
+  in A_s, lie below that.  A strip depends on the knot and t alone, so
+  each S_t is reduced once, into the memo, for every call (_reduce_strip).
 
 Every element b of B_s is v(p), with coefficient 1, for the same key p
 in A_s's copy of B, and all these pairs are cancelled at once
@@ -203,8 +203,9 @@ def _cone_shape(source, descriptor, g, floors):
     return blocks, top
 
 
+@memoized
 def _key_table(source):
-    """(index, arrows, into, hop, back, in_b): cfk._unfold's table and h.
+    """(hop, back, in_b): h on cfk._unfold's keys, one entry per generator.
 
     h_t: A_t -> B sends a key of generator n to key + hop[n][1] - G t,
     with sign hop[n][0], when key >= hop[n][2] + G t, i.e. j + k >= t,
@@ -212,21 +213,20 @@ def _key_table(source):
     generator n lies in B when key >= in_b[n], and there
     h_t^-1 key = key + back[n] + G t.
     """
-    index, arrows, into = _unfold(source)
+    index, G = _unfold(source)[0], len(source.generators)
     flip = signed_flip(source)
-    G = len(arrows)
     hop, back, in_b = [None] * G, [0] * G, [0] * G
     for g in source.generators:
         n, (sgn, flipped) = index[g.name], flip[g.name]
         hop[n] = (sgn, index[flipped] - n, n - G * g.j)
         back[index[flipped]] = n - index[flipped]
         in_b[n] = n - G * g.i
-    return index, arrows, into, hop, back, in_b
+    return hop, back, in_b
 
 
-def _h_columns(keys, columns, t):
+def _h_columns(source, columns, t):
     """h_t of each key in columns: {image key: sign}, or {} if j + k < t."""
-    hop = keys[3]
+    hop = _key_table(source)[0]
     G, shift = len(hop), len(hop) * t
     out = []
     for key in columns:
@@ -235,7 +235,8 @@ def _h_columns(keys, columns, t):
     return out
 
 
-def _reduce_strip(source, keys, t):
+@memoized
+def _reduce_strip(source, t):
     """(ids, degrees, boundary, u_action, f, g, incoming) of S_t reduced.
 
     The strip is acomplex._strip's, unchecked (require_valid checks the
@@ -244,16 +245,18 @@ def _reduce_strip(source, keys, t):
     (cfk._restrict) and f = h_t as keys of B, as a bottom region's
     carried columns do.  The residue's columns are d, U, f and g (pi U
     iota outside the strip), and incoming maps each p to its own four.
+    Memoized: every cone that holds S_t reads it, and none changes it.
     """
-    index, arrows, into, *_ = keys
+    unfolding = _unfold(source)
+    index, arrows, into = unfolding
     G = len(arrows)
     strip, degrees = _strip(source, t)
     hit = {key + off for key in strip for off in into[key % G]}
     hit.update(key + G for key in strip)
     incoming = [key for key in hit if key not in strip]
     columns = [*strip, *incoming]
-    boundary, u_action = _restrict(keys, strip, columns)
-    f, g = _h_columns(keys, columns, t), [{} for _ in columns]
+    boundary, u_action = _restrict(unfolding, strip, columns)
+    f, g = _h_columns(source, columns, t), [{} for _ in columns]
     keep = cancel_unit_pairs(degrees, boundary, u_action, (f, g))
     r, names = len(keep), list(index)
     return ([(names[columns[j] % G], columns[j] // G) for j in keep],
@@ -263,7 +266,7 @@ def _reduce_strip(source, keys, t):
 
 
 def reduce_regions(source, descriptors):
-    """(shapes, residues, strips, keys) of the cones of descriptors.
+    """(shapes, residues) of the cones of descriptors.
 
     shapes maps each descriptor to its kept blocks and the cone degree
     top they are cut at.  Every cone whose bottom block A_lo is the
@@ -278,10 +281,9 @@ def reduce_regions(source, descriptors):
     more than one A block, carried holds its h columns into B, keyed as
     in _key_table, and the U terms into B that the cancellation
     creates: nothing maps into A_lo, so this is a strong deformation
-    retract of the whole cone.  strips maps each t of another kept A
-    block to its strip S_t, reduced once (_reduce_strip).  keys is
-    _key_table(source), built once for every cone with more than one A
-    block, or None when there is none.  source must pass require_valid.
+    retract of the whole cone.  Every other kept A block is a strip,
+    which the cone reads from the memo (_reduce_strip).  source must
+    pass require_valid.
     """
     if not source.graded:
         raise GradingError("surgery requires solved gradings")
@@ -289,30 +291,26 @@ def reduce_regions(source, descriptors):
     floors = {}
     shapes = {d: _cone_shape(source, d, knot_genus, floors)
               for d in descriptors}
-    cuts, joined, ts = {}, set(), set()
+    cuts, joined = {}, set()
     for blocks, top in shapes.values():
         _, region, offset = blocks[0]
         cuts[region] = max(cuts.get(region, top - offset), top - offset)
         if len(blocks) > 1:
             joined.add(region)
-            ts.update(r.params[0] for label, r, _ in blocks[1:]
-                      if label[0] == "A")
     shapes = {d: (blocks, cuts[blocks[0][1]] + blocks[0][2])
               for d, (blocks, _) in shapes.items()}
-    keys = _key_table(source) if joined else None
     residues = {}
     for region, cut in cuts.items():
         real = realize(source, region, cut)
         carried = None
         if region in joined:
-            carried = (_h_columns(keys, real.keys, region.params[0]),
+            carried = (_h_columns(source, real.keys, region.params[0]),
                        [{} for _ in real.ids])
         keep = cancel_unit_pairs(real.degrees, real.boundary, real.u_action,
                                  carried)
         residues[region] = ([real.ids[j] for j in keep], real.degrees,
                             real.boundary, real.u_action, carried)
-    strips = {t: _reduce_strip(source, keys, t) for t in sorted(ts)}
-    return shapes, residues, strips, keys
+    return shapes, residues
 
 
 class MappingCone:
@@ -324,7 +322,7 @@ class MappingCone:
     acomplex.band_floor over them, so the cone holds at least depth
     tower levels; n_a_summands and n_b_summands count them.  The bottom
     block A_lo is its region's whole residue, and every other A_s is the
-    residue of its strip S_t, t = t(s), reduced whole (reduce_regions).
+    residue of its strip S_t, t = t(s), reduced whole (_reduce_strip).
     No element of any B_s is left: each is v of the same key of the
     copy of B inside A_s, and is cancelled against it, also at degree
     top (see the module docstring).  Labels are ("A", s, generator
@@ -334,15 +332,14 @@ class MappingCone:
     the (offset) grading by exactly one on every component is the
     library's one check on the maps that join the residues.  regions is
     what reduce_regions returned for a list of descriptors that holds
-    this one; without it, this one cone's regions and strips are
-    reduced first, at this cone's own least cut.  chain_steps counts the
-    keys the Morse chains visited (_join).
+    this one; without it, this one cone's bottom region is reduced
+    first, at this cone's own least cut.  chain_steps counts the keys
+    the Morse chains visited (_join).
     """
 
     def __init__(self, source, descriptor, regions=None):
-        shapes, residues, strips, keys = (
-            regions if regions is not None
-            else reduce_regions(source, [descriptor]))
+        shapes, residues = (regions if regions is not None
+                            else reduce_regions(source, [descriptor]))
         self.source = source
         self.descriptor = descriptor
         blocks, top = shapes[descriptor]
@@ -354,24 +351,24 @@ class MappingCone:
         u_cols = [dict(col) for col in res_u]
         self.chain_steps = 0
         if rest:
-            self.chain_steps = self._join(rest, carried, strips, keys, ids,
-                                          degrees, boundary, u_cols)
+            self.chain_steps = self._join(rest, carried, ids, degrees,
+                                          boundary, u_cols)
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
         self.n_a_summands = sum(label[0] == "A" for label, *_ in blocks)
         self.n_b_summands = len(blocks) - self.n_a_summands
 
-    def _join(self, rest, carried, strips, keys, ids, degrees, boundary,
-              u_cols):
+    def _join(self, rest, carried, ids, degrees, boundary, u_cols):
         """Append the strip residues of rest, cancelling all of B against A.
 
         Each column leaves its block with f (its d) and g (its U) in
         B_{s+1}, as keys of _key_table: the bottom residue's carried
-        columns, and each strip residue's own.  Cancelling b = v(p)
-        against the same key p of A_{s+1} (v has coefficient 1) turns a
-        term b of d or U into -b times the rest of d p, so f and g start
-        two frontiers of terms in B, the d frontier and the U frontier,
+        columns, and each strip residue's own, read from the memo and
+        never changed (_reduce_strip).  Cancelling b = v(p) against the
+        same key p of A_{s+1} (v has coefficient 1) turns a term b of d
+        or U into -b times the rest of d p, so f and g start two
+        frontiers of terms in B, the d frontier and the U frontier,
         swept upward block by block.  A key with term b in S_t(s)'s
         incoming table enters with c = -b: on the d frontier it adds c
         times its reduced d to the column and c times its reduced U to
@@ -391,12 +388,13 @@ class MappingCone:
         with every frontier swept to the top.
         """
         G = len(self.source.generators)
-        _, _, _, hop, back, in_b = keys
+        hop, back, in_b = _key_table(self.source)
         levels, sweeps = {}, []
         for label, region, offset in rest:
             if label[0] == "A":
                 s, t = label[1], region.params[0]
-                res_ids, res_degrees, res_d, res_u, f, g, table = strips[t]
+                res_ids, res_degrees, res_d, res_u, f, g, table = (
+                    _reduce_strip(self.source, t))
                 base = len(ids)
                 levels[s] = G * t, base, table
                 ids.extend(label + key for key in res_ids)
@@ -635,9 +633,9 @@ def hf_plus(complex_, p, q):
     bottom regions of the cones' kept blocks (_cone_blocks cancels the
     end pairs) are reduced together for every Spin^c structure, each at
     one cut (reduce_regions), then each Spin^c structure builds one cone
-    from them and the strips, holding at least TOWER_LEVELS tower levels
-    above its band floor (see MappingCone), which is what
-    tower_decompose reads.
+    from them and the knot's strips in the memo (_reduce_strip),
+    holding at least TOWER_LEVELS tower levels above its band floor
+    (see MappingCone), which is what tower_decompose reads.
     Each result records sigma as provenance: the window the offsets
     are pinned in, not the number of blocks built.  A failed tower
     check raises its error type again, naming the slope, Spin^c index,

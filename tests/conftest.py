@@ -7,14 +7,18 @@ grid and in tests marked no_self_check too (_structure_check):
 - cancel_unit_pairs, as homology and surgery each name it, builds a
   checked GradedComplex (helpers.checked_complex) of the residue it
   leaves when it cancelled anything, incoming columns left out, and as
-  surgery names it of the complex it is given as well.  Every region
-  and every strip of a surgery cone goes through
-  surgery.cancel_unit_pairs right after it is built
-  (surgery.reduce_regions), and every cone residue comes out of
-  homology.cancel_unit_pairs (GradedComplex.cancel_units, on a cone
-  checked when built).  The library checks none of these; this is
-  where a bug in cfk._unfold, cfk._restrict or the cancellation
-  shows.  A child interpreter a test starts has none of it.
+  surgery names it of the complex it is given as well.  Every bottom
+  region of a surgery cone goes through surgery.cancel_unit_pairs
+  right after it is built (surgery.reduce_regions), and so does every
+  strip, but only when the memo misses: a strip is reduced once per
+  knot and t and kept in cfk's memo (surgery._reduce_strip), so it is
+  checked under whichever test first reduced it, and a test that must
+  see every strip checked starts from an empty memo.  Every cone
+  residue comes out of homology.cancel_unit_pairs
+  (GradedComplex.cancel_units, on a cone checked when built).  The
+  library checks none of these; this is where a bug in cfk._unfold,
+  cfk._restrict or the cancellation shows.  A child interpreter a
+  test starts has none of it.
 
 On every test not marked no_self_check, undone when it ends
 (_self_check):

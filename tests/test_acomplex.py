@@ -195,6 +195,35 @@ def test_hfk_hat_of_an_ungraded_level_with_an_arrow_needs_gradings():
                 hfk_hat(k, s)
 
 
+def test_knot_invariants_reject_an_invalid_complex(monkeypatch):
+    # an arrow to no generator is a violation of the complex, not a
+    # KeyError of its unfolding; each invariant validates once per call
+    k = KnotComplex([("a", 0, 0, 0), ("b", 0, 0, 1)], {"b": [(1, 0, "zz")]})
+    validated, validate = [], cfk.validate
+
+    def validating(complex_):
+        validated.append(complex_)
+        return validate(complex_)
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(cfk, "validate", validating)
+    for invariant in (lambda: hfk_hat(k, 0), lambda: genus(k),
+                      lambda: alexander_polynomial(k),
+                      lambda: kernel_rank_v(k, 0)):
+        validated.clear()
+        with pytest.raises(InvalidComplexError) as info:
+            invariant()
+        assert info.value.violations == [
+            "differential target zz at b is not a generator"]
+        assert validated == [k]
+    trefoil = builtin("trefoil_right")
+    for invariant in (lambda: genus(trefoil),
+                      lambda: alexander_polynomial(trefoil)):
+        validated.clear()
+        invariant()
+        assert validated == [trefoil]
+
+
 def test_kernel_rank_v_realizes_no_region(monkeypatch):
     k = builtin("trefoil_right")
     monkeypatch.setattr(cfk, "_memo", OrderedDict())

@@ -181,7 +181,6 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
              (builtin("trefoil_right"), 1, 5),
              (builtin("trefoil_right"), 5, 1),
              (random_knot(random.Random(0), 4), 2, 1)]
-    reduce_strip = surgery._reduce_strip
     joined = shrunk = 0
     for k, p, q in cases:
         tops, ts = {}, set()
@@ -198,9 +197,10 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
             calls.append((region, top))
             return realize(complex_, region, top)
 
-        def reducing(source, keys, t):
+        def stripping(complex_, t):
+            # _reduce_strip builds S_t only when the memo misses
             strips.append(t)
-            return reduce_strip(source, keys, t)
+            return acomplex._strip(complex_, t)
 
         def building(*args):
             cones.append(build_mapping_cone(*args))
@@ -211,7 +211,7 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
             m.setattr(cfk, "_memo", OrderedDict())
             acomplex.genus(k)  # its hat homology checks columns
             m.setattr(surgery, "realize", counting)
-            m.setattr(surgery, "_reduce_strip", reducing)
+            m.setattr(surgery, "_strip", stripping)
             m.setattr(surgery, "build_mapping_cone", building)
             checked = library_checks(m)
             hf_plus(k, p, q)
@@ -248,10 +248,10 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
 
 def _residue_total(complex_, descriptor, regions):
     """Elements of the cone's bottom residue and its strips' residues."""
-    _, residues, strips, _ = regions
+    _, residues = regions
     (_, bottom, _), *rest = _kept_blocks(complex_, descriptor)
     return len(residues[bottom][0]) + sum(
-        len(strips[region.params[0]][0])
+        len(surgery._reduce_strip(complex_, region.params[0])[0])
         for label, region, _ in rest if label[0] == "A")
 
 
@@ -280,10 +280,13 @@ def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
         given[:] = [list(degrees)]
         return cancel(degrees, *args)
 
-    def reducing(source, keys, t):
+    def reducing(source, t):
         # the strip's degrees as built, which its one cancellation gets
-        residue = reduce_strip(source, keys, t)
-        strips[t] = given[0], residue[0]
+        # when the memo misses
+        given.clear()
+        residue = reduce_strip(source, t)
+        if given:
+            strips[t] = given[0], residue[0]
         return residue
 
     def building(complex_, descriptor, regions):
@@ -312,6 +315,8 @@ def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
     monkeypatch.setattr(surgery, "_reduce_strip", reducing)
     monkeypatch.setattr(surgery, "build_mapping_cone", building)
     for k, p, q in cases:
+        # a cold memo, so that every strip a case reads is built in it
+        cfk._memo.clear()
         strips.clear()
         hf_plus(k, p, q)
     for k, region, top, size in realized:
@@ -352,15 +357,16 @@ UNPRUNED_STEPS = 534
 def test_chains_stop_once_no_strip_is_reachable(monkeypatch):
     # the columns are pinned by the reference tests; this pins that
     # most of each chain is never walked, and that signed_flip and the
-    # key table are worked out once per hf_plus call, not once per cone
+    # key table are worked out once per knot, not once per cone or call
     k = staircase(5)
     flips, tables, cones = [], [], []
-    key_table = surgery._key_table
+    key_table = surgery._key_table.__wrapped__
 
     def flipping(source):
         flips.append(source)
         return signed_flip(source)
 
+    @cfk.memoized
     def tabling(source):
         tables.append(source)
         return key_table(source)
@@ -377,6 +383,61 @@ def test_chains_stop_once_no_strip_is_reachable(monkeypatch):
     assert len(cones) == 7 and len(flips) == len(tables) == 1
     steps = sum(cone.chain_steps for cone in cones)
     assert 0 < steps < UNPRUNED_STEPS // 4, steps
+    hf_plus(k, 1, 1)
+    assert len(cones) > 7 and len(flips) == len(tables) == 1
+
+
+def test_strips_are_shared_across_calls_and_never_changed(monkeypatch):
+    # a strip and the key table depend on the knot alone, so 7/3 after
+    # 1/1 reduces only the strips 1/1 did not, and 1/1 again (an hf_plus
+    # hit) none; signed_flip runs once for the knot; after every cone
+    # each strip residue in the memo still equals a fresh reduction of
+    # that strip; and every result is the one a cold memo gives
+    k = staircase(4)
+    slopes = [(1, 1), (7, 3), (1, 1)]
+    cold = {}
+    for p, q in set(slopes):
+        monkeypatch.setattr(cfk, "_memo", OrderedDict())
+        cold[p, q] = hf_plus(k, p, q).comparable()
+    reduce_strip = surgery._reduce_strip
+    reduce_fresh = reduce_strip.__wrapped__
+    read, flips, fresh = [], [], {}
+
+    def in_memo():
+        return {key[2]: value for key, value in cfk._memo.items()
+                if key[0] is reduce_fresh}
+
+    def reading(source, t):
+        read[-1].add(t)
+        return reduce_strip(source, t)
+
+    def flipping(source):
+        flips.append(source)
+        return signed_flip(source)
+
+    def building(*args):
+        cone = build_mapping_cone(*args)
+        for t, residue in in_memo().items():
+            if t not in fresh:
+                fresh[t] = deepcopy(reduce_fresh(k, t))
+            assert residue == fresh[t], t
+        return cone
+
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "_reduce_strip", reading)
+    monkeypatch.setattr(surgery, "signed_flip", flipping)
+    monkeypatch.setattr(surgery, "build_mapping_cone", building)
+    reduced = []
+    for p, q in slopes:
+        before = set(in_memo())
+        read.append(set())
+        assert hf_plus(k, p, q).comparable() == cold[p, q], (p, q)
+        reduced.append(set(in_memo()) - before)
+    assert reduced[0] == read[0] and reduced[0]
+    assert reduced[1] == read[1] - reduced[0] and read[1] & reduced[0]
+    assert not reduced[2] and not read[2]
+    assert flips == [k]
+    assert fresh.keys() == reduced[0] | reduced[1]
 
 
 def test_cones_sharing_a_bottom_region_are_cut_at_one_degree(monkeypatch):
@@ -493,11 +554,13 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
     reduce_strip = surgery._reduce_strip
     strip_labels, strip_pairs, recording = [], {}, []
 
-    def strip(source, keys, t):
-        # _reduce_strip's elements, in the order it builds them
-        strip_labels[:] = [(g.name, k) for g in source.generators
-                           for k in acomplex._strip_range(g, t)]
-        return reduce_strip(source, keys, t)
+    def strip(source, t):
+        # _reduce_strip's elements, in the order it builds them; it
+        # reduces S_t, and reducing records its pairs, when the memo misses
+        strip_labels[:] = [(source.content_key(), t),
+                           [(g.name, k) for g in source.generators
+                            for k in acomplex._strip_range(g, t)]]
+        return reduce_strip(source, t)
 
     def recorded(boundary, rows, maps, x, y):
         recording.append((x, y))
@@ -507,13 +570,13 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
         if len(boundary) == len(degrees):  # a bottom region stays whole
             checked_complex(degrees, boundary, u_action)
             return list(range(len(degrees)))
-        ids = list(strip_labels)
+        key, ids = strip_labels
         recording.clear()
         keep = cancel(degrees, boundary, u_action, carried)
-        strip_pairs[frozenset(ids)] = [(ids[x], ids[y])
-                                       for x, y in recording]
+        strip_pairs[key] = [(ids[x], ids[y]) for x, y in recording]
         return keep
 
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
     monkeypatch.setattr(surgery, "_reduce_strip", strip)
     monkeypatch.setattr(homology, "_cancel_pair", recorded)
     monkeypatch.setattr(surgery, "cancel_unit_pairs", reducing)
@@ -527,7 +590,6 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
                 if len(_kept_blocks(k, desc)) == 1:
                     continue
                 joined += 1
-                strip_pairs.clear()
                 cone = build_mapping_cone(k, desc)
                 kept = ReferenceCone(k, desc, kept=True)
                 assert cone.ceiling == kept.ceiling
@@ -535,12 +597,10 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
                 units = []
                 for label, region, _ in _kept_blocks(k, desc)[1:]:
                     if label[0] == "A":
-                        strip = frozenset(
-                            (g.name, n) for g in k.generators
-                            for n in acomplex._strip_range(
-                                g, region.params[0]))
+                        pairs = strip_pairs[(k.content_key(),
+                                             region.params[0])]
                         units += [(index[label + x], index[label + y])
-                                  for x, y in strip_pairs[strip]]
+                                  for x, y in pairs]
                 units_cancelled += len(units)
                 pairs = [(index[("A",) + label[1:]], n)
                          for n, label in enumerate(kept.ids)
@@ -917,11 +977,13 @@ def test_the_installed_check_catches_a_broken_restriction(monkeypatch):
     # cfk._restrict is the one rule that restricts d, so one corruption
     # of it reaches every piece.  The library checks no region and no
     # strip of a cone; the check tests/conftest.py installs on
-    # cancel_unit_pairs, marker no_self_check or not, raises in
-    # reduce_regions, before any cone is built: in the regions realized
-    # (as acomplex names _restrict), or in the strips (as surgery names
-    # it).  hfk_hat's column (as cfk names it) and kernel_rank_v's strip
-    # (as acomplex names it) are GradedComplexes, checked when built.
+    # cancel_unit_pairs, marker no_self_check or not, raises before any
+    # cone is built and checked: in reduce_regions, on the regions
+    # realized (as acomplex names _restrict), or in the strips (as
+    # surgery names it), which _reduce_strip reduces when the first cone
+    # that reads them joins its blocks, before that cone's own check.
+    # hfk_hat's column (as cfk names it) and kernel_rank_v's strip (as
+    # acomplex names it) are GradedComplexes, checked when built.
     # The moved arrow leaves a column, so hfk_hat reads a knot with a
     # square inside one filtration level: b -> c + d, c -> e, d -> -e
     box = KnotComplex([("a", 0, 0, 0), ("b", 0, 0, 1), ("c", 0, 0, 0),
@@ -932,8 +994,9 @@ def test_the_installed_check_catches_a_broken_restriction(monkeypatch):
     built = []
 
     def build(*args):
-        built.append(args)
-        return build_mapping_cone(*args)
+        cone = build_mapping_cone(*args)
+        built.append(cone)
+        return cone
 
     def cone():
         hf_plus(staircase(5), 7, 3)
@@ -941,7 +1004,7 @@ def test_the_installed_check_catches_a_broken_restriction(monkeypatch):
     monkeypatch.setattr(surgery, "build_mapping_cone", build)
     for module, run, inside, outside in [
             (acomplex, cone, {"reduce_regions"}, "_reduce_strip"),
-            (surgery, cone, {"reduce_regions", "_reduce_strip"}, None),
+            (surgery, cone, {"_join", "_reduce_strip"}, None),
             (cfk, lambda: hfk_hat(box, 0), {"hfk_hat", "column"}, None),
             (acomplex, lambda: kernel_rank_v(staircase(5), 0),
              {"kernel_rank_v"}, "column")]:

@@ -180,16 +180,12 @@ def hfk_hat(complex_, s):
     return _hat(_valid_graded(complex_, "hfk_hat"), s)
 
 
-def _alexander_support(complex_):
-    return sorted({g.j - g.i for g in complex_.generators})
-
-
 @memoized
 def genus(complex_):
     """Top filtration level with nonzero hat homology (0 for the unknot)."""
     _valid_graded(complex_, "genus")
     best = None
-    for s in reversed(_alexander_support(complex_)):
+    for s in sorted({g.j - g.i for g in complex_.generators}, reverse=True):
         if _hat(complex_, s).support():
             best = s
             break
@@ -240,18 +236,18 @@ class LaurentPolynomial:
 def alexander_polynomial(complex_):
     """Euler characteristic of hat homology across filtration levels.
 
-    Output is symmetric under s -> -s for any honest knot complex;
-    asymmetry is reported as a validation failure.
+    The coefficient of t^s is the sum of (-1)^m over the generators
+    with j - i = s: the Euler characteristic of that level's finite free
+    complex (hfk_hat), which equals that of its homology.  Output is
+    symmetric under s -> -s for any honest knot complex; asymmetry is
+    reported as a validation failure.
     """
     _valid_graded(complex_, "alexander polynomial")
     coeffs = {}
-    for s in _alexander_support(complex_):
-        h = _hat(complex_, s)
-        chi = 0
-        for d in h.support():
-            chi += h.free_rank(d) if d % 2 == 0 else -h.free_rank(d)
-        if chi:
-            coeffs[s] = chi
+    for g in complex_.generators:
+        s = g.j - g.i
+        coeffs[s] = coeffs.get(s, 0) + (1 if g.m % 2 == 0 else -1)
+    coeffs = {s: c for s, c in sorted(coeffs.items()) if c}
     for s, c in coeffs.items():
         if coeffs.get(-s, 0) != c:
             raise InvalidComplexError(

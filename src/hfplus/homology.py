@@ -233,8 +233,6 @@ class _SnfWork:
                 k = v // p
                 if k:
                     self._row_axpy(r, t, -k)
-                if rows[t].get(t, 0) < 0:  # defensive; p stays positive
-                    self._row_negate(t)
                 if rows[r].get(t):
                     self._row_swap(t, r)
                     swapped = True

@@ -26,14 +26,15 @@ is H(A_t) (compare Ni-Wu, arXiv:1009.4720).
 Every kept block is cut at one absolute cone degree top, at least
 acomplex.band_floor over the kept blocks plus two per tower level
 read, so the kept elements span a subcomplex whose homology is exact
-below the cut.  Of these only residues are built (MappingCone):
+below the cut.  Of these only residues are built, each in one format
+(_residue), and MappingCone lays them all out in one loop:
 
 * the bottom block A_lo, its region's whole residue.  An hf_plus call
-  cuts every cone whose bottom block is the same region at one degree
-  of that region, the largest any of them needs, and realizes and
-  reduces that region once by unit cancellation (reduce_regions),
-  carrying its h column and the U terms into B_{lo+1} along as
-  integer keys of B;
+  cuts every cone whose bottom block has the same t at one degree of
+  A_t, the largest any of them needs, and realizes and reduces that
+  region once by unit cancellation (reduce_regions), carrying, when a
+  cone joins it to a B block, its h columns and the U terms into
+  B_{lo+1} along as integer keys of B;
 * for every other A_s, t = t(s), the residue of the strip
   S_t = C{i < 0 <= j - t}: v: A_s -> B is the quotient map, the
   identity on the copy of B inside A_s, and its kernel is this finite
@@ -168,11 +169,13 @@ def _cone_offsets(descriptor):
 
 
 def _cone_blocks(descriptor, g):
-    """(label, region, grading offset) of each summand built.
+    """(s, t(s), grading offset) of each A block built.
 
     The window's end pairs cancel for a knot of genus g: while more
     than one A block is left, (A_s, B_s) goes while the top A_s has
     t(s) >= g, then (A_s, B_{s+1}) while the bottom one has t(s) <= -g.
+    Of the B blocks, each B_s with s above the bottom is kept, at the
+    offset of A_s less one; none is listed.
     """
     d = descriptor
     lo, hi = -d.sigma, d.sigma
@@ -180,25 +183,26 @@ def _cone_blocks(descriptor, g):
         hi -= 1
     while lo < hi and d.t(lo) <= -g:
         lo += 1
-    off_a, off_b = _cone_offsets(d)
-    blocks = [(("A", s), Region.max_ij(d.t(s)), off_a[s])
-              for s in range(lo, hi + 1)]
-    blocks += [(("B", s), Region.min_i(), off_b[s])
-               for s in range(lo + 1, hi + 1)]
-    return blocks
+    off_a, _ = _cone_offsets(d)
+    return [(s, d.t(s), off_a[s]) for s in range(lo, hi + 1)]
 
 
 def _cone_shape(source, descriptor, g, floors):
-    """The kept blocks and the least cone degree l + 2 depth to cut at.
+    """The kept A blocks and the least cone degree l + 2 depth to cut at.
 
-    band_floor over blocks is the largest of offset plus band_floor of
-    the block's region alone; floors holds the latter, once per region.
+    band_floor over the kept blocks is the largest of offset plus
+    band_floor of the block's region alone: A_t for each A block, and
+    B, one below, for each B_s it implies.  floors holds the latter once
+    per t, and B's under None.
     """
     blocks = _cone_blocks(descriptor, g)
-    for _, region, _ in blocks:
-        if region not in floors:
-            floors[region] = band_floor(source, [(region, 0)])
-    top = (max(floors[r] + off for _, r, off in blocks)
+    pieces = [(t, offset) for _, t, offset in blocks]
+    pieces += [(None, offset - 1) for _, _, offset in blocks[1:]]
+    for t, _ in pieces:
+        if t not in floors:
+            region = Region.min_i() if t is None else Region.max_ij(t)
+            floors[t] = band_floor(source, [(region, 0)])
+    top = (max(floors[t] + offset for t, offset in pieces)
            + 2 * descriptor.depth)
     return blocks, top
 
@@ -235,52 +239,67 @@ def _h_columns(source, columns, t):
     return out
 
 
+def _residue(ids, degrees, boundary, u_action, carried, incoming=()):
+    """(ids, degrees, boundary, u_action, f, g, incoming) of a piece reduced.
+
+    The piece is one block of a cone, with elements ids of the given
+    degrees; boundary and u_action hold its columns, then one for each
+    key of incoming, and carried = (f, g) its d and U terms in B as
+    keys of _key_table, or None when no cone joins it.
+    cancel_unit_pairs reduces it in place: the residue keeps d, U, f
+    and g (pi U iota outside the piece) of each element left, f and g
+    None without carried, and incoming maps each key to its own four.
+    """
+    keep = cancel_unit_pairs(degrees, boundary, u_action, carried)
+    f, g = carried or (None, None)
+    r = len(keep)
+    table = {}
+    if incoming:
+        table = dict(zip(incoming, zip(boundary[r:], u_action[r:], f[r:],
+                                       g[r:])))
+    return ([ids[j] for j in keep], degrees, boundary[:r], u_action[:r],
+            f and f[:r], g and g[:r], table)
+
+
 @memoized
 def _reduce_strip(source, t):
-    """(ids, degrees, boundary, u_action, f, g, incoming) of S_t reduced.
+    """The residue (_residue) of S_t.
 
     The strip is acomplex._strip's, unchecked (require_valid checks the
     source).  Its columns, and an incoming one (cancel_unit_pairs) for
     each key p of B whose d or U meets it, hold d and U on the strip
-    (cfk._restrict) and f = h_t as keys of B, as a bottom region's
-    carried columns do.  The residue's columns are d, U, f and g (pi U
-    iota outside the strip), and incoming maps each p to its own four.
-    Memoized: every cone that holds S_t reads it, and none changes it.
+    (cfk._restrict) and f = h_t as keys of B, as a joined bottom
+    region's do.  Memoized: every cone that holds S_t reads it, and none
+    changes it.
     """
     unfolding = _unfold(source)
     index, arrows, into = unfolding
-    G = len(arrows)
+    G, names = len(arrows), list(index)
     strip, degrees = _strip(source, t)
     hit = {key + off for key in strip for off in into[key % G]}
     hit.update(key + G for key in strip)
     incoming = [key for key in hit if key not in strip]
     columns = [*strip, *incoming]
     boundary, u_action = _restrict(unfolding, strip, columns)
-    f, g = _h_columns(source, columns, t), [{} for _ in columns]
-    keep = cancel_unit_pairs(degrees, boundary, u_action, (f, g))
-    r, names = len(keep), list(index)
-    return ([(names[columns[j] % G], columns[j] // G) for j in keep],
-            degrees, boundary[:r], u_action[:r], f[:r], g[:r],
-            dict(zip(incoming, zip(boundary[r:], u_action[r:], f[r:],
-                                   g[r:]))))
+    return _residue([(names[key % G], key // G) for key in strip], degrees,
+                    boundary, u_action,
+                    (_h_columns(source, columns, t), [{} for _ in columns]),
+                    incoming)
 
 
 def reduce_regions(source, descriptors):
     """(shapes, residues) of the cones of descriptors.
 
-    shapes maps each descriptor to its kept blocks and the cone degree
-    top they are cut at.  Every cone whose bottom block A_lo is the
-    same region is cut at one degree of that region, the largest any
-    of them needs (_cone_shape), so each cone's top is at least
-    l + 2 depth and it holds at least depth tower levels
-    (acomplex.band_floor).  residues maps that region to its residue
-    (ids, degrees, boundary, u_action, carried): the region is realized
-    once at its cut, unchecked, and reduced by cancel_unit_pairs, and
-    is then the whole bottom block of each of those cones; no other
-    block is realized.  When the region is the bottom of a cone with
-    more than one A block, carried holds its h columns into B, keyed as
-    in _key_table, and the U terms into B that the cancellation
-    creates: nothing maps into A_lo, so this is a strong deformation
+    shapes maps each descriptor to its kept A blocks (_cone_blocks) and
+    the cone degree top they are cut at.  Every cone whose bottom block
+    A_lo has the same t is cut at one degree of A_t, the largest any of
+    them needs (_cone_shape), so each cone's top is at least l + 2 depth
+    and it holds at least depth tower levels (acomplex.band_floor).
+    residues maps that t to the residue (_residue) of A_t, realized
+    once at its cut, unchecked, which is then the whole bottom block of
+    each of those cones; no other block is realized.  When A_t is the
+    bottom of a cone with more than one A block, its f is its h columns
+    into B; nothing maps into A_lo, so this is a strong deformation
     retract of the whole cone.  Every other kept A block is a strip,
     which the cone reads from the memo (_reduce_strip).  source must
     pass require_valid.
@@ -293,48 +312,54 @@ def reduce_regions(source, descriptors):
               for d in descriptors}
     cuts, joined = {}, set()
     for blocks, top in shapes.values():
-        _, region, offset = blocks[0]
-        cuts[region] = max(cuts.get(region, top - offset), top - offset)
+        _, t, offset = blocks[0]
+        cuts[t] = max(cuts.get(t, top - offset), top - offset)
         if len(blocks) > 1:
-            joined.add(region)
+            joined.add(t)
     shapes = {d: (blocks, cuts[blocks[0][1]] + blocks[0][2])
               for d, (blocks, _) in shapes.items()}
     residues = {}
-    for region, cut in cuts.items():
-        real = realize(source, region, cut)
+    for t, cut in cuts.items():
+        real = realize(source, Region.max_ij(t), cut)
         carried = None
-        if region in joined:
-            carried = (_h_columns(source, real.keys, region.params[0]),
+        if t in joined:
+            carried = (_h_columns(source, real.keys, t),
                        [{} for _ in real.ids])
-        keep = cancel_unit_pairs(real.degrees, real.boundary, real.u_action,
-                                 carried)
-        residues[region] = ([real.ids[j] for j in keep], real.degrees,
-                            real.boundary, real.u_action, carried)
+        residues[t] = _residue(real.ids, real.degrees, real.boundary,
+                               real.u_action, carried)
     return shapes, residues
+
+
+def _shifted(columns, base):
+    """Copies of columns with each row index moved up by base."""
+    if not base:
+        return [dict(col) for col in columns]
+    return [{base + i: c for i, c in col.items()} for col in columns]
 
 
 class MappingCone:
     """The assembled truncated cone, reduced, as one graded U-complex.
 
-    The kept blocks (label, region, grading offset) are ("A", s) for
-    lo <= s <= hi and ("B", s) for lo < s <= hi (_cone_blocks), all cut
-    at cone degree ceiling + 1 = top, at least l + 2 depth with l from
-    acomplex.band_floor over them, so the cone holds at least depth
-    tower levels; n_a_summands and n_b_summands count them.  The bottom
-    block A_lo is its region's whole residue, and every other A_s is the
-    residue of its strip S_t, t = t(s), reduced whole (_reduce_strip).
-    No element of any B_s is left: each is v of the same key of the
-    copy of B inside A_s, and is cancelled against it, also at degree
-    top (see the module docstring).  Labels are ("A", s, generator
-    name, translate).  The source must pass require_valid, as hf_plus
-    ensures.  The cone is the one GradedComplex built: its check that
-    the total differential squares to zero, commutes with U, and drops
-    the (offset) grading by exactly one on every component is the
-    library's one check on the maps that join the residues.  regions is
-    what reduce_regions returned for a list of descriptors that holds
-    this one; without it, this one cone's bottom region is reduced
-    first, at this cone's own least cut.  chain_steps counts the keys
-    the Morse chains visited (_join).
+    The kept A blocks (s, t, grading offset) are A_s for lo <= s <= hi
+    (_cone_blocks), and each B_s with lo < s <= hi is implied at the
+    offset of A_s less one; all are cut at cone degree ceiling + 1 =
+    top, at least l + 2 depth with l from acomplex.band_floor over them,
+    so the cone holds at least depth tower levels; n_a_summands and
+    n_b_summands count them.  Each A block is laid out from one residue
+    (_residue): the bottom block A_lo from its region's, and every
+    other A_s from that of its strip S_t, t = t(s), reduced whole
+    (_reduce_strip).  No element of any B_s is left: each is v of the
+    same key of the copy of B inside A_s, and is cancelled against it,
+    also at degree top (see the module docstring).  Labels are ("A", s,
+    generator name, translate).  The source must pass require_valid,
+    as hf_plus ensures.  The cone is the one GradedComplex built: its
+    check that the total differential squares to zero, commutes with
+    U, and drops the (offset) grading by exactly one on every component
+    is the library's one check on the maps that join the residues.
+    regions is what reduce_regions returned for a list of descriptors
+    that holds this one; without it, this one cone's bottom region is
+    reduced first, at this cone's own least cut.  chain_steps counts
+    the keys the Morse chains visited (_join).
     """
 
     def __init__(self, source, descriptor, regions=None):
@@ -343,40 +368,46 @@ class MappingCone:
         self.source = source
         self.descriptor = descriptor
         blocks, top = shapes[descriptor]
-        (label, region, offset), rest = blocks[0], blocks[1:]
-        res_ids, res_degrees, res_boundary, res_u, carried = residues[region]
-        ids = [label + key for key in res_ids]
-        degrees = [deg + offset for deg in res_degrees]
-        boundary = [dict(col) for col in res_boundary]
-        u_cols = [dict(col) for col in res_u]
+        G = len(source.generators)
+        ids, degrees, boundary, u_cols = [], [], [], []
+        levels, sweeps = {}, []
+        for n, (s, t, offset) in enumerate(blocks):
+            res_ids, res_degrees, res_d, res_u, f, g, table = (
+                _reduce_strip(source, t) if n else residues[t])
+            base, label = len(ids), ("A", s)
+            levels[s] = G * t, base, table
+            sweeps.append((s + 1, f, g))
+            ids += [label + key for key in res_ids]
+            degrees += [deg + offset for deg in res_degrees]
+            boundary += _shifted(res_d, base)
+            u_cols += _shifted(res_u, base)
         self.chain_steps = 0
-        if rest:
-            self.chain_steps = self._join(rest, carried, ids, degrees,
-                                          boundary, u_cols)
+        if len(blocks) > 1:
+            self.chain_steps = self._join(levels, sweeps, boundary, u_cols)
         self.ceiling = top - 1
         self.complex = GradedComplex(degrees, boundary, u_cols, labels=ids)
         self.ids = ids
-        self.n_a_summands = sum(label[0] == "A" for label, *_ in blocks)
-        self.n_b_summands = len(blocks) - self.n_a_summands
+        self.n_a_summands = len(blocks)
+        self.n_b_summands = len(blocks) - 1
 
-    def _join(self, rest, carried, ids, degrees, boundary, u_cols):
-        """Append the strip residues of rest, cancelling all of B against A.
+    def _join(self, levels, sweeps, boundary, u_cols):
+        """Add to the laid-out columns what cancelling all of B gives.
 
-        Each column leaves its block with f (its d) and g (its U) in
-        B_{s+1}, as keys of _key_table: the bottom residue's carried
-        columns, and each strip residue's own, read from the memo and
-        never changed (_reduce_strip).  Cancelling b = v(p) against the
-        same key p of A_{s+1} (v has coefficient 1) turns a term b of d
-        or U into -b times the rest of d p, so f and g start two
-        frontiers of terms in B, the d frontier and the U frontier,
-        swept upward block by block.  A key with term b in S_t(s)'s
-        incoming table enters with c = -b: on the d frontier it adds c
-        times its reduced d to the column and c times its reduced U to
-        the U column, and passes c f and c g on as terms in B_{s+1}; on
-        the U frontier it adds c times its reduced d to the U column and
-        passes c f on.  Any other key meets no strip, so the rest of its
-        d is h_s of it alone, which it passes on.  Returns the number of
-        keys the frontiers visited.
+        levels maps each s to (G t(s), the index of A_s's first column,
+        its residue's incoming table), and sweeps lists, in column order,
+        each block's f (its d) and g (its U) in B_{s+1}, as keys of
+        _key_table; residues read from the memo are never changed
+        (_reduce_strip).  Cancelling b = v(p) against the same key p of
+        A_{s+1} (v has coefficient 1) turns a term b of d or U into -b
+        times the rest of d p, so f and g start two frontiers of terms
+        in B, the d frontier and the U frontier, swept upward block by
+        block.  A key with term b in S_t(s)'s incoming table enters with
+        c = -b: on the d frontier it adds c times its reduced d to the
+        column and c times its reduced U to the U column, and passes c f
+        and c g on as terms in B_{s+1}; on the U frontier it adds c times
+        its reduced d to the U column and passes c f on.  Any other key
+        meets no strip, so the rest of its d is h_s of it alone, which
+        it passes on.  Returns the number of keys the frontiers visited.
 
         A frontier drops a key that is not live.  live[s] holds the keys
         in S_t(s)'s incoming table, and every key that h_s sends into
@@ -389,25 +420,9 @@ class MappingCone:
         """
         G = len(self.source.generators)
         hop, back, in_b = _key_table(self.source)
-        levels, sweeps = {}, []
-        for label, region, offset in rest:
-            if label[0] == "A":
-                s, t = label[1], region.params[0]
-                res_ids, res_degrees, res_d, res_u, f, g, table = (
-                    _reduce_strip(self.source, t))
-                base = len(ids)
-                levels[s] = G * t, base, table
-                ids.extend(label + key for key in res_ids)
-                degrees.extend(deg + offset for deg in res_degrees)
-                boundary.extend({base + i: c for i, c in col.items()}
-                                for col in res_d)
-                u_cols.extend({base + i: c for i, c in col.items()}
-                              for col in res_u)
-                sweeps.append((s + 1, f, g))
-        first, hi = min(levels), max(levels)
-        sweeps.insert(0, (first, *carried))
+        lo, hi = min(levels), max(levels)
         live, after = {}, set()
-        for s in range(hi, first - 1, -1):
+        for s in range(hi, lo, -1):
             shift, _, table = levels[s]
             alive = set(table)
             alive.update(key + back[key % G] + shift for key in after

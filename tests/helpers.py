@@ -697,6 +697,18 @@ def oracle_kernel_rank_v(k, s):
 # the unreduced surgery cone
 
 
+def kept_regions(source, descriptor):
+    """(label, region, grading offset) of every block MappingCone keeps.
+
+    surgery._cone_blocks lists the kept A blocks as (s, t, offset); each
+    B_s with s above the bottom one is kept too, one below A_s.
+    """
+    blocks = surgery._cone_blocks(descriptor, genus(source))
+    return ([(("A", s), Region.max_ij(t), offset) for s, t, offset in blocks]
+            + [(("B", s), Region.min_i(), offset - 1)
+               for s, _, offset in blocks[1:]])
+
+
 class ReferenceCone:
     """The surgery cone of a descriptor with nothing cancelled.
 
@@ -714,7 +726,7 @@ class ReferenceCone:
     def __init__(self, source, descriptor, kept=False):
         flip = signed_flip(source)
         if kept:
-            blocks = surgery._cone_blocks(descriptor, genus(source))
+            blocks = kept_regions(source, descriptor)
         else:
             off_a, off_b = surgery._cone_offsets(descriptor)
             blocks = [(("A", s), Region.max_ij(descriptor.t(s)), off_a[s])

@@ -15,15 +15,20 @@ leaves these three lines as they were.  A fourth line gives the total
 number of elements of every cone as built (surgery.build_mapping_cone)
 over the sweep, before cancel_units; it measures the work, is no part
 of the answer digest, and may change when the answers do not.  pytest
-does not collect this file.
+does not collect this file; test_surgery.py pins all four lines
+(test_sweep_digest_is_pinned), and a change that alters answers or
+cone sizes on purpose updates them there.
 """
 
 import hashlib
 import random
+from collections import OrderedDict
 from math import gcd
 
+import pytest
+
 from helpers import random_knot, staircase, torsion_square, twisty
-from hfplus import BUILTIN_NAMES, builtin, hf_plus, surgery
+from hfplus import BUILTIN_NAMES, builtin, cfk, hf_plus, surgery
 
 
 def sweep_knots():
@@ -35,7 +40,13 @@ def sweep_knots():
             + [random_knot(rng, 2) for _ in range(40)])
 
 
-def main():
+def sweep(monkeypatch):
+    """(results, errors, answer digest, cone elements) over the sweep.
+
+    Runs from an empty memo, and counts each cone's elements as built
+    (surgery.build_mapping_cone); both go through monkeypatch, so that
+    its owner undoes them.
+    """
     digest = hashlib.sha256()
     results = errors = 0
     built = []
@@ -46,7 +57,8 @@ def main():
         built.append(cone.complex.n)
         return cone
 
-    surgery.build_mapping_cone = counting
+    monkeypatch.setattr(cfk, "_memo", OrderedDict())
+    monkeypatch.setattr(surgery, "build_mapping_cone", counting)
     for k in sweep_knots():
         for p in range(-10, 11):
             for q in range(1, 6):
@@ -59,10 +71,13 @@ def main():
                     errors += 1
                     text = f"{type(exc).__name__}: {exc}"
                 digest.update(text.encode())
-    print(results)
-    print(errors)
-    print(digest.hexdigest())
-    print(sum(built))
+    return results, errors, digest.hexdigest(), sum(built)
+
+
+def main():
+    with pytest.MonkeyPatch.context() as m:
+        for line in sweep(m):
+            print(line)
 
 
 if __name__ == "__main__":

@@ -108,6 +108,22 @@ def test_alexander_second_derivative():
         builtin("torus_2_5")).second_derivative_at_one() == 6
 
 
+def test_alexander_coefficients_are_hat_euler_characteristics():
+    # alexander_polynomial reads each coefficient off the generators;
+    # the homology of each level must give the same Euler characteristic
+    knots = ([builtin(name) for name in BUILTIN_NAMES]
+             + [staircase(g) for g in range(2, 5)]
+             + [twisty(n) for n in range(1, 4)])
+    for k in knots:
+        poly = alexander_polynomial(k)
+        levels = {g.j - g.i for g in k.generators}
+        for s in range(min(levels) - 1, max(levels) + 2):
+            h = hfk_hat(k, s)
+            chi = sum(h.free_rank(d) if d % 2 == 0 else -h.free_rank(d)
+                      for d in h.support())
+            assert poly.coefficient(s) == chi, (k.name, s)
+
+
 def test_alexander_symmetry_enforced():
     k = KnotComplex([("a", 0, 0, 0), ("x", 0, 1, 5), ("y", 0, 0, 4)],
                     {"x": ((1, 0, "y"),)})

@@ -9,9 +9,9 @@ import pytest
 
 from helpers import (ReferenceCone, checked_complex, h_columns,
                      homology_dims_mod_p, homology_profile, id_of,
-                     library_checks, map_h, map_v, random_knot,
-                     reduce_step_by_step, reference_spin_c, staircase,
-                     torsion_square, twisty, v_columns)
+                     kept_regions, library_checks, map_h, map_v,
+                     random_knot, reduce_step_by_step, reference_spin_c,
+                     staircase, torsion_square, twisty, v_columns)
 from hfplus import acomplex, cfk, homology, surgery
 from hfplus.acomplex import (band_floor, genus, hfk_hat, kernel_rank_v,
                              realize, signed_flip)
@@ -24,6 +24,7 @@ from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
 from hfplus.surgery import (SpincResult, SurgeryDescriptor,
                             build_mapping_cone, conjugation_constant,
                             hf_plus, lens_d_oracle, truncation_sigma)
+from sweep import sweep
 
 F = Fraction
 
@@ -48,7 +49,7 @@ def _kept_blocks(k, descriptor):
 def _band_floor(k, descriptor):
     """The kept blocks' band's lower end, from the regions' definitions."""
     return max(offset + g.m + 2 * _first(g, region)
-               for _, region, offset in _kept_blocks(k, descriptor)
+               for _, region, offset in kept_regions(k, descriptor)
                for g in k.generators) + 1
 
 
@@ -125,9 +126,7 @@ def test_calibration_minimum_lies_in_the_kept_window():
                     off_a, _ = surgery._cone_offsets(desc)
                     f = {s: off_a[s] + 2 * min(0, desc.t(s))
                          for s in desc.a_positions()}
-                    kept = [label[1] for label, _, _
-                            in surgery._cone_blocks(desc, g)
-                            if label[0] == "A"]
+                    kept = [s for s, _, _ in surgery._cone_blocks(desc, g)]
                     assert (min(f[s] for s in kept)
                             == min(f.values())), (name, desc)
 
@@ -188,9 +187,10 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
             desc = SurgeryDescriptor(p, q, i, truncation_sigma(k, p, q, i),
                                      TOWER_LEVELS)
             top = _band_floor(k, desc) + 2 * desc.depth
-            (_, region, offset), *rest = _kept_blocks(k, desc)
+            (_, t, offset), *rest = _kept_blocks(k, desc)
+            region = Region.max_ij(t)
             tops[region] = max(tops.get(region, top - offset), top - offset)
-            ts.update(r.params[0] for label, r, _ in rest if label[0] == "A")
+            ts.update(t for _, t, _ in rest)
         calls, strips, cones, sizes = [], [], [], []
 
         def counting(complex_, region, top):
@@ -229,20 +229,20 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
         # the strip S_t(s), and no element of any B_s is left
         for cone in cones:
             kept = _kept_blocks(k, cone.descriptor)
-            blocks = {label: (region, offset)
-                      for label, region, offset in kept}
+            blocks = {s: (t, offset) for s, t, offset in kept}
             joined += len(kept) > 1
             assert not any(label[0] == "B" for label in cone.ids), (p, q)
             for label, degree in zip(cone.ids, cone.complex.degrees):
-                region, offset = blocks[label[:2]]
+                t, offset = blocks[label[1]]
                 g = k.by_name[label[2]]
                 i, j = g.i + label[3], g.j + label[3]
                 assert degree == g.m + 2 * label[3] + offset
                 assert degree <= cone.ceiling + 1
-                if label[:2] == kept[0][0]:
-                    assert label[3] >= _first(g, region), (p, q, label)
+                if label[1] == kept[0][0]:
+                    assert label[3] >= _first(g, Region.max_ij(t)), (
+                        p, q, label)
                 else:
-                    assert i < 0 <= j - region.params[0], (p, q, label)
+                    assert i < 0 <= j - t, (p, q, label)
     assert joined >= 5 and shrunk
 
 
@@ -251,8 +251,7 @@ def _residue_total(complex_, descriptor, regions):
     _, residues = regions
     (_, bottom, _), *rest = _kept_blocks(complex_, descriptor)
     return len(residues[bottom][0]) + sum(
-        len(surgery._reduce_strip(complex_, region.params[0])[0])
-        for label, region, _ in rest if label[0] == "A")
+        len(surgery._reduce_strip(complex_, t)[0]) for _, t, _ in rest)
 
 
 def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
@@ -291,19 +290,16 @@ def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
 
     def building(complex_, descriptor, regions):
         cone = build_mapping_cone(complex_, descriptor, regions)
-        for label, region, offset in _kept_blocks(complex_,
-                                                  descriptor)[1:]:
-            if label[0] == "A":
-                t = region.params[0]
-                degrees, kept = strips[t]
-                translates = [(g, k) for g in complex_.generators
-                              for k in acomplex._strip_range(g, t)]
-                assert degrees == [g.m + 2 * k for g, k in translates], (
-                    complex_.name, descriptor, t)
-                assert set(kept) <= {(g.name, k) for g, k in translates}
-                assert (max(degrees) + offset + 2 * descriptor.depth + 2
-                        <= cone.ceiling + 1)
-                built.append(len(degrees))
+        for _, t, offset in _kept_blocks(complex_, descriptor)[1:]:
+            degrees, kept = strips[t]
+            translates = [(g, k) for g in complex_.generators
+                          for k in acomplex._strip_range(g, t)]
+            assert degrees == [g.m + 2 * k for g, k in translates], (
+                complex_.name, descriptor, t)
+            assert set(kept) <= {(g.name, k) for g, k in translates}
+            assert (max(degrees) + offset + 2 * descriptor.depth + 2
+                    <= cone.ceiling + 1)
+            built.append(len(degrees))
         assert (cone.complex.n
                 == _residue_total(complex_, descriptor, regions)), (
                     complex_.name, descriptor)
@@ -459,10 +455,10 @@ def test_cones_sharing_a_bottom_region_are_cut_at_one_degree(monkeypatch):
             result = hf_plus(k, p, q)
         cuts = {}
         for cone in cones:
-            _, region, offset = _kept_blocks(k, cone.descriptor)[0]
+            _, t, offset = _kept_blocks(k, cone.descriptor)[0]
             least = _band_floor(k, cone.descriptor) + 2 * TOWER_LEVELS - 1
             assert cone.ceiling >= least, (k.name, cone.descriptor)
-            cuts.setdefault(region, set()).add(
+            cuts.setdefault(t, set()).add(
                 (cone.ceiling - offset, least - offset))
         assert all(len({cut for cut, _ in c}) == 1 for c in cuts.values())
         assert any(len({own for _, own in c}) > 1 for c in cuts.values())
@@ -485,8 +481,7 @@ def test_cone_joins_are_the_v_and_h_maps():
         cone = ReferenceCone(k, desc, kept=kept)
         off_a, _ = surgery._cone_offsets(desc)
         index = {label: n for n, label in enumerate(cone.ids)}
-        a_positions = ([label[1] for label, *_ in _kept_blocks(k, desc)
-                        if label[0] == "A"] if kept
+        a_positions = ([s for s, _, _ in _kept_blocks(k, desc)] if kept
                        else list(desc.a_positions()))
         joins = 0
         for s in a_positions:
@@ -595,12 +590,10 @@ def test_cone_is_the_kept_cone_with_every_b_cancelled(monkeypatch):
                 assert cone.ceiling == kept.ceiling
                 index = {label: n for n, label in enumerate(kept.ids)}
                 units = []
-                for label, region, _ in _kept_blocks(k, desc)[1:]:
-                    if label[0] == "A":
-                        pairs = strip_pairs[(k.content_key(),
-                                             region.params[0])]
-                        units += [(index[label + x], index[label + y])
-                                  for x, y in pairs]
+                for s, t, _ in _kept_blocks(k, desc)[1:]:
+                    pairs = strip_pairs[(k.content_key(), t)]
+                    units += [(index[("A", s) + x], index[("A", s) + y])
+                              for x, y in pairs]
                 units_cancelled += len(units)
                 pairs = [(index[("A",) + label[1:]], n)
                          for n, label in enumerate(kept.ids)
@@ -831,7 +824,7 @@ def test_hf_plus_builds_one_cone_per_spin_c_structure(monkeypatch):
         assert all(d.depth == TOWER_LEVELS for d in built), (g, p, q)
         # the large cones keep up to 2g - 1 A blocks, and realize only
         # their bottom ones, each distinct region once
-        bottoms = {_kept_blocks(k, d)[0][1] for d in built}
+        bottoms = {Region.max_ij(_kept_blocks(k, d)[0][1]) for d in built}
         assert len(realized) == len(set(realized)), (g, p, q)
         assert set(realized) == bottoms, (g, p, q)
 
@@ -849,7 +842,7 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
             desc = SurgeryDescriptor(p, q, r.index, r.sigma, TOWER_LEVELS)
             assert _band_floor(k, desc) == band_floor(
                 k, [(region, offset) for _, region, offset
-                    in _kept_blocks(k, desc)]), (k.name, desc)
+                    in kept_regions(k, desc)]), (k.name, desc)
             # the band floor moved to absolute degrees, as r.d and hf_red are
             floor = _band_floor(k, desc) + surgery._calibration_shift(desc)
             assert r.d < floor, (k.name, desc)
@@ -895,6 +888,37 @@ def test_casson_identity_on_plus_minus_one_over_n():
                           for deg, rank, _ in r.hf_red)
                 assert chi - r.d / 2 == casson_surgery(k, sign * n), (
                     k.name, sign, n)
+
+
+def _alexander_second_derivative(k):
+    """Delta''(1) of Delta(t) = sum_x (-1)^m_x t^(j_x - i_x)."""
+    coeffs = {}
+    for g in k.generators:
+        s = g.j - g.i
+        coeffs[s] = coeffs.get(s, 0) + (1 if g.m % 2 == 0 else -1)
+    return sum(c * s * (s - 1) for s, c in coeffs.items())
+
+
+def test_casson_walker_identity_at_every_slope():
+    # sum_i [chi(HF_red(i)) - (d_K(i) - d_O(i))/2] = sign(p) q Delta''(1)/2
+    # for O the unknot: Rustamov (arXiv:math/0409294) with the
+    # Casson-Walker surgery formula (Walker; Boyer-Lines).  chi is read
+    # from parity, even minus odd; d_O from lens_d_oracle, negated for
+    # p < 0, where S^3_{p/q}(O) = -L(|p|, q); Delta from the generators
+    knots = ([builtin(name) for name in BUILTIN_NAMES]
+             + [staircase(3), staircase(4)]
+             + [twisty(n) for n in range(1, 4)])
+    slopes = [(p, q) for p in range(-10, 11) for q in range(1, 6)
+              if p and gcd(abs(p), q) == 1]
+    assert len(knots) * len(slopes) == 700
+    for k in knots:
+        delta2 = _alexander_second_derivative(k)
+        for p, q in slopes:
+            sign = 1 if p > 0 else -1
+            total = sum(F(r.parity[0] - r.parity[1]) - r.d / 2
+                        + sign * lens_d_oracle(abs(p), q, r.index) / 2
+                        for r in hf_plus(k, p, q).spin_c)
+            assert total == F(sign * q * delta2, 2), (k.name, p, q)
 
 
 def test_reverse_orientation_transports_free_part_and_torsion():
@@ -981,7 +1005,7 @@ def test_the_installed_check_catches_a_broken_restriction(monkeypatch):
     # cone is built and checked: in reduce_regions, on the regions
     # realized (as acomplex names _restrict), or in the strips (as
     # surgery names it), which _reduce_strip reduces when the first cone
-    # that reads them joins its blocks, before that cone's own check.
+    # that reads them lays out its blocks, before that cone's own check.
     # hfk_hat's column (as cfk names it) and kernel_rank_v's strip (as
     # acomplex names it) are GradedComplexes, checked when built.
     # The moved arrow leaves a column, so hfk_hat reads a knot with a
@@ -1004,7 +1028,7 @@ def test_the_installed_check_catches_a_broken_restriction(monkeypatch):
     monkeypatch.setattr(surgery, "build_mapping_cone", build)
     for module, run, inside, outside in [
             (acomplex, cone, {"reduce_regions"}, "_reduce_strip"),
-            (surgery, cone, {"_join", "_reduce_strip"}, None),
+            (surgery, cone, {"build_mapping_cone", "_reduce_strip"}, None),
             (cfk, lambda: hfk_hat(box, 0), {"hfk_hat", "column"}, None),
             (acomplex, lambda: kernel_rank_v(staircase(5), 0),
              {"kernel_rank_v"}, "column")]:
@@ -1120,8 +1144,7 @@ def test_gauge_shifts_every_d_by_the_constant(monkeypatch):
     kept = surgery._cone_blocks
 
     def shifted(descriptor, g):
-        return [(label, region, off + 5)
-                for label, region, off in kept(descriptor, g)]
+        return [(s, t, off + 5) for s, t, off in kept(descriptor, g)]
 
     base = [hf_plus(builtin(name), p, q) for name, p, q in SIGNED_CASES]
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
@@ -1362,8 +1385,19 @@ def test_cone_homology_reads_the_cancelled_cone_itself(monkeypatch):
     k = random_knot(random.Random(0), 4)
     desc = SurgeryDescriptor(2, 1, 0, truncation_sigma(k, 2, 1, 0),
                              TOWER_LEVELS)
-    assert len(_kept_blocks(k, desc)) == 5
+    assert len(_kept_blocks(k, desc)) == 3
     surgery._cone_data(k, desc)
     ((cone_complex, n_built),) = built
     ((read_complex, n_read),) = read
     assert read_complex is cone_complex and n_read < n_built
+
+
+@pytest.mark.no_self_check
+def test_sweep_digest_is_pinned(monkeypatch):
+    # tests/sweep.py's four lines: results, errors, the sha256 of every
+    # answer, and the elements of every cone as built; a change that
+    # alters answers on purpose updates these values
+    assert sweep(monkeypatch) == (
+        3920, 0,
+        "1339121a612bb639d2efc94d5c9710d1177c96d850b7be2c77541ff9cc50bdbc",
+        297446)

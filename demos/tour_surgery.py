@@ -90,8 +90,7 @@ def main():
     pinned = surgery._cone_offsets
 
     def moved(descriptor):
-        return tuple({s: off + 2 for s, off in offsets.items()}
-                     for offsets in pinned(descriptor))
+        return {s: off + 2 for s, off in pinned(descriptor).items()}
 
     with mock.patch.object(surgery, "_cone_offsets", moved):
         repinned = hf_plus.__wrapped__(eight, 7, 3)

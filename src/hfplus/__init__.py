@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 from .acomplex import (LaurentPolynomial, alexander_polynomial, genus,
                        hfk_hat, kernel_rank_v, realize)
-from .cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region, UTerm,
-                  builtin, flip_chain_sign, grading_solve, mirror, parse_text,
+from .cfk import (BUILTIN_NAMES, Generator, KnotComplex, UTerm, builtin,
+                  flip_chain_sign, grading_solve, mirror, parse_text,
                   require_valid, serialize_text, validate)
 from .detect import (CompareResult, Diagnostic, casson_surgery,
                      classify_surgery, compare, diagnostic_sum)
@@ -31,7 +31,7 @@ from .surgery import (HFResult, MappingCone, SpincResult, SurgeryDescriptor,
 __all__ = [
     "__version__",
     # complexes
-    "Generator", "UTerm", "KnotComplex", "Region", "BUILTIN_NAMES",
+    "Generator", "UTerm", "KnotComplex", "BUILTIN_NAMES",
     "builtin", "mirror", "validate", "require_valid", "parse_text",
     "serialize_text", "grading_solve", "flip_chain_sign",
     # homological algebra

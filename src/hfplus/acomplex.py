@@ -1,43 +1,44 @@
-"""Concrete realizations of filtration regions and their structure maps.
+"""Concrete realizations of the pieces A_t and their structure maps.
 
 A knot complex stores one generator per U-orbit.  The translate (x, k)
 sits at filtration (i_x + k, j_x + k) and grading m_x + 2k, U acts by
 k -> k - 1, and cfk._unfold numbers the translates by integer keys.
 Each finite piece of CFK^oo is a set of keys, with one translate rule
-per generator: _k_range for a region cut at top, _strip_range for the
-strip S_t (_strip), k = -i for the {i = 0} column (cfk.column), and
+per generator: _k_range for A_t cut at top, _strip_range for the strip
+S_t (_strip), k = -i for the {i = 0} column (cfk.column), and
 cfk._restrict restricts d and U to any of them.
 
-Every region is upward closed (a quotient complex), and realizing one
-keeps the translates whose filtration lies in the region and whose
-degree is at most a cut `top`.  Since the differential and U both
-lower the degree, the kept part is the subcomplex of the region
-complex spanned by its elements of degree <= top, so its homology is
-exact in every degree below top -- realizations record that trust
-ceiling, top - 1.  hf_plus realizes only the bottom A block of each
-cone; every other A block is the residue of a strip, and B is never
-realized (surgery.reduce_regions).  Neither hfk_hat nor kernel_rank_v
-realizes a region: a level of HFK-hat is a level of the column, and
-the kernel of v on homology is the homology of the strip.
+A piece is named by its t: A_t = C{max(i, j - t) >= 0} is upward
+closed (a quotient complex), and realizing it keeps the translates in
+A_t whose degree is at most a cut `top`.  Since the differential and
+U both lower the degree, the kept part is the subcomplex of A_t
+spanned by its elements of degree <= top, so its homology is exact in
+every degree below top -- realizations record that trust ceiling,
+top - 1.  B = C{i >= 0} is A_t for every t >= t_B = max_x (j_x - i_x):
+there the first translate min(-i_x, t - j_x) of each x is -i_x, and
+S_t is empty.  hf_plus realizes only the bottom A block of each cone;
+every other A block is the residue of a strip, and B is never realized
+(surgery.reduce_regions).  Neither hfk_hat nor kernel_rank_v realizes
+a piece: a level of HFK-hat is a level of the column, and the kernel
+of v on homology is the homology of the strip.
 
-The two maps out of A_s = C{max(i, j-s) >= 0} both land in
-B = C{i >= 0}.  A_s is B plus the finite strip S_s = C{i < 0 <= j - s},
-a subcomplex, and the vertical map v is the quotient map by it, the
-identity on B's keys.  The horizontal map h projects to C{j >= s},
-slides down by U^s, and applies the flip; when the flip only commutes
-with the differential up to a global sign, h absorbs (-1)^m per
-generator, which restores the chain-map identity without disturbing
-the involution.  surgery._key_table writes h on integer keys, for
-the surgery cone.  band_floor is the one rule for where truncated
-computations cut, worked out in closed form from the generators'
-gradings and the blocks' offsets, with no retry.
+The two maps out of A_t both land in B.  A_t is B plus the finite
+strip S_t = C{i < 0 <= j - t}, a subcomplex, and the vertical map v
+is the quotient map by it, the identity on B's keys.  The horizontal
+map h projects to C{j >= t}, slides down by U^t, and applies the flip;
+when the flip only commutes with the differential up to a global sign,
+h absorbs (-1)^m per generator, which restores the chain-map identity
+without disturbing the involution.  surgery._key_table writes h on
+integer keys, for the surgery cone.  band_floor is the one rule for
+where truncated computations cut, worked out in closed form from the
+generators' gradings and the blocks' offsets, with no retry.
 
 Realizations and homology groups are built anew on every call and
 never cached; genus, kernel_rank_v and surgery._reduce_strip keep
-their results in cfk's memo.  Each knot-level invariant runs
-require_valid once; beyond that only what graded_homology reads is
-checked (GradedComplex): a realization is a subquotient of a complex
-that require_valid checks.
+their results in cfk's memo.  Each knot-level invariant calls
+require_valid, whose checks run once per knot (cfk.validate); beyond
+that only what graded_homology reads is checked (GradedComplex): a
+realization is a subquotient of a complex that require_valid checks.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from .errors import FlipMissingError, GradingError, InvalidComplexError
 from .homology import GradedComplex, graded_homology
 
 
-def _k_range(g, region, top):
-    """The range of translates of g in the region, degree <= top."""
-    return range(-region.level(g.i, g.j), (top - g.m) // 2 + 1)
+def _k_range(g, t, top):
+    """The translates of g in A_t = C{max(i, j - t) >= 0}, degree <= top."""
+    return range(min(-g.i, t - g.j), (top - g.m) // 2 + 1)
 
 
 def _strip_range(g, t):
@@ -74,12 +75,13 @@ def _strip(complex_, t):
 def band_floor(complex_, blocks):
     """Least degree l from which truncated blocks have the tower alone.
 
-    blocks are (region, grading offset) pairs of upward-closed regions
-    realized together, as the blocks of a surgery cone are.  With lo_x
-    the first translate of x in the region, a block holds every
-    translate of CFK^oo in each degree from offset + max_x(m_x + 2 lo_x)
-    up, so from l = max over blocks of (offset + max_x(m_x + 2 lo_x)) + 1
-    up each block has the homology of CFK^oo.  Assuming H(CFK^oo) =
+    blocks are (t, grading offset) pairs of pieces A_t realized
+    together, as the blocks of a surgery cone are (B is A_t at any
+    t >= t_B).  With lo_x the first translate of x in A_t, a block
+    holds every translate of CFK^oo in each degree from
+    offset + max_x(m_x + 2 lo_x) up, so from l = max over blocks of
+    (offset + max_x(m_x + 2 lo_x)) + 1 up each block has the homology
+    of CFK^oo.  Assuming H(CFK^oo) =
     Z[U, U^-1], as for any knot in S^3 (validate does not check it), v
     and h are isomorphisms there, so a surgery cone is a zigzag of
     copies of Z[U, U^-1] joined by isomorphisms: its homology from l up
@@ -91,34 +93,34 @@ def band_floor(complex_, blocks):
     `levels` tower levels, whatever their parity.  A higher cut is
     exact the same way, and its band holds at least `levels`.
     """
-    return max(offset + max(g.m + 2 * _k_range(g, region, 0).start
+    return max(offset + max(g.m + 2 * _k_range(g, t, 0).start
                             for g in complex_.generators)
-               for region, offset in blocks) + 1
+               for t, offset in blocks) + 1
 
 
 class RealizedRegion:
-    """A region of a knot complex, unfolded into a finite complex.
+    """A_t of a knot complex, unfolded into a finite complex.
 
     Element n is ids[n] = (generator name, translate), with key keys[n]
     and degree degrees[n].  Elements come in degree order (ties by name,
     then translate), and boundary and u_action (cfk._restrict) lower
-    it, so each degree cut is a prefix.  The region is upward closed,
-    so keeping its translates of degree <= top keeps a subcomplex, and
+    it, so each degree cut is a prefix.  A_t is upward closed, so
+    keeping its translates of degree <= top keeps a subcomplex, and
     ceiling = top - 1 bounds the degrees in which homology of the
-    realization agrees with the untruncated region.  The lists are not
+    realization agrees with the untruncated A_t.  The lists are not
     checked (see the module docstring).
     """
 
-    def __init__(self, source, region, top):
+    def __init__(self, source, t, top):
         if not source.graded:
             raise GradingError("realization requires solved gradings")
         self.source = source
-        self.region = region
+        self.t = t
         unfolding = _unfold(source)
         index, G = unfolding[0], len(source.generators)
         elements = sorted((g.m + 2 * k, g.name, k)
                           for g in source.generators
-                          for k in _k_range(g, region, top))
+                          for k in _k_range(g, t, top))
         self.degrees = [deg for deg, _, _ in elements]
         self.ids = [(name, k) for _, name, k in elements]
         self.keys = [index[name] + G * k for _, name, k in elements]
@@ -128,13 +130,13 @@ class RealizedRegion:
 
     def __repr__(self):
         return (f"RealizedRegion({self.source.name or '?'}, "
-                f"{self.region.describe()}, ceiling={self.ceiling}, "
+                f"A_{self.t}, ceiling={self.ceiling}, "
                 f"{len(self.ids)} elements)")
 
 
-def realize(complex_, region, top):
-    """A new RealizedRegion of the region cut at degree top (not cached)."""
-    return RealizedRegion(complex_, region, top)
+def realize(complex_, t, top):
+    """A new RealizedRegion of A_t cut at degree top (not cached)."""
+    return RealizedRegion(complex_, t, top)
 
 
 def signed_flip(complex_):

@@ -99,9 +99,12 @@ class KnotComplex:
     @cached_property
     def _content(self):
         gens = tuple(sorted((g.name, g.i, g.j, g.m) for g in self.generators))
+        # an empty entry is content only where validate reports it: for
+        # a name that is no generator
         diff = tuple(sorted(
             (k, tuple((t.target, t.u_exponent, t.coefficient) for t in v))
-            for k, v in self.differential.items() if v))
+            for k, v in self.differential.items()
+            if v or k not in self.by_name))
         flip = (None if self.flip is None
                 else tuple(sorted((k, s, t) for k, (s, t) in self.flip.items())))
         return gens, diff, flip
@@ -175,39 +178,6 @@ def memoized(fn):
 
 
 # ---------------------------------------------------------------------------
-# regions
-
-
-@dataclass(frozen=True)
-class Region:
-    """An upward-closed set of filtration levels used to cut a complex.
-
-    Each region is a quotient complex, cut by degree at realization
-    time.  level(i, j) measures how deep a filtration level sits inside
-    the region, negative outside it.
-    """
-
-    kind: str
-    params: tuple
-
-    @staticmethod
-    def min_i():
-        return Region("min_i", ())
-
-    @staticmethod
-    def max_ij(s):
-        return Region("max_ij", (s,))
-
-    def level(self, i, j):
-        return i if self.kind == "min_i" else max(i, j - self.params[0])
-
-    def describe(self):
-        if self.kind == "min_i":
-            return "{i >= 0}"
-        return f"{{max(i, j - {self.params[0]}) >= 0}}"
-
-
-# ---------------------------------------------------------------------------
 # validation
 
 
@@ -263,11 +233,23 @@ def flip_chain_sign(complex_):
 
 
 def validate(complex_):
-    """Check every structural axiom; returns a list of violations.
+    """Check every structural axiom; returns a new list of violations.
 
     An empty list means the complex is valid.  Grading constraints are
     only enforced where both endpoints carry a grading, so partially
-    graded complexes can be validated before grading_solve runs.
+    graded complexes can be validated before grading_solve runs.  The
+    checks run once per complex content (_violations).
+    """
+    return list(_violations(complex_))
+
+
+@memoized
+def _violations(complex_):
+    """validate's violations as a tuple, in the one memo.
+
+    Complexes equal in content share the entry: they have the same
+    violations, up to order and, where a name is duplicated, up to
+    which generator of that name the others are checked against.
     """
     violations = []
     seen = set()
@@ -333,7 +315,7 @@ def validate(complex_):
                 flip_ok = False
         if flip_ok and flip_chain_sign(complex_) is None:
             violations.append("flip is not a chain map up to global sign")
-    return violations
+    return tuple(violations)
 
 
 def require_valid(complex_, ignore_grading=False):

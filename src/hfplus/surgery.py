@@ -29,12 +29,12 @@ read, so the kept elements span a subcomplex whose homology is exact
 below the cut.  Of these only residues are built, each in one format
 (_residue), and MappingCone lays them all out in one loop:
 
-* the bottom block A_lo, its region's whole residue.  An hf_plus call
-  cuts every cone whose bottom block has the same t at one degree of
-  A_t, the largest any of them needs, and realizes and reduces that
-  region once by unit cancellation (reduce_regions), carrying, when a
-  cone joins it to a B block, its h columns and the U terms into
-  B_{lo+1} along as integer keys of B;
+* the bottom block A_lo, the whole residue of A_t, t = t(lo).  An
+  hf_plus call cuts every cone whose bottom block has the same t at
+  one degree of A_t, the largest any of them needs, and realizes and
+  reduces A_t once by unit cancellation (reduce_regions), carrying,
+  when a cone joins it to a B block, its h columns and the U terms
+  into B_{lo+1} along as integer keys of B;
 * for every other A_s, t = t(s), the residue of the strip
   S_t = C{i < 0 <= j - t}: v: A_s -> B is the quotient map, the
   identity on the copy of B inside A_s, and its kernel is this finite
@@ -65,7 +65,7 @@ perturbation lemma; Crainic, arXiv:math/0403266), which
 MappingCone._join sums by sweeping frontiers of keys of B upward; a
 frontier drops a key from which h can no longer reach a key that
 meets a strip, as the steps it skips add nothing.  B is never
-realized.  Each cone is the one complex checked (its regions and
+realized.  Each cone is the one complex checked (its pieces A_t and
 strips are subquotients of a source require_valid checks), then shrunk
 in place by cancelling any +-1 pairs left between its blocks
 (GradedComplex.cancel_units); the Smith normal form and the tower
@@ -99,7 +99,7 @@ from fractions import Fraction
 from math import gcd
 
 from .acomplex import _strip, band_floor, genus, realize, signed_flip
-from .cfk import Region, _restrict, _unfold, memoized, mirror, require_valid
+from .cfk import _restrict, _unfold, memoized, mirror, require_valid
 from .errors import (FlipMissingError, GradingError, NotStabilizedError,
                      TorsionInTowerError)
 from .homology import (TOWER_LEVELS, GradedComplex, _add,
@@ -136,9 +136,6 @@ class SurgeryDescriptor:
     def a_positions(self):
         return range(-self.sigma, self.sigma + 1)
 
-    def b_positions(self):
-        return range(-self.sigma + 1, self.sigma + 1)
-
 
 def truncation_sigma(complex_, p, q, i):
     """Smallest window half-width that only discards isomorphisms.
@@ -161,11 +158,11 @@ def truncation_sigma(complex_, p, q, i):
 
 
 def _cone_offsets(descriptor):
+    """{s: grading offset of A_s} over the window; B_s sits one below A_s."""
     off_a = {-descriptor.sigma: 0}
     for s in range(-descriptor.sigma, descriptor.sigma):
         off_a[s + 1] = off_a[s] + 2 * descriptor.t(s)
-    off_b = {s: off_a[s] - 1 for s in descriptor.b_positions()}
-    return off_a, off_b
+    return off_a
 
 
 def _cone_blocks(descriptor, g):
@@ -183,25 +180,24 @@ def _cone_blocks(descriptor, g):
         hi -= 1
     while lo < hi and d.t(lo) <= -g:
         lo += 1
-    off_a, _ = _cone_offsets(d)
+    off_a = _cone_offsets(d)
     return [(s, d.t(s), off_a[s]) for s in range(lo, hi + 1)]
 
 
-def _cone_shape(source, descriptor, g, floors):
+def _cone_shape(source, descriptor, g, t_b, floors):
     """The kept A blocks and the least cone degree l + 2 depth to cut at.
 
     band_floor over the kept blocks is the largest of offset plus
-    band_floor of the block's region alone: A_t for each A block, and
-    B, one below, for each B_s it implies.  floors holds the latter once
-    per t, and B's under None.
+    band_floor of the block's piece alone: A_t for each A block, and
+    B = A_{t_b}, one below, for each B_s it implies.  floors holds the
+    latter once per t.
     """
     blocks = _cone_blocks(descriptor, g)
     pieces = [(t, offset) for _, t, offset in blocks]
-    pieces += [(None, offset - 1) for _, _, offset in blocks[1:]]
+    pieces += [(t_b, offset - 1) for _, _, offset in blocks[1:]]
     for t, _ in pieces:
         if t not in floors:
-            region = Region.min_i() if t is None else Region.max_ij(t)
-            floors[t] = band_floor(source, [(region, 0)])
+            floors[t] = band_floor(source, [(t, 0)])
     top = (max(floors[t] + offset for t, offset in pieces)
            + 2 * descriptor.depth)
     return blocks, top
@@ -269,7 +265,7 @@ def _reduce_strip(source, t):
     source).  Its columns, and an incoming one (cancel_unit_pairs) for
     each key p of B whose d or U meets it, hold d and U on the strip
     (cfk._restrict) and f = h_t as keys of B, as a joined bottom
-    region's do.  Memoized: every cone that holds S_t reads it, and none
+    block's do.  Memoized: every cone that holds S_t reads it, and none
     changes it.
     """
     unfolding = _unfold(source)
@@ -294,10 +290,11 @@ def reduce_regions(source, descriptors):
     the cone degree top they are cut at.  Every cone whose bottom block
     A_lo has the same t is cut at one degree of A_t, the largest any of
     them needs (_cone_shape), so each cone's top is at least l + 2 depth
-    and it holds at least depth tower levels (acomplex.band_floor).
-    residues maps that t to the residue (_residue) of A_t, realized
-    once at its cut, unchecked, which is then the whole bottom block of
-    each of those cones; no other block is realized.  When A_t is the
+    and it holds at least depth tower levels (acomplex.band_floor, with
+    B = A_t at t_B = max(j - i), computed once per call).  residues
+    maps that t to the residue (_residue) of A_t, realized once at its
+    cut, unchecked, which is then the whole bottom block of each of
+    those cones; no other block is realized.  When A_t is the
     bottom of a cone with more than one A block, its f is its h columns
     into B; nothing maps into A_lo, so this is a strong deformation
     retract of the whole cone.  Every other kept A block is a strip,
@@ -307,8 +304,9 @@ def reduce_regions(source, descriptors):
     if not source.graded:
         raise GradingError("surgery requires solved gradings")
     knot_genus = genus(source)
+    t_b = max(g.j - g.i for g in source.generators)
     floors = {}
-    shapes = {d: _cone_shape(source, d, knot_genus, floors)
+    shapes = {d: _cone_shape(source, d, knot_genus, t_b, floors)
               for d in descriptors}
     cuts, joined = {}, set()
     for blocks, top in shapes.values():
@@ -320,7 +318,7 @@ def reduce_regions(source, descriptors):
               for d, (blocks, _) in shapes.items()}
     residues = {}
     for t, cut in cuts.items():
-        real = realize(source, Region.max_ij(t), cut)
+        real = realize(source, t, cut)
         carried = None
         if t in joined:
             carried = (_h_columns(source, real.keys, t),
@@ -346,7 +344,7 @@ class MappingCone:
     top, at least l + 2 depth with l from acomplex.band_floor over them,
     so the cone holds at least depth tower levels; n_a_summands and
     n_b_summands count them.  Each A block is laid out from one residue
-    (_residue): the bottom block A_lo from its region's, and every
+    (_residue): the bottom block A_lo from that of A_t(lo), and every
     other A_s from that of its strip S_t, t = t(s), reduced whole
     (_reduce_strip).  No element of any B_s is left: each is v of the
     same key of the copy of B inside A_s, and is cancelled against it,
@@ -357,7 +355,7 @@ class MappingCone:
     U, and drops the (offset) grading by exactly one on every component
     is the library's one check on the maps that join the residues.
     regions is what reduce_regions returned for a list of descriptors
-    that holds this one; without it, this one cone's bottom region is
+    that holds this one; without it, this one cone's bottom block is
     reduced first, at this cone's own least cut.  chain_steps counts
     the keys the Morse chains visited (_join).
     """
@@ -520,7 +518,7 @@ def _calibration_shift(descriptor):
     is min_s off_A(s) + b(t(s)), never depending on the depth: Ni-Wu
     (arXiv:1009.4720, Prop. 1.6) in cone coordinates with V = 0.
     """
-    off_a, _ = _cone_offsets(descriptor)
+    off_a = _cone_offsets(descriptor)
     bottom = min(off_a[s] + 2 * min(0, descriptor.t(s))
                  for s in descriptor.a_positions())
     return (lens_d_oracle(descriptor.p, descriptor.q, descriptor.spin_c)
@@ -645,7 +643,7 @@ def hf_plus(complex_, p, q):
     """HF+ of p/q surgery, one SpincResult per residue class.
 
     Each Spin^c structure's window is truncation_sigma wide; the
-    bottom regions of the cones' kept blocks (_cone_blocks cancels the
+    bottom blocks of the cones' kept blocks (_cone_blocks cancels the
     end pairs) are reduced together for every Spin^c structure, each at
     one cut (reduce_regions), then each Spin^c structure builds one cone
     from them and the knot's strips in the memo (_reduce_strip),

@@ -7,7 +7,7 @@ of random valid bifiltered complexes assembled from pieces whose
 differential squares to zero by construction (with a flip, for
 surgery, in random_knot), the staircase complex of any L-space knot
 from its Alexander polynomial, a complex whose surgeries have torsion,
-the v and h maps as checked chain maps between realized regions and
+the v and h maps as checked chain maps between realized pieces and
 the maps they induce on homology (the oracle kernel_rank_v is compared
 with), the unreduced full-window surgery cone that the reduced one is
 compared with (and the d and HF_red read from it), unit cancellation
@@ -34,7 +34,7 @@ from fractions import Fraction
 import hfplus
 from hfplus import homology, surgery
 from hfplus.acomplex import band_floor, genus, realize, signed_flip
-from hfplus.cfk import Generator, KnotComplex, Region, grading_solve
+from hfplus.cfk import Generator, KnotComplex, grading_solve
 from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
                              smith_normal_form, tower_decompose)
 
@@ -412,21 +412,25 @@ def strip_gradings(k):
                        k.differential, k.flip, name=k.name)
 
 
+def t_b(k):
+    """t_B = max_x (j_x - i_x): A_t is B = C{i >= 0} for every t >= t_B."""
+    return max(g.j - g.i for g in k.generators)
+
+
 def tower_bottom(k):
     """Degree of the bottom of the tower of H(C{i >= 0}) of a graded k.
 
-    C{i >= 0} is realized at band_floor + 2 TOWER_LEVELS, so the band
-    above the floor holds the tower levels tower_decompose reads.  This
-    is how grading_solve pinned the tower before it read the {i = 0}
-    column; a solved complex must have its bottom at 0.
+    C{i >= 0}, as A_t at t_B, is realized at band_floor + 2 TOWER_LEVELS,
+    so the band above the floor holds the tower levels tower_decompose
+    reads.  This is how grading_solve pinned the tower before it read
+    the {i = 0} column; a solved complex must have its bottom at 0.
     """
-    region = Region.min_i()
-    top = band_floor(k, [(region, 0)]) + 2 * TOWER_LEVELS
-    return tower_decompose(region_homology(k, region, top)[1]).d_bottom
+    top = band_floor(k, [(t_b(k), 0)]) + 2 * TOWER_LEVELS
+    return tower_decompose(region_homology(k, t_b(k), top)[1]).d_bottom
 
 
 # ---------------------------------------------------------------------------
-# the v and h maps on realized regions, and their action on homology
+# the v and h maps on realized pieces, and their action on homology
 
 
 def _compose(outer, inner):
@@ -597,9 +601,9 @@ def _homology(realized):
     return graded_homology(realization(realized), ceiling=realized.ceiling)
 
 
-def region_homology(k, region, top):
-    """(RealizedRegion, GradedGroup) for a region, both built anew."""
-    realized = realize(k, region, top)
+def region_homology(k, t, top):
+    """(RealizedRegion, GradedGroup) of A_t cut at top, both built anew."""
+    realized = realize(k, t, top)
     return realized, _homology(realized)
 
 
@@ -638,7 +642,7 @@ def h_columns(k, flip, s, keys, tgt):
 
 def _a_and_b(k, s, top, b_top):
     """Realizations of A_s cut at top and B cut at b_top."""
-    return realize(k, Region.max_ij(s), top), realize(k, Region.min_i(), b_top)
+    return realize(k, s, top), realize(k, t_b(k), b_top)
 
 
 def _v_map(src, tgt):
@@ -688,7 +692,7 @@ def oracle_kernel_rank_v(k, s):
     A_s and B are cut TOWER_LEVELS tower levels above their band
     floor, and the kernel is read below the trust ceiling.
     """
-    floor = band_floor(k, [(Region.max_ij(s), 0), (Region.min_i(), 0)])
+    floor = band_floor(k, [(s, 0), (t_b(k), 0)])
     ind, ceiling = induced_v(k, s, floor + 2 * TOWER_LEVELS)
     return ind.kernel_rank(max_degree=ceiling)
 
@@ -698,14 +702,15 @@ def oracle_kernel_rank_v(k, s):
 
 
 def kept_regions(source, descriptor):
-    """(label, region, grading offset) of every block MappingCone keeps.
+    """(label, t, grading offset) of every block MappingCone keeps.
 
     surgery._cone_blocks lists the kept A blocks as (s, t, offset); each
-    B_s with s above the bottom one is kept too, one below A_s.
+    B_s with s above the bottom one is kept too, one below A_s, with
+    t = t_B, at which A_t is B.
     """
     blocks = surgery._cone_blocks(descriptor, genus(source))
-    return ([(("A", s), Region.max_ij(t), offset) for s, t, offset in blocks]
-            + [(("B", s), Region.min_i(), offset - 1)
+    return ([(("A", s), t, offset) for s, t, offset in blocks]
+            + [(("B", s), t_b(source), offset - 1)
                for s, _, offset in blocks[1:]])
 
 
@@ -715,10 +720,10 @@ class ReferenceCone:
     Every block of the window [-sigma, sigma] is built: the end pairs
     that surgery.MappingCone drops are kept, and the cut comes from
     the band floor of all of them.  With kept=True only the blocks
-    MappingCone keeps are built, cut where it cuts them.  Each region
-    is realized once, every block is the prefix of its realization cut
-    at the cone's top degree, and v_columns and h_columns join each
-    A_s to B_s and B_{s+1}.  Same offsets and labels as
+    MappingCone keeps are built, cut where it cuts them.  Each A_t is
+    realized once, B_s as A_t at t_B, every block is the prefix of its
+    realization cut at the cone's top degree, and v_columns and
+    h_columns join each A_s to B_s and B_{s+1}.  Same offsets and labels as
     surgery.MappingCone, which builds its bottom block from a
     unit-cancelled residue and cancels every B_s against A_s.
     """
@@ -728,20 +733,21 @@ class ReferenceCone:
         if kept:
             blocks = kept_regions(source, descriptor)
         else:
-            off_a, off_b = surgery._cone_offsets(descriptor)
-            blocks = [(("A", s), Region.max_ij(descriptor.t(s)), off_a[s])
+            off_a = surgery._cone_offsets(descriptor)
+            blocks = [(("A", s), descriptor.t(s), off_a[s])
                       for s in descriptor.a_positions()]
-            blocks += [(("B", s), Region.min_i(), off_b[s])
-                       for s in descriptor.b_positions()]
-        top = (band_floor(source, [(r, off) for _, r, off in blocks])
+            blocks += [(("B", s), t_b(source), off_a[s] - 1)
+                       for s in range(1 - descriptor.sigma,
+                                      descriptor.sigma + 1)]
+        top = (band_floor(source, [(t, off) for _, t, off in blocks])
                + 2 * descriptor.depth)
         real = {}
-        for _, region, offset in sorted(blocks, key=lambda b: b[2]):
-            if region not in real:
-                real[region] = realize(source, region, top - offset)
+        for _, t, offset in sorted(blocks, key=lambda b: b[2]):
+            if t not in real:
+                real[t] = realize(source, t, top - offset)
         ids, degrees, boundary, u_cols, base = [], [], [], [], {}
-        for label, region, offset in blocks:
-            rr = real[region]
+        for label, t, offset in blocks:
+            rr = real[t]
             sign = 1 if label[0] == "A" else -1
             n = bisect_right(rr.degrees, top - offset)
             b0 = len(ids)
@@ -752,7 +758,7 @@ class ReferenceCone:
                             for col in rr.boundary[:n])
             u_cols.extend({b0 + i: c for i, c in col.items()}
                           for col in rr.u_action[:n])
-        b_real = real.get(Region.min_i())
+        b_real = real.get(t_b(source))
         for s in (label[1] for label in base if label[0] == "B"):
             b0 = base[("B", s)][0]
             v0, v_keys = base[("A", s)]

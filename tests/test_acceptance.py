@@ -19,9 +19,9 @@ from math import gcd
 import pytest
 
 from helpers import (homology_free_ranks, induced_v, random_complex,
-                     realization, record, reference_spin_c, twisty)
+                     realization, record, reference_spin_c, t_b, twisty)
 from hfplus.acomplex import band_floor, genus, hfk_hat, realize
-from hfplus.cfk import BUILTIN_NAMES, Region, builtin
+from hfplus.cfk import BUILTIN_NAMES, builtin
 from hfplus.detect import (casson_surgery, classify_surgery, compare,
                            diagnostic_sum)
 from hfplus.homology import TOWER_LEVELS, graded_homology
@@ -142,8 +142,7 @@ def test_criterion_8_v_below_genus():
         g = genus(k)
         if g == 0:
             continue
-        floor = band_floor(
-            k, [(Region.max_ij(g - 1), 0), (Region.min_i(), 0)])
+        floor = band_floor(k, [(g - 1, 0), (t_b(k), 0)])
         ind, ceiling = induced_v(k, g - 1, floor + 2 * TOWER_LEVELS)
         if not ind.is_surjective(max_degree=ceiling):
             failures.append(f"{name}: v below genus not surjective")
@@ -213,9 +212,9 @@ def test_criterion_11_robustness(grid):
     rng = random.Random(11)
     for _ in range(50):
         k = random_complex(rng)
-        region = rng.choice([Region.min_i(), Region.max_ij(0)])
-        top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
-        gc = realization(realize(k, region, top))
+        t = rng.choice([t_b(k), 0])
+        top = band_floor(k, [(t, 0)]) + 2 * rng.randrange(2, 5)
+        gc = realization(realize(k, t, top))
         h = graded_homology(gc)
         oracle = homology_free_ranks(gc)
         for d in set(gc.degrees):

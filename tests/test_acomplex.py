@@ -5,12 +5,13 @@ import pytest
 
 from helpers import (id_of, induced_h, induced_v, map_h, map_v,
                      oracle_kernel_rank_v, random_knot, realization,
-                     region_homology, staircase, torsion_square, twisty)
+                     region_homology, staircase, t_b, torsion_square,
+                     twisty)
 from hfplus import acomplex, cfk
 from hfplus.acomplex import (alexander_polynomial, genus, hfk_hat,
                              kernel_rank_v, realize, band_floor,
                              LaurentPolynomial)
-from hfplus.cfk import BUILTIN_NAMES, KnotComplex, Region, builtin
+from hfplus.cfk import BUILTIN_NAMES, KnotComplex, builtin
 from hfplus.errors import GradingError, InvalidComplexError
 from hfplus.homology import TOWER_LEVELS, graded_homology
 
@@ -19,12 +20,11 @@ GENUS_ONE = ("trefoil_right", "trefoil_left", "figure_eight")
 
 def _top(k, s, shift=0):
     """The cut of A_s and B for TOWER_LEVELS levels, B moved by shift."""
-    return band_floor(k, [(Region.max_ij(s), 0),
-                          (Region.min_i(), shift)]) + 2 * TOWER_LEVELS
+    return band_floor(k, [(s, 0), (t_b(k), shift)]) + 2 * TOWER_LEVELS
 
 
 def test_realize_unknot_quarter_plane():
-    realized = realize(builtin("unknot"), Region.min_i(), 13)
+    realized = realize(builtin("unknot"), t_b(builtin("unknot")), 13)
     gc = realization(realized)
     assert gc.n == 7
     assert sorted(gc.degrees) == [0, 2, 4, 6, 8, 10, 12]
@@ -34,6 +34,8 @@ def test_realize_unknot_quarter_plane():
     assert len(nonzero_u) == 6
     # everything of degree <= 13 is kept, so degrees up to 12 are exact
     assert realized.ceiling == 12
+    assert repr(realized) == (
+        "RealizedRegion(unknot, A_0, ceiling=12, 7 elements)")
 
 
 def test_hfk_hat_of_figure_eight_reads_three_elements_at_level_zero():
@@ -42,9 +44,8 @@ def test_hfk_hat_of_figure_eight_reads_three_elements_at_level_zero():
 
 def test_realize_respects_depth_bound():
     k = builtin("trefoil_right")
-    region = Region.min_i()
-    shallow = realize(k, region, 3)
-    deep = realize(k, region, 10)
+    shallow = realize(k, t_b(k), 3)
+    deep = realize(k, t_b(k), 10)
     low_gc, high_gc = realization(shallow), realization(deep)
     assert high_gc.n > low_gc.n
     assert (shallow.ceiling, deep.ceiling) == (2, 9)
@@ -190,11 +191,10 @@ def test_conjugation_symmetry_of_hook_regions():
     for name in BUILTIN_NAMES:
         k = builtin(name)
         for s in range(1, genus(k) + 2):
-            floor = band_floor(k, [(Region.max_ij(s), 0),
-                                   (Region.max_ij(-s), 2 * s)])
+            floor = band_floor(k, [(s, 0), (-s, 2 * s)])
             top = floor + 2 * TOWER_LEVELS
-            _, hs = region_homology(k, Region.max_ij(s), top)
-            _, hn = region_homology(k, Region.max_ij(-s), top - 2 * s)
+            _, hs = region_homology(k, s, top)
+            _, hn = region_homology(k, -s, top - 2 * s)
             ceiling = min(hs.ceiling, hn.ceiling + 2 * s)
             left = {d: v for d, v in hs.summary(ceiling).items()}
             right = {d + 2 * s: v
@@ -246,9 +246,9 @@ def test_kernel_rank_v_realizes_no_region(monkeypatch):
     built = []
     init = acomplex.RealizedRegion.__init__
 
-    def counting(self, source, region, top):
-        built.append((region, top))
-        init(self, source, region, top)
+    def counting(self, source, t, top):
+        built.append((t, top))
+        init(self, source, t, top)
 
     monkeypatch.setattr(acomplex.RealizedRegion, "__init__", counting)
     assert kernel_rank_v(k, 0) == 1

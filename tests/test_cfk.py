@@ -6,14 +6,17 @@ from pathlib import Path
 import pytest
 
 from helpers import (l_space_staircase, random_complex, staircase,
-                     strip_gradings, torsion_square, tower_bottom, twisty)
+                     strip_gradings, t_b, torsion_square, tower_bottom,
+                     twisty)
 from hfplus import acomplex, cfk
-from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
-                        UTerm, builtin, flip_chain_sign, grading_solve,
-                        memoized, mirror, parse_text, serialize_text,
+from hfplus.acomplex import band_floor, realize
+from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, UTerm,
+                        builtin, flip_chain_sign, grading_solve, memoized,
+                        mirror, parse_text, require_valid, serialize_text,
                         validate)
 from hfplus.errors import (GradingError, InvalidComplexError,
                            NotStabilizedError, ParseError)
+from hfplus.homology import TOWER_LEVELS
 from hfplus.surgery import hf_plus
 from towers import torus_alexander
 
@@ -71,6 +74,69 @@ def test_validate_reports_each_axiom():
     k = KnotComplex([("x", 0, 1), ("y", 1, 0)],
                     flip={"x": (1, "y"), "y": (-1, "x")})
     assert any("involution" in v for v in validate(k))
+
+    k = KnotComplex([("x", 0, 0), ("y", 0, 0)], {"x": ((1, -1, "y"),)})
+    assert validate(k) == ["negative U-exponent at x -> y"]
+
+    k = KnotComplex([("x", 0, 0)], {"zz": ((1, 0, "x"),)})
+    assert validate(k) == ["differential source zz is not a generator"]
+
+    k = KnotComplex([("x", 0, 0), ("y", 0, 0)], flip={"x": (1, "x")})
+    assert validate(k) == ["flip missing for y"]
+
+    k = KnotComplex([("x", 0, 0)], flip={"x": (2, "x")})
+    assert "flip sign at x must be +-1" in validate(k)
+
+    k = KnotComplex([("x", 0, 0)], flip={"x": (1, "ghost")})
+    assert validate(k) == ["flip target ghost at x is not a generator"]
+
+    k = KnotComplex([("x", 0, 1), ("y", 0, 1)],
+                    flip={"x": (1, "y"), "y": (1, "x")})
+    assert "flip does not swap filtration at x" in validate(k)
+
+    k = KnotComplex([("x", 0, 1, 0), ("y", 1, 0, 2)],
+                    flip={"x": (1, "y"), "y": (1, "x")})
+    assert "flip changes grading at x" in validate(k)
+
+    k = KnotComplex([("x", 0, 0)], flip={"x": (1, "x"), "zz": (1, "x")})
+    assert validate(k) == ["flip source zz is not a generator"]
+
+    # an empty entry for a name that is no generator is content too, so
+    # the memo never answers for it from the complex without it
+    k = KnotComplex([("x", 0, 0)])
+    assert validate(k) == []
+    k = KnotComplex([("x", 0, 0)], {"zz": ()})
+    assert validate(k) == ["differential source zz is not a generator"]
+
+
+def test_validation_runs_once_per_complex_content(monkeypatch):
+    # a cold loop over the builtins at a few slopes runs validate's
+    # checks once for each builtin's raw and solved forms, and for
+    # nothing else; the memo keeps violations, not an exception, so an
+    # invalid complex raises on every call
+    runs = []
+
+    class Counting(OrderedDict):
+        def __setitem__(self, key, value):
+            if key[0] is cfk._violations.__wrapped__:
+                runs.append(key[1])
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(cfk, "_memo", Counting())
+    for name in BUILTIN_NAMES:
+        for p, q in ((1, 1), (2, 1), (3, 2), (1, 5)):
+            hf_plus(builtin(name), p, q)
+    assert sorted(runs) == sorted(
+        k.content_key() for name in BUILTIN_NAMES
+        for k in (builtin(name), strip_gradings(builtin(name))))
+    bad = KnotComplex([("x", 0, 0, 0)], {"x": ((1, 0, "ghost"),)})
+    runs.clear()
+    for _ in range(3):
+        with pytest.raises(InvalidComplexError):
+            require_valid(bad)
+        assert validate(bad) == [
+            "differential target ghost at x is not a generator"]
+    assert runs == [bad.content_key()]
 
 
 def test_validate_flip_chain_compatibility():
@@ -221,9 +287,9 @@ def test_grading_solver_realizes_no_region(monkeypatch):
     built = []
     init = acomplex.RealizedRegion.__init__
 
-    def counting(self, source, region, top):
-        built.append((region, top))
-        init(self, source, region, top)
+    def counting(self, source, t, top):
+        built.append((t, top))
+        init(self, source, t, top)
 
     monkeypatch.setattr(acomplex.RealizedRegion, "__init__", counting)
     for k, seeds in knots:
@@ -325,16 +391,34 @@ def test_serialize_is_idempotent_after_one_pass():
 
 
 def test_region_values():
-    # level is the depth inside the region, negative outside it
-    quarter = Region.min_i()
-    assert quarter.level(0, 5) == 0
-    assert quarter.level(3, -2) == 3
-    assert quarter.level(-1, 4) == -1
+    # the first translate of g in A_t is minus its level max(i, j - t),
+    # the depth of (i, j) inside A_t, negative outside it; the last is
+    # the highest of degree <= top
+    points = [(0, 5), (3, -2), (-1, 4)]
+    quarter = max(j - i for i, j in points)  # A_t is {i >= 0} on them
+    for (i, j), level in zip(points, (0, 3, -1)):
+        g = Generator("x", i, j, 1)
+        assert acomplex._k_range(g, quarter, 7) == range(-level, 4)
+    for (i, j), level in zip([(0, 1), (2, 5), (-1, 0)], (0, 4, -1)):
+        g = Generator("x", i, j, 1)  # max(i, j - 1)
+        assert acomplex._k_range(g, 1, 7) == range(-level, 4)
 
-    hook = Region.max_ij(1)
-    assert hook.level(0, 1) == 0
-    assert hook.level(2, 5) == 4  # max(i, j - s)
-    assert hook.level(-1, 0) == -1
+    # B = C{i >= 0} is A_t at every t >= t_B = max(j - i), where S_t is
+    # empty: realize holds exactly the translates with i >= 0 and
+    # degree <= top
+    knots = ([builtin(name) for name in BUILTIN_NAMES]
+             + [staircase(g) for g in range(2, 5)]
+             + [twisty(n) for n in range(1, 4)])
+    for k in knots:
+        assert acomplex._strip(k, t_b(k)) == ({}, []), k.name
+        floor = band_floor(k, [(t_b(k), 0)])
+        for t in (t_b(k), t_b(k) + 1, t_b(k) + 3):
+            for top in (floor - 3, floor, floor + 2 * TOWER_LEVELS):
+                real = realize(k, t, top)
+                assert dict(zip(real.ids, real.degrees)) == {
+                    (g.name, n): g.m + 2 * n for g in k.generators
+                    for n in range(-g.i, (top - g.m) // 2 + 1)}, (
+                        k.name, t, top)
 
 
 def test_unknot_content_key_is_stable_under_renaming():

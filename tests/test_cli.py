@@ -66,6 +66,18 @@ def test_missing_input_file(capsys):
     assert "cannot read" in err
 
 
+def test_surgery_without_flip_data_exits_one(capsys, tmp_path):
+    path = tmp_path / "no_flip.txt"
+    text = serialize_text(builtin("trefoil_right"))
+    path.write_text("".join(line for line in text.splitlines(True)
+                            if not line.startswith("flip")),
+                    encoding="utf-8")
+    assert "flip" not in path.read_text(encoding="utf-8")
+    code, out, err = run(capsys, "surgery", str(path), "1/1")
+    assert code == 1
+    assert "flip" in err and out == ""
+
+
 def test_validate_missing_input_file(capsys, tmp_path):
     missing = tmp_path / "no_such_knot.txt"
     code, out, err = run(capsys, "validate", str(missing))

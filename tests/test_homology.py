@@ -5,9 +5,9 @@ import pytest
 
 from helpers import (ChainMap, _compose, homology_free_ranks,
                      homology_profile, library_checks, random_complex,
-                     rational_rank, realization, staircase, torsion_square)
+                     rational_rank, realization, staircase, t_b,
+                     torsion_square)
 from hfplus import cfk, homology
-from hfplus.cfk import Region
 from hfplus.acomplex import band_floor, realize
 from hfplus.errors import NotStabilizedError, TorsionInTowerError
 from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
@@ -142,8 +142,7 @@ def test_graded_complex_check_agrees_with_composed_columns():
     # of the messages they show
     rng = random.Random(20261019)
     k = torsion_square()
-    gc = realization(realize(k, Region.min_i(),
-                             band_floor(k, [(Region.min_i(), 0)]) + 8))
+    gc = realization(realize(k, t_b(k), band_floor(k, [(t_b(k), 0)]) + 8))
     complexes = [(gc.degrees, gc.boundary, gc.u_action)]
     for k, p, q in [(staircase(3), 7, 3), (staircase(5), 1, 1)]:
         for i in range(p):
@@ -249,15 +248,14 @@ def test_random_realizations_match_rational_oracle():
     rng = random.Random(20260825)
     for _ in range(50):
         k = random_complex(rng)
-        region = rng.choice([Region.min_i(), Region.max_ij(0),
-                             Region.max_ij(1)])
-        top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
-        realized = realize(k, region, top)
+        t = rng.choice([t_b(k), 0, 1])
+        top = band_floor(k, [(t, 0)]) + 2 * rng.randrange(2, 5)
+        realized = realize(k, t, top)
         gc = realization(realized)
         h = graded_homology(gc)
         oracle = homology_free_ranks(gc)
         for d in set(gc.degrees):
-            assert h.free_rank(d) == oracle.get(d, 0), (k.name, region, d)
+            assert h.free_rank(d) == oracle.get(d, 0), (k.name, t, d)
         # a ceiling skips the degrees above it and changes none below
         cut = graded_homology(gc, ceiling=realized.ceiling)
         assert all(cut.degree_data(d) is None
@@ -345,21 +343,20 @@ def test_cancel_units_transports_u_along_a_cancelled_pair():
 
 def test_cancel_units_agrees_with_the_unreduced_complex():
     rng = random.Random(20261018)
-    regions = [Region.min_i(), Region.max_ij(0), Region.max_ij(1)]
     torsion_seen = False
     for _ in range(60):
         k = random_complex(rng)
-        region = rng.choice(regions)
-        top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 6)
-        full = graded_homology(realization(realize(k, region, top)))
-        gc = realization(realize(k, region, top))
+        t = rng.choice([t_b(k), 0, 1])
+        top = band_floor(k, [(t, 0)]) + 2 * rng.randrange(2, 6)
+        full = graded_homology(realization(realize(k, t, top)))
+        gc = realization(realize(k, t, top))
         boundary, u_action = gc.boundary, gc.u_action
         gc.cancel_units()
         assert gc.boundary is boundary and gc.u_action is u_action
         assert len(gc.degrees) == gc.n == len(boundary) == len(u_action)
         _assert_no_unit_entries(gc)
         reduced = graded_homology(gc)
-        assert reduced.summary() == full.summary(), (k.name, region)
+        assert reduced.summary() == full.summary(), (k.name, t)
         torsion_seen |= any(t for _, t in full.summary().values())
         assert (_outcome(lambda: tower_decompose(reduced))
                 == _outcome(lambda: tower_decompose(full))), k.name
@@ -398,8 +395,7 @@ def _doubling_cancel_pair(monkeypatch):
 
 def _random_region():
     k = random_complex(random.Random(5))
-    return realize(k, Region.min_i(),
-                   band_floor(k, [(Region.min_i(), 0)]) + 8)
+    return realize(k, t_b(k), band_floor(k, [(t_b(k), 0)]) + 8)
 
 
 def test_cancel_unit_pairs_self_check_catches_a_wrong_step(monkeypatch):
@@ -513,14 +509,13 @@ def test_bare_degrees_read_the_same_as_through_the_snf(monkeypatch):
     # each degree through the elimination: the homology, the kernels of
     # U on it and the tower split agree
     rng = random.Random(20261020)
-    regions = [Region.min_i(), Region.max_ij(0), Region.max_ij(1)]
     built = _count_snf_works(monkeypatch)
     bare, towers = 0, 0
     for _ in range(40):
         k = random_complex(rng)
-        region = rng.choice(regions)
-        top = band_floor(k, [(region, 0)]) + 2 * rng.randrange(2, 5)
-        gc = realization(realize(k, region, top))
+        t = rng.choice([t_b(k), 0, 1])
+        top = band_floor(k, [(t, 0)]) + 2 * rng.randrange(2, 5)
+        gc = realization(realize(k, t, top))
         gc.cancel_units()
         padded = _with_unit_pairs(gc)
         h = graded_homology(gc)

@@ -11,14 +11,16 @@ from helpers import (ReferenceCone, checked_complex, h_columns,
                      homology_dims_mod_p, homology_profile, id_of,
                      kept_regions, library_checks, map_h, map_v,
                      random_knot, reduce_step_by_step, reference_spin_c,
-                     staircase, torsion_square, twisty, v_columns)
+                     staircase, strip_gradings, t_b, torsion_square, twisty,
+                     v_columns)
 from hfplus import acomplex, cfk, homology, surgery
 from hfplus.acomplex import (band_floor, genus, hfk_hat, kernel_rank_v,
                              realize, signed_flip)
-from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, Region,
-                        builtin, flip_chain_sign, mirror, validate)
+from hfplus.cfk import (BUILTIN_NAMES, Generator, KnotComplex, builtin,
+                        flip_chain_sign, mirror, validate)
 from hfplus.detect import casson_surgery
-from hfplus.errors import InvalidComplexError, NotStabilizedError
+from hfplus.errors import (FlipMissingError, GradingError,
+                           InvalidComplexError, NotStabilizedError)
 from hfplus.homology import (TOWER_LEVELS, GradedComplex, graded_homology,
                              tower_decompose)
 from hfplus.surgery import (SpincResult, SurgeryDescriptor,
@@ -31,15 +33,15 @@ F = Fraction
 GRID = [(p, q) for p in range(1, 11) for q in range(1, 6) if gcd(p, q) == 1]
 
 
-def _first(g, region):
-    """The first translate of g in a cone block's region.
+def _first(g, label, t):
+    """The first translate of g in the cone block labelled label.
 
-    It is k = -i_x in {i >= 0}, and k = -max(i_x, j_x - t) in
-    {max(i, j - t) >= 0}.
+    It is k = -i_x in B = {i >= 0}, and k = -max(i_x, j_x - t) in
+    A_t = {max(i, j - t) >= 0}.
     """
-    if region == Region.min_i():
+    if label[0] == "B":
         return -g.i
-    return -max(g.i, g.j - region.params[0])
+    return -max(g.i, g.j - t)
 
 
 def _kept_blocks(k, descriptor):
@@ -47,9 +49,9 @@ def _kept_blocks(k, descriptor):
 
 
 def _band_floor(k, descriptor):
-    """The kept blocks' band's lower end, from the regions' definitions."""
-    return max(offset + g.m + 2 * _first(g, region)
-               for _, region, offset in kept_regions(k, descriptor)
+    """The kept blocks' band's lower end, from the pieces' definitions."""
+    return max(offset + g.m + 2 * _first(g, label, t)
+               for label, t, offset in kept_regions(k, descriptor)
                for g in k.generators) + 1
 
 
@@ -91,17 +93,17 @@ def test_end_blocks_cancel_by_chain_isomorphisms():
     for k in TRIM_KNOTS:
         g = genus(k)
         flip = signed_flip(k)
-        top = band_floor(k, [(Region.min_i(), 0)]) + 2 * TOWER_LEVELS
-        b = realize(k, Region.min_i(), top)
+        top = band_floor(k, [(t_b(k), 0)]) + 2 * TOWER_LEVELS
+        b = realize(k, t_b(k), top)
         for t in (g, g + 1, g + 3):
-            a = realize(k, Region.max_ij(t), top)
+            a = realize(k, t, top)
             assert ((a.ids, a.degrees, a.boundary, a.u_action)
                     == (b.ids, b.degrees, b.boundary, b.u_action)), (
                         k.name, t)
             assert v_columns(a.ids, b) == [{n: 1} for n in range(len(b.ids))]
         for t in (-g, -g - 1, -g - 3):
-            a = realize(k, Region.max_ij(t), top)
-            target = realize(k, Region.min_i(), top - 2 * t)
+            a = realize(k, t, top)
+            target = realize(k, t_b(k), top - 2 * t)
             cols = h_columns(k, flip, t, a.ids, target)
             assert all(len(col) == 1 and abs(c) == 1
                        for col in cols for c in col.values()), (k.name, t)
@@ -123,7 +125,7 @@ def test_calibration_minimum_lies_in_the_kept_window():
                 for desc in (SurgeryDescriptor(p, q, i, sigma, TOWER_LEVELS),
                              SurgeryDescriptor(p, q, i, sigma + 1,
                                                TOWER_LEVELS)):
-                    off_a, _ = surgery._cone_offsets(desc)
+                    off_a = surgery._cone_offsets(desc)
                     f = {s: off_a[s] + 2 * min(0, desc.t(s))
                          for s in desc.a_positions()}
                     kept = [s for s, _, _ in surgery._cone_blocks(desc, g)]
@@ -144,13 +146,13 @@ def test_each_a_block_is_b_plus_its_strip():
     # the quotient, and v the identity on B's keys
     for k in TRIM_KNOTS:
         g = genus(k)
-        floor = band_floor(k, [(Region.min_i(), 0)])
+        floor = band_floor(k, [(t_b(k), 0)])
         for t in range(-g - 2, g + 3):
             assert len(_strip(k, t)) == sum(max(0, x.j - x.i - t)
                                             for x in k.generators), k.name
             for top in (floor - 3, floor, floor + 2 * TOWER_LEVELS):
-                a = realize(k, Region.max_ij(t), top)
-                b = realize(k, Region.min_i(), top)
+                a = realize(k, t, top)
+                b = realize(k, t_b(k), top)
                 strip = _strip(k, t, top)
                 assert not strip.keys() & set(b.ids), (k.name, t)
                 assert (dict(zip(a.ids, a.degrees))
@@ -188,14 +190,13 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
                                      TOWER_LEVELS)
             top = _band_floor(k, desc) + 2 * desc.depth
             (_, t, offset), *rest = _kept_blocks(k, desc)
-            region = Region.max_ij(t)
-            tops[region] = max(tops.get(region, top - offset), top - offset)
+            tops[t] = max(tops.get(t, top - offset), top - offset)
             ts.update(t for _, t, _ in rest)
         calls, strips, cones, sizes = [], [], [], []
 
-        def counting(complex_, region, top):
-            calls.append((region, top))
-            return realize(complex_, region, top)
+        def counting(complex_, t, top):
+            calls.append((t, top))
+            return realize(complex_, t, top)
 
         def stripping(complex_, t):
             # _reduce_strip builds S_t only when the memo misses
@@ -220,7 +221,8 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
         # for each distinct t; and the library checks each of the p cones
         # once, when it is built, and no region, strip or residue
         assert len(calls) == len(tops) and dict(calls) == tops, (p, q)
-        assert Region.min_i() not in tops
+        assert set(tops) == {_kept_blocks(k, c.descriptor)[0][1]
+                             for c in cones}
         assert sorted(strips) == sorted(ts), (p, q)
         assert len(cones) == p and checked == [c.complex for c in cones], (
             p, q)
@@ -239,7 +241,7 @@ def test_hf_plus_realizes_each_region_once(monkeypatch):
                 assert degree == g.m + 2 * label[3] + offset
                 assert degree <= cone.ceiling + 1
                 if label[1] == kept[0][0]:
-                    assert label[3] >= _first(g, Region.max_ij(t)), (
+                    assert label[3] >= _first(g, label, t), (
                         p, q, label)
                 else:
                     assert i < 0 <= j - t, (p, q, label)
@@ -270,9 +272,9 @@ def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
     realized, strips, built, given = [], {}, [], []
     cancel, reduce_strip = surgery.cancel_unit_pairs, surgery._reduce_strip
 
-    def counting(complex_, region, top):
-        real = realize(complex_, region, top)
-        realized.append((complex_, region, top, len(real.ids)))
+    def counting(complex_, t, top):
+        real = realize(complex_, t, top)
+        realized.append((complex_, t, top, len(real.ids)))
         return real
 
     def cancelling(degrees, *args):
@@ -315,9 +317,9 @@ def test_cone_sizes_read_off_the_translate_rules(monkeypatch):
         cfk._memo.clear()
         strips.clear()
         hf_plus(k, p, q)
-    for k, region, top, size in realized:
-        assert size == sum(len(acomplex._k_range(g, region, top))
-                           for g in k.generators), (k.name, region, top)
+    for k, t, top, size in realized:
+        assert size == sum(len(acomplex._k_range(g, t, top))
+                           for g in k.generators), (k.name, t, top)
     assert len(realized) > len(cases) and sum(built) > 1000
 
 
@@ -479,7 +481,7 @@ def test_cone_joins_are_the_v_and_h_maps():
               SurgeryDescriptor(1, 5, 0, sigma=4, depth=TOWER_LEVELS), True)]
     for k, desc, kept in cases:
         cone = ReferenceCone(k, desc, kept=kept)
-        off_a, _ = surgery._cone_offsets(desc)
+        off_a = surgery._cone_offsets(desc)
         index = {label: n for n, label in enumerate(cone.ids)}
         a_positions = ([s for s, _, _ in _kept_blocks(k, desc)] if kept
                        else list(desc.a_positions()))
@@ -808,9 +810,9 @@ def test_hf_plus_builds_one_cone_per_spin_c_structure(monkeypatch):
         built.append(descriptor)
         return build_mapping_cone(complex_, descriptor, *rest)
 
-    def counting(complex_, region, top):
-        realized.append(region)
-        return realize(complex_, region, top)
+    def counting(complex_, t, top):
+        realized.append(t)
+        return realize(complex_, t, top)
 
     monkeypatch.setattr(cfk, "_memo", OrderedDict())
     monkeypatch.setattr(surgery, "build_mapping_cone", build)
@@ -824,7 +826,7 @@ def test_hf_plus_builds_one_cone_per_spin_c_structure(monkeypatch):
         assert all(d.depth == TOWER_LEVELS for d in built), (g, p, q)
         # the large cones keep up to 2g - 1 A blocks, and realize only
         # their bottom ones, each distinct region once
-        bottoms = {Region.max_ij(_kept_blocks(k, d)[0][1]) for d in built}
+        bottoms = {_kept_blocks(k, d)[0][1] for d in built}
         assert len(realized) == len(set(realized)), (g, p, q)
         assert set(realized) == bottoms, (g, p, q)
 
@@ -841,7 +843,7 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
         for r in result.spin_c:
             desc = SurgeryDescriptor(p, q, r.index, r.sigma, TOWER_LEVELS)
             assert _band_floor(k, desc) == band_floor(
-                k, [(region, offset) for _, region, offset
+                k, [(t, offset) for _, t, offset
                     in kept_regions(k, desc)]), (k.name, desc)
             # the band floor moved to absolute degrees, as r.d and hf_red are
             floor = _band_floor(k, desc) + surgery._calibration_shift(desc)
@@ -974,6 +976,19 @@ def test_a_corrupted_flip_is_caught_before_any_cone(monkeypatch):
             hf_plus(bad, p, 1)
         assert info.value.violations == [
             "flip is not a chain map up to global sign"], p
+        # no gradings, or no flip at all, is its own typed error; at
+        # p = -1 the mirror asks for the gradings first
+        asks = "surgery" if p > 0 else "mirror"
+        with pytest.raises(GradingError,
+                           match=f"^{asks} requires solved gradings$"):
+            hf_plus(strip_gradings(k), p, 1)
+        with pytest.raises(FlipMissingError,
+                           match="^surgery requires flip data$"):
+            hf_plus(KnotComplex(k.generators, k.differential), p, 1)
+    with pytest.raises(GradingError,
+                       match="^surgery requires solved gradings$"):
+        surgery.reduce_regions(strip_gradings(k),
+                               [SurgeryDescriptor(1, 1, 0, 1, TOWER_LEVELS)])
     assert not built
 
 
@@ -1123,8 +1138,7 @@ def test_moving_the_offsets_pin_changes_no_result(monkeypatch):
     pinned = surgery._cone_offsets
 
     def moved(descriptor):
-        return tuple({s: off + 5 for s, off in offsets.items()}
-                     for offsets in pinned(descriptor))
+        return {s: off + 5 for s, off in pinned(descriptor).items()}
 
     base = [hf_plus(builtin(name), p, q).comparable()
             for name, p, q in SIGNED_CASES]

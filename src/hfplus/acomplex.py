@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .cfk import (_restrict, _unfold, column, flip_chain_sign, memoized,
                   require_valid)
-from .errors import FlipMissingError, GradingError, InvalidComplexError
+from .errors import GradingError, InvalidComplexError
 from .homology import GradedComplex, graded_homology
 
 
@@ -140,14 +140,13 @@ def realize(complex_, t, top):
 
 
 def signed_flip(complex_):
-    """The flip with the sign h applies: name -> (sign, image name)."""
-    if complex_.flip is None:
-        raise FlipMissingError(
-            "horizontal maps need flip data on the complex")
+    """The flip with the sign h applies: name -> (sign, image name).
+
+    complex_ must carry a flip and pass require_valid, so that
+    flip_chain_sign is +1 or -1, as in surgery.hf_plus, which checks
+    both before it builds h.
+    """
     eps = flip_chain_sign(complex_)
-    if eps is None:
-        raise InvalidComplexError(["flip is not a chain map up to "
-                                   "global sign"])
     signed = {}
     for g in complex_.generators:
         sgn, flipped = complex_.flip[g.name]

@@ -591,13 +591,12 @@ _U_RE = re.compile(r"U\^(\d+)\Z")
 
 
 def _parse_term(text, lineno):
+    # a term as _split_terms cuts it: at most one sign, then nonempty
     text = text.strip()
     sign = 1
     while text.startswith("-"):
         sign = -sign
         text = text[1:].strip()
-    if not text:
-        raise ParseError("empty term", lineno)
     coeff = 1
     power = 0
     pieces = [p.strip() for p in text.split("*")]

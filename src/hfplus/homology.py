@@ -25,11 +25,13 @@ every degree of a residue with zero differential, is bare: its kernel
 is the whole degree, nothing is divided out, and each element is one
 free class, its own representative and coordinate.  Between two bare
 degrees U on homology is U's own columns, read straight off the
-complex (GradedGroup.u_matrix).  This is exact, since the identity is
-a unimodular L and R for the zero matrix.  For the same reason the
-quotient of a free group by a class with a +-1 entry, which spans a
-direct summand, is free of rank one less and takes no elimination
-(_quotient_by_class).
+complex (GradedGroup.u_matrix, which keeps nothing between calls:
+tower_decompose reads each degree once, in one walk down the tower
+that also checks its top TOWER_LEVELS levels).  This is exact, since
+the identity is a unimodular L and R for the zero matrix.  For the
+same reason the quotient of a free group by a class with a +-1 entry,
+which spans a direct summand, is free of rank one less and takes no
+elimination (_quotient_by_class).
 
 cancel_unit_pairs shrinks a complex before any of this: it cancels
 basis pairs joined by a +-1 boundary entry (reduction by elementary
@@ -58,6 +60,7 @@ cancel_unit_pairs leaves (exact reductions) are not checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import NotStabilizedError, TorsionInTowerError
 
@@ -73,8 +76,6 @@ TOWER_LEVELS = 4
 
 def _dict_axpy(dst, src, k):
     # dst += k * src, dropping zeros
-    if not k:
-        return
     for key, v in src.items():
         nv = dst.get(key, 0) + k * v
         if nv:
@@ -131,18 +132,17 @@ class _SnfWork:
             _dict_axpy(self.linv_cols[p], self.linv_cols[r], -k)
 
     def _col_axpy(self, j, i, k):
-        # col_j += k * col_i
-        rows, colnz = self.rows, self.colnz
-        for r in list(colnz[i]):
-            row = rows[r]
-            nv = row.get(j, 0) + k * row[i]
-            if nv:
-                if j not in row:
-                    colnz[j].add(r)
-                row[j] = nv
-            elif j in row:
-                del row[j]
-                colnz[j].discard(r)
+        # col_j += k * col_i (k != 0) in _reduce_slot's column phase,
+        # which runs once its row phase has left the pivot alone in
+        # column i, and takes each j from row i: so col_i is row i
+        # alone, and row i already holds j
+        row = self.rows[i]
+        nv = row[j] + k * row[i]
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+            self.colnz[j].discard(i)
         if self.r_cols is not None:
             _dict_axpy(self.r_cols[j], self.r_cols[i], k)
         if self.q_rows is not None:
@@ -207,9 +207,9 @@ class _SnfWork:
         best = None
         best_val = None
         for c in range(t, self.ncols):
+            # a reduced slot's row and column hold only its pivot, so
+            # every row with an entry in a column >= t is at or below t
             for r in self.colnz[c]:
-                if r < t:
-                    continue
                 v = self.rows[r][c]
                 v = -v if v < 0 else v
                 if v == 1:
@@ -226,11 +226,10 @@ class _SnfWork:
                 self._row_negate(t)
             p = rows[t][t]
             swapped = False
+            # each row op changes only row r, so every later r of the
+            # snapshot still has its entry in column t
             for r in [r for r in colnz[t] if r != t]:
-                v = rows[r].get(t)
-                if not v:
-                    continue
-                k = v // p
+                k = rows[r][t] // p
                 if k:
                     self._row_axpy(r, t, -k)
                 if rows[r].get(t):
@@ -675,7 +674,6 @@ class GradedGroup:
         self.complex = complex_
         self._data = data
         self.ceiling = ceiling
-        self._u_cache = {}
 
     def degree_data(self, d):
         return self._data.get(d)
@@ -728,8 +726,6 @@ class GradedGroup:
 
     def u_matrix(self, d):
         """Induced U on homology, degree d -> d-2, as coordinate columns."""
-        if d in self._u_cache:
-            return self._u_cache[d]
         if self.complex.u_action is None:
             raise ValueError("complex carries no U-action")
         src = self._data.get(d)
@@ -748,7 +744,6 @@ class GradedGroup:
                 for gid, coeff in self.rep_global(d, slot).items():
                     _dict_axpy(img, u[gid], coeff)
                 cols.append(self.coords_global(d - 2, img))
-        self._u_cache[d] = cols
         return cols
 
 
@@ -859,47 +854,43 @@ def tower_decompose(h):
         raise NotStabilizedError(f"{len(degrees)} occupied degrees, "
                                  f"fewer than {TOWER_LEVELS} tower levels")
     data = h._data
-    # the top TOWER_LEVELS degrees must be bare Z's linked by U-isomorphisms
-    for idx in range(1, TOWER_LEVELS + 1):
-        d = degrees[-idx]
-        dh = data[d]
+    # walk the tower down from the top; each of the top TOWER_LEVELS
+    # degrees is checked when the walk reaches it, before the walk may
+    # stop there, and inside them U is an isomorphism, so it never does
+    cur, img, tower = degrees[-1], [1], {}
+    for level in count(1):
+        dh = data[cur]
+        if level <= TOWER_LEVELS:
+            if dh.torsion:
+                raise TorsionInTowerError(
+                    f"torsion at degree {cur} inside the stable tower region")
+            if dh.free_rank != 1:
+                raise NotStabilizedError(
+                    f"rank {dh.free_rank} at degree {cur} near the top")
         if dh.torsion:
-            raise TorsionInTowerError(
-                f"torsion at degree {d} inside the stable tower region")
-        if dh.free_rank != 1:
-            raise NotStabilizedError(
-                f"rank {dh.free_rank} at degree {d} near the top")
-        if idx < TOWER_LEVELS:
-            if degrees[-idx - 1] != d - 2:
-                raise NotStabilizedError(
-                    f"tower degrees not spaced by two near {d}")
-            if h.u_matrix(d) not in ([[1]], [[-1]]):
-                raise NotStabilizedError(
-                    f"U is not an isomorphism from degree {d}")
-    # walk the tower down from the top
-    cur = degrees[-1]
-    factors = data[cur].factors
-    vec = [0] * len(factors)
-    vec[factors.index(0)] = 1
-    tower = {cur: vec}
-    while True:
-        below = data.get(cur - 2)
-        if below is None or not below.kept:
-            break
-        img = [0] * len(below.kept)
-        for coeff, col in zip(vec, h.u_matrix(cur)):
-            if coeff:
-                for r, v in enumerate(col):
-                    img[r] += coeff * v
-        if below.torsion:
-            img = [v % f if f else v for v, f in zip(img, below.factors)]
-            if not any(v for v, f in zip(img, below.factors) if f == 0):
+            img = [v % f if f else v for v, f in zip(img, dh.factors)]
+            if not any(v for v, f in zip(img, dh.factors) if f == 0):
                 break
         elif not any(img):
             break
-        cur -= 2
         tower[cur] = vec = img
-    d_bottom = cur
+        if level < TOWER_LEVELS and degrees[-level - 1] != cur - 2:
+            raise NotStabilizedError(
+                f"tower degrees not spaced by two near {cur}")
+        below = data.get(cur - 2)
+        if below is None or not below.kept:
+            break
+        u = h.u_matrix(cur)
+        if level < TOWER_LEVELS and u not in ([[1]], [[-1]]):
+            raise NotStabilizedError(
+                f"U is not an isomorphism from degree {cur}")
+        img = [0] * len(below.kept)
+        for coeff, col in zip(vec, u):
+            if coeff:
+                for r, v in enumerate(col):
+                    img[r] += coeff * v
+        cur -= 2
+    d_bottom = min(tower)
     reduced = []
     for d in degrees:
         dh = data[d]

@@ -138,6 +138,7 @@ def test_laurent_polynomial_helpers():
     assert p.coefficient(1) == 0
     assert p.at_one() == -1
     assert str(p) == "t^2 - 3 + t^-2"
+    assert str(LaurentPolynomial.from_dict({1: 0})) == "0"
 
 
 def test_kernel_rank_of_v0():
@@ -209,6 +210,15 @@ def test_hfk_hat_of_an_ungraded_level_with_an_arrow_needs_gradings():
         for s in (0, 1):
             with pytest.raises(GradingError, match="requires solved gradings"):
                 hfk_hat(k, s)
+
+
+def test_realize_needs_solved_gradings():
+    k = builtin("trefoil_right")
+    ungraded = KnotComplex([(g.name, g.i, g.j) for g in k.generators],
+                           k.differential, k.flip)
+    with pytest.raises(GradingError) as exc:
+        realize(ungraded, 0, 4)
+    assert str(exc.value) == "realization requires solved gradings"
 
 
 def test_knot_invariants_reject_an_invalid_complex(monkeypatch):

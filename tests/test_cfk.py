@@ -31,10 +31,27 @@ def test_builtin_names_and_validity():
         assert k.flip is not None
         assert validate(k) == []
         assert flip_chain_sign(k) in (1, -1)
+    with pytest.raises(KeyError) as exc:
+        builtin("trefoil")
+    assert exc.value.args == (
+        "unknown builtin 'trefoil'; choices: unknot, trefoil_right, "
+        "trefoil_left, figure_eight, torus_2_5",)
 
 
 def _grading_table(k):
     return {g.name: (g.i, g.j, g.m) for g in k.generators}
+
+
+def test_knot_complex_identity_is_its_content():
+    k = builtin("trefoil_right")
+    renamed = KnotComplex(k.generators, k.differential, k.flip, name="r")
+    assert renamed == k and hash(renamed) == hash(k)
+    assert len({k, renamed, builtin("trefoil_left")}) == 2
+    assert k.__eq__("trefoil_right") is NotImplemented
+    assert k != "trefoil_right"
+    assert repr(k) == "KnotComplex('trefoil_right', 3 generators, 2 arrows)"
+    assert (repr(KnotComplex([("a", 0, 0)]))
+            == "KnotComplex('?', 1 generators, 0 arrows)")
 
 
 def test_builtin_gradings_frozen():
@@ -148,6 +165,8 @@ def test_validate_flip_chain_compatibility():
         flip={"x": (1, "xx"), "xx": (1, "x"), "y": (1, "yy"),
               "yy": (1, "y")})
     assert "flip is not a chain map up to global sign" in validate(k)
+    # no flip: no sign to find
+    assert flip_chain_sign(KnotComplex([("a", 0, 0, 0)])) is None
 
 
 def test_d_squared_cancellation_over_the_integers():
@@ -321,6 +340,39 @@ def test_grading_solver_seed_conflict():
                       seeds={"b": 17})
 
 
+# figure-eight's box alone: the square a -> b, c -> d, acyclic over Z
+_BOX = ([("a", 1, 1), ("b", 0, 1), ("c", 1, 0), ("d", 0, 0)],
+        {"a": [(1, 0, "b"), (1, 0, "c")], "b": [(1, 0, "d")],
+         "c": [(-1, 0, "d")]})
+
+
+@pytest.mark.parametrize("k, seeds, message", [
+    # b and c one apart along a -> b, a -> U c, level along e -> b, c
+    (KnotComplex([("a", 1, 1), ("b", 0, 0), ("c", 0, 0), ("e", 1, 1)],
+                 {"a": [(1, 0, "b"), (1, 1, "c")],
+                  "e": [(1, 0, "b"), (1, 0, "c")]}),
+     None, "inconsistent grading constraints near b"),
+    (KnotComplex(*_BOX), {"d": 0, "b": 5},
+     "conflicting grading seeds on component containing a"),
+    (KnotComplex(*_BOX), {"d": 0},
+     "no tower component: the {i = 0} column homology has no free part"),
+])
+def test_grading_solver_names_what_pins_no_grading(k, seeds, message):
+    with pytest.raises(GradingError) as exc:
+        grading_solve(k, seeds=seeds)
+    assert str(exc.value) == message
+
+
+def test_grading_solver_keeps_a_given_grading_as_a_seed():
+    # figure-eight with d's grading written in, in place of its seed
+    k = builtin("figure_eight")
+    partial = KnotComplex(
+        [(g.name, g.i, g.j, g.m if g.name == "d" else None)
+         for g in k.generators], k.differential, k.flip)
+    assert not partial.graded
+    assert _grading_table(grading_solve(partial)) == _grading_table(k)
+
+
 def test_grading_solver_rejects_a_seed_that_names_no_generator():
     for k in (builtin("trefoil_right"), strip_gradings(builtin("unknot"))):
         with pytest.raises(GradingError, match="'zz' names no generator"):
@@ -356,6 +408,24 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_text("wibble a\n")
     assert "unknown directive" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gen 1a 0 0\n", "line 1: bad generator name '1a'"),
+    ("gen a x 0\n", "line 1: gen fields must be integers"),
+    ("gen a 0 0\nd 1a = a\n", "line 2: bad generator name '1a'"),
+    ("gen a 0 0\nd a = \n", "line 2: empty right-hand side"),
+    ("gen a 0 0\nd a = U^1 U^2 a\n",
+     "line 2: repeated U factor in term 'U^1*U^2*a'"),
+    ("gen a 0 0\nd a = 2*3*a\n",
+     "line 2: repeated coefficient in term '2*3*a'"),
+    ("gen a 0 0\nd a = x*a\n", "line 2: cannot read factor 'x' in term"),
+    ("gen a 0 0\nflip a = 1b\n", "line 2: flip needs <name> = [-]<name>"),
+])
+def test_parse_errors_name_the_line_and_the_fault(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_text(text)
+    assert str(exc.value) == message
 
 
 def test_parse_validates_content():
@@ -502,7 +572,8 @@ def _builds_dict(node):
 
 
 def test_the_package_has_one_cache():
-    """cfk._memo is the only cache; per-object ones (_u_cache) are fine."""
+    """cfk._memo is the only cache: no module keeps another at its top
+    level, and no object keeps one of its own."""
     found = []
     for path in sorted(Path(cfk.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -510,7 +581,7 @@ def test_the_package_has_one_cache():
             for dec in getattr(node, "decorator_list", ()):
                 if _decorator_name(dec) in ("lru_cache", "cache"):
                     found.append(f"{path.name}:{dec.lineno} decorator")
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assign):
                 targets, value = node.targets, node.value
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -518,7 +589,8 @@ def test_the_package_has_one_cache():
             else:
                 continue
             for target in targets:
-                name = getattr(target, "id", "")
+                # a name, or an attribute such as self._cache
+                name = getattr(target, "id", getattr(target, "attr", ""))
                 if ((path.name, name) != ("cfk.py", "_memo")
                         and ("cache" in name.lower() or "memo" in name.lower())
                         and _builds_dict(value)):

@@ -11,7 +11,7 @@ if sys.version_info >= (3, 11):
 else:  # pytest itself requires tomli before Python 3.11
     import tomli as tomllib
 
-from helpers import child_env
+from helpers import child_env, torsion_square
 from hfplus import cli, surgery
 from hfplus.cfk import builtin, serialize_text
 from hfplus.cli import main, parse_document, result_document, strip_provenance
@@ -53,6 +53,25 @@ def test_surgery_zero_slope_is_a_usage_error(capsys):
     code, _, err = run(capsys, "surgery", "unknot", "0/1")
     assert code == 2
     assert "slope must be nonzero" in err
+
+
+def test_an_integer_slope_is_over_one(capsys):
+    assert run(capsys, "surgery", "unknot", "5") == run(
+        capsys, "surgery", "unknot", "5/1")
+    code, out, _ = run(capsys, "surgery", "unknot", "5")
+    assert code == 0 and out.startswith("HF+ of 5/1 surgery on unknot\n")
+
+
+def test_slope_denominator_must_be_positive(capsys):
+    for slope in ("1/0", "1/-2"):
+        assert run(capsys, "surgery", "unknot", slope) == (
+            2, "", "error: slope denominator must be a positive integer\n")
+
+
+def test_diagnose_and_classify_need_a_positive_slope(capsys):
+    for command in ("diagnose", "classify"):
+        assert run(capsys, command, "unknot", "-1/2") == (
+            2, "", f"error: {command} needs a positive slope\n")
 
 
 def test_surgery_malformed_slope(capsys):
@@ -125,6 +144,16 @@ def test_surgery_spin_is_checked_before_computing(capsys, monkeypatch):
                              "--spin", spin)
         assert code == 2 and out == "", spin
         assert err == "error: spin index must be an integer in [0, 2]\n", spin
+
+
+def test_surgery_spin_filter_in_json(capsys):
+    code, out, _ = run(capsys, "surgery", "figure_eight", "7/3",
+                       "--spin", "3", "--json")
+    assert code == 0
+    doc = parse_document(out)
+    assert [rec["index"] for rec in doc["spin_c"]] == [3]
+    assert doc["spin_c"][0]["d"] == Fraction(-9, 14)
+    assert doc["total_reduced_rank"] == 3  # of the whole surgery
 
 
 def test_surgery_json_round_trip(capsys):
@@ -202,6 +231,59 @@ def test_ungraded_file_gets_gradings_solved(capsys, tmp_path):
     code, out, _ = run(capsys, "surgery", str(path), "1/1")
     assert code == 0
     assert "d = -2" in out
+
+
+# a dot, a unit pair at Alexander grading +-1 (zero hat homology there)
+# and a doubling pair at +-2 (Z/2 there), the flip swapping each pair
+PAIRS = """\
+gen z 0 0 0
+gen x 1 2 2
+gen y 1 2 1
+gen x' 2 1 2
+gen y' 2 1 1
+gen u 2 4 4
+gen w 2 4 3
+gen u' 4 2 4
+gen w' 4 2 3
+d x = y
+d x' = y'
+d u = 2*w
+d u' = 2*w'
+flip z = z
+flip x = x'
+flip x' = x
+flip y = y'
+flip y' = y
+flip u = u'
+flip u' = u
+flip w = w'
+flip w' = w
+"""
+
+
+def test_hfk_table_skips_a_zero_level_and_lists_torsion(capsys, tmp_path):
+    path = tmp_path / "pairs.txt"
+    path.write_text(PAIRS, encoding="utf-8")
+    assert run(capsys, "hfk", str(path)) == (0, (
+        f"hat knot Floer homology of {path}\n"
+        "  s =   2: rank 0 at degree -1, Z/2 at degree -1\n"
+        "  s =   0: rank 1 at degree 0\n"
+        "  s =  -2: rank 0 at degree -5, Z/2 at degree -5\n"
+        "genus 2\n"
+        "alexander 1\n"), "")
+
+
+def test_surgery_table_lists_torsion(capsys, tmp_path):
+    path = tmp_path / "torsion_square.txt"
+    path.write_text(serialize_text(torsion_square()), encoding="utf-8")
+    assert run(capsys, "surgery", str(path), "2/1") == (0, (
+        f"HF+ of 2/1 surgery on {path}\n"
+        "  spin 0: d = 1/4,  reduced = Z^2 at degree -3/4  "
+        "(even 0, odd 2)\n"
+        "  spin 1: d = -1/4,  reduced = Z/2 at degree -5/4  "
+        "(even 0, odd 0)\n"
+        "total reduced rank 2\n"
+        "score 2\n"), "")
 
 
 def test_validate_command(capsys, tmp_path):

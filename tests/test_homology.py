@@ -244,6 +244,78 @@ def test_tower_decompose_needs_tower_levels_occupied_degrees():
         assert tower_decompose(h).d_bottom == 0, levels
 
 
+def _tower_plus(degrees, boundary, u_action):
+    """The tower at 0, 2, 4, 6 (elements 0..3, U sending each to the
+    one below), followed by these elements."""
+    u = [{}, {0: 1}, {1: 1}, {2: 1}] + list(u_action)
+    return GradedComplex([0, 2, 4, 6] + list(degrees),
+                         [{} for _ in range(4)] + list(boundary), u_action=u)
+
+
+@pytest.mark.parametrize("complex_, error, message", [
+    # Z + Z/2 at the top
+    (_tower_plus([7, 6], [{5: 2}, {}], [{}, {}]),
+     TorsionInTowerError, "torsion at degree 6 inside the stable tower region"),
+    # U maps the top onto a Z/2 one level down: the walk checks that
+    # level before its image there, the zero class, could stop it
+    (GradedComplex([0, 2, 4, 5, 6], [{}, {}, {}, {2: 2}, {}],
+                   u_action=[{}, {0: 1}, {}, {}, {2: 1}]),
+     TorsionInTowerError, "torsion at degree 4 inside the stable tower region"),
+    (_tower_plus([6], [{}], [{}]),
+     NotStabilizedError, "rank 2 at degree 6 near the top"),
+    (GradedComplex([0, 2, 4, 8], [{} for _ in range(4)],
+                   u_action=[{}, {0: 1}, {1: 1}, {}]),
+     NotStabilizedError, "tower degrees not spaced by two near 8"),
+    (GradedComplex([0, 2, 4, 6], [{} for _ in range(4)],
+                   u_action=[{}, {0: 1}, {1: 1}, {2: 2}]),
+     NotStabilizedError, "U is not an isomorphism from degree 6"),
+])
+def test_tower_decompose_names_the_first_failed_check(complex_, error,
+                                                      message):
+    with pytest.raises(error) as exc:
+        tower_decompose(graded_homology(complex_))
+    assert str(exc.value) == message
+
+
+def test_tower_decompose_reads_u_once_per_degree(monkeypatch):
+    # the check of the top levels and the walk share one U per degree
+    h = graded_homology(_tower_complex(8, extra_degrees=[3, 3, 0]))
+    read = []
+    u_matrix = type(h).u_matrix
+
+    def reading(self, d):
+        read.append(d)
+        return u_matrix(self, d)
+
+    monkeypatch.setattr(type(h), "u_matrix", reading)
+    assert tower_decompose(h).d_bottom == 0
+    assert read == [14, 12, 10, 8, 6, 4, 2]
+
+
+def test_smith_normal_form_rejects_ragged_rows():
+    with pytest.raises(ValueError) as exc:
+        smith_normal_form([[1, 2], [3]])
+    assert str(exc.value) == "matrix rows have unequal lengths"
+
+
+def test_graded_group_reads_only_what_it_holds():
+    # degrees 0 and 2, a tower with U; degree 1 holds nothing
+    h = graded_homology(_tower_complex(2))
+    with pytest.raises(ValueError) as exc:
+        h.coords_global(1, {0: 1})
+    assert str(exc.value) == "cycle in a degree with no basis"
+    assert h.coords_global(1, {}) == []
+    with pytest.raises(ValueError) as exc:
+        h.coords_global(0, {1: 1})
+    assert str(exc.value) == "vector is not homogeneous of degree 0"
+    assert h.u_matrix(2) == [[1]]
+    assert h.u_matrix(5) == []  # nothing in degree 5
+    bare = graded_homology(GradedComplex([0, 2], [{}, {}]))
+    with pytest.raises(ValueError) as exc:
+        bare.u_matrix(2)
+    assert str(exc.value) == "complex carries no U-action"
+
+
 def test_random_realizations_match_rational_oracle():
     rng = random.Random(20260825)
     for _ in range(50):

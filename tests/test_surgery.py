@@ -61,6 +61,10 @@ def test_truncation_sigma_examples():
     assert truncation_sigma(builtin("figure_eight"), 7, 3, 2) == 1
     assert truncation_sigma(builtin("trefoil_right"), 1, 5, 0) == 4
     assert truncation_sigma(builtin("torus_2_5"), 3, 1, 0) == 1
+    for p, q in ((0, 1), (-1, 1), (1, 0)):
+        with pytest.raises(ValueError) as exc:
+            truncation_sigma(builtin("unknot"), p, q, 0)
+        assert str(exc.value) == "truncation_sigma requires p, q > 0"
 
 
 def test_mapping_cone_shape():
@@ -1105,6 +1109,31 @@ def test_slope_validation():
         hf_plus(builtin("unknot"), 1, 0)
     with pytest.raises(ValueError):
         hf_plus(builtin("unknot"), 4, 2)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 1, 0, 1, 4), "descriptor requires p, q > 0"),
+    ((2, 4, 1, 1, 4), "slope must be in lowest terms"),
+    ((3, 2, 3, 1, 4), "spin_c index out of range"),
+    ((3, 2, 0, 1, 0), "sigma and depth must be positive"),
+])
+def test_surgery_descriptor_rejects_a_bad_shape(args, message):
+    with pytest.raises(ValueError) as exc:
+        SurgeryDescriptor(*args)
+    assert str(exc.value) == message
+
+
+def _result(p, ds):
+    """An HFResult at p/1 with these d-invariants and nothing reduced."""
+    return surgery.HFResult(p=p, q=1, orientation="standard", spin_c=tuple(
+        SpincResult(index=i, d=F(d), hf_red=(), parity=(0, 0), sigma=1)
+        for i, d in enumerate(ds)))
+
+
+def test_conjugation_constant_is_none_without_a_reflection():
+    # d = 0, 1, 5 at p = 3: each reflection i -> c - i swaps two unequal d
+    assert conjugation_constant(_result(3, [0, 1, 5])) is None
+    assert conjugation_constant(_result(3, [0, 1, 1])) == 0
 
 
 def test_depth_and_width_do_not_change_results():

@@ -590,64 +590,46 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 _U_RE = re.compile(r"U\^(\d+)\Z")
 
 
-def _parse_term(text, lineno):
-    # a term as _split_terms cuts it: at most one sign, then nonempty
-    text = text.strip()
-    sign = 1
-    while text.startswith("-"):
-        sign = -sign
-        text = text[1:].strip()
-    coeff = 1
-    power = 0
-    pieces = [p.strip() for p in text.split("*")]
-    name = pieces[-1]
-    if not _NAME_RE.match(name):
-        raise ParseError(f"bad generator name {name!r} in term", lineno)
-    seen_coeff = seen_u = False
-    for piece in pieces[:-1]:
-        mu = _U_RE.match(piece)
-        if mu:
-            if seen_u:
-                raise ParseError(f"repeated U factor in term {text!r}", lineno)
-            power = int(mu.group(1))
-            seen_u = True
-        elif re.fullmatch(r"-?\d+", piece):
-            if seen_coeff:
-                raise ParseError(
-                    f"repeated coefficient in term {text!r}", lineno)
-            coeff = int(piece)
-            seen_coeff = True
-        else:
-            raise ParseError(f"cannot read factor {piece!r} in term", lineno)
-    return UTerm(sign * coeff, power, name)
+def _parse_terms(rhs, lineno):
+    """The UTerms of a d line's right-hand side, read in one pass.
 
-
-def _split_terms(rhs, lineno):
-    rhs = rhs.replace("−", "-")
-    tokens = re.findall(r"[+\-]|[^+\-\s]+", rhs)
-    terms = []
-    pending = ""
-    current = []
-    for tok in tokens:
-        if tok == "+":
-            if current:
-                terms.append(pending + "*".join(current))
-                current = []
-            pending = ""
-        elif tok == "-":
-            if current:
-                terms.append(pending + "*".join(current))
-                current = []
-                pending = "-"
-            else:
-                pending = "-" if pending != "-" else ""
-        else:
-            current.extend(p for p in tok.split("*") if p)
-    if current:
-        terms.append(pending + "*".join(current))
+    A sign ends the term before it (a + appended ends the last one);
+    - flips the sign of the next term and + resets it.  The words of a
+    term, split at *, are its factors, the generator name last.
+    """
+    terms, sign, factors = [], 1, []
+    for tok in re.findall(r"[+\-]|[^+\-\s]+", rhs.replace("−", "-")) + ["+"]:
+        if tok not in ("+", "-"):
+            factors += [p for p in tok.split("*") if p]
+            continue
+        if factors:
+            *pieces, name = factors
+            if not _NAME_RE.match(name):
+                raise ParseError(f"bad generator name {name!r} in term",
+                                 lineno)
+            coeff, power = None, None
+            for piece in pieces:
+                mu = _U_RE.match(piece)
+                if mu:
+                    if power is not None:
+                        raise ParseError("repeated U factor in term "
+                                         f"{'*'.join(factors)!r}", lineno)
+                    power = int(mu.group(1))
+                elif re.fullmatch(r"\d+", piece):
+                    if coeff is not None:
+                        raise ParseError("repeated coefficient in term "
+                                         f"{'*'.join(factors)!r}", lineno)
+                    coeff = int(piece)
+                else:
+                    raise ParseError(f"cannot read factor {piece!r} in term",
+                                     lineno)
+            terms.append(UTerm(sign * (1 if coeff is None else coeff),
+                               power or 0, name))
+            sign, factors = 1, []
+        sign = 1 if tok == "+" else -sign
     if not terms:
         raise ParseError("empty right-hand side", lineno)
-    return [_parse_term(t, lineno) for t in terms]
+    return terms
 
 
 def parse_text(source):
@@ -695,7 +677,7 @@ def parse_text(source):
             if head == "d":
                 if not _NAME_RE.match(lhs):
                     raise ParseError(f"bad generator name {lhs!r}", lineno)
-                diff[lhs] = _split_terms(rhs, lineno)
+                diff[lhs] = _parse_terms(rhs, lineno)
                 continue
             rhs = rhs.replace("−", "-").strip()
             sign = 1

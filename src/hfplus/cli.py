@@ -172,9 +172,9 @@ def _cmd_hfk(args):
             continue
         parts = []
         for d in support:
-            parts.append(f"rank {h.free_rank(d)} at degree {d}")
-            for f in h.torsion(d):
-                parts.append(f"Z/{f} at degree {d}")
+            if h.free_rank(d):
+                parts.append(f"rank {h.free_rank(d)} at degree {d}")
+            parts += [f"Z/{f} at degree {d}" for f in h.torsion(d)]
         print(f"  s = {s:3d}: " + ", ".join(parts))
     print(f"genus {genus(k)}")
     print(f"alexander {alexander_polynomial(k)}")

@@ -10,20 +10,26 @@ on homology.
 
 The Smith normal form is a sparse gcd-pivot elimination.  Pivots are
 chosen with the smallest nonzero magnitude (entries of magnitude one
-are taken immediately), and the row/column operations are mirrored
-into the unimodular transforms that each caller asks for:
+are taken immediately, scanning column by column), and the row/column
+operations are mirrored into the unimodular transforms that each
+caller asks for:
 
     L * M * R == D
 
 with D diagonal and d_1 | d_2 | ... .  Only the transforms actually
 needed are tracked; kernel computations want R and R^{-1}, the
-quotient structure wants L and L^{-1}.  A matrix with no entry is its
-own Smith form and takes no elimination (_ZeroSnf): every transform is
-the identity, which is held as None and never built.  So a degree with
-no boundary leaving it and none arriving from one degree up, as in
-every degree of a residue with zero differential, is bare: its kernel
-is the whole degree, nothing is divided out, and each element is one
-free class, its own representative and coordinate.  Between two bare
+quotient structure wants L and L^{-1}.  The matrix is kept as row
+dicts alone, and a column is read by scanning the rows:
+cancel_unit_pairs runs first and leaves every matrix a few rows wide
+(at most 11 x 11 over the 3,920 queries of tests/sweep.py), where a
+column index kept in step with every operation costs more than the
+scans it saves.  A matrix with no entry is its own Smith form and
+takes no elimination (_ZeroSnf): every transform is the identity,
+which is held as None and never built.  So a degree with no boundary
+leaving it and none arriving from one degree up, as in every degree
+of a residue with zero differential, is bare: its kernel is the whole
+degree, nothing is divided out, and each element is one free class,
+its own representative and coordinate.  Between two bare
 degrees U on homology is U's own columns, read straight off the
 complex (GradedGroup.u_matrix, which keeps nothing between calls:
 tower_decompose reads each degree once, in one walk down the tower
@@ -100,8 +106,8 @@ def _add(col, n, c):
 class _SnfWork:
     """Sparse SNF elimination with optional transform tracking.
 
-    The matrix lives as a list of row dicts plus a per-column index of
-    nonzero rows; both are kept in sync by the elementary operations.
+    The matrix lives as a list of row dicts alone (see the module
+    docstring).
     """
 
     def __init__(self, rows, nrows, ncols, track_l=False, track_linv=False,
@@ -109,10 +115,6 @@ class _SnfWork:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-        self.colnz = [set() for _ in range(ncols)]
-        for r, row in enumerate(rows):
-            for c in row:
-                self.colnz[c].add(r)
         self.l_rows = [{i: 1} for i in range(nrows)] if track_l else None
         self.linv_cols = [{i: 1} for i in range(nrows)] if track_linv else None
         self.r_cols = [{i: 1} for i in range(ncols)] if track_r else None
@@ -124,7 +126,7 @@ class _SnfWork:
 
     def _row_axpy(self, r, p, k):
         # row_r += k * row_p (k != 0)
-        _indexed_axpy(self.rows, self.colnz, r, self.rows[p], k)
+        _dict_axpy(self.rows[r], self.rows[p], k)
         if self.l_rows is not None:
             _dict_axpy(self.l_rows[r], self.l_rows[p], k)
         if self.linv_cols is not None:
@@ -142,7 +144,6 @@ class _SnfWork:
             row[j] = nv
         else:
             del row[j]
-            self.colnz[j].discard(i)
         if self.r_cols is not None:
             _dict_axpy(self.r_cols[j], self.r_cols[i], k)
         if self.q_rows is not None:
@@ -150,20 +151,8 @@ class _SnfWork:
             _dict_axpy(self.q_rows[i], self.q_rows[j], -k)
 
     def _row_swap(self, r, p):
-        if r == p:
-            return
-        rows, colnz = self.rows, self.colnz
-        union = set(rows[r]) | set(rows[p])
+        rows = self.rows
         rows[r], rows[p] = rows[p], rows[r]
-        for c in union:
-            if c in rows[r]:
-                colnz[c].add(r)
-            else:
-                colnz[c].discard(r)
-            if c in rows[p]:
-                colnz[c].add(p)
-            else:
-                colnz[c].discard(p)
         if self.l_rows is not None:
             self.l_rows[r], self.l_rows[p] = self.l_rows[p], self.l_rows[r]
         if self.linv_cols is not None:
@@ -173,16 +162,13 @@ class _SnfWork:
     def _col_swap(self, i, j):
         if i == j:
             return
-        rows, colnz = self.rows, self.colnz
-        for r in colnz[i] | colnz[j]:
-            row = rows[r]
+        for row in self.rows:
             vi = row.pop(i, None)
             vj = row.pop(j, None)
             if vj is not None:
                 row[i] = vj
             if vi is not None:
                 row[j] = vi
-        colnz[i], colnz[j] = colnz[j], colnz[i]
         if self.r_cols is not None:
             self.r_cols[i], self.r_cols[j] = self.r_cols[j], self.r_cols[i]
         if self.q_rows is not None:
@@ -206,52 +192,49 @@ class _SnfWork:
     def _pick_pivot(self, t):
         best = None
         best_val = None
+        rows = self.rows
         for c in range(t, self.ncols):
             # a reduced slot's row and column hold only its pivot, so
             # every row with an entry in a column >= t is at or below t
-            for r in self.colnz[c]:
-                v = self.rows[r][c]
-                v = -v if v < 0 else v
+            for r in range(t, self.nrows):
+                v = abs(rows[r].get(c, 0))
                 if v == 1:
                     return r, c
-                if best_val is None or v < best_val:
+                if v and (best_val is None or v < best_val):
                     best_val = v
                     best = (r, c)
         return best
 
     def _reduce_slot(self, t):
-        rows, colnz = self.rows, self.colnz
+        # rows and columns before t hold only their pivots, and no
+        # operation here reaches them
+        rows = self.rows
         while True:
-            if rows[t].get(t, 0) < 0:
+            if rows[t][t] < 0:
                 self._row_negate(t)
             p = rows[t][t]
-            swapped = False
-            # each row op changes only row r, so every later r of the
-            # snapshot still has its entry in column t
-            for r in [r for r in colnz[t] if r != t]:
-                k = rows[r][t] // p
-                if k:
-                    self._row_axpy(r, t, -k)
-                if rows[r].get(t):
-                    self._row_swap(t, r)
-                    swapped = True
-                    break
-            if swapped:
-                continue
-            p = rows[t][t]
-            for c in [c for c in rows[t] if c != t]:
-                v = rows[t][c]
-                k = v // p
-                if k:
-                    self._col_axpy(c, t, -k)
-                if rows[t].get(c):
-                    self._col_swap(t, c)
-                    swapped = True
-                    break
-            if swapped:
-                continue
-            if all(r == t for r in colnz[t]) and all(c == t for c in rows[t]):
-                return
+            # clear column t below the pivot; a remainder is a smaller
+            # pivot, swapped in to start again
+            for r in range(t + 1, self.nrows):
+                if t in rows[r]:
+                    k = rows[r][t] // p
+                    if k:
+                        self._row_axpy(r, t, -k)
+                    if rows[r].get(t):
+                        self._row_swap(t, r)
+                        break
+            else:
+                # the pivot is alone in column t: clear row t likewise;
+                # a column operation then changes row t alone
+                for c in [c for c in rows[t] if c != t]:
+                    k = rows[t][c] // p
+                    if k:
+                        self._col_axpy(c, t, -k)
+                    if rows[t].get(c):
+                        self._col_swap(t, c)
+                        break
+                else:
+                    return
 
     def run(self):
         t = 0

@@ -80,10 +80,10 @@ Grading bookkeeping happens in two separate steps, both exact:
 
 * an absolute shift per (p, q, i, sigma), in closed form: the
   unknot's cone at that shape would have its tower bottom at
-  min_s off_A(s) + 2 min(0, t(s)) over the whole window, which must
-  sit at the lens-space d-invariant.  Because the B-offsets do not
-  depend on the knot, the same shift is valid for every input at that
-  shape.
+  min_s off_A(s) + 2 min(0, t(s)) over the whole window, which is
+  off_A(0) (_calibration_shift), and must sit at the lens-space
+  d-invariant.  Because the B-offsets do not depend on the knot, the
+  same shift is valid for every input at that shape.
 
 Degrees stay integers throughout the computation; the (possibly
 fractional) calibration shift is applied only when results are
@@ -205,23 +205,23 @@ def _cone_shape(source, descriptor, g, t_b, floors):
 
 @memoized
 def _key_table(source):
-    """(hop, back, in_b): h on cfk._unfold's keys, one entry per generator.
+    """(hop, in_b): h on cfk._unfold's keys, one entry per generator.
 
     h_t: A_t -> B sends a key of generator n to key + hop[n][1] - G t,
     with sign hop[n][0], when key >= hop[n][2] + G t, i.e. j + k >= t,
     and to 0 otherwise; the sign and image are signed_flip's.  A key of
     generator n lies in B when key >= in_b[n], and there
-    h_t^-1 key = key + back[n] + G t.
+    h_t^-1 key = key + hop[n][1] + G t: validate requires the flip to
+    be an involution, so hop's offset of flip(n) undoes that of n.
     """
     index, G = _unfold(source)[0], len(source.generators)
     flip = signed_flip(source)
-    hop, back, in_b = [None] * G, [0] * G, [0] * G
+    hop, in_b = [None] * G, [0] * G
     for g in source.generators:
         n, (sgn, flipped) = index[g.name], flip[g.name]
         hop[n] = (sgn, index[flipped] - n, n - G * g.j)
-        back[index[flipped]] = n - index[flipped]
         in_b[n] = n - G * g.i
-    return hop, back, in_b
+    return hop, in_b
 
 
 def _h_columns(source, columns, t):
@@ -417,13 +417,13 @@ class MappingCone:
         with every frontier swept to the top.
         """
         G = len(self.source.generators)
-        hop, back, in_b = _key_table(self.source)
+        hop, in_b = _key_table(self.source)
         lo, hi = min(levels), max(levels)
         live, after = {}, set()
         for s in range(hi, lo, -1):
             shift, _, table = levels[s]
             alive = set(table)
-            alive.update(key + back[key % G] + shift for key in after
+            alive.update(key + hop[key % G][1] + shift for key in after
                          if key >= in_b[key % G])
             live[s] = after = alive
 
@@ -516,13 +516,13 @@ def _calibration_shift(descriptor):
     grading 2k; A_t = C{max(i, j - t) >= 0} keeps k >= min(0, t), so
     H(A_t) is one tower with bottom b(t) = 2 min(0, t), and the cone's
     is min_s off_A(s) + b(t(s)), never depending on the depth: Ni-Wu
-    (arXiv:1009.4720, Prop. 1.6) in cone coordinates with V = 0.
+    (arXiv:1009.4720, Prop. 1.6) in cone coordinates with V = 0.  That
+    minimum is off_A(0): since 0 <= i < p, t(s) < 0 exactly when s < 0,
+    so off_A(s + 1) = off_A(s) + 2 t(s) falls up to s = 0 and never
+    after, and the term at s is off_A(s + 1) for s < 0, off_A(s) after.
     """
-    off_a = _cone_offsets(descriptor)
-    bottom = min(off_a[s] + 2 * min(0, descriptor.t(s))
-                 for s in descriptor.a_positions())
     return (lens_d_oracle(descriptor.p, descriptor.q, descriptor.spin_c)
-            - bottom)
+            - _cone_offsets(descriptor)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,28 @@ def test_parse_errors_name_the_line_and_the_fault(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("rhs, terms", [
+    ("- - a", [(1, 0, "a")]),
+    ("+ - a", [(-1, 0, "a")]),
+    ("- + a", [(1, 0, "a")]),
+    ("a - - b", [(1, 0, "a"), (1, 0, "b")]),
+    ("a + - b", [(1, 0, "a"), (-1, 0, "b")]),
+    ("a -", [(1, 0, "a")]),
+    ("-2 U^3 a", [(-2, 3, "a")]),
+    ("−a − −b", [(-1, 0, "a"), (1, 0, "b")]),
+    ("U^1 2 a", [(2, 1, "a")]),
+    ("2*U^1*a", [(2, 1, "a")]),
+    ("*2**U^1* a*", [(2, 1, "a")]),
+    ("a * - * b", [(1, 0, "a"), (-1, 0, "b")]),
+])
+def test_parse_reads_signs_and_factors(rhs, terms):
+    # a sign ends the term before it; - flips the next term's sign and +
+    # resets it; the words of a term, split at *, are its factors, the
+    # generator name last
+    k = parse_text(f"gen x 0 0\ngen a 0 0\ngen b 0 0\nd x = {rhs}\n")
+    assert k.differential["x"] == tuple(UTerm(*t) for t in terms)
+
+
 def test_parse_validates_content():
     with pytest.raises(InvalidComplexError):
         parse_text("gen x 0 0\ngen y 2 0\nd x = U^1 y\n")

@@ -3,7 +3,7 @@ from collections import OrderedDict
 
 import pytest
 
-from helpers import (ChainMap, _compose, homology_free_ranks,
+from helpers import (ChainMap, _compose, det, homology_free_ranks,
                      homology_profile, library_checks, random_complex,
                      rational_rank, realization, staircase, t_b,
                      torsion_square)
@@ -63,6 +63,26 @@ def test_snf_matches_rational_rank_on_random_matrices():
         cols = [{r: m[r][c] for r in range(nrows) if m[r][c]}
                 for c in range(ncols)]
         assert snf_rank == rational_rank(cols, nrows)
+
+
+def test_snf_contract_on_random_matrices_up_to_15_square():
+    # larger and denser than any matrix graded_homology meets after unit
+    # cancellation; conftest also checks L M R == D on each elimination
+    rng = random.Random(33)
+    for _ in range(300):
+        nrows, ncols = rng.randrange(1, 16), rng.randrange(1, 16)
+        density = rng.choice((0.1, 0.3, 1.0))
+        m = [[rng.randrange(-9, 10) if rng.random() < density else 0
+              for _ in range(ncols)] for _ in range(nrows)]
+        l, d, r = smith_normal_form(m)
+        assert _matmul(_matmul(l, m), r) == d
+        assert all(v == 0 for i, row in enumerate(d)
+                   for j, v in enumerate(row) if i != j)
+        diag = [d[i][i] for i in range(min(nrows, ncols))]
+        assert all(v >= 0 for v in diag)
+        assert all(b % a == 0 if a else b == 0
+                   for a, b in zip(diag, diag[1:]))
+        assert abs(det(l)) == 1 and abs(det(r)) == 1
 
 
 def test_torsion_from_a_doubling_arrow():

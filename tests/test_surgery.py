@@ -118,8 +118,9 @@ def test_end_blocks_cancel_by_chain_isomorphisms():
 
 
 def test_calibration_minimum_lies_in_the_kept_window():
-    # _calibration_shift minimizes f(s) = off_A(s) + 2 min(0, t(s)) over
-    # the whole window; the kept blocks must reach the same minimum
+    # the unknot's tower bottom is the minimum of f(s) = off_A(s) +
+    # 2 min(0, t(s)) over the whole window, which _calibration_shift
+    # reads as off_A(0); the kept blocks must reach the same minimum
     for name in BUILTIN_NAMES:
         k = builtin(name)
         g = genus(k)
@@ -135,6 +136,28 @@ def test_calibration_minimum_lies_in_the_kept_window():
                     kept = [s for s, _, _ in surgery._cone_blocks(desc, g)]
                     assert (min(f[s] for s in kept)
                             == min(f.values())), (name, desc)
+                    assert min(f.values()) == off_a[0], (name, desc)
+
+
+def test_the_key_table_undoes_h_with_hop():
+    # the flip is an involution, so hop's offset of flip(n) is minus
+    # that of n, and a key h_t sends into B comes back under
+    # key + hop[key % G][1] + G t, as MappingCone._join reads it
+    knots = [builtin(name) for name in BUILTIN_NAMES]
+    knots += [mirror(k) for k in knots] + [staircase(g) for g in (2, 3, 4)]
+    for k in knots:
+        hop, in_b = surgery._key_table(k)
+        G = len(hop)
+        for n, (_, off, _) in enumerate(hop):
+            assert hop[n + off][1] == -off, (k.name, n)
+        g = genus(k)
+        keys = range(-G * (g + 3), G * (g + 3))
+        for t in range(-g - 1, g + 2):
+            for key, col in zip(keys, surgery._h_columns(k, keys, t)):
+                for image in col:
+                    assert image >= in_b[image % G], (k.name, key, t)
+                    assert image + hop[image % G][1] + G * t == key, (
+                        k.name, key, t)
 
 
 def _strip(k, t, top=None):

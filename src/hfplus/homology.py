@@ -10,9 +10,9 @@ on homology.
 
 The Smith normal form is a sparse gcd-pivot elimination.  Pivots are
 chosen with the smallest nonzero magnitude (entries of magnitude one
-are taken immediately, scanning column by column), and the row/column
-operations are mirrored into the unimodular transforms that each
-caller asks for:
+are taken immediately, scanning the stored entries row by row), and
+the row/column operations are mirrored into the unimodular transforms
+that each caller asks for:
 
     L * M * R == D
 
@@ -193,14 +193,14 @@ class _SnfWork:
         best = None
         best_val = None
         rows = self.rows
-        for c in range(t, self.ncols):
-            # a reduced slot's row and column hold only its pivot, so
-            # every row with an entry in a column >= t is at or below t
-            for r in range(t, self.nrows):
-                v = abs(rows[r].get(c, 0))
+        # a reduced slot's row and column hold only its pivot, so the
+        # rows at or below t hold every entry left, none left of t
+        for r in range(t, self.nrows):
+            for c, v in rows[r].items():
+                v = abs(v)
                 if v == 1:
                     return r, c
-                if v and (best_val is None or v < best_val):
+                if best_val is None or v < best_val:
                     best_val = v
                     best = (r, c)
         return best

@@ -1,19 +1,28 @@
 """Code lines per module of src/hfplus, and their total.
 
 A code line is a physical line that is not blank, not a comment and
-not part of a docstring (a statement that is a bare string, as
-linetrace.py counts them).  This is the size ROADMAP.md and CHANGES.md
-quote:
+not part of a docstring (a statement that is a bare string;
+linetrace.py imports is_docstring from here).  It counts the files of
+src/hfplus next to this file, and this is the size ROADMAP.md and
+CHANGES.md quote:
 
-    python tests/codelines.py [package directory]
+    python tests/codelines.py
 
-The directory defaults to src/hfplus next to this file.  Not collected
-by pytest.  Stdlib only; it reads the files and imports nothing.
+Not collected by pytest.  Stdlib only; it reads the files and imports
+none of them.
 """
 
 import ast
 import os
-import sys
+
+PACKAGE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src", "hfplus")
+
+
+def is_docstring(node):
+    return (isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
 
 
 def code_lines(path):
@@ -22,9 +31,7 @@ def code_lines(path):
         source = fh.read()
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)):
+        if is_docstring(node):
             docstrings.update(range(node.lineno, node.end_lineno + 1))
     return sum(1 for n, line in enumerate(source.splitlines(), start=1)
                if line.strip() and not line.lstrip().startswith("#")
@@ -32,13 +39,10 @@ def code_lines(path):
 
 
 def main():
-    root = (sys.argv[1] if len(sys.argv) > 1 else
-            os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         os.pardir, "src", "hfplus"))
     total = 0
-    for name in sorted(os.listdir(root)):
+    for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
-            n = code_lines(os.path.join(root, name))
+            n = code_lines(os.path.join(PACKAGE, name))
             total += n
             print(f"  {name}: {n}")
     print(f"  total: {total}")

@@ -23,6 +23,8 @@ import sys
 
 import pytest
 
+from codelines import is_docstring
+
 # {module file: lines no in-process test can run}: the __main__ guard
 ALLOWED = {"cli.py": {381}}
 
@@ -34,18 +36,12 @@ def _package_files():
             for name in sorted(os.listdir(root)) if name.endswith(".py")}
 
 
-def _is_docstring(node):
-    return (isinstance(node, ast.Expr)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str))
-
-
 def statement_lines(path):
     """The first line of every statement in the file, docstrings left out."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     return {node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.stmt) and not _is_docstring(node)}
+            if isinstance(node, ast.stmt) and not is_docstring(node)}
 
 
 def trace_suite(args):

@@ -11,26 +11,30 @@ on homology.
 The Smith normal form is a sparse gcd-pivot elimination.  Pivots are
 chosen with the smallest nonzero magnitude (entries of magnitude one
 are taken immediately, scanning the stored entries row by row), and
-the row/column operations are mirrored into the unimodular transforms
-that each caller asks for:
+every row/column operation is mirrored into all four unimodular
+transforms, L, L^{-1}, R and R^{-1}:
 
     L * M * R == D
 
-with D diagonal and d_1 | d_2 | ... .  Only the transforms actually
-needed are tracked; kernel computations want R and R^{-1}, the
-quotient structure wants L and L^{-1}.  The matrix is kept as row
-dicts alone, and a column is read by scanning the rows:
-cancel_unit_pairs runs first and leaves every matrix a few rows wide
-(at most 11 x 11 over the 3,920 queries of tests/sweep.py), where a
-column index kept in step with every operation costs more than the
-scans it saves.  A matrix with no entry is its own Smith form and
-takes no elimination (_ZeroSnf): every transform is the identity,
-which is held as None and never built.  So a degree with no boundary
-leaving it and none arriving from one degree up, as in every degree
-of a residue with zero differential, is bare: its kernel is the whole
-degree, nothing is divided out, and each element is one free class,
-its own representative and coordinate.  Between two bare
-degrees U on homology is U's own columns, read straight off the
+with D diagonal and d_1 | d_2 | ... .  Kernel computations read R and
+R^{-1}, the quotient structure L and L^{-1}; every elimination carries
+all four, in one configuration, because the two it does not need cost
+nothing measurable: cancel_unit_pairs runs first and leaves every
+matrix a few rows wide (at most 11 x 11 over the 3,920 queries of
+tests/sweep.py), and a cold pass of the benchmark's slope grid runs 20
+eliminations, each at most 3 x 1.  The matrix is kept as row dicts
+alone, and a column is read by scanning the rows, where a column
+index kept in step with every operation costs more than the scans it
+saves.  A matrix with no entry is its own Smith form and takes no
+elimination (_ZeroSnf): every transform is the identity, which is
+held as None and never built: that same grid pass meets 4,778
+degrees, 4,771 of them with no boundary leaving or arriving, and
+building identities for them would be work for nothing.  So a degree
+with no boundary leaving it and none arriving from one degree up, as
+in every degree of a residue with zero differential, is bare: its
+kernel is the whole degree, nothing is divided out, and each element
+is one free class, its own representative and coordinate.  Between
+two bare degrees U on homology is U's own columns, read straight off the
 complex (GradedGroup.u_matrix, which keeps nothing between calls:
 tower_decompose reads each degree once, in one walk down the tower
 that also checks its top TOWER_LEVELS levels).  This is exact, since
@@ -104,21 +108,22 @@ def _add(col, n, c):
 
 
 class _SnfWork:
-    """Sparse SNF elimination with optional transform tracking.
+    """Sparse SNF elimination that carries L, L^{-1}, R and R^{-1}.
 
-    The matrix lives as a list of row dicts alone (see the module
-    docstring).
+    The matrix lives as a list of row dicts alone, and every row and
+    column operation is mirrored into all four transforms (see the
+    module docstring): l_rows holds L by rows, linv_cols L^{-1} by
+    columns, r_cols R by columns and q_rows R^{-1} by rows.
     """
 
-    def __init__(self, rows, nrows, ncols, track_l=False, track_linv=False,
-                 track_r=False, track_rinv=False):
+    def __init__(self, rows, nrows, ncols):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-        self.l_rows = [{i: 1} for i in range(nrows)] if track_l else None
-        self.linv_cols = [{i: 1} for i in range(nrows)] if track_linv else None
-        self.r_cols = [{i: 1} for i in range(ncols)] if track_r else None
-        self.q_rows = [{i: 1} for i in range(ncols)] if track_rinv else None
+        self.l_rows = [{i: 1} for i in range(nrows)]
+        self.linv_cols = [{i: 1} for i in range(nrows)]
+        self.r_cols = [{i: 1} for i in range(ncols)]
+        self.q_rows = [{i: 1} for i in range(ncols)]
         self.rank = 0
         self.diag = []
 
@@ -127,11 +132,9 @@ class _SnfWork:
     def _row_axpy(self, r, p, k):
         # row_r += k * row_p (k != 0)
         _dict_axpy(self.rows[r], self.rows[p], k)
-        if self.l_rows is not None:
-            _dict_axpy(self.l_rows[r], self.l_rows[p], k)
-        if self.linv_cols is not None:
-            # L <- E L  =>  Linv <- Linv E^{-1}: col_p -= k * col_r
-            _dict_axpy(self.linv_cols[p], self.linv_cols[r], -k)
+        _dict_axpy(self.l_rows[r], self.l_rows[p], k)
+        # L <- E L  =>  Linv <- Linv E^{-1}: col_p -= k * col_r
+        _dict_axpy(self.linv_cols[p], self.linv_cols[r], -k)
 
     def _col_axpy(self, j, i, k):
         # col_j += k * col_i (k != 0) in _reduce_slot's column phase,
@@ -144,20 +147,13 @@ class _SnfWork:
             row[j] = nv
         else:
             del row[j]
-        if self.r_cols is not None:
-            _dict_axpy(self.r_cols[j], self.r_cols[i], k)
-        if self.q_rows is not None:
-            # R <- R E  =>  Rinv <- E^{-1} Rinv: row_i -= k * row_j
-            _dict_axpy(self.q_rows[i], self.q_rows[j], -k)
+        _dict_axpy(self.r_cols[j], self.r_cols[i], k)
+        # R <- R E  =>  Rinv <- E^{-1} Rinv: row_i -= k * row_j
+        _dict_axpy(self.q_rows[i], self.q_rows[j], -k)
 
     def _row_swap(self, r, p):
-        rows = self.rows
-        rows[r], rows[p] = rows[p], rows[r]
-        if self.l_rows is not None:
-            self.l_rows[r], self.l_rows[p] = self.l_rows[p], self.l_rows[r]
-        if self.linv_cols is not None:
-            self.linv_cols[r], self.linv_cols[p] = (
-                self.linv_cols[p], self.linv_cols[r])
+        for rows in (self.rows, self.l_rows, self.linv_cols):
+            rows[r], rows[p] = rows[p], rows[r]
 
     def _col_swap(self, i, j):
         if i == j:
@@ -169,23 +165,13 @@ class _SnfWork:
                 row[i] = vj
             if vi is not None:
                 row[j] = vi
-        if self.r_cols is not None:
-            self.r_cols[i], self.r_cols[j] = self.r_cols[j], self.r_cols[i]
-        if self.q_rows is not None:
-            self.q_rows[i], self.q_rows[j] = self.q_rows[j], self.q_rows[i]
+        for cols in (self.r_cols, self.q_rows):
+            cols[i], cols[j] = cols[j], cols[i]
 
     def _row_negate(self, r):
-        row = self.rows[r]
-        for c in row:
-            row[c] = -row[c]
-        if self.l_rows is not None:
-            lr = self.l_rows[r]
-            for c in lr:
-                lr[c] = -lr[c]
-        if self.linv_cols is not None:
-            lc = self.linv_cols[r]
-            for c in lc:
-                lc[c] = -lc[c]
+        for row in (self.rows[r], self.l_rows[r], self.linv_cols[r]):
+            for c in row:
+                row[c] = -row[c]
 
     # -- elimination ------------------------------------------------------
 
@@ -270,8 +256,8 @@ class _ZeroSnf:
     """The Smith normal form of a zero matrix, built without elimination.
 
     D is the zero matrix, so the rank is 0 and the identity satisfies
-    L * M * R == D: every transform a caller tracks is the identity,
-    given as None.
+    L * M * R == D: each of the four transforms is the identity, given
+    as None and never built.
     """
 
     rank = 0
@@ -279,14 +265,12 @@ class _ZeroSnf:
     l_rows = linv_cols = r_cols = q_rows = None
 
 
-def _snf(entries_rows, nrows, ncols, track_l=False, track_linv=False,
-         track_r=False, track_rinv=False):
+def _snf(entries_rows, nrows, ncols):
     """Smith data of the matrix with these row dicts; a matrix with no
     entry takes no elimination (_ZeroSnf)."""
     if not any(entries_rows):
         return _ZeroSnf()
-    return _SnfWork(entries_rows, nrows, ncols, track_l, track_linv, track_r,
-                    track_rinv).run()
+    return _SnfWork(entries_rows, nrows, ncols).run()
 
 
 def smith_normal_form(matrix):
@@ -302,8 +286,7 @@ def smith_normal_form(matrix):
         if len(row) != ncols:
             raise ValueError("matrix rows have unequal lengths")
     rows = [{c: int(v) for c, v in enumerate(row) if v} for row in matrix]
-    work = _SnfWork(rows, nrows, ncols, track_l=True, track_r=True)
-    work.run()
+    work = _SnfWork(rows, nrows, ncols).run()
     l_dense = [[work.l_rows[r].get(c, 0) for c in range(nrows)]
                for r in range(nrows)]
     d_dense = [[work.rows[r].get(c, 0) for c in range(ncols)]
@@ -571,6 +554,10 @@ class _DegreeHomology:
     the Smith data retained to convert cycles to homology coordinates
     and to produce cycle representatives.
 
+    work is the Smith result of the boundary leaving the degree and
+    ywork that of the image arriving from one degree up, in kernel
+    coordinates (the zero result when nothing arrives).  Only R and
+    R^{-1} of work, past its rank, and L and L^{-1} of ywork are kept.
     A transform given as None is the identity (_ZeroSnf): kernel_cols
     and q_rows when no boundary leaves the degree, y_l_rows and
     y_linv_cols when none arrives.  A bare degree, with neither, keeps
@@ -581,18 +568,19 @@ class _DegreeHomology:
                  "y_l_rows", "y_linv_cols", "bare", "kept", "factors",
                  "free_rank", "torsion")
 
-    def __init__(self, ids, z, d_rank, kernel_cols, q_rows, y_l_rows,
-                 y_linv_cols, y_diag):
+    def __init__(self, ids, work, ywork=_ZeroSnf()):
         self.ids = ids
         self._pos = None
-        self.z = z
-        self.d_rank = d_rank
-        self.kernel_cols = kernel_cols
-        self.q_rows = q_rows
-        self.y_l_rows = y_l_rows
-        self.y_linv_cols = y_linv_cols
-        self.bare = q_rows is None and y_l_rows is None
-        # y_diag is d_1 | d_2 | ...: its 1s come first
+        self.d_rank = work.rank
+        self.z = z = len(ids) - work.rank
+        self.kernel_cols = (None if work.r_cols is None
+                            else work.r_cols[work.rank:])
+        self.q_rows = work.q_rows
+        self.y_l_rows = ywork.l_rows
+        self.y_linv_cols = ywork.linv_cols
+        self.bare = self.q_rows is None and self.y_l_rows is None
+        # ywork.diag is d_1 | d_2 | ...: its 1s come first
+        y_diag = ywork.diag
         units = y_diag.count(1)
         self.kept = range(units, z)
         self.factors = list(y_diag[units:]) + [0] * (z - len(y_diag))
@@ -653,7 +641,7 @@ class _DegreeHomology:
 class GradedGroup:
     """Degreewise homology of a GradedComplex, with induced U-maps."""
 
-    def __init__(self, complex_, data, ceiling=None):
+    def __init__(self, complex_, data, ceiling):
         self.complex = complex_
         self._data = data
         self.ceiling = ceiling
@@ -675,8 +663,8 @@ class GradedGroup:
         dh = self._data.get(d)
         return dh.torsion if dh else ()
 
-    def total_free_rank(self, max_degree=None):
-        return sum(self.free_rank(d) for d in self.support(max_degree))
+    def total_free_rank(self):
+        return sum(self.free_rank(d) for d in self.support())
 
     def summary(self, max_degree=None):
         """dict degree -> (free_rank, torsion) over nonzero degrees."""
@@ -755,28 +743,22 @@ def graded_homology(complex_, ceiling=None):
             for j, gid in sources[d]:
                 for tgt, v in boundary[gid].items():
                     rows[pos_below[tgt]][j] = v
-        work = _snf(rows, len(rows), len(ids), track_r=True, track_rinv=True)
-        z = len(ids) - work.rank
-        kernel_cols = None if work.r_cols is None else work.r_cols[work.rank:]
-        # image from one degree up, in kernel coordinates
-        y_rows, ncols_y = [], 0
+        work = _snf(rows, len(rows), len(ids))
+        dh = _DegreeHomology(ids, work)
         if sources.get(d + 1):
-            stage = _DegreeHomology(ids, z, work.rank, kernel_cols,
-                                    work.q_rows, None, None, ())
-            pos = stage.pos
-            y_rows = [{} for _ in range(z)]
+            # image from one degree up, in kernel coordinates
+            pos = dh.pos
+            y_rows, ncols_y = [{} for _ in range(dh.z)], 0
             for _, gid in sources[d + 1]:
-                w = stage.kernel_coords(
+                w = dh.kernel_coords(
                     {pos[t]: v for t, v in boundary[gid].items()})
                 for s, val in enumerate(w):
                     if val:
                         y_rows[s][ncols_y] = val
                 if any(w):
                     ncols_y += 1
-        ywork = _snf(y_rows, z, ncols_y, track_l=True, track_linv=True)
-        data[d] = _DegreeHomology(ids, z, work.rank, kernel_cols,
-                                  work.q_rows, ywork.l_rows, ywork.linv_cols,
-                                  ywork.diag)
+            dh = _DegreeHomology(ids, work, _snf(y_rows, dh.z, ncols_y))
+        data[d] = dh
     return GradedGroup(complex_, data, ceiling=ceiling)
 
 
@@ -816,8 +798,7 @@ def _quotient_by_class(factors, vec):
     for j, col in enumerate(cols):
         for r, v in col.items():
             rows[r][j] = v
-    work = _SnfWork(rows, n, len(cols))
-    work.run()
+    work = _SnfWork(rows, n, len(cols)).run()
     free = n - work.rank
     torsion = tuple(sorted(x for x in work.diag if x > 1))
     return free, torsion

@@ -133,9 +133,6 @@ class SurgeryDescriptor:
         """Index of the A-summand at position s: floor((i + ps) / q)."""
         return (self.spin_c + self.p * s) // self.q
 
-    def a_positions(self):
-        return range(-self.sigma, self.sigma + 1)
-
 
 def truncation_sigma(complex_, p, q, i):
     """Smallest window half-width that only discards isomorphisms.

@@ -23,9 +23,9 @@ grid and in tests marked no_self_check too (_structure_check):
 On every test not marked no_self_check, undone when it ends
 (_self_check):
 
-- homology._SnfWork becomes _CheckedSnfWork, which tracks L and R on
-  every elimination and, after run, checks L * M * R == D and that L
-  and R are unimodular (helpers.verify_snf);
+- homology._SnfWork becomes _CheckedSnfWork, which checks every
+  elimination after run: L * M * R == D, L and R unimodular, and
+  L * L^{-1} == I and R^{-1} * R == I (helpers.verify_snf);
 - cancel_unit_pairs also compares the homology and the kernel ranks of
   U on it before and after (helpers.homology_profile, on the checked
   complexes above).  A call with incoming columns, as each strip's is,
@@ -53,13 +53,11 @@ _PAIRS = []
 
 
 class _CheckedSnfWork(homology._SnfWork):
-    """_SnfWork with L and R always tracked, checked after run."""
+    """_SnfWork checked after run."""
 
-    def __init__(self, rows, nrows, ncols, track_l=False, track_linv=False,
-                 track_r=False, track_rinv=False):
+    def __init__(self, rows, nrows, ncols):
         self.original = [dict(row) for row in rows]
-        super().__init__(rows, nrows, ncols, True, track_linv, True,
-                         track_rinv)
+        super().__init__(rows, nrows, ncols)
 
     def run(self):
         super().run()

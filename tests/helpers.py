@@ -16,13 +16,14 @@ compared with), the tower bottom of C{i >= 0} read through a
 realization (how gradings were normalized before grading_solve read
 the {i = 0} column), and the environment for child interpreters.  The
 checks conftest installs read from here too: that a finished Smith
-normal form satisfies L * M * R == D with unimodular L and R
-(verify_snf), the homology with the kernel ranks of U on it that unit
-cancellation must keep (homology_profile), and the structural check
-of every complex unit cancellation is given and leaves
-(checked_complex).  realization is a RealizedRegion as a checked
-GradedComplex (the library keeps only its lists), id_of inverts its
-ids, and library_checks records the checks the library makes itself.
+normal form satisfies L * M * R == D with unimodular L and R and
+carries their inverses (verify_snf), the homology with the kernel
+ranks of U on it that unit cancellation must keep (homology_profile),
+and the structural check of every complex unit cancellation is given
+and leaves (checked_complex).  realization is a RealizedRegion as a
+checked GradedComplex (the library keeps only its lists), id_of
+inverts its ids, and library_checks records the checks the library
+makes itself.
 The acceptance registry at the bottom is filled by test_acceptance.py
 and printed by the conftest terminal-summary hook.
 """
@@ -176,11 +177,12 @@ def det(m):
 
 
 def verify_snf(work, original):
-    """Check a finished homology._SnfWork that tracked L and R.
+    """Check a finished homology._SnfWork.
 
     original is the matrix before elimination, as row dicts.  Raises
-    AssertionError unless L * M * R == D entry by entry, and unless L
-    and R have determinant +-1 where they are at most 16 square.
+    AssertionError unless L * M * R == D entry by entry, unless
+    L * L^{-1} and R^{-1} * R are the identity, and unless L and R have
+    determinant +-1 where they are at most 16 square.
     """
     lm = []
     for r in range(work.nrows):
@@ -196,6 +198,20 @@ def verify_snf(work, original):
             s = sum(row.get(c, 0) * v for c, v in col.items())
             if s != work.rows[r].get(j, 0):
                 raise AssertionError("smith normal form self-check failed")
+    for rows, cols, name in ((work.l_rows, work.linv_cols, "row"),
+                             (work.q_rows, work.r_cols, "column")):
+        # the product row by row, with cols read by rows first
+        by_row = [{} for _ in cols]
+        for c, col in enumerate(cols):
+            for i, v in col.items():
+                by_row[i][c] = v
+        for r, row in enumerate(rows):
+            acc = {}
+            for i, v in row.items():
+                for c, w in by_row[i].items():
+                    acc[c] = acc.get(c, 0) + v * w
+            if {c: v for c, v in acc.items() if v} != {r: 1}:
+                raise AssertionError(f"{name} transform inverse is wrong")
     if work.nrows <= 16:
         dense = [[work.l_rows[r].get(c, 0) for c in range(work.nrows)]
                  for r in range(work.nrows)]
@@ -735,7 +751,8 @@ class ReferenceCone:
         else:
             off_a = surgery._cone_offsets(descriptor)
             blocks = [(("A", s), descriptor.t(s), off_a[s])
-                      for s in descriptor.a_positions()]
+                      for s in range(-descriptor.sigma,
+                                     descriptor.sigma + 1)]
             blocks += [(("B", s), t_b(source), off_a[s] - 1)
                        for s in range(1 - descriptor.sigma,
                                       descriptor.sigma + 1)]

@@ -541,6 +541,34 @@ def test_the_snf_check_catches_a_wrong_elimination(monkeypatch):
         smith_normal_form([[2, 4], [6, 8]])
 
 
+def test_the_snf_check_catches_a_skipped_inverse_update(monkeypatch):
+    # the check conftest installs multiplies L and R by their inverses:
+    # here a row operation leaves L^{-1} as it was, and then a column
+    # operation R^{-1}; L * M * R == D still holds either way
+    def row_axpy(self, r, p, k):
+        homology._dict_axpy(self.rows[r], self.rows[p], k)
+        homology._dict_axpy(self.l_rows[r], self.l_rows[p], k)
+
+    def col_axpy(self, j, i, k):
+        self.rows[i][j] += k * self.rows[i][i]
+        if not self.rows[i][j]:
+            del self.rows[i][j]
+        homology._dict_axpy(self.r_cols[j], self.r_cols[i], k)
+
+    # H_0 = Z + Z/2 from d x = 2 y + 4 y' takes a row operation, and
+    # H_0 = Z/2 from d x = 2 y, d x' = 4 y a column operation
+    for name, axpy, gc in (
+            ("row", row_axpy,
+             GradedComplex([1, 0, 0], [{1: 2, 2: 4}, {}, {}])),
+            ("col", col_axpy,
+             GradedComplex([1, 1, 0], [{2: 2}, {2: 4}, {}]))):
+        with monkeypatch.context() as m:
+            m.setattr(homology._SnfWork, f"_{name}_axpy", axpy)
+            with pytest.raises(AssertionError, match="transform inverse"):
+                graded_homology(gc)
+        assert graded_homology(gc).torsion(0) == (2,)
+
+
 def _count_snf_works(monkeypatch):
     """A list that grows by one for every _SnfWork built from now on."""
     built = []

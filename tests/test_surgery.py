@@ -132,7 +132,7 @@ def test_calibration_minimum_lies_in_the_kept_window():
                                                TOWER_LEVELS)):
                     off_a = surgery._cone_offsets(desc)
                     f = {s: off_a[s] + 2 * min(0, desc.t(s))
-                         for s in desc.a_positions()}
+                         for s in range(-desc.sigma, desc.sigma + 1)}
                     kept = [s for s, _, _ in surgery._cone_blocks(desc, g)]
                     assert (min(f[s] for s in kept)
                             == min(f.values())), (name, desc)
@@ -511,7 +511,7 @@ def test_cone_joins_are_the_v_and_h_maps():
         off_a = surgery._cone_offsets(desc)
         index = {label: n for n, label in enumerate(cone.ids)}
         a_positions = ([s for s, _, _ in _kept_blocks(k, desc)] if kept
-                       else list(desc.a_positions()))
+                       else list(range(-desc.sigma, desc.sigma + 1)))
         joins = 0
         for s in a_positions:
             # the cone cuts A_s at its top; map_v and map_h cut B to match

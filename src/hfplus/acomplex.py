@@ -43,7 +43,7 @@ realization is a subquotient of a complex that require_valid checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cfk import (_restrict, _unfold, column, flip_chain_sign, memoized,
                   require_valid)
@@ -193,11 +193,10 @@ def genus(complex_):
     return max(best, 0) if best is not None else 0
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(namedtuple("LaurentPolynomial", "coefficients")):
     """Integer Laurent polynomial, stored as sorted (exponent, coeff)."""
 
-    coefficients: tuple
+    __slots__ = ()
 
     @staticmethod
     def from_dict(d):

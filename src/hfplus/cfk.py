@@ -26,11 +26,8 @@ is torsion only needs a seed.
 
 from __future__ import annotations
 
-import hashlib
-import inspect
 import re
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, namedtuple
 from functools import cached_property, wraps
 
 from .errors import GradingError, InvalidComplexError, ParseError
@@ -40,19 +37,14 @@ BUILTIN_NAMES = ("unknot", "trefoil_right", "trefoil_left", "figure_eight",
                  "torus_2_5")
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    i: int
-    j: int
-    m: "int | None" = None  # Maslov grading; None until solved
+class Generator(namedtuple("Generator", "name i j m", defaults=(None,))):
+    """Filtration (i, j) and Maslov grading m (None until solved)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UTerm:
-    coefficient: int
-    u_exponent: int
-    target: str
+class UTerm(namedtuple("UTerm", "coefficient u_exponent target")):
+    __slots__ = ()
 
 
 def _normalize_terms(terms):
@@ -110,8 +102,8 @@ class KnotComplex:
         return gens, diff, flip
 
     @cached_property
-    def _digest(self):
-        return hashlib.sha256(repr(self._content).encode()).hexdigest()
+    def _key(self):
+        return repr(self._content)
 
     def __eq__(self, other):
         if not isinstance(other, KnotComplex):
@@ -119,11 +111,18 @@ class KnotComplex:
         return self._content == other._content
 
     def __hash__(self):
-        return hash(self._digest)
+        return hash(self._key)
 
     def content_key(self):
-        """Stable hex digest of the mathematical content (name ignored)."""
-        return self._digest
+        """The mathematical content (name ignored) as one string.
+
+        Generators, arrows and flip entries are sorted, so the key does
+        not depend on the order they were given in.  It is exact: two
+        complexes have equal keys exactly when they are equal.  It is
+        built once per complex, and a str caches its hash, so a memo
+        lookup does not rehash the content.
+        """
+        return self._key
 
     def __repr__(self):
         label = self.name or "?"
@@ -154,17 +153,23 @@ _memo = OrderedDict()
 def memoized(fn):
     """Keep fn's results in the one bounded memo, keyed by content.
 
-    Keyword arguments are bound to fn's parameters, so positional and
-    keyword spellings of a call share an entry; no memoized function
-    has a default, so every entry names every argument.  A KnotComplex
-    is keyed by content_key().  A call that raises stores nothing.
+    Keyword arguments are bound to fn's parameters by the names in
+    fn.__code__, so positional and keyword spellings of a call share an
+    entry; no memoized function has a default, so every entry names
+    every argument.  A call whose keywords are not exactly the
+    parameters its positional arguments leave goes to fn unbound, and
+    fn raises its own TypeError.  A KnotComplex is keyed by
+    content_key().  A call that raises stores nothing.
     """
-    signature = inspect.signature(fn)
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
         if kwargs:
-            args = tuple(signature.bind(*args, **kwargs).arguments.values())
+            rest = names[len(args):]
+            if kwargs.keys() != set(rest):
+                return fn(*args, **kwargs)
+            args += tuple(kwargs[name] for name in rest)
         key = (fn,) + tuple(a.content_key() if isinstance(a, KnotComplex)
                             else a for a in args)
         if key not in _memo:

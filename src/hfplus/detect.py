@@ -18,7 +18,7 @@ invariant that distinguishes two results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .acomplex import alexander_polynomial, kernel_rank_v
@@ -27,15 +27,11 @@ from .errors import CFKError
 from .surgery import hf_plus, lens_d_oracle
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(namedtuple("Diagnostic",
+                            "p q total_reduced_rank d_deficit score")):
     """The rank/d-drift summary of one surgery."""
 
-    p: int
-    q: int
-    total_reduced_rank: int
-    d_deficit: Fraction
-    score: int
+    __slots__ = ()
 
     def __str__(self):
         return (f"slope {self.p}/{self.q}: reduced rank "
@@ -68,10 +64,9 @@ def diagnostic_sum(complex_, p, q):
                       score=int(score))
 
 
-@dataclass(frozen=True)
-class CompareResult:
-    graded_isomorphic: bool
-    witness: str = ""
+class CompareResult(namedtuple("CompareResult", "graded_isomorphic witness",
+                               defaults=("",))):
+    __slots__ = ()
 
     def __str__(self):
         if self.graded_isomorphic:

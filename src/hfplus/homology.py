@@ -69,7 +69,7 @@ cancel_unit_pairs leaves (exact reductions) are not checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 
 from .errors import NotStabilizedError, TorsionInTowerError
@@ -766,16 +766,15 @@ def graded_homology(complex_, ceiling=None):
 # tower decomposition
 
 
-@dataclass(frozen=True)
-class TowerDecomposition:
+class TowerDecomposition(namedtuple("TowerDecomposition",
+                                    "d_bottom reduced")):
     """A homology group split into one U-tower plus a finite remainder.
 
     d_bottom is the degree of the bottom of the tower; reduced maps
     each degree to (free_rank, torsion) of the complement.
     """
 
-    d_bottom: object
-    reduced: tuple
+    __slots__ = ()
 
     @property
     def total_reduced_rank(self):

@@ -94,7 +94,7 @@ transported by orientation-reversal duality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -106,28 +106,30 @@ from .homology import (TOWER_LEVELS, GradedComplex, _add,
                        cancel_unit_pairs, graded_homology, tower_decompose)
 
 
-@dataclass(frozen=True)
-class SurgeryDescriptor:
+class SurgeryDescriptor(namedtuple("SurgeryDescriptor",
+                                   "p q spin_c sigma depth")):
     """Shape of one truncated cone: slope, residue, window, depth.
 
     The cone holds at least depth tower levels above the band floor.
     """
 
-    p: int
-    q: int
-    spin_c: int
-    sigma: int
-    depth: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
+    def __new__(cls, p, q, spin_c, sigma, depth):
+        if p <= 0 or q <= 0:
             raise ValueError("descriptor requires p, q > 0")
-        if gcd(self.p, self.q) != 1:
+        if gcd(p, q) != 1:
             raise ValueError("slope must be in lowest terms")
-        if not 0 <= self.spin_c < self.p:
+        if not 0 <= spin_c < p:
             raise ValueError("spin_c index out of range")
-        if self.sigma < 1 or self.depth < 1:
+        if sigma < 1 or depth < 1:
             raise ValueError("sigma and depth must be positive")
+        return super().__new__(cls, p, q, spin_c, sigma, depth)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here; check it as __new__ does
+        return cls(*iterable)
 
     def t(self, s):
         """Index of the A-summand at position s: floor((i + ps) / q)."""
@@ -526,8 +528,7 @@ def _calibration_shift(descriptor):
 # results
 
 
-@dataclass(frozen=True)
-class SpincResult:
+class SpincResult(namedtuple("SpincResult", "index d hf_red parity sigma")):
     """Invariants of one Spin^c structure of the surgered manifold.
 
     hf_red lists (degree, free rank, torsion factors) with exact
@@ -535,11 +536,7 @@ class SpincResult:
     to the tower bottom d.
     """
 
-    index: int
-    d: Fraction
-    hf_red: tuple
-    parity: tuple
-    sigma: int
+    __slots__ = ()
 
     @property
     def total_reduced_rank(self):
@@ -550,14 +547,10 @@ class SpincResult:
         return (self.d, self.hf_red)
 
 
-@dataclass(frozen=True)
-class HFResult:
+class HFResult(namedtuple("HFResult", "p q orientation spin_c")):
     """HF+ of a surgery, split by Spin^c structure."""
 
-    p: int
-    q: int
-    orientation: str
-    spin_c: tuple
+    __slots__ = ()
 
     @property
     def slope(self):

@@ -24,8 +24,9 @@ On every test not marked no_self_check, undone when it ends
 (_self_check):
 
 - homology._SnfWork becomes _CheckedSnfWork, which checks every
-  elimination after run: L * M * R == D, L and R unimodular, and
-  L * L^{-1} == I and R^{-1} * R == I (helpers.verify_snf);
+  elimination after run: L * M * R == D, L * L^{-1} == I and
+  R^{-1} * R == I (helpers.verify_snf), so L and R are unimodular
+  without a determinant being taken;
 - cancel_unit_pairs also compares the homology and the kernel ranks of
   U on it before and after (helpers.homology_profile, on the checked
   complexes above).  A call with incoming columns, as each strip's is,

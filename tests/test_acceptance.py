@@ -12,7 +12,6 @@ grid has a time budget.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -196,7 +195,7 @@ def test_criterion_11_robustness(grid):
     failures = []
     for (name, p, q), base in grid.items():
         k = builtin(name)
-        deeper = replace(base, spin_c=tuple(
+        deeper = base._replace(spin_c=tuple(
             _spin_c_result(k, SurgeryDescriptor(p, q, r.index, r.sigma,
                                                 2 * TOWER_LEVELS))
             for r in base.spin_c))

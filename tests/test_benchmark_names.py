@@ -15,7 +15,6 @@ import ast
 import importlib
 import inspect
 from collections import OrderedDict
-from dataclasses import fields
 from pathlib import Path
 
 from helpers import staircase
@@ -84,7 +83,7 @@ def test_the_benchmark_signatures_and_result_fields():
     # tracing reads the descriptor as build_mapping_cone's second argument
     assert list(inspect.signature(build_mapping_cone).parameters)[:2] == [
         "complex_", "descriptor"]
-    assert [f.name for f in fields(SpincResult)] == [
+    assert list(SpincResult._fields) == [
         "index", "d", "hf_red", "parity", "sigma"]
 
 

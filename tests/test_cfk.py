@@ -520,12 +520,50 @@ def test_unknot_content_key_is_stable_under_renaming():
     assert a == b
 
 
+def test_content_key_ignores_order_and_sees_each_number():
+    rng = random.Random(35)
+    for name in ("trefoil_right", "figure_eight", "torus_2_5"):
+        k = builtin(name)
+        key = k.content_key()
+        assert isinstance(key, str)
+        gens = list(k.generators)
+        diff = list(k.differential.items())
+        flip = list(k.flip.items())
+        for _ in range(5):
+            for items in (gens, diff, flip):
+                rng.shuffle(items)
+            permuted = KnotComplex(
+                gens, {g: rng.sample(terms, len(terms)) for g, terms in diff},
+                dict(flip))
+            assert permuted.content_key() == key, name
+        g, terms = next((g, terms) for g, terms in diff if terms)
+        doubled = dict(diff)
+        doubled[g] = (terms[0]._replace(coefficient=2 * terms[0].coefficient),
+                      *terms[1:])
+        assert KnotComplex(gens, doubled, k.flip).content_key() != key, name
+        regraded = KnotComplex([gens[0]._replace(m=gens[0].m + 2), *gens[1:]],
+                               dict(diff), k.flip)
+        assert regraded.content_key() != key, name
+
+
 def test_memo_shares_one_entry_across_argument_spellings():
     k = builtin("trefoil_right")
     first = hf_plus(k, 3, 2)
     assert hf_plus(k, 3, q=2) is first
     assert hf_plus(k, q=2, p=3) is first
     assert hf_plus(complex_=k, p=3, q=2) is first
+
+
+def test_memo_passes_a_call_it_cannot_bind_to_the_function():
+    # an unknown keyword or an argument given twice is hf_plus's own
+    # TypeError, and the memo is left as it was
+    k = builtin("trefoil_right")
+    before = list(cfk._memo)
+    for kwargs, message in (({"r": 2}, "unexpected keyword argument 'r'"),
+                            ({"p": 3}, "multiple values for argument 'p'")):
+        with pytest.raises(TypeError, match=message):
+            hf_plus(k, 3, **kwargs)
+        assert list(cfk._memo) == before
 
 
 def test_memo_keys_complexes_by_content():

@@ -1,8 +1,8 @@
+import hashlib
 import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,7 +177,7 @@ def test_json_identical_across_depths(capsys):
     doc = json.loads(out)
     k = builtin("trefoil_right")
     base = hf_plus(k, 3, 2)
-    deeper = replace(base, spin_c=tuple(
+    deeper = base._replace(spin_c=tuple(
         surgery._spin_c_result(k, SurgeryDescriptor(3, 2, r.index, r.sigma,
                                                     2 * TOWER_LEVELS))
         for r in base.spin_c))
@@ -334,3 +334,38 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "torus_2_5" in proc.stdout
+
+
+# Run in a child interpreter: the modules that importing hfplus.cli adds
+# to those the interpreter starts with (site's among them), whether a
+# builtin surgery loads hashlib, and the JSON of a surgery on a file.
+FOOTPRINT = """\
+import sys
+before = set(sys.modules)
+from hfplus import cli
+imported = sorted(set(sys.modules) - before)
+import contextlib, io, json
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["surgery", "trefoil_right", "7/3"])
+builtin_hashlib = "hashlib" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    file_code = cli.main(["surgery", sys.argv[1], "1/1", "--json"])
+print(json.dumps([imported, code, builtin_hashlib, file_code,
+                  json.loads(out.getvalue())]))
+"""
+
+
+def test_a_cold_cli_imports_no_dataclasses_inspect_or_hashlib(tmp_path):
+    path = tmp_path / "trefoil.txt"
+    path.write_text(serialize_text(builtin("trefoil_right")))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, str(path)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    imported, code, builtin_hashlib, file_code, doc = json.loads(proc.stdout)
+    assert "hfplus.cli" in imported
+    assert not {"dataclasses", "inspect", "hashlib"} & set(imported)
+    assert (code, builtin_hashlib, file_code) == (0, False, 0)
+    digest = doc["input"]["digest"]
+    assert re.fullmatch(r"[0-9a-f]{64}", digest)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()

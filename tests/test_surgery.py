@@ -1,7 +1,6 @@
 import random
 from collections import OrderedDict
 from copy import deepcopy
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -878,7 +877,7 @@ def test_band_floor_bounds_hf_red_and_doubling_changes_nothing():
             assert all(deg < floor for deg, _, _ in r.hf_red), (k.name, desc)
             deeper.append(surgery._spin_c_result(k, SurgeryDescriptor(
                 p, q, r.index, r.sigma, 2 * TOWER_LEVELS)))
-        assert (replace(result, spin_c=tuple(deeper)).comparable()
+        assert (result._replace(spin_c=tuple(deeper)).comparable()
                 == result.comparable()), (k.name, p, q)
 
 
@@ -1146,6 +1145,13 @@ def test_surgery_descriptor_rejects_a_bad_shape(args, message):
     assert str(exc.value) == message
 
 
+def test_a_modified_descriptor_is_checked_again():
+    good = SurgeryDescriptor(3, 2, 0, 1, 4)
+    assert good._replace(spin_c=2) == SurgeryDescriptor(3, 2, 2, 1, 4)
+    with pytest.raises(ValueError, match="spin_c index out of range"):
+        good._replace(spin_c=3)
+
+
 def _result(p, ds):
     """An HFResult at p/1 with these d-invariants and nothing reduced."""
     return surgery.HFResult(p=p, q=1, orientation="standard", spin_c=tuple(
@@ -1168,7 +1174,7 @@ def test_depth_and_width_do_not_change_results():
     for name, p, q in samples:
         k = builtin(name)
         base = hf_plus(k, p, q)
-        deeper = replace(base, spin_c=tuple(
+        deeper = base._replace(spin_c=tuple(
             surgery._spin_c_result(k, SurgeryDescriptor(
                 p, q, r.index, r.sigma, 2 * TOWER_LEVELS))
             for r in base.spin_c))
